@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import emap, graphalg, search, serialize, surgery
 from .emap import Embedding, Graph, vkey
-from .errors import CatalogError
+from .errors import CatalogError, QuadforgeError
 from .search import CoolingSchedule, WitnessSpec
 
 CATALOG_ENV = "QUADFORGE_CATALOG"
@@ -258,7 +258,7 @@ def _first_chain_site(parent: Embedding, first: tuple, second: tuple | None):
     for site in surgery.find_handle_sites(parent, first):
         try:
             out = surgery.handle_augment(parent, site)
-        except Exception:
+        except QuadforgeError:
             continue
         if second is None or surgery.find_handle_sites(out, second):
             return out
@@ -305,13 +305,11 @@ def get_witness(name: str) -> Embedding:
                 emb = serialize.parse_emap(path.read_text())
             except Exception as exc:
                 raise CatalogError(f"{name}: witness file corrupt: {exc}") from exc
-        elif rec.provenance.startswith("derived"):
-            emb = _derive(rec)
-            _persist(rec, emb)
+            _verify(rec, emb)
         else:
-            emb = _acquire_searched(rec)
+            emb = _derive(rec) if rec.provenance.startswith("derived") else _acquire_searched(rec)
+            _verify(rec, emb)
             _persist(rec, emb)
-        _verify(rec, emb)
         _witness_cache[name] = emb
         return emb
 
@@ -341,10 +339,9 @@ def verify_all() -> list:
     return report
 
 
-def build_all() -> None:
-    """Materialize and persist every record in dependency order."""
-    for rec in record_table():
-        get_witness(rec.name)
+def build_all() -> list:
+    """Materialize and persist every record in dependency order; returns the witnesses."""
+    return [get_witness(rec.name) for rec in record_table()]
 
 
 def clear_cache() -> None:

@@ -326,7 +326,11 @@ def _cmd_catalog(args) -> int:
         _say(args, f"built {len(embs)} witnesses in {catalog.catalog_dir()}")
         return 0
     if args.action == "verify":
-        catalog.verify_all()
+        failed = [(name, msg) for name, ok, msg in catalog.verify_all() if not ok]
+        for name, msg in failed:
+            print(f"error: {name}: {msg}", file=sys.stderr)
+        if failed:
+            return 1
         _say(args, "catalog verified")
         return 0
     for rec in sorted(catalog.record_table(), key=lambda r: r.name):

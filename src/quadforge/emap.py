@@ -10,13 +10,24 @@ and the step is
     successor of e when o' = +1 and the predecessor when o' = -1.
 
 Vertex labels are ints or strings; all orderings use ``vkey`` so output is
-reproducible.
+reproducible.  Inside the kernel labels become dense integers: a graph ranks
+its vertices by ``vkey`` once and numbers its edges in sorted order, and a
+tracing state is the integer
+
+    s = 4*e + 2*side + (o == -1),   side = 0 when the tail is e's smaller end.
+
+The state that crosses edge e the other way on the other side of the surface
+is ``s ^ 3`` for a positive edge and ``s ^ 2`` for a negative one.  Faces are
+the orbits of a flat successor list over these states, taken in increasing
+order of their first state.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
@@ -52,21 +63,31 @@ def other_end(e: Edge, v: Label) -> Label:
 
 @dataclass(frozen=True)
 class Graph:
-    """Labeled simple graph: loop-free, no parallel edges."""
+    """Labeled simple graph: loop-free, no parallel edges.
+
+    Construction ranks the vertices by ``vkey``; the sorted edge list and the
+    incidence index are built from the ranks on first use.
+    """
 
     vertices: frozenset
     edges: frozenset
 
     def __post_init__(self):
-        for v in self.vertices:
-            vkey(v)
+        order = tuple(sorted(self.vertices, key=vkey))
+        rank = {v: i for i, v in enumerate(order)}
         for e in self.edges:
             if not (isinstance(e, tuple) and len(e) == 2):
                 raise StructuralError(f"edge {e!r} is not a pair")
-            if edge_between(*e) != e:
-                raise StructuralError(f"edge {e!r} is not normalized")
-            if e[0] not in self.vertices or e[1] not in self.vertices:
-                raise StructuralError(f"edge {e!r} has an endpoint outside the vertex set")
+            ra, rb = rank.get(e[0]), rank.get(e[1])
+            if (ra is None or rb is None or ra >= rb or type(e[0]) is not type(order[ra])
+                    or type(e[1]) is not type(order[rb])):
+                # not plainly two ranked labels in order: the full checks name the fault
+                if edge_between(*e) != e:
+                    raise StructuralError(f"edge {e!r} is not normalized")
+                if e[0] not in self.vertices or e[1] not in self.vertices:
+                    raise StructuralError(f"edge {e!r} has an endpoint outside the vertex set")
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_rank", rank)
 
     @staticmethod
     def from_edges(edges: Iterable[tuple], vertices: Iterable[Label] = ()) -> "Graph":
@@ -74,16 +95,32 @@ class Graph:
         vs = frozenset(vertices) | frozenset(itertools.chain.from_iterable(es))
         return Graph(vs, es)
 
+    @cached_property
+    def _edge_order(self) -> tuple:
+        rank, n = self._rank, len(self._order)
+        return tuple(sorted(self.edges, key=lambda e: rank[e[0]] * n + rank[e[1]]))
+
+    @cached_property
+    def _incidence(self) -> dict:
+        """Vertex -> its incident edges, in sorted edge order."""
+        inc = {v: [] for v in self._order}
+        for e in self._edge_order:
+            inc[e[0]].append(e)
+            inc[e[1]].append(e)
+        return {v: tuple(es) for v, es in inc.items()}
+
     def neighbors(self, v: Label) -> set:
         if v not in self.vertices:
             raise StructuralError(f"unknown vertex {v!r}")
-        return {other_end(e, v) for e in self.edges if v in e[:2]}
+        return {e[0] if e[1] == v else e[1] for e in self._incidence[v]}
 
     def degree(self, v: Label) -> int:
-        return len(self.neighbors(v))
+        if v not in self.vertices:
+            raise StructuralError(f"unknown vertex {v!r}")
+        return len(self._incidence[v])
 
     def incident_edges(self, v: Label) -> list:
-        return sorted((e for e in self.edges if v in e[:2]), key=edge_key)
+        return list(self._incidence.get(v, ()))
 
     def has_edge(self, u: Label, v: Label) -> bool:
         return u != v and edge_between(u, v) in self.edges
@@ -91,29 +128,24 @@ class Graph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return False
-        adj = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        start = min(self.vertices, key=vkey)
+        inc = self._incidence
+        start = self._order[0]
         seen = {start}
         stack = [start]
         while stack:
-            for w in adj[stack.pop()]:
+            v = stack.pop()
+            for e in inc[v]:
+                w = e[0] if e[1] == v else e[1]
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == len(self.vertices)
 
     def sorted_vertices(self) -> list:
-        return sorted(self.vertices, key=vkey)
+        return list(self._order)
 
     def sorted_edges(self) -> list:
-        return sorted(self.edges, key=edge_key)
-
-
-def edge_key(e: Edge):
-    return (vkey(e[0]), vkey(e[1]))
+        return list(self._edge_order)
 
 
 def min_degree(g: Graph) -> int:
@@ -186,17 +218,16 @@ class Embedding:
         if not graph.is_connected():
             raise StructuralError("embedding requires a connected graph")
         rot = {}
-        for v in graph.vertices:
+        for v, incident in graph._incidence.items():
             if v not in rotation:
                 raise StructuralError(f"no rotation given for vertex {v!r}")
             cyc = tuple(rotation[v])
-            incident = set(graph.incident_edges(v))
-            if len(cyc) != len(incident) or set(cyc) != incident:
+            if len(cyc) != len(incident) or set(cyc) != set(incident):
                 raise StructuralError(f"rotation at {v!r} is not a permutation of its incident edges")
             if cyc:
                 # canonical phase: start each cycle at its smallest edge, so
                 # structural equality and serialization are representation-free
-                k = min(range(len(cyc)), key=lambda i: edge_key(cyc[i]))
+                k = cyc.index(incident[0])
                 cyc = cyc[k:] + cyc[:k]
             rot[v] = cyc
         sig = {}
@@ -210,7 +241,6 @@ class Embedding:
         self.graph = graph
         self.rotation = rot
         self.signature = sig
-        self._rot_pos = {v: {e: i for i, e in enumerate(c)} for v, c in rot.items()}
         self._faces = None
 
     def __eq__(self, o) -> bool:
@@ -221,52 +251,51 @@ class Embedding:
             and self.signature == o.signature
         )
 
-    def _next_state(self, e: Edge, tail: Label, o: int):
-        head = other_end(e, tail)
-        o2 = o * self.signature[e]
-        rot = self.rotation[head]
-        pos = self._rot_pos[head][e]
-        f = rot[(pos + o2) % len(rot)]
-        return (f, head, o2)
-
-    def _companion(self, e: Edge, tail: Label, o: int):
-        return (e, other_end(e, tail), -o * self.signature[e])
-
     def faces(self) -> tuple:
         if self._faces is None:
             self._faces = self._trace()
         return self._faces
 
     def _trace(self) -> tuple:
-        states = []
-        for e in self.graph.sorted_edges():
-            for tail in sorted(e, key=vkey):
-                for o in (1, -1):
-                    states.append((e, tail, o))
-        seen = set()
+        edges = self.graph._edge_order
+        eid = {e: i for i, e in enumerate(edges)}
+        sig = self.signature
+        succ = [0] * (4 * len(edges))
+        for v, cyc in self.rotation.items():
+            # out[p]: the state leaving v along cyc[p] with o = +1
+            out = [4 * eid[e] + (0 if e[0] == v else 2) for e in cyc]
+            d = len(out)
+            for p, e in enumerate(cyc):
+                fwd, back = out[(p + 1) % d], out[p - 1] + 1
+                s = out[p] ^ 2  # the state entering v along cyc[p] with o = +1
+                if sig[e] == 1:
+                    succ[s], succ[s + 1] = fwd, back
+                else:
+                    succ[s], succ[s + 1] = back, fwd
+        flip = [3 if sig[e] == 1 else 2 for e in edges]
+        seen = bytearray(len(succ))
         walks = []
-        for start in states:
-            if start in seen:
+        for start in range(len(succ)):
+            if seen[start]:
                 continue
-            orbit = []
-            cur = start
-            while True:
-                orbit.append(cur)
-                seen.add(cur)
-                cur = self._next_state(*cur)
-                if cur == start:
-                    break
-                if cur in seen:
+            orbit = [start]
+            seen[start] = 1
+            cur = succ[start]
+            while cur != start:
+                if seen[cur]:
                     raise StructuralError("face tracing re-entered a consumed state")
-            orbit_set = set(orbit)
-            for st in orbit:
-                comp = self._companion(*st)
-                if comp in orbit_set:
+                orbit.append(cur)
+                seen[cur] = 1
+                cur = succ[cur]
+            members = set(orbit)
+            for s in orbit:
+                comp = s ^ flip[s >> 2]
+                if comp in members:
                     raise StructuralError("degenerate self-reverse face walk")
-                seen.add(comp)
-            walks.append(FaceWalk(tuple((tail, e) for e, tail, _ in orbit)))
-        total = sum(len(w) for w in walks)
-        if total != 2 * len(self.graph.edges):
+                seen[comp] = 1
+            walks.append(FaceWalk(tuple((edges[s >> 2][(s >> 1) & 1], edges[s >> 2])
+                                        for s in orbit)))
+        if sum(len(w) for w in walks) != 2 * len(edges):
             raise StructuralError("face walks do not cover each edge exactly twice")
         return tuple(walks)
 
@@ -288,7 +317,7 @@ def is_orientable(emb: Embedding) -> bool:
     """
     g = emb.graph
     color = {}
-    start = min(g.vertices, key=vkey)
+    start = g._order[0]
     color[start] = 1
     queue = [start]
     adj = {v: [] for v in g.vertices}
@@ -432,6 +461,22 @@ def certify(emb: Embedding) -> Certificate:
 # edge exactly twice, we recover the rotation at each vertex by walking the
 # umbrella of glued polygon corners, then solve for edge signs consistent
 # with the face-tracing convention above.
+#
+# Everything runs on integers: vertices are ranked by vkey, slot g is the
+# g-th step of the concatenated walks, and side-end 2g (2g + 1) is slot g's
+# end at its tail (head).  A corner at a vertex of degree >= 3 pins the
+# orientation o of the slot leaving it; every slot a then obeys
+#
+#     o[a] * sign(edge of a) * o[next slot of a] = 1,
+#
+# propagated from a worklist.  At a vertex of degree <= 2 no corner pins
+# anything, and switching there (negating its edge signs and the orientations
+# of the slots leaving it) keeps every constraint and every pin: it is a gauge.
+# So the first slot leaving such a vertex is fixed to +1, which succeeds
+# exactly when -1 does.  When some vertex has degree >= 3, propagation from
+# these values settles every slot, vertex by vertex outwards; only a cycle or
+# a path can leave a slot free, and each one left is fixed to +1 in turn.
+# An inconsistent face set meets a violated constraint.
 # ---------------------------------------------------------------------------
 
 def normalize_walk(walk: Sequence[Label]) -> tuple:
@@ -445,180 +490,115 @@ def normalize_walk(walk: Sequence[Label]) -> tuple:
     return min(candidates, key=lambda s: tuple(vkey(x) for x in s))
 
 
+def _walk_key(w: tuple) -> tuple:
+    """Smallest rotation or reflection of a closed walk of vertex ranks."""
+    m = min(w)
+    k = len(w)
+    r = w[::-1]
+    return min(min(w[i:] + w[:i], r[k - 1 - i:] + r[:k - 1 - i])
+               for i in range(k) if w[i] == m)
+
+
 def embedding_from_faces(face_walks: Sequence[Sequence[Label]]) -> Embedding:
     walks = [tuple(w) for w in face_walks]
     if not walks:
         raise StructuralError("no faces given")
-    # slot (i, j): face i traverses edge {w[j], w[j+1]} starting at w[j]
-    slot_edge = {}
-    edge_uses = {}
-    for i, w in enumerate(walks):
+    for w in walks:
         if len(w) < 2:
             raise StructuralError(f"face walk {w} is too short")
-        for j in range(len(w)):
-            e = edge_between(w[j], w[(j + 1) % len(w)])
-            slot_edge[(i, j)] = e
-            edge_uses.setdefault(e, []).append((i, j))
-    for e, uses in edge_uses.items():
-        if len(uses) != 2:
-            raise StructuralError(f"edge {e} is used {len(uses)} times, expected 2")
-    graph = Graph.from_edges(edge_uses.keys())
+    labels = sorted({v for w in walks for v in w}, key=vkey)
+    rank = {v: i for i, v in enumerate(labels)}
+    n = len(labels)
+    ranked = [tuple(rank[v] for v in w) for w in walks]
+    tail = [v for w in ranked for v in w]
+    nxt, prv = [], []
+    for w in ranked:
+        base, k = len(nxt), len(w)
+        nxt.extend(range(base + 1, base + k))
+        nxt.append(base)
+        prv.append(base + k - 1)
+        prv.extend(range(base, base + k - 1))
+    slots = len(tail)
 
-    # Side-ends: (i, j, 0) at the tail w[j], (i, j, 1) at the head w[j+1].
-    def end_vertex(i, j, which):
-        w = walks[i]
-        return w[j] if which == 0 else w[(j + 1) % len(w)]
+    uses = {}
+    for g in range(slots):
+        a, b = tail[g], tail[nxt[g]]
+        if a == b:
+            raise StructuralError(f"loop at {labels[a]!r} not allowed")
+        uses.setdefault(a * n + b if a < b else b * n + a, []).append(g)
+    keys = sorted(uses)
+    edges = [(labels[key // n], labels[key % n]) for key in keys]
+    sedge = [0] * slots  # edge id of each slot
+    mate = [0] * slots  # the other slot on the same edge
+    for i, key in enumerate(keys):
+        if len(uses[key]) != 2:
+            raise StructuralError(f"edge {edges[i]} is used {len(uses[key])} times, expected 2")
+        g1, g2 = uses[key]
+        sedge[g1] = sedge[g2] = i
+        mate[g1], mate[g2] = g2, g1
+    graph = Graph(frozenset(labels), frozenset(edges))
 
-    corner = {}
-    for i, w in enumerate(walks):
-        k = len(w)
-        for j in range(k):
-            a = (i, (j - 1) % k, 1)
-            b = (i, j, 0)
-            corner[a] = b
-            corner[b] = a
-    glue = {}
-    for e, ((i1, j1), (i2, j2)) in edge_uses.items():
-        for which1 in (0, 1):
-            u = end_vertex(i1, j1, which1)
-            which2 = 0 if end_vertex(i2, j2, 0) == u else 1
-            glue[(i1, j1, which1)] = (i2, j2, which2)
-            glue[(i2, j2, which2)] = (i1, j1, which1)
-
-    ends_at = {}
-    for i, w in enumerate(walks):
-        for j in range(len(w)):
-            for which in (0, 1):
-                ends_at.setdefault(end_vertex(i, j, which), []).append((i, j, which))
-
-    rotation = {}
-    for v, ends in ends_at.items():
-        start = min(ends)
+    # Umbrella walk at each vertex from its smallest side-end: cross the edge
+    # to the mate slot's end at the same vertex, then turn the face corner.
+    first = {}
+    for g, v in enumerate(tail):
+        if v not in first:
+            first[v] = g
+    ends = Counter(tail)  # half the side-ends at each vertex: its degree
+    rot = {}
+    pos = [0] * (2 * slots)  # each side-end's index in its vertex's rotation
+    for v, g0 in first.items():
+        start = 2 * g0 - 1 if prv[g0] == g0 - 1 else 2 * g0
         cyc = []
         cur = start
-        visited = 0
-        while True:
-            cyc.append(slot_edge[cur[:2]])
-            visited += 2
-            cur = corner[glue[cur]]
-            if cur == start:
-                break
-            if visited > len(ends):
-                raise StructuralError(f"umbrella at {v!r} does not close")
-        if visited != len(ends):
-            raise StructuralError(f"vertex {v!r} is pinched: umbrella misses some corners")
-        rotation[v] = tuple(cyc)
-    rot_pos = {v: {e: i for i, e in enumerate(c)} for v, c in rotation.items()}
+        while not cyc or cur != start:
+            g = cur >> 1
+            m = mate[g]
+            glued = 2 * m + ((cur & 1) ^ (tail[g] != tail[m]))
+            pos[cur] = pos[glued] = len(cyc)
+            cyc.append(sedge[g])
+            cur = 2 * nxt[m] if glued & 1 else 2 * prv[m] + 1
+        if len(cyc) != ends[v]:
+            raise StructuralError(f"vertex {labels[v]!r} is pinched: umbrella misses some corners")
+        rot[v] = cyc
 
-    # Solve for slot orientations and edge signs.  Corner turns at vertices of
-    # degree >= 3 pin a slot's orientation absolutely; the rest is a sparse
-    # parity system solved by propagation with backtracking on gauge choices.
-    o = {}
-    all_slots = sorted(slot_edge)
-    for i, w in enumerate(walks):
-        k = len(w)
-        for j in range(k):
-            u = w[j]
-            rot = rotation[u]
-            d = len(rot)
-            if d < 3:
-                continue
-            prev_e = slot_edge[(i, (j - 1) % k)]
-            this_e = slot_edge[(i, j)]
-            pos = rot_pos[u][prev_e]
-            succ = rot[(pos + 1) % d]
-            pred = rot[(pos - 1) % d]
-            if succ == this_e and pred != this_e:
-                val = 1
-            elif pred == this_e and succ != this_e:
-                val = -1
-            else:
-                raise StructuralError(f"corner at {u!r} disagrees with the derived rotation")
-            if o.setdefault((i, j), val) != val:
-                raise StructuralError("conflicting corner orientations")
+    o = [0] * slots
+    for g, v in enumerate(tail):
+        d = ends[v]
+        if d >= 3:
+            o[g] = 1 if pos[2 * g] == (pos[2 * prv[g] + 1] + 1) % d else -1
+        elif first[v] == g:
+            o[g] = 1
+    sign = [0] * len(keys)
 
-    sign = {}
+    def settle(work):
+        while work:
+            a = work.pop()
+            b, e = nxt[a], sedge[a]
+            oa, ob, se = o[a], o[b], sign[e]
+            if oa and ob:
+                if not se:
+                    sign[e] = oa * ob
+                    work.append(mate[a])
+                elif se != oa * ob:
+                    raise StructuralError("face set admits no consistent signed rotation system")
+            elif se and oa:
+                o[b] = se * oa
+                work.append(b)
+            elif se and ob:
+                o[a] = se * ob
+                work.append(prv[a])
 
-    def next_slot(s):
-        i, j = s
-        return (i, (j + 1) % len(walks[i]))
+    settle(list(range(slots)))
+    for g in range(slots):
+        if not o[g]:
+            o[g] = 1
+            settle([g, prv[g]])
 
-    def propagate(trail) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for e, (s1, s2) in edge_uses.items():
-                pairs = [(s1, next_slot(s1)), (s2, next_slot(s2))]
-                known = None
-                for a, b in pairs:
-                    if a in o and b in o:
-                        known = o[a] * o[b]
-                        break
-                if known is None:
-                    continue
-                if e in sign:
-                    if sign[e] != known:
-                        return False
-                else:
-                    sign[e] = known
-                    trail.append(("sign", e))
-                    changed = True
-                for a, b in pairs:
-                    if a in o and b not in o:
-                        o[b] = sign[e] * o[a]
-                        trail.append(("o", b))
-                        changed = True
-                    elif b in o and a not in o:
-                        o[a] = sign[e] * o[b]
-                        trail.append(("o", a))
-                        changed = True
-            for a in all_slots:
-                b = next_slot(a)
-                e = slot_edge[a]
-                if e in sign:
-                    if a in o and b not in o:
-                        o[b] = sign[e] * o[a]
-                        trail.append(("o", b))
-                        changed = True
-                    elif b in o and a not in o:
-                        o[a] = sign[e] * o[b]
-                        trail.append(("o", a))
-                        changed = True
-                    elif a in o and b in o and o[a] * o[b] != sign[e]:
-                        return False
-        return True
-
-    def undo(trail):
-        for kind, key in reversed(trail):
-            if kind == "sign":
-                del sign[key]
-            else:
-                del o[key]
-
-    def solve() -> bool:
-        trail = []
-        if not propagate(trail):
-            undo(trail)
-            return False
-        free = next((s for s in all_slots if s not in o), None)
-        if free is None:
-            return True
-        for guess in (1, -1):
-            sub = [("o", free)]
-            o[free] = guess
-            if propagate(sub) and solve():
-                return True
-            undo(sub)
-        undo(trail)
-        return False
-
-    if not solve():
-        raise StructuralError("face set admits no consistent signed rotation system")
-
-    emb = Embedding(graph, rotation, sign)
-    wkey = lambda walk: tuple(vkey(v) for v in walk)
-    got = sorted((normalize_walk(w.vertices) for w in emb.faces()), key=wkey)
-    want = sorted((normalize_walk(w) for w in walks), key=wkey)
-    if got != want:
+    emb = Embedding(graph,
+                    {labels[v]: tuple(edges[e] for e in cyc) for v, cyc in rot.items()},
+                    dict(zip(edges, sign)))
+    got = sorted(_walk_key(tuple(rank[v] for v in w.vertices)) for w in emb.faces())
+    if got != sorted(_walk_key(w) for w in ranked):
         raise StructuralError("rebuilt embedding does not reproduce the requested faces")
     return emb

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from . import emap, surgery
 from .emap import Embedding, Graph, vkey
-from .errors import SearchError
+from .errors import QuadforgeError, SearchError
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def check_predicates(emb: Embedding, predicates) -> bool:
         elif name == "delete_degree2_face_simple":
             try:
                 ok = emap.is_face_simple(surgery.delete_degree2(emb, args[0]))
-            except Exception:
+            except QuadforgeError:
                 ok = False
         elif name == "double_handle":
             ok = _double_handle_ok(emb, tuple(args[0]), tuple(args[1]))
@@ -88,7 +88,7 @@ def _double_handle_ok(emb: Embedding, cycle1, cycle2) -> bool:
     for site in surgery.find_handle_sites(emb, cycle1):
         try:
             mid = surgery.handle_augment(emb, site)
-        except Exception:
+        except QuadforgeError:
             continue
         if surgery.find_handle_sites(mid, cycle2):
             return True
@@ -584,7 +584,7 @@ def _accept_candidate(state: _AnnealState, spec: WitnessSpec):
     try:
         emb = state.to_embedding()
         faces = emb.faces()
-    except Exception:
+    except QuadforgeError:
         return None
     if not all(len(w) == 4 for w in faces):
         return None

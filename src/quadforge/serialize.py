@@ -23,7 +23,9 @@ from .errors import FormatError
 
 def _label_token(v) -> str:
     s = str(v)
-    if not s or any(c.isspace() for c in s) or s == ":":
+    # a string that looks like an int would be read back as one by _parse_label
+    if (not s or any(c.isspace() for c in s) or s == ":"
+            or (isinstance(v, str) and s.lstrip("-").isdigit())):
         raise FormatError(f"vertex label {v!r} cannot be serialized")
     return s
 

@@ -22,12 +22,14 @@ def relabel_embedding(emb: Embedding, mapping: dict) -> Embedding:
     if len(set(mapping.values())) != len(mapping):
         raise SurgeryError("relabel mapping is not injective")
 
-    def me(e):
-        return edge_between(mapping[e[0]], mapping[e[1]])
-
-    graph = Graph(frozenset(mapping.values()), frozenset(me(e) for e in emb.graph.edges))
-    rotation = {mapping[v]: tuple(me(e) for e in cyc) for v, cyc in emb.rotation.items()}
-    signature = {me(e): s for e, s in emb.signature.items()}
+    key = {v: vkey(w) for v, w in mapping.items()}
+    me = {
+        (a, b): (mapping[a], mapping[b]) if key[a] < key[b] else (mapping[b], mapping[a])
+        for a, b in emb.graph.edges
+    }
+    graph = Graph(frozenset(mapping.values()), frozenset(me.values()))
+    rotation = {mapping[v]: tuple(me[e] for e in cyc) for v, cyc in emb.rotation.items()}
+    signature = {me[e]: s for e, s in emb.signature.items()}
     return Embedding(graph, rotation, signature)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 
 import pytest
 
@@ -119,3 +120,35 @@ def test_kmn_has_full_degree_vertices():
     emb = catalog.build_kmn(6, 5)
     degs = sorted(emb.graph.degree(v) for v in emb.graph.vertices)
     assert degs == [5] * 6 + [6] * 5
+
+
+def test_handle_augment_bug_propagates_from_chain_site(monkeypatch):
+    parent = catalog.get_witness("phi_11_8_plus_star")
+
+    def broken(*args, **kwargs):
+        raise KeyError("kernel bug")
+
+    monkeypatch.setattr(catalog.surgery, "handle_augment", broken)
+    with pytest.raises(KeyError):
+        catalog._first_chain_site(parent, (1, 2, 3, 4), (5, 6, 7, 8))
+
+
+def test_bad_derivation_is_not_persisted(tmp_path, monkeypatch):
+    shutil.copytree(catalog.catalog_dir(), tmp_path, dirs_exist_ok=True)
+    (tmp_path / "q7_1.emap").unlink()
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                if not line.startswith("q7_1 ")))
+    before = manifest.read_text()
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(tmp_path))
+    catalog.clear_cache()
+    try:
+        # a witness on the wrong graph must fail verification before it is written
+        monkeypatch.setattr(catalog, "_derive", lambda rec: catalog.get_witness("phi_4_0"))
+        with pytest.raises(CatalogError, match="target graph"):
+            catalog.get_witness("q7_1")
+        assert not (tmp_path / "q7_1.emap").exists()
+        assert manifest.read_text() == before
+    finally:
+        monkeypatch.delenv(catalog.CATALOG_ENV)
+        catalog.clear_cache()

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
-from quadforge import cli, serialize
+from quadforge import catalog, cli, serialize
 
 
 def run(capsys, *argv):
@@ -167,3 +169,33 @@ def test_catalog_list_and_verify(capsys):
     assert "phi_4_0" in stdout
     code, _, _ = run(capsys, "catalog", "verify")
     assert code == 0
+
+
+@pytest.fixture
+def catalog_copy(tmp_path, monkeypatch):
+    """A private copy of the shipped catalog, selected through QUADFORGE_CATALOG."""
+    root = tmp_path / "catalog"
+    shutil.copytree(catalog.catalog_dir(), root)
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(root))
+    catalog.clear_cache()
+    yield root
+    monkeypatch.delenv(catalog.CATALOG_ENV)
+    catalog.clear_cache()
+
+
+def test_catalog_build_reports_count(catalog_copy, capsys):
+    code, stdout, _ = run(capsys, "catalog", "build")
+    assert code == 0
+    assert f"built {len(catalog.record_table())} witnesses" in stdout
+
+
+def test_catalog_verify_fails_on_altered_witness(catalog_copy, capsys):
+    path = catalog_copy / "phi_5_0_star.emap"
+    lines = path.read_text().splitlines(True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("e "))
+    lines[i] = lines[i][:-2] + ("-" if lines[i][-2] == "+" else "+") + "\n"
+    path.write_text("".join(lines))
+    code, stdout, stderr = run(capsys, "catalog", "verify")
+    assert code == 1
+    assert "phi_5_0_star" in stderr
+    assert "catalog verified" not in stdout

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+from collections import Counter
 
-from quadforge import emap, graphalg
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from quadforge import catalog, emap, graphalg, serialize, surgery
 from quadforge.emap import Embedding, Graph
 from quadforge.errors import StructuralError
 
@@ -145,3 +149,86 @@ def test_universal_vertices():
     assert emap.universal_vertices(graphalg.complete(5)) == {0, 1, 2, 3, 4}
     g = Graph.from_edges([(0, 1), (1, 2)])
     assert emap.universal_vertices(g) == {1}
+
+
+# ---------------------------------------------------------------------------
+# Properties of the integer kernel on every shipped catalog witness.
+# ---------------------------------------------------------------------------
+
+WITNESS_NAMES = [rec.name for rec in catalog.record_table()]
+# strings never made only of digits: those cannot be written (see test_serialize)
+LABELS = st.one_of(st.integers(-50, 500), st.from_regex(r"[a-z_][a-z_0-9]{0,3}", fullmatch=True))
+
+
+def face_multiset(emb: Embedding, mapping=None) -> Counter:
+    rename = mapping.get if mapping is not None else (lambda v: v)
+    return Counter(emap.normalize_walk(tuple(rename(v) for v in w.vertices))
+                   for w in emb.faces())
+
+
+def switching_equivalent(a: Embedding, b: Embedding) -> bool:
+    """Some vertex switching (reverse the rotation, negate the incident
+    edge signs) turns a into b."""
+    if a.graph != b.graph:
+        return False
+    g = a.graph
+    root = g.sorted_vertices()[0]
+    for lam_root in (1, -1):
+        lam = {root: lam_root}
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for e in g.incident_edges(u):
+                w = emap.other_end(e, u)
+                if w not in lam:
+                    lam[w] = lam[u] * a.signature[e] * b.signature[e]
+                    stack.append(w)
+        if any(a.signature[e] * lam[e[0]] * lam[e[1]] != b.signature[e] for e in g.edges):
+            continue
+        if all(len(a.rotation[v]) < 3 or b.rotation[v] in cyclic_shifts(a.rotation[v], lam[v])
+               for v in g.vertices):
+            return True
+    return False
+
+
+def cyclic_shifts(cyc: tuple, direction: int):
+    seq = cyc if direction == 1 else cyc[::-1]
+    return [seq[i:] + seq[:i] for i in range(len(seq))]
+
+
+@pytest.mark.parametrize("name", WITNESS_NAMES)
+@settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_relabelled_witness_properties(name, data):
+    emb = catalog.get_witness(name)
+    vertices = emb.graph.sorted_vertices()
+    labels = data.draw(st.lists(LABELS, min_size=len(vertices), max_size=len(vertices),
+                                unique=True))
+    mapping = dict(zip(vertices, labels))
+    moved = surgery.relabel_embedding(emb, mapping)
+
+    assert face_multiset(moved) == face_multiset(emb, mapping)
+    assert serialize.parse_emap(serialize.write_emap(moved)) == moved
+    rebuilt = emap.embedding_from_faces([w.vertices for w in moved.faces()])
+    assert face_multiset(rebuilt) == face_multiset(moved)
+    assert switching_equivalent(rebuilt, moved)
+
+
+def test_insert_degree2_output_rebuilds_to_itself():
+    parent = catalog.get_witness("phi_5_0_star")
+    face = parent.faces()[0].vertices
+    out, z = surgery.insert_degree2(parent, face, min(face))
+    assert out.graph.degree(z) == 2
+    assert emap.embedding_from_faces([w.vertices for w in out.faces()]) == out
+
+
+def test_pinched_face_set_rejected():
+    # two square spheres sharing vertex 0: its umbrella splits into two disks
+    faces = [(0, 1, 2, 3), (0, 3, 2, 1), (0, 4, 5, 6), (0, 6, 5, 4)]
+    with pytest.raises(StructuralError, match="pinched"):
+        emap.embedding_from_faces(faces)
+
+
+def test_edge_used_three_times_rejected():
+    with pytest.raises(StructuralError, match="used 3 times"):
+        emap.embedding_from_faces([(0, 1, 2), (0, 1, 2), (0, 1, 2)])

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from quadforge import emap, graphalg, search
+from quadforge import catalog, emap, graphalg, search, surgery
 from quadforge.emap import Embedding, Graph
 from quadforge.errors import SearchError
 
@@ -138,3 +139,29 @@ def test_sweep_projective_small():
 def test_sweep_unknown_surface():
     with pytest.raises(SearchError):
         search.sweep_minimal("klein", 4)
+
+
+def _raise_key_error(*args, **kwargs):
+    raise KeyError("kernel bug")
+
+
+def test_handle_augment_bug_is_not_read_as_unusable_site(monkeypatch):
+    emb = catalog.get_witness("phi_11_8_plus_star")
+    monkeypatch.setattr(surgery, "handle_augment", _raise_key_error)
+    with pytest.raises(KeyError):
+        search._double_handle_ok(emb, (1, 2, 3, 4), (5, 6, 7, 8))
+
+
+def test_delete_degree2_bug_is_not_read_as_failed_predicate(monkeypatch):
+    emb = catalog.get_witness("phi_7_0_plus")
+    monkeypatch.setattr(surgery, "delete_degree2", _raise_key_error)
+    with pytest.raises(KeyError):
+        search.check_predicates(emb, (("delete_degree2_face_simple", "z"),))
+
+
+def test_anneal_candidate_bug_propagates(monkeypatch):
+    spec = search.WitnessSpec(graph=graphalg.complete(4), chi=1, orientable=False)
+    state = search._AnnealState(spec.graph, spec.orientable, random.Random(0))
+    monkeypatch.setattr(emap.Embedding, "faces", _raise_key_error)
+    with pytest.raises(KeyError):
+        search._accept_candidate(state, spec)

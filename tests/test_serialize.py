@@ -92,3 +92,13 @@ def test_comment_and_blank_lines_ignored():
     text = serialize.write_emap(emb)
     padded = text.replace("emap 1\n", "emap 1\n# a comment\n\n")
     assert serialize.parse_emap(padded) == emb
+
+
+@pytest.mark.parametrize("label", ["3", "-12", "007"])
+def test_digit_only_string_label_rejected(label):
+    # written as is, such a label would be read back as an int
+    emb = search.search_exact(search.WitnessSpec(
+        graph=emap.Graph.from_edges([(0, label), (0, "y"), (1, label), (1, "y")]),
+        chi=2, orientable=True)).embedding
+    with pytest.raises(FormatError, match="cannot be serialized"):
+        serialize.write_emap(emb)
