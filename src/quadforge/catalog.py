@@ -9,7 +9,15 @@ their parents by a named surgery, so they regenerate byte-for-byte.
 
 The catalog directory defaults to the ``data/catalog`` tree shipped with the
 package and can be overridden with the ``QUADFORGE_CATALOG`` environment
-variable.
+variable.  The witness and ``K_{m,n}`` caches follow it: they are emptied when
+the directory changes.
+
+``build_kmn`` composes orientable quadrangulations of ``K_{m,n}`` (m = 2 mod 4)
+by diamond sums at a vertex of degree m, ``K_{m,k} <> K_{m,j} = K_{m,k+j-2}``
+(Bouchet, JCTB 24, 1978).  Up to ``K_{m,m}`` it adds ``K_{m,3}`` one size at a
+time; above it, it adds ``K_{m,m}``, a stride of m-2 sizes.  That is the
+planner's step (4 vertices with m = 6, 8 with m = 10), so the chain of sizes a
+derivation asks for costs one sum per step.  Every result is certified.
 """
 
 from __future__ import annotations
@@ -154,6 +162,7 @@ def record_table() -> tuple:
 
 _RECORDS = {r.name: r for r in record_table()}
 _witness_cache: dict = {}
+_cache_dir: Path | None = None  # the catalog directory both caches were filled from
 _locks: defaultdict = defaultdict(threading.Lock)
 _EXACT_BUDGET = 50_000_000
 
@@ -294,6 +303,7 @@ def _derive(rec: CatalogRecord) -> Embedding:
 def get_witness(name: str) -> Embedding:
     """The verified embedding for a record; searched/derived and persisted on first use."""
     rec = get_record(name)
+    _follow_catalog_dir()
     if name in _witness_cache:
         return _witness_cache[name]
     with _locks[name]:
@@ -349,6 +359,15 @@ def clear_cache() -> None:
     _KMN_CACHE.clear()
 
 
+def _follow_catalog_dir() -> None:
+    """Empty the caches when the catalog directory changed since they were filled."""
+    global _cache_dir
+    current = catalog_dir()
+    if current != _cache_dir:
+        clear_cache()
+        _cache_dir = current
+
+
 # ---------------------------------------------------------------------------
 # Complete-bipartite quadrangulations via diamond-sum composition.
 # ---------------------------------------------------------------------------
@@ -371,6 +390,7 @@ _KMN_CACHE: dict = {}
 def build_kmn(m: int, n: int) -> Embedding:
     """Orientable quadrangular embedding of K_{m,n} with canonical labels."""
     key = KmnKey(m, n)
+    _follow_catalog_dir()
     if (key.m, key.n) in _KMN_CACHE:
         return _KMN_CACHE[(key.m, key.n)]
     emb = _build_kmn(key.m, key.n)
@@ -393,8 +413,11 @@ def _build_kmn(m: int, n: int) -> Embedding:
         v = _first_vertex_of_degree(a, 3)
         v2 = _first_vertex_of_degree(b, 3)
         return surgery.diamond_sum(a, v, b, v2)
-    a = build_kmn(m, n - 1)
-    b = _fresh_relabel(build_kmn(m, 3), a.graph.vertices)
+    # K_{m,k} <> K_{m,j} = K_{m,k+j-2}: above K_{m,m} the second summand is
+    # K_{m,m}, a stride of m-2, the planner's step; below it, K_{m,3}.
+    j = m if n > m else 3
+    a = build_kmn(m, n - j + 2)
+    b = _fresh_relabel(build_kmn(m, j), a.graph.vertices)
     v = _first_vertex_of_degree(a, m)
     v2 = _first_vertex_of_degree(b, m)
     return surgery.diamond_sum(a, v, b, v2)

@@ -266,21 +266,24 @@ def _cmd_search(args) -> int:
 
 
 def _parallel_search(spec, method, seed, restarts, workers):
-    """Split restarts across worker processes; first hit wins (order of
-    completion, so multi-worker runs are not reproducible)."""
-    import concurrent.futures
+    """Split restarts across worker processes; the first hit wins and stops the
+    others (order of completion, so multi-worker runs are not reproducible).
+    Without a hit, the result sums every worker's nodes and names every
+    status that occurred."""
+    import multiprocessing
 
     per = max(1, restarts // workers)
     payloads = [(spec, method, seed + k, per) for k in range(workers)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_search_worker, p) for p in payloads]
-        for fut in concurrent.futures.as_completed(futures):
-            result = fut.result()
+    misses = []
+    # fork: workers inherit the loaded modules; this process starts no threads.
+    # Leaving the block terminates the pool, killing workers still searching.
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        for result in pool.imap_unordered(_search_worker, payloads):
             if result.status == "found":
-                for other in futures:
-                    other.cancel()
                 return result
-    return result
+            misses.append(result)
+    status = "/".join(sorted({r.status for r in misses}))
+    return search.SearchResult(status, None, sum(r.nodes for r in misses))
 
 
 def _cmd_diamond(args) -> int:

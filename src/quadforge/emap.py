@@ -28,11 +28,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import StructuralError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Label = int | str
 Edge = tuple  # normalized 2-tuple of labels, endpoints sorted by vkey
@@ -342,6 +343,8 @@ def surface_class(emb: Embedding) -> SurfaceClass:
 
 def dual_multigraph(emb: Embedding) -> nx.MultiGraph:
     """Faces as nodes, one dual edge per primal edge; loops allowed."""
+    import networkx as nx
+
     walks = emb.faces()
     uses = {}
     for i, w in enumerate(walks):

@@ -13,11 +13,13 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .emap import Graph, Label, edge_between, vkey
 from .errors import StructuralError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 ISO_VERTEX_CAP = 16
 
@@ -204,6 +206,8 @@ def phi_target(name: str) -> Graph:
 
 
 def to_networkx(g: Graph) -> nx.Graph:
+    import networkx as nx
+
     out = nx.Graph()
     out.add_nodes_from(g.vertices)
     out.add_edges_from(g.edges)
@@ -213,6 +217,8 @@ def to_networkx(g: Graph) -> nx.Graph:
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     if len(g.vertices) > ISO_VERTEX_CAP or len(h.vertices) > ISO_VERTEX_CAP:
         raise StructuralError(f"isomorphism testing is capped at {ISO_VERTEX_CAP} vertices")
+    import networkx as nx
+
     return nx.is_isomorphic(to_networkx(g), to_networkx(h))
 
 

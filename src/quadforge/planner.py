@@ -233,15 +233,21 @@ def _canonical_relabel(emb: Embedding) -> Embedding:
     return surgery.relabel_embedding(emb, mapping)
 
 
-def _check_sum_hypotheses(face_simple_side: Embedding, v, other: Embedding, v2) -> bool:
-    """Hypotheses under which a diamond sum is guaranteed face-simple."""
+def _check_sum_hypotheses(face_simple_side: Embedding, side_face_simple: bool, v,
+                          other: Embedding, v2) -> bool:
+    """Hypotheses under which a diamond sum is guaranteed face-simple.
+
+    ``side_face_simple`` is ``emap.is_face_simple(face_simple_side)``, which the
+    caller computes once and may reuse.
+    """
     g = face_simple_side.graph
     nbrs = g.neighbors(v)
+    # no edge joins two neighbours of v: one pass over their incidence lists
     independent = not any(
-        g.has_edge(a, b) for a in nbrs for b in nbrs if vkey(a) < vkey(b)
+        e[0] in nbrs and e[1] in nbrs for a in nbrs for e in g.incident_edges(a)
     )
     return (
-        emap.is_face_simple(face_simple_side)
+        side_face_simple
         and emap.min_degree(g) >= 3
         and independent
         and emap.is_nearly_face_simple_except(other, v2)
@@ -262,20 +268,22 @@ def _induct_step(child: Embedding, block_record: str, m: int) -> Embedding:
     kmn_b, kmap = _fresh_relabel(kmn, "b")
     # u must come from the side whose vertices have degree m
     u = next(kmap[v] for v in kmn.graph.sorted_vertices() if kmn.graph.degree(v) == m)
-    if not _check_sum_hypotheses(kmn_b, u, block, "x"):
+    if not _check_sum_hypotheses(kmn_b, emap.is_face_simple(kmn_b), u, block, "x"):
         raise PlanError(f"{block_record} + K_{{{m},{n_child - 1}}} violates the "
                         "face-simplicity hypotheses")
     mid = surgery.diamond_sum(block, "x", kmn_b, u)
-    SUM_OBSERVATIONS.append((True, emap.is_face_simple(mid)))
-    if not emap.is_face_simple(mid):
+    mid_simple = emap.is_face_simple(mid)
+    SUM_OBSERVATIONS.append((True, mid_simple))
+    if not mid_simple:
         raise PlanError("intermediate diamond sum is not face-simple")
     v = _choose_universal(child)
     child_b, cmap = _fresh_relabel(child, "p")
-    if not _check_sum_hypotheses(mid, "z", child_b, cmap[v]):
+    if not _check_sum_hypotheses(mid, mid_simple, "z", child_b, cmap[v]):
         raise PlanError("second diamond sum violates the face-simplicity hypotheses")
     out = surgery.diamond_sum(mid, "z", child_b, cmap[v])
-    SUM_OBSERVATIONS.append((True, emap.is_face_simple(out)))
-    if not emap.is_face_simple(out):
+    out_simple = emap.is_face_simple(out)
+    SUM_OBSERVATIONS.append((True, out_simple))
+    if not out_simple:
         raise PlanError("derivation output is not face-simple")
     return _canonical_relabel(out)
 

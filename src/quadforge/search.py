@@ -118,7 +118,6 @@ class _QuadSearcher:
         self.edges = graph.sorted_edges()
         self.eindex = {e: i for i, e in enumerate(self.edges)}
         self.m = len(self.edges)
-        self.ends = [e for e in self.edges]
         self.incident = {v: [self.eindex[e] for e in graph.incident_edges(v)] for v in self.vertices}
         self.deg = {v: len(self.incident[v]) for v in self.vertices}
         # succ/pred per vertex: partial rotation as edge-id -> edge-id links
@@ -180,10 +179,8 @@ class _QuadSearcher:
         # walk forward from f: closing back to e is only legal when the
         # link completes the full rotation cycle at v
         cur = f
-        steps = 1
         while cur in self.succ[v]:
             cur = self.succ[v][cur]
-            steps += 1
         if cur == e and self.links[v] + 1 != self.deg[v]:
             return False
         return True
@@ -302,9 +299,7 @@ class _QuadSearcher:
                         trail.extend(sub)
                         for sid in marks:
                             trail.append(("done", sid))
-                        sub_trail = []
                         yield from self._next_face()
-                        self._trail_undo(sub_trail)
                         for _ in range(len(sub) + len(marks)):
                             trail.pop()
                         for sid in marks:

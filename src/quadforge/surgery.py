@@ -16,7 +16,11 @@ from .errors import SurgeryError
 
 
 def relabel_embedding(emb: Embedding, mapping: dict) -> Embedding:
-    """Rename vertices; rotation, signature, and faces carry over unchanged."""
+    """Rename vertices; rotation, signature, and faces carry over unchanged.
+
+    When the mapping keeps the ``vkey`` order and the input's faces are
+    already traced, the output takes them relabelled instead of tracing again.
+    """
     if set(mapping) != set(emb.graph.vertices):
         raise SurgeryError("relabel mapping must cover every vertex exactly")
     if len(set(mapping.values())) != len(mapping):
@@ -30,7 +34,15 @@ def relabel_embedding(emb: Embedding, mapping: dict) -> Embedding:
     graph = Graph(frozenset(mapping.values()), frozenset(me.values()))
     rotation = {mapping[v]: tuple(me[e] for e in cyc) for v, cyc in emb.rotation.items()}
     signature = {me[e]: s for e, s in emb.signature.items()}
-    return Embedding(graph, rotation, signature)
+    out = Embedding(graph, rotation, signature)
+    if emb._faces is not None:
+        order = [key[v] for v in emb.graph.sorted_vertices()]
+        if all(a < b for a, b in zip(order, order[1:])):
+            # The mapping keeps the vkey order, so edge ids, rotation phases and
+            # tracing states are unchanged: the faces are the input's, relabelled.
+            out._faces = tuple(FaceWalk(tuple((mapping[v], me[e]) for v, e in w.darts))
+                               for w in emb._faces)
+    return out
 
 
 def _face_vertex_walks(emb: Embedding) -> list:

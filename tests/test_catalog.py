@@ -152,3 +152,51 @@ def test_bad_derivation_is_not_persisted(tmp_path, monkeypatch):
     finally:
         monkeypatch.delenv(catalog.CATALOG_ENV)
         catalog.clear_cache()
+
+
+def test_witness_cache_follows_catalog_dir(tmp_path, monkeypatch):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    shutil.copytree(catalog.catalog_dir(), good)
+    shutil.copytree(catalog.catalog_dir(), bad)
+    (bad / "phi_4_0.emap").write_text("not an emap file\n")
+    (bad / "k_6_3.emap").write_text("not an emap file\n")
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(good))
+    try:
+        catalog.get_witness("phi_4_0")
+        catalog.build_kmn(6, 3)
+        monkeypatch.setenv(catalog.CATALOG_ENV, str(bad))
+        with pytest.raises(CatalogError, match="phi_4_0"):
+            catalog.get_witness("phi_4_0")
+        with pytest.raises(CatalogError, match="k_6_3"):
+            catalog.build_kmn(6, 3)
+    finally:
+        monkeypatch.delenv(catalog.CATALOG_ENV)
+        catalog.clear_cache()
+
+
+@pytest.mark.parametrize("m, n", [(6, 45), (10, 41)])
+def test_cold_build_kmn_sums_once_per_stride(m, n, monkeypatch):
+    sums = []
+    real = catalog.surgery.diamond_sum
+
+    def counting(*args, **kwargs):
+        sums.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(catalog.surgery, "diamond_sum", counting)
+    catalog.clear_cache()
+    emb = catalog.build_kmn(m, n)
+    assert emb.graph == graphalg.complete_bipartite(m, n)
+    # the unit stride took 42 and 39 sums; the stride of m-2 takes 13 and 12
+    assert len(sums) <= 15
+
+
+@pytest.mark.parametrize("m", [6, 10])
+def test_build_kmn_certified_through_k30(m):
+    for n in range(2, 31):
+        emb = catalog.build_kmn(m, n)
+        assert emb.graph == graphalg.complete_bipartite(m, n)
+        assert emap.is_quadrangular(emb)
+        assert emap.is_orientable(emb)
+        assert emap.euler_characteristic(emb) == m + n - m * n // 2
+        assert emap.is_face_simple(emb) == (n >= 3)

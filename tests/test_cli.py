@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
-from quadforge import catalog, cli, serialize
+from quadforge import catalog, cli, search, serialize
 
 
 def run(capsys, *argv):
@@ -199,3 +206,65 @@ def test_catalog_verify_fails_on_altered_witness(catalog_copy, capsys):
     assert code == 1
     assert "phi_5_0_star" in stderr
     assert "catalog verified" not in stdout
+
+
+def test_gen_and_verify_leave_networkx_unloaded(tmp_path):
+    script = textwrap.dedent("""
+        import sys
+        from quadforge import cli, graphalg
+        out = sys.argv[1]
+        assert cli.main(["--quiet", "gen", "--n", "14", "--t", "3",
+                         "--kind", "nonorientable", "--out", out]) == 0
+        assert cli.main(["verify", out]) == 0
+        assert "networkx" not in sys.modules, "gen or verify imported networkx"
+        assert cli.main(["dual", out]) == 0
+        assert graphalg.are_isomorphic(graphalg.complete(4), graphalg.complete(4))
+        assert "networkx" in sys.modules
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "q.emap")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "faces " in proc.stdout
+
+
+# What the fake search workers below do; forked pool workers inherit it.
+_FAKE = {}
+
+
+def _fake_search_worker(payload):
+    _, _, seed, _ = payload
+    if _FAKE["mode"] == "miss":
+        return search.SearchResult("none", None, 10 + seed, seed=seed)
+    if seed == 0:
+        _FAKE["started"].wait(60)  # hit only once the other worker is busy
+        return search.SearchResult("found", _FAKE["witness"], 1, seed=seed)
+    _FAKE["started"].set()
+    time.sleep(60)
+    _FAKE["finished"].write_text("a worker ran on after the first hit\n")
+    return search.SearchResult("none", None, 0, seed=seed)
+
+
+def test_parallel_search_stops_the_other_workers_on_a_hit(tmp_path, monkeypatch):
+    witness = catalog.get_witness("c4_sphere")
+    monkeypatch.setitem(_FAKE, "mode", "hit")
+    monkeypatch.setitem(_FAKE, "witness", witness)
+    monkeypatch.setitem(_FAKE, "started", multiprocessing.get_context("fork").Event())
+    monkeypatch.setitem(_FAKE, "finished", tmp_path / "finished")
+    monkeypatch.setattr(cli, "_search_worker", _fake_search_worker)
+    result = cli._parallel_search(None, "anneal", 0, 2, 2)
+    assert result.status == "found"
+    assert result.embedding == witness
+    # the blocked worker was killed, not waited for
+    assert not (tmp_path / "finished").exists()
+
+
+def test_parallel_search_miss_reports_every_worker(monkeypatch):
+    monkeypatch.setitem(_FAKE, "mode", "miss")
+    monkeypatch.setattr(cli, "_search_worker", _fake_search_worker)
+    result = cli._parallel_search(None, "anneal", 5, 6, 3)
+    assert result.status == "none"
+    assert result.embedding is None
+    assert result.nodes == 15 + 16 + 17

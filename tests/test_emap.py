@@ -214,6 +214,24 @@ def test_relabelled_witness_properties(name, data):
     assert switching_equivalent(rebuilt, moved)
 
 
+@pytest.mark.parametrize("ordered", [True, False])
+@pytest.mark.parametrize("name", WITNESS_NAMES)
+@settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_relabel_carries_traced_faces(name, ordered, data):
+    emb = catalog.get_witness(name)
+    emb.faces()
+    vertices = emb.graph.sorted_vertices()
+    labels = data.draw(st.lists(LABELS, min_size=len(vertices), max_size=len(vertices),
+                                unique=True))
+    if ordered:
+        labels.sort(key=emap.vkey)
+    moved = surgery.relabel_embedding(emb, dict(zip(vertices, labels)))
+    if ordered:
+        assert moved._faces is not None  # carried over, not traced again
+    assert moved.faces() == Embedding(moved.graph, moved.rotation, moved.signature).faces()
+
+
 def test_insert_degree2_output_rebuilds_to_itself():
     parent = catalog.get_witness("phi_5_0_star")
     face = parent.faces()[0].vertices

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from quadforge import emap, planner
+from quadforge import catalog, emap, planner
 from quadforge.errors import PlanError
 from quadforge.planner import ParamRequest
 
@@ -96,3 +96,28 @@ def test_generated_embedding_consistency():
     assert len(emb.graph.vertices) == 11
     assert len(emb.graph.edges) == 11 * 10 // 2 - 3
     assert emap.euler_characteristic(emb) == cert.chi
+
+
+def test_induction_step_checks_each_face_simplicity_once(monkeypatch):
+    child, _, _ = planner.generate(ParamRequest(n=10, t=3, kind="nonorientable"))
+    catalog.build_kmn(6, 9)  # warm: a cold build certifies with is_face_simple too
+    checked = []
+    real = emap.is_face_simple
+
+    def counting(emb):
+        checked.append(emb)
+        return real(emb)
+
+    monkeypatch.setattr(emap, "is_face_simple", counting)
+    out = planner._induct_step(child, "phi_7_2_plus", 6)
+    assert len(out.graph.vertices) == 14
+    # K_{6,9}, the block summed with it, and the output: once each
+    assert len(checked) == 3 and len({id(emb) for emb in checked}) == 3
+
+
+def test_sum_hypotheses_need_an_independent_neighbourhood():
+    block = catalog.get_witness("phi_7_2_plus")
+    kmn = catalog.build_kmn(6, 5)
+    assert planner._check_sum_hypotheses(kmn, True, 6, block, "x")
+    dense, _, _ = planner.generate(ParamRequest(n=10, t=3, kind="nonorientable"))
+    assert not planner._check_sum_hypotheses(dense, True, 0, block, "x")
