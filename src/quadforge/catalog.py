@@ -10,7 +10,8 @@ their parents by a named surgery, so they regenerate byte-for-byte.
 The catalog directory defaults to the ``data/catalog`` tree shipped with the
 package and can be overridden with the ``QUADFORGE_CATALOG`` environment
 variable.  The witness and ``K_{m,n}`` caches follow it: they are emptied when
-the directory changes.
+the directory changes, together with every cache registered by
+``register_cache`` (the planner's finished requests).
 
 ``build_kmn`` composes orientable quadrangulations of ``K_{m,n}`` (m = 2 mod 4)
 by diamond sums at a vertex of degree m, ``K_{m,k} <> K_{m,j} = K_{m,k+j-2}``
@@ -162,7 +163,8 @@ def record_table() -> tuple:
 
 _RECORDS = {r.name: r for r in record_table()}
 _witness_cache: dict = {}
-_cache_dir: Path | None = None  # the catalog directory both caches were filled from
+_cache_dir: Path | None = None  # the catalog directory the caches were filled from
+_registered_caches: list = []  # caches elsewhere of results built from witnesses
 _locks: defaultdict = defaultdict(threading.Lock)
 _EXACT_BUDGET = 50_000_000
 
@@ -303,7 +305,7 @@ def _derive(rec: CatalogRecord) -> Embedding:
 def get_witness(name: str) -> Embedding:
     """The verified embedding for a record; searched/derived and persisted on first use."""
     rec = get_record(name)
-    _follow_catalog_dir()
+    follow_catalog_dir()
     if name in _witness_cache:
         return _witness_cache[name]
     with _locks[name]:
@@ -354,12 +356,20 @@ def build_all() -> list:
     return [get_witness(rec.name) for rec in record_table()]
 
 
+def register_cache(cache: dict) -> dict:
+    """Have ``clear_cache`` and a change of catalog directory empty ``cache``."""
+    _registered_caches.append(cache)
+    return cache
+
+
 def clear_cache() -> None:
     _witness_cache.clear()
     _KMN_CACHE.clear()
+    for cache in _registered_caches:
+        cache.clear()
 
 
-def _follow_catalog_dir() -> None:
+def follow_catalog_dir() -> None:
     """Empty the caches when the catalog directory changed since they were filled."""
     global _cache_dir
     current = catalog_dir()
@@ -390,7 +400,7 @@ _KMN_CACHE: dict = {}
 def build_kmn(m: int, n: int) -> Embedding:
     """Orientable quadrangular embedding of K_{m,n} with canonical labels."""
     key = KmnKey(m, n)
-    _follow_catalog_dir()
+    follow_catalog_dir()
     if (key.m, key.n) in _KMN_CACHE:
         return _KMN_CACHE[(key.m, key.n)]
     emb = _build_kmn(key.m, key.n)

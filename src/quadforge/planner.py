@@ -311,12 +311,13 @@ def execute(node: PlanNode) -> Embedding:
 # Full pipeline
 # ---------------------------------------------------------------------------
 
-_GEN_CACHE: dict = {}
+_GEN_CACHE: dict = catalog.register_cache({})
 
 
 def generate(req: ParamRequest) -> tuple:
     """(Embedding, Certificate, PlanNode) for an admissible or special request."""
     key = (req.n, req.t, req.kind)
+    catalog.follow_catalog_dir()
     if key in _GEN_CACHE:
         return _GEN_CACHE[key]
     status = classify(req)

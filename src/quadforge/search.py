@@ -18,7 +18,6 @@ Two engines:
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -538,17 +537,23 @@ def search_anneal(
     schedule: CoolingSchedule = CoolingSchedule(),
     restarts: int = 64,
 ) -> SearchResult:
-    """Stochastic witness search; deterministic for fixed (spec, seed, schedule, restarts)."""
+    """Stochastic witness search; deterministic for fixed (spec, seed, schedule, restarts).
+
+    ``nodes`` counts the annealing steps taken, summed over the restarts.
+    """
     spec.validate()
+    steps = 0
     for r in range(restarts):
         rng = random.Random(1_000_003 * seed + r)
-        found = _anneal_once(spec, rng, schedule)
+        found, taken = _anneal_once(spec, rng, schedule)
+        steps += taken
         if found is not None:
-            return SearchResult("found", found, 0, seed=seed)
-    return SearchResult("none", None, 0, seed=seed)
+            return SearchResult("found", found, steps, seed=seed)
+    return SearchResult("none", None, steps, seed=seed)
 
 
-def _anneal_once(spec: WitnessSpec, rng: random.Random, schedule: CoolingSchedule):
+def _anneal_once(spec: WitnessSpec, rng: random.Random, schedule: CoolingSchedule) -> tuple:
+    """(witness or None, steps taken) of one annealing run."""
     state = _AnnealState(spec.graph, spec.orientable, rng)
     energy = state.energy()
     ratio = schedule.t_end / schedule.t_start
@@ -557,7 +562,7 @@ def _anneal_once(spec: WitnessSpec, rng: random.Random, schedule: CoolingSchedul
         if energy == 0:
             candidate = _accept_candidate(state, spec)
             if candidate is not None:
-                return candidate
+                return candidate, k + 1
             # an optimum that fails the predicate bundle: kick and keep going
             for _ in range(12):
                 state.propose(rng)
@@ -571,8 +576,8 @@ def _anneal_once(spec: WitnessSpec, rng: random.Random, schedule: CoolingSchedul
         else:
             state.undo(move)
     if energy == 0:
-        return _accept_candidate(state, spec)
-    return None
+        return _accept_candidate(state, spec), schedule.steps
+    return None, schedule.steps
 
 
 def _accept_candidate(state: _AnnealState, spec: WitnessSpec):
@@ -596,57 +601,83 @@ SWEEP_SURFACES = {"sphere": 2, "projective": 1}
 
 
 def candidate_graphs(n: int, chi: int) -> Iterator[Graph]:
-    """Connected graphs on n vertices, up to isomorphism, that could carry a
-    face-simple quadrangulation of a surface with the given Euler
+    """Connected graphs on n vertices, one per isomorphism class, that could
+    carry a face-simple quadrangulation of a surface with the given Euler
     characteristic.
 
     Quadrangularity forces |E| = 2(n - chi); face-simplicity forces minimum
     degree 3 (a degree-1 edge lies twice on one face, the two faces at a
     degree-2 vertex share two edges).
+
+    Only rooted labelings are enumerated.  For each maximum degree d, vertex
+    0 has degree d and neighbours 1..d, no vertex has degree above d, and
+    degrees do not increase along 1..d nor along d+1..n-1.  Every class keeps
+    a representative: in any graph of the class, call a vertex of maximum
+    degree d vertex 0, number its neighbours 1..d by nonincreasing degree and
+    its other vertices d+1..n-1 likewise.  The search prunes only branches
+    that cannot end in such a labeling: a vertex above degree d or above its
+    predecessor in its block (whose degree is final once its row of pairs is
+    decided), below degree 3 with too few undecided pairs left, or too few
+    pairs left for the edges still missing.  The labelings of one class that
+    remain are merged by ``graphalg.canonical_form``; the first one found is
+    yielded.
     """
     from . import graphalg
 
     m = 2 * (n - chi)
     if m < 0 or m > n * (n - 1) // 2 or 2 * m < 3 * n:
         return
-    pairs = list(itertools.combinations(range(n), 2))
-    deg = [0] * n
-    chosen = []
-    slots_left = [n - 1] * n  # upper bound on further incidences per vertex
-    reps: list = []
+    seen = set()
+    for d in range(-(-2 * m // n), n):  # n vertices of degree <= d carry 2m ends
+        for edges in _rooted_labelings(n, m, d):
+            g = Graph.from_edges(edges, vertices=range(n))
+            if not g.is_connected():
+                continue
+            form = graphalg.canonical_form(g)
+            if form not in seen:
+                seen.add(form)
+                yield g
 
-    def feasible(idx: int, picked: int) -> bool:
-        if picked + (len(pairs) - idx) < m:
-            return False
-        for v in range(n):
-            remaining = sum(1 for (a, b) in pairs[idx:] if v in (a, b))
-            if deg[v] + remaining < 3:
-                return False
-        return True
+
+def _rooted_labelings(n: int, m: int, d: int) -> Iterator[list]:
+    """Edge lists of the graphs on range(n) with m edges, degrees in [3, d],
+    N(0) = {1..d} and degrees nonincreasing along 1..d and along d+1..n-1.
+    The pairs (0, j) are fixed; the others are decided in lexicographic
+    order, so every vertex below a pair's first end has its final degree.
+    """
+    pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
+    deg = [d] + [1] * d + [0] * (n - 1 - d)
+    undecided = [0] + [n - 2] * (n - 1)
+    chosen = [(0, j) for j in range(1, d + 1)]
+    need = m - d
+    opens_block = (1, d + 1)
 
     def rec(idx: int, picked: int):
-        if picked == m:
-            if all(d >= 3 for d in deg):
-                g = Graph.from_edges(chosen, vertices=range(n))
-                if g.is_connected():
-                    yield g
+        if picked == need:
+            if min(deg) >= 3 and all(deg[v] <= deg[v - 1] for v in range(2, n)
+                                     if v not in opens_block):
+                yield list(chosen)
             return
-        if idx == len(pairs) or not feasible(idx, picked):
+        if len(pairs) - idx < need - picked:
             return
         a, b = pairs[idx]
-        chosen.append((a, b))
-        deg[a] += 1
-        deg[b] += 1
-        yield from rec(idx + 1, picked + 1)
-        chosen.pop()
-        deg[a] -= 1
-        deg[b] -= 1
-        yield from rec(idx + 1, picked)
+        undecided[a] -= 1
+        undecided[b] -= 1
+        cap = d if a in opens_block else deg[a - 1]
+        if deg[a] < cap and deg[b] < d:
+            chosen.append((a, b))
+            deg[a] += 1
+            deg[b] += 1
+            yield from rec(idx + 1, picked + 1)
+            chosen.pop()
+            deg[a] -= 1
+            deg[b] -= 1
+        if deg[a] + undecided[a] >= 3 and deg[b] + undecided[b] >= 3:
+            yield from rec(idx + 1, picked)
+        undecided[a] += 1
+        undecided[b] += 1
 
-    for g in rec(0, 0):
-        if not any(graphalg.are_isomorphic(g, h) for h in reps):
-            reps.append(g)
-            yield g
+    yield from rec(0, 0)
 
 
 def sweep_minimal(surface: str, max_n: int) -> dict:
@@ -654,6 +685,8 @@ def sweep_minimal(surface: str, max_n: int) -> dict:
     quadrangulation of the surface; {n: [Graph, ...]}."""
     if surface not in SWEEP_SURFACES:
         raise SearchError(f"unknown surface {surface!r}; choose from {sorted(SWEEP_SURFACES)}")
+    if max_n > ENUMERATION_VERTEX_CAP:
+        raise SearchError(f"enumeration is capped at {ENUMERATION_VERTEX_CAP} vertices")
     chi = SWEEP_SURFACES[surface]
     orientable = surface == "sphere"
     results = {}

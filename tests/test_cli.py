@@ -230,6 +230,32 @@ def test_gen_and_verify_leave_networkx_unloaded(tmp_path):
     assert "faces " in proc.stdout
 
 
+def test_sweep_leaves_networkx_unloaded():
+    script = textwrap.dedent("""
+        import sys
+        from quadforge import cli
+        assert cli.main(["sweep", "--surface", "projective", "--max-n", "6"]) == 0
+        assert "networkx" not in sys.modules, "sweep imported networkx"
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "n=6 face_simple_quadrangulations=1" in proc.stdout
+
+
+def test_forced_sweep_past_the_cap_fails_at_once(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(search, "candidate_graphs", lambda n, chi: calls.append(n) or iter(()))
+    code, stdout, stderr = run(capsys, "sweep", "--surface", "sphere",
+                               "--max-n", "9", "--force")
+    assert code == 1
+    assert "capped" in stderr
+    assert stdout == "" and calls == []
+
+
 # What the fake search workers below do; forked pool workers inherit it.
 _FAKE = {}
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadforge import graphalg
 from quadforge.emap import Graph
@@ -82,6 +86,88 @@ def test_isomorphism():
     b = graphalg.relabel(a, {v: f"n{v}" for v in a.vertices})
     assert graphalg.are_isomorphic(a, b)
     assert not graphalg.are_isomorphic(a, graphalg.complete(5))
+
+
+def cycles(*lengths: int) -> Graph:
+    """Disjoint cycles of the given lengths on consecutive integers."""
+    edges, start = [], 0
+    for k in lengths:
+        edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return Graph.from_edges(edges)
+
+
+def test_canonical_form_separates_what_refinement_cannot():
+    # regular graphs of one degree: colour refinement alone leaves one cell
+    assert graphalg.canonical_form(cycles(6)) != graphalg.canonical_form(cycles(3, 3))
+    assert graphalg.canonical_form(cycles(8)) != graphalg.canonical_form(cycles(4, 4))
+    assert graphalg.canonical_form(cycles(8)) != graphalg.canonical_form(cycles(5, 3))
+    prism, k33 = graphalg.complement(cycles(6)), graphalg.complement(cycles(3, 3))
+    assert graphalg.canonical_form(prism) != graphalg.canonical_form(k33)
+    assert graphalg.canonical_form(graphalg.empty_graph(3)) == (3, ())
+    assert graphalg.canonical_form(graphalg.complete(8))[1] == tuple(
+        itertools.combinations(range(8), 2))
+
+
+@st.composite
+def small_graphs(draw, n=None):
+    n = draw(st.integers(0, 8)) if n is None else n
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(chosen, vertices=range(n))
+
+
+def _relabelled(g: Graph, data) -> Graph:
+    order = sorted(g.vertices)
+    perm = data.draw(st.permutations(order))
+    return graphalg.relabel(g, {v: f"v{p}" for v, p in zip(order, perm)})
+
+
+def _two_switch(g: Graph, draw) -> Graph:
+    """g with edges ab, cd swapped for ac, bd, when some such swap keeps it simple."""
+    swaps = [(e, f) for e, f in itertools.permutations(sorted(g.edges), 2)
+             if len({*e, *f}) == 4 and not g.has_edge(e[0], f[0])
+             and not g.has_edge(e[1], f[1])]
+    if not swaps:
+        return g
+    (a, b), (c, d) = draw(st.sampled_from(swaps))
+    edges = (set(g.edges) - {(a, b), (c, d)}) | {(a, c), (b, d)}
+    return Graph.from_edges(edges, vertices=g.vertices)
+
+
+CUBE = Graph.from_edges([(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 6),
+                         (3, 7), (4, 5), (4, 6), (5, 7), (6, 7)])
+
+
+@st.composite
+def regular_graphs(draw):
+    """Regular graphs reached from a few bases by 2-switches: colour
+    refinement leaves one cell, and most of them are not vertex-transitive."""
+    g = draw(st.sampled_from([cycles(8), cycles(3, 4), CUBE, graphalg.complement(CUBE),
+                              graphalg.complement(cycles(7))]))
+    for _ in range(draw(st.integers(1, 4))):
+        g = _two_switch(g, draw)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.one_of(small_graphs(), regular_graphs()), data=st.data())
+def test_canonical_form_ignores_labels(g, data):
+    assert graphalg.canonical_form(_relabelled(g, data)) == graphalg.canonical_form(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.one_of(small_graphs(), regular_graphs()), data=st.data())
+def test_canonical_form_agrees_with_vf2(g, data):
+    how = data.draw(st.sampled_from(["relabel", "two_switch", "independent"]))
+    if how == "relabel":
+        h = _relabelled(g, data)
+    elif how == "two_switch":  # same degree sequence, often another class
+        h = _relabelled(_two_switch(g, data.draw), data)
+    else:
+        h = data.draw(small_graphs(n=len(g.vertices)))
+    same = graphalg.canonical_form(g) == graphalg.canonical_form(h)
+    assert same == graphalg.are_isomorphic(g, h)
 
 
 def test_parse_expr_basic():

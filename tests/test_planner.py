@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from quadforge import catalog, emap, planner
-from quadforge.errors import PlanError
+from quadforge.errors import CatalogError, PlanError
 from quadforge.planner import ParamRequest
 
 
@@ -89,6 +91,24 @@ def test_generate_is_deterministic():
     planner._GEN_CACHE.clear()
     b, _, _ = planner.generate(req)
     assert a == b
+
+
+def test_generate_cache_follows_catalog_dir(tmp_path, monkeypatch):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    shutil.copytree(catalog.catalog_dir(), good)
+    shutil.copytree(catalog.catalog_dir(), bad)
+    for path in bad.glob("*.emap"):
+        path.write_text("not an emap file\n")
+    req = ParamRequest(n=50, t=3, kind="nonorientable")
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(good))
+    try:
+        planner.generate(req)
+        monkeypatch.setenv(catalog.CATALOG_ENV, str(bad))
+        with pytest.raises(CatalogError):
+            planner.generate(req)
+    finally:
+        monkeypatch.delenv(catalog.CATALOG_ENV)
+        catalog.clear_cache()
 
 
 def test_generated_embedding_consistency():

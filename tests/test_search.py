@@ -165,3 +165,95 @@ def test_anneal_candidate_bug_propagates(monkeypatch):
     monkeypatch.setattr(emap.Embedding, "faces", _raise_key_error)
     with pytest.raises(KeyError):
         search._accept_candidate(state, spec)
+
+
+def test_anneal_reports_its_steps():
+    hit = search.search_anneal(
+        search.WitnessSpec(graph=cycle_graph(4), chi=2, orientable=True), seed=1, restarts=4)
+    assert hit.status == "found"
+    assert hit.nodes >= 1
+    # K4 has no face-simple quadrangulation of the projective plane
+    spec = search.WitnessSpec(graph=graphalg.complete(4), chi=1, orientable=False,
+                              predicates=(("face_simple",),))
+    miss = search.search_anneal(spec, seed=0, restarts=3,
+                                schedule=search.CoolingSchedule(steps=40))
+    assert miss.status == "none"
+    assert miss.nodes == 3 * 40
+
+
+def test_sweep_past_the_cap_fails_before_enumerating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(search, "candidate_graphs", lambda n, chi: calls.append(n) or iter(()))
+    with pytest.raises(SearchError, match="capped"):
+        search.sweep_minimal("projective", search.ENUMERATION_VERTEX_CAP + 1)
+    assert calls == []
+
+
+def _labeled_candidates(n: int, chi: int):
+    """Every labeled edge set on range(n) with 2(n - chi) edges, minimum
+    degree 3 and connected, as enumerated before rooting (reference copy)."""
+    m = 2 * (n - chi)
+    if m < 0 or m > n * (n - 1) // 2 or 2 * m < 3 * n:
+        return
+    pairs = list(itertools.combinations(range(n), 2))
+    deg = [0] * n
+    chosen = []
+
+    def feasible(idx: int, picked: int) -> bool:
+        if picked + (len(pairs) - idx) < m:
+            return False
+        for v in range(n):
+            remaining = sum(1 for (a, b) in pairs[idx:] if v in (a, b))
+            if deg[v] + remaining < 3:
+                return False
+        return True
+
+    def rec(idx: int, picked: int):
+        if picked == m:
+            if all(d >= 3 for d in deg):
+                g = Graph.from_edges(chosen, vertices=range(n))
+                if g.is_connected():
+                    yield g
+            return
+        if idx == len(pairs) or not feasible(idx, picked):
+            return
+        a, b = pairs[idx]
+        chosen.append((a, b))
+        deg[a] += 1
+        deg[b] += 1
+        yield from rec(idx + 1, picked + 1)
+        chosen.pop()
+        deg[a] -= 1
+        deg[b] -= 1
+        yield from rec(idx + 1, picked)
+
+    yield from rec(0, 0)
+
+
+def _reference_classes(n: int, chi: int) -> list:
+    """One graph per class of ``_labeled_candidates``, merged by VF2."""
+    reps: list = []
+    for g in _labeled_candidates(n, chi):
+        if not any(graphalg.are_isomorphic(g, h) for h in reps):
+            reps.append(g)
+    return reps
+
+
+@pytest.mark.parametrize("n, chi", [(4, 2), (5, 2), (6, 2), (7, 2), (4, 1), (5, 1), (6, 1),
+                                    (5, 0), (6, 0)])
+def test_candidate_graphs_match_the_labeled_enumeration(n, chi):
+    reference = _reference_classes(n, chi)
+    got = list(search.candidate_graphs(n, chi))
+    assert len(got) == len(reference)
+    for g in got:
+        assert sum(graphalg.are_isomorphic(g, h) for h in reference) == 1
+
+
+def test_candidate_graphs_are_rooted_and_deterministic():
+    got = list(search.candidate_graphs(7, 1))
+    assert len(got) == 18
+    for g in got:
+        d = g.degree(0)
+        assert d == max(g.degree(v) for v in g.vertices)
+        assert g.neighbors(0) == set(range(1, d + 1))
+    assert got == list(search.candidate_graphs(7, 1))
