@@ -11,7 +11,7 @@ The catalog directory defaults to the ``data/catalog`` tree shipped with the
 package and can be overridden with the ``QUADFORGE_CATALOG`` environment
 variable.  The witness and ``K_{m,n}`` caches follow it: they are emptied when
 the directory changes, together with every cache registered by
-``register_cache`` (the planner's finished requests).
+``register_cache`` (the planner's memo of built plan nodes).
 
 ``build_kmn`` composes orientable quadrangulations of ``K_{m,n}`` (m = 2 mod 4)
 by diamond sums at a vertex of degree m, ``K_{m,k} <> K_{m,j} = K_{m,k+j-2}``
@@ -164,6 +164,7 @@ def record_table() -> tuple:
 _RECORDS = {r.name: r for r in record_table()}
 _witness_cache: dict = {}
 _cache_dir: Path | None = None  # the catalog directory the caches were filled from
+_cache_env: str | None = None  # the raw QUADFORGE_CATALOG value _cache_dir came from
 _registered_caches: list = []  # caches elsewhere of results built from witnesses
 _locks: defaultdict = defaultdict(threading.Lock)
 _EXACT_BUDGET = 50_000_000
@@ -370,8 +371,16 @@ def clear_cache() -> None:
 
 
 def follow_catalog_dir() -> None:
-    """Empty the caches when the catalog directory changed since they were filled."""
-    global _cache_dir
+    """Empty the caches when the catalog directory changed since they were filled.
+
+    It runs on every cache lookup, so a ``Path`` is built only when the raw
+    ``QUADFORGE_CATALOG`` value differs from the one seen last.
+    """
+    global _cache_dir, _cache_env
+    env = os.environ.get(CATALOG_ENV)
+    if env == _cache_env and _cache_dir is not None:
+        return
+    _cache_env = env
     current = catalog_dir()
     if current != _cache_dir:
         clear_cache()
@@ -419,7 +428,7 @@ def _build_kmn(m: int, n: int) -> Embedding:
         if m == 6:
             return get_witness("k_6_3")
         a = build_kmn(m - 4, 3)
-        b = _fresh_relabel(build_kmn(6, 3), a.graph.vertices)
+        b, _ = surgery.fresh_relabel(build_kmn(6, 3), a.graph.vertices)
         v = _first_vertex_of_degree(a, 3)
         v2 = _first_vertex_of_degree(b, 3)
         return surgery.diamond_sum(a, v, b, v2)
@@ -427,7 +436,7 @@ def _build_kmn(m: int, n: int) -> Embedding:
     # K_{m,m}, a stride of m-2, the planner's step; below it, K_{m,3}.
     j = m if n > m else 3
     a = build_kmn(m, n - j + 2)
-    b = _fresh_relabel(build_kmn(m, j), a.graph.vertices)
+    b, _ = surgery.fresh_relabel(build_kmn(m, j), a.graph.vertices)
     v = _first_vertex_of_degree(a, m)
     v2 = _first_vertex_of_degree(b, m)
     return surgery.diamond_sum(a, v, b, v2)
@@ -438,12 +447,6 @@ def _first_vertex_of_degree(emb: Embedding, d: int):
         if emb.graph.degree(v) == d:
             return v
     raise CatalogError(f"no vertex of degree {d} found")
-
-
-def _fresh_relabel(emb: Embedding, taken) -> Embedding:
-    base = max((v for v in taken if isinstance(v, int)), default=-1) + 1
-    mapping = {v: base + i for i, v in enumerate(emb.graph.sorted_vertices())}
-    return surgery.relabel_embedding(emb, mapping)
 
 
 def _canonical_bipartite(emb: Embedding, m: int, n: int) -> Embedding:

@@ -15,6 +15,11 @@ the child embedding at one of its universal vertices.  The result gains 4
 (or 8) vertices and ``i`` missing edges, keeps vertex 0 universal, and its
 face-simplicity is checked after every sum — the construction is refused
 rather than allowed to drift from its contract.
+
+The plans of different requests share their chains, so ``execute`` keeps the
+embedding of every plan node it builds until the catalog directory changes:
+each node is built, and its per-step guards run, once per catalog.
+``generate`` certifies its embedding against the request on every call.
 """
 
 from __future__ import annotations
@@ -223,16 +228,6 @@ def _choose_universal(emb: Embedding):
                     "nearly-face-simple property")
 
 
-def _fresh_relabel(emb: Embedding, prefix: str) -> tuple:
-    mapping = {v: f"{prefix}{i}" for i, v in enumerate(emb.graph.sorted_vertices())}
-    return surgery.relabel_embedding(emb, mapping), mapping
-
-
-def _canonical_relabel(emb: Embedding) -> Embedding:
-    mapping = {v: i for i, v in enumerate(emb.graph.sorted_vertices())}
-    return surgery.relabel_embedding(emb, mapping)
-
-
 def _check_sum_hypotheses(face_simple_side: Embedding, side_face_simple: bool, v,
                           other: Embedding, v2) -> bool:
     """Hypotheses under which a diamond sum is guaranteed face-simple.
@@ -265,7 +260,7 @@ def _induct_step(child: Embedding, block_record: str, m: int) -> Embedding:
     n_child = len(child.graph.vertices)
     block = catalog.get_witness(block_record)
     kmn = catalog.build_kmn(m, n_child - 1)
-    kmn_b, kmap = _fresh_relabel(kmn, "b")
+    kmn_b, kmap = surgery.fresh_relabel(kmn, block.graph.vertices)
     # u must come from the side whose vertices have degree m
     u = next(kmap[v] for v in kmn.graph.sorted_vertices() if kmn.graph.degree(v) == m)
     if not _check_sum_hypotheses(kmn_b, emap.is_face_simple(kmn_b), u, block, "x"):
@@ -277,7 +272,7 @@ def _induct_step(child: Embedding, block_record: str, m: int) -> Embedding:
     if not mid_simple:
         raise PlanError("intermediate diamond sum is not face-simple")
     v = _choose_universal(child)
-    child_b, cmap = _fresh_relabel(child, "p")
+    child_b, cmap = surgery.fresh_relabel(child, mid.graph.vertices)
     if not _check_sum_hypotheses(mid, mid_simple, "z", child_b, cmap[v]):
         raise PlanError("second diamond sum violates the face-simplicity hypotheses")
     out = surgery.diamond_sum(mid, "z", child_b, cmap[v])
@@ -285,10 +280,21 @@ def _induct_step(child: Embedding, block_record: str, m: int) -> Embedding:
     SUM_OBSERVATIONS.append((True, out_simple))
     if not out_simple:
         raise PlanError("derivation output is not face-simple")
-    return _canonical_relabel(out)
+    return surgery.fresh_relabel(out, ())[0]  # on 0..n-1
+
+
+# The embedding of every plan node built since the catalog directory last
+# changed.  Plans of different requests share their chains, and equal nodes are
+# equal keys, so each node is built (and its per-step guards run) once.
+_GEN_CACHE: dict = catalog.register_cache({})
 
 
 def execute(node: PlanNode) -> Embedding:
+    """The embedding ``node`` describes, built at most once per catalog directory."""
+    catalog.follow_catalog_dir()
+    out = _GEN_CACHE.get(node)
+    if out is not None:
+        return out
     if node.step in ("base", "surgery"):
         out = catalog.get_witness(node.record)
     elif node.step == "nonorient":
@@ -304,6 +310,7 @@ def execute(node: PlanNode) -> Embedding:
             f"step produced ({len(out.graph.vertices)},{_missing(out)}), "
             f"plan requires ({node.n},{node.t})"
         )
+    _GEN_CACHE[node] = out
     return out
 
 
@@ -311,31 +318,24 @@ def execute(node: PlanNode) -> Embedding:
 # Full pipeline
 # ---------------------------------------------------------------------------
 
-_GEN_CACHE: dict = catalog.register_cache({})
-
-
 def generate(req: ParamRequest) -> tuple:
-    """(Embedding, Certificate, PlanNode) for an admissible or special request."""
-    key = (req.n, req.t, req.kind)
-    catalog.follow_catalog_dir()
-    if key in _GEN_CACHE:
-        return _GEN_CACHE[key]
+    """(Embedding, Certificate, PlanNode) for an admissible or special request.
+
+    The embedding may come from the plan-node memo; the certificate is
+    computed and checked against the request on every call.
+    """
     status = classify(req)
     if status == "inadmissible":
         raise PlanError(f"({req.n},{req.t},{req.kind}) is inadmissible: "
                         + _inadmissible_reason(req))
     if status == "special":
-        record = SPECIALS[key]
-        emb = catalog.get_witness(record)
-        p = _base(req.n, req.t, record)
+        p = _base(req.n, req.t, SPECIALS[(req.n, req.t, req.kind)])
     else:
         p = plan(req)
-        emb = execute(p)
+    emb = execute(p)
     cert = emap.certify(emb)
     _check_certificate(req, cert)
-    result = (emb, cert, p)
-    _GEN_CACHE[key] = result
-    return result
+    return emb, cert, p
 
 
 def _check_certificate(req: ParamRequest, cert: Certificate) -> None:

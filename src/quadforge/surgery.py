@@ -45,6 +45,17 @@ def relabel_embedding(emb: Embedding, mapping: dict) -> Embedding:
     return out
 
 
+def fresh_relabel(emb: Embedding, taken) -> tuple:
+    """``(relabelled, mapping)``: ``emb`` on ints above every int in ``taken``.
+
+    The vertices are numbered in ``vkey`` order, so the mapping keeps that
+    order and the input's traced faces carry over.
+    """
+    base = max((v for v in taken if isinstance(v, int)), default=-1) + 1
+    mapping = {v: base + i for i, v in enumerate(emb.graph.sorted_vertices())}
+    return relabel_embedding(emb, mapping), mapping
+
+
 def _face_vertex_walks(emb: Embedding) -> list:
     return [w.vertices for w in emb.faces()]
 

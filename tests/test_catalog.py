@@ -174,6 +174,31 @@ def test_witness_cache_follows_catalog_dir(tmp_path, monkeypatch):
         catalog.clear_cache()
 
 
+def test_follow_catalog_dir_builds_a_path_only_on_a_change(tmp_path, monkeypatch):
+    catalog.get_witness("phi_4_0")
+    catalog.build_kmn(6, 3)
+    built = []
+    real = catalog.catalog_dir
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(catalog, "catalog_dir", counting)
+    catalog.get_witness("phi_4_0")  # cache hits: only follow_catalog_dir runs
+    catalog.build_kmn(6, 3)
+    assert built == []
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(tmp_path))
+    try:
+        catalog.follow_catalog_dir()
+        catalog.follow_catalog_dir()
+        assert built == [1]
+        assert catalog._witness_cache == {}
+    finally:
+        monkeypatch.delenv(catalog.CATALOG_ENV)
+        catalog.clear_cache()
+
+
 @pytest.mark.parametrize("m, n", [(6, 45), (10, 41)])
 def test_cold_build_kmn_sums_once_per_stride(m, n, monkeypatch):
     sums = []

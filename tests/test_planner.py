@@ -141,3 +141,77 @@ def test_sum_hypotheses_need_an_independent_neighbourhood():
     assert planner._check_sum_hypotheses(kmn, True, 6, block, "x")
     dense, _, _ = planner.generate(ParamRequest(n=10, t=3, kind="nonorientable"))
     assert not planner._check_sum_hypotheses(dense, True, 0, block, "x")
+
+
+def acceptance_requests():
+    """The admissible pairs of acceptance criteria 1 and 2."""
+    for kind, lo, hi in (("nonorientable", 6, 26), ("orientable", 5, 29)):
+        for n in range(lo, hi + 1):
+            for t in range(0, n - 3):
+                req = ParamRequest(n=n, t=t, kind=kind)
+                if planner.admissible(req):
+                    yield req
+
+
+def induction_nodes(node):
+    while node is not None:
+        if node.step not in ("base", "surgery"):
+            yield node
+        node = node.child
+
+
+def count_induction_steps(monkeypatch) -> list:
+    calls = []
+    real = planner._induct_step
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(planner, "_induct_step", counting)
+    return calls
+
+
+def test_each_plan_node_is_built_once(monkeypatch):
+    requests = list(acceptance_requests())
+    assert len(requests) == 224
+    distinct = {node for req in requests for node in induction_nodes(planner.plan(req))}
+    catalog.clear_cache()
+    calls = count_induction_steps(monkeypatch)
+    observed = len(planner.SUM_OBSERVATIONS)
+    for req in requests:
+        _, cert, _ = planner.generate(req)
+        assert (cert.n, cert.t) == (req.n, req.t)
+    assert len(calls) == len(distinct)
+    # both face-simplicity guards ran for every step that ran
+    assert len(planner.SUM_OBSERVATIONS) - observed == 2 * len(calls)
+
+
+def test_clearing_the_memo_executes_again(monkeypatch):
+    req = ParamRequest(n=18, t=3, kind="nonorientable")
+    first, _, node = planner.generate(req)
+    calls = count_induction_steps(monkeypatch)
+    assert planner.generate(req)[0] is first and calls == []
+    planner._GEN_CACHE.clear()
+    again, _, _ = planner.generate(req)
+    assert len(calls) == len(list(induction_nodes(node))) == 3
+    assert again is not first and again == first
+
+
+def test_memo_does_not_outlive_a_catalog_change(tmp_path, monkeypatch):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    shutil.copytree(catalog.catalog_dir(), good)
+    shutil.copytree(catalog.catalog_dir(), bad)
+    for path in bad.glob("*.emap"):
+        path.write_text("not an emap file\n")
+    req = ParamRequest(n=14, t=3, kind="nonorientable")
+    child = planner.plan(req).child
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(good))
+    try:
+        planner.generate(req)  # builds the child node as well
+        monkeypatch.setenv(catalog.CATALOG_ENV, str(bad))
+        with pytest.raises(CatalogError):
+            planner.generate(ParamRequest(n=child.n, t=child.t, kind=req.kind))
+    finally:
+        monkeypatch.delenv(catalog.CATALOG_ENV)
+        catalog.clear_cache()

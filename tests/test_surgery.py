@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import functools
+from collections import Counter
 
-from quadforge import emap, graphalg, search, surgery
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from quadforge import catalog, emap, graphalg, search, surgery
 from quadforge.errors import SurgeryError
 
 
@@ -114,3 +119,77 @@ def test_handle_augment_adds_handle():
 def test_find_handle_sites_rejects_existing_edges():
     emb = k23_sphere()
     assert surgery.find_handle_sites(emb, (0, 2, 1, 3)) == []
+
+
+@pytest.mark.parametrize("name", ["phi_11_8_plus_star", "q11_5"])
+def test_fresh_relabel_carries_traced_faces(name):
+    # more than 10 vertices, string labels among them, and a taken set to clear
+    emb = catalog.get_witness(name)
+    emb.faces()
+    taken = {"x", 3, 40, "z"}
+    moved, mapping = surgery.fresh_relabel(emb, taken)
+    assert len(mapping) > 10
+    assert min(mapping.values()) == 41
+    assert [mapping[v] for v in emb.graph.sorted_vertices()] == moved.graph.sorted_vertices()
+    assert moved._faces is not None  # carried over, not traced again
+    assert moved.faces() == emap.Embedding(moved.graph, moved.rotation, moved.signature).faces()
+
+
+@functools.cache
+def summable_pairs() -> tuple:
+    """``(a, (b', mapping), sites)`` over catalog witnesses and ``K_{m,n}``.
+
+    ``b'`` is ``b`` on labels clear of ``a``'s; ``sites`` are the vertex pairs
+    of ``a`` and ``b`` of equal degree >= 3.
+    """
+    pool = [catalog.get_witness(rec.name) for rec in catalog.record_table()]
+    pool += [catalog.build_kmn(6, n) for n in range(2, 8)]
+    pool += [catalog.build_kmn(10, n) for n in range(2, 5)]
+    pairs = []
+    for a in pool:
+        for b in pool:
+            sites = tuple((va, vb) for va in a.graph.sorted_vertices()
+                          for vb in b.graph.sorted_vertices()
+                          if a.graph.degree(va) == b.graph.degree(vb) >= 3)
+            if sites:
+                pairs.append((a, surgery.fresh_relabel(b, a.graph.vertices), sites))
+    return tuple(pairs)
+
+
+def ordered_ints(data, count: int, low: int) -> list:
+    return sorted(data.draw(st.lists(st.integers(low, low + 500), min_size=count,
+                                     max_size=count, unique=True)))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_diamond_sum_laws(data):
+    a, (b, bmap), sites = data.draw(st.sampled_from(summable_pairs()))
+    va, vb = data.draw(st.sampled_from(sites))
+    vb = bmap[vb]
+    d = a.graph.degree(va)
+    offset = data.draw(st.integers(0, d - 1))
+    reflect = data.draw(st.sampled_from([None, False, True]))
+    try:
+        out = surgery.diamond_sum(a, va, b, vb, offset=offset, reflect=reflect)
+    except SurgeryError:
+        # a parallel edge, or a fixed reflection that breaks the orientability
+        # contract: the sum refuses rather than return a wrong embedding
+        assume(False)
+    assert len(out.graph.vertices) == len(a.graph.vertices) + len(b.graph.vertices) - d - 2
+    assert emap.euler_characteristic(out) == (
+        emap.euler_characteristic(a) + emap.euler_characteristic(b) - 2)
+    assert emap.is_quadrangular(out)
+    assert emap.is_orientable(out) == (emap.is_orientable(a) and emap.is_orientable(b))
+
+    # order-keeping relabels of the summands give the relabelled sum's faces
+    low = data.draw(st.integers(-20, 20))
+    fa = dict(zip(a.graph.sorted_vertices(), ordered_ints(data, len(a.graph.vertices), low)))
+    fb = dict(zip(b.graph.sorted_vertices(),
+                  ordered_ints(data, len(b.graph.vertices), max(fa.values()) + 1)))
+    moved = surgery.diamond_sum(surgery.relabel_embedding(a, fa), fa[va],
+                                surgery.relabel_embedding(b, fb), fb[vb],
+                                offset=offset, reflect=reflect)
+    rename = {v: fa[v] if v in fa else fb[v] for v in out.graph.vertices}
+    assert Counter(emap.normalize_walk(w.vertices) for w in moved.faces()) == Counter(
+        emap.normalize_walk(tuple(rename[v] for v in w.vertices)) for w in out.faces())
