@@ -5,7 +5,10 @@ Records come in two flavors.  *Searched* records are acquired once by the
 search module (exact backtracking for small graphs, annealing for large
 ones), persisted as emap files, and re-verified against their property
 bundle on every load.  *Derived* records are rebuilt deterministically from
-their parents by a named surgery, so they regenerate byte-for-byte.
+their parents by a named surgery, so they regenerate byte-for-byte.  Each
+record states its own ``op``, ``parent`` and ``args``, and ``record_table`` is
+the only place they are written: ``_derive``, ``graphalg.phi_target`` and the
+planner read them, and the manifest's provenance is generated from them.
 
 The catalog directory defaults to the ``data/catalog`` tree shipped with the
 package and can be overridden with the ``QUADFORGE_CATALOG`` environment
@@ -48,16 +51,34 @@ def catalog_dir() -> Path:
 
 @dataclass(frozen=True)
 class CatalogRecord:
-    """Specification bundle for one named embedding."""
+    """Specification bundle for one named embedding, and how it is made.
+
+    ``op`` says where the witness comes from: ``"searched"`` (exact search),
+    ``"annealed"`` (annealing with a randomized exact fallback), or the surgery
+    that derives it from the witness of ``parent``, with ``args`` as its
+    operands: ``"delete_degree2"`` deletes ``z``, ``"insert_degree2"`` splits
+    the first face at its least corner, and ``"handle"`` adds a handle along
+    each 4-cycle in ``args``.
+    """
 
     name: str
-    target: str  # phi_target name; alternates may list fallback targets
     chi: int
     orientable: bool | None
     predicates: tuple = ()
-    provenance: str = "searched"
-    alternates: tuple = ()
-    counts: tuple | None = None  # (vertices, edges) check when target is empty
+    op: str = "searched"
+    parent: str | None = None
+    args: tuple = ()
+    alternates: tuple = ()  # phi_target names of fallback target graphs
+    counts: tuple | None = None  # (vertices, edges), checked in place of a target graph
+
+    @property
+    def target(self) -> str:
+        """The phi_target name of the record's graph; empty when counts are checked."""
+        return "" if self.counts else self.name
+
+    @property
+    def provenance(self) -> str:
+        return f"derived({self.op},{self.parent})" if self.parent else self.op
 
     def graphs(self) -> tuple:
         if not self.target:
@@ -82,81 +103,77 @@ class CatalogRecord:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# Records acquired by annealing rather than exact search: their graphs carry
-# 20-48 edges, beyond comfortable exhaustive backtracking guarantees.
-ANNEALED = ("phi_7_2_plus_star", "phi_8_4_star", "phi_10_1_star", "phi_11_8_plus_star")
-
-
 def record_table() -> tuple:
+    """Every record, each derived one after its parent."""
     recs = [
-        CatalogRecord("phi_4_0", "phi_4_0", 1, False,
+        CatalogRecord("phi_4_0", 1, False,
                       (("nearly_face_simple_except_some_universal",),)),
-        CatalogRecord("phi_5_0_star", "phi_5_0_star", 0, True,
+        CatalogRecord("phi_5_0_star", 0, True,
                       (("face_simple",), ("universal_vertex",))),
-        CatalogRecord("phi_6_1", "phi_6_1", -1, False,
+        CatalogRecord("phi_6_1", -1, False,
                       (("face_simple",), ("universal_vertex",))),
-        CatalogRecord("phi_7_0_plus", "phi_7_0_plus", -3, False,
+        CatalogRecord("phi_7_0_plus", -3, False,
                       (("nearly_face_simple_except", "x"),
                        ("delete_degree2_face_simple", "z"))),
-        CatalogRecord("phi_7_2_plus", "phi_7_2_plus", -2, False,
+        CatalogRecord("phi_7_2_plus", -2, False,
                       (("nearly_face_simple_except", "x"),
                        ("delete_degree2_face_simple", "z"))),
-        CatalogRecord("phi_7_4_plus", "phi_7_4_plus", -1, False,
+        CatalogRecord("phi_7_4_plus", -1, False,
                       (("nearly_face_simple_except", "x"),)),
-        CatalogRecord("phi_7_2_plus_star", "phi_7_2_plus_star", -2, True,
+        # Annealed records: their graphs carry 20-48 edges, beyond comfortable
+        # exhaustive backtracking.
+        CatalogRecord("phi_7_2_plus_star", -2, True,
                       (("nearly_face_simple_except", "x"),),
-                      provenance="annealed",
-                      alternates=("phi_7_2_plus_star_alt",)),
-        CatalogRecord("phi_8_4_star", "phi_8_4_star", -4, True,
+                      op="annealed", alternates=("phi_7_2_plus_star_alt",)),
+        CatalogRecord("phi_8_4_star", -4, True,
                       (("face_simple",), ("universal_vertex",),
                        ("has_handle_site", (4, 5, 6, 7))),
-                      provenance="annealed"),
-        CatalogRecord("phi_10_1_star", "phi_10_1_star", -12, True,
+                      op="annealed"),
+        CatalogRecord("phi_10_1_star", -12, True,
                       (("face_simple",), ("universal_vertex",)),
-                      provenance="annealed"),
-        CatalogRecord("phi_11_8_plus_star", "phi_11_8_plus_star", -12, True,
+                      op="annealed"),
+        CatalogRecord("phi_11_8_plus_star", -12, True,
                       (("nearly_face_simple_except", "x"),
                        ("has_handle_site", (1, 2, 3, 4)),
                        ("has_handle_site", (5, 6, 7, 8)),
                        ("double_handle", (1, 2, 3, 4), (5, 6, 7, 8))),
-                      provenance="annealed"),
-        CatalogRecord("k_6_3", "k_6_3", 0, True, (("face_simple",),)),
-        CatalogRecord("c4_sphere", "c4_sphere", 2, True, ()),
-        CatalogRecord("klein_6_3", "klein_6_3", 0, False,
+                      op="annealed"),
+        CatalogRecord("k_6_3", 0, True, (("face_simple",),)),
+        CatalogRecord("c4_sphere", 2, True, ()),
+        CatalogRecord("klein_6_3", 0, False,
                       (("face_simple",),)),
         # Derived records: rebuilt from parents, never searched.
-        CatalogRecord("phi_11_4_plus_star", "phi_11_4_plus_star", -14, True,
+        CatalogRecord("phi_11_4_plus_star", -14, True,
                       (("nearly_face_simple_except", "x"),
                        ("has_handle_site", (5, 6, 7, 8))),
-                      provenance="derived(handle,phi_11_8_plus_star)"),
-        CatalogRecord("phi_11_0_plus_star", "phi_11_0_plus_star", -16, True,
+                      op="handle", parent="phi_11_8_plus_star", args=((1, 2, 3, 4),)),
+        CatalogRecord("phi_11_0_plus_star", -16, True,
                       (("nearly_face_simple_except", "x"),),
-                      provenance="derived(handle,phi_11_4_plus_star)"),
-        CatalogRecord("q7_1", "q7_1", -3, False,
+                      op="handle", parent="phi_11_4_plus_star", args=((5, 6, 7, 8),)),
+        CatalogRecord("q7_1", -3, False,
                       (("face_simple",), ("universal_vertex",)),
-                      provenance="derived(delete_degree2,phi_7_0_plus)"),
-        CatalogRecord("q7_3", "q7_3", -2, False,
+                      op="delete_degree2", parent="phi_7_0_plus"),
+        CatalogRecord("q7_3", -2, False,
                       (("face_simple",), ("universal_vertex",)),
-                      provenance="derived(delete_degree2,phi_7_2_plus)"),
-        CatalogRecord("q7_3_orientable", "q7_3_orientable", -2, True,
+                      op="delete_degree2", parent="phi_7_2_plus"),
+        CatalogRecord("q7_3_orientable", -2, True,
                       (("face_simple",), ("universal_vertex",)),
-                      provenance="derived(delete_degree2,phi_7_2_plus_star)",
+                      op="delete_degree2", parent="phi_7_2_plus_star",
                       alternates=("q7_3_orientable_alt",)),
-        CatalogRecord("q11_5", "q11_5", -14, True,
+        CatalogRecord("q11_5", -14, True,
                       (("face_simple",), ("universal_vertex",)),
-                      provenance="derived(delete_degree2,phi_11_4_plus_star)"),
-        CatalogRecord("q11_1", "q11_1", -16, True,
+                      op="delete_degree2", parent="phi_11_4_plus_star"),
+        CatalogRecord("q11_1", -16, True,
                       (("face_simple",), ("universal_vertex",)),
-                      provenance="derived(delete_degree2,phi_11_0_plus_star)"),
-        CatalogRecord("q8_0", "q8_0", -6, True,
+                      op="delete_degree2", parent="phi_11_0_plus_star"),
+        CatalogRecord("q8_0", -6, True,
                       (("face_simple",), ("universal_vertex",)),
-                      provenance="derived(handle,phi_8_4_star)"),
+                      op="handle", parent="phi_8_4_star", args=((4, 5, 6, 7),)),
         # Target graph depends on which K5-face hosts the new degree-2 vertex,
         # so this record is verified by counts and predicates, not exact labels.
-        CatalogRecord("q6_3_orientable", "", 0, True,
+        CatalogRecord("q6_3_orientable", 0, True,
                       (("universal_vertex",),),
-                      provenance="derived(insert_degree2,phi_5_0_star)",
-                      counts=(6, 12)),
+                      op="insert_degree2", parent="phi_5_0_star", counts=(6, 12)),
     ]
     return tuple(recs)
 
@@ -168,6 +185,8 @@ _cache_env: str | None = None  # the raw QUADFORGE_CATALOG value _cache_dir came
 _registered_caches: list = []  # caches elsewhere of results built from witnesses
 _locks: defaultdict = defaultdict(threading.Lock)
 _EXACT_BUDGET = 50_000_000
+_ANNEAL_RESTARTS = 4
+_RANDOMIZED_RESTARTS = 512
 
 
 def get_record(name: str) -> CatalogRecord:
@@ -246,61 +265,53 @@ def _acquire_searched(rec: CatalogRecord) -> Embedding:
     for g in rec.graphs():
         spec = rec.spec_for(g)
         seed = zlib.crc32(rec.name.encode())
-        if rec.name in ANNEALED:
+        if rec.op == "annealed":
             result = search.search_anneal(
-                spec, seed=seed, schedule=CoolingSchedule(), restarts=4,
+                spec, seed=seed, schedule=CoolingSchedule(), restarts=_ANNEAL_RESTARTS,
             )
             if result.status != "found":
                 # annealing can stall on the densest targets; fall back to
                 # randomized exact backtracking, which shares the checker
-                result = search.search_randomized(spec, seed=seed)
+                result = search.search_randomized(
+                    spec, seed=seed, restarts=_RANDOMIZED_RESTARTS,
+                )
         else:
             result = search.search_exact(spec, _EXACT_BUDGET)
         if result.status == "found":
             return result.embedding
         last_status = result.status
-    raise CatalogError(
-        f"{rec.name}: witness search failed (status={last_status}, "
-        f"budget={_EXACT_BUDGET if rec.name not in ANNEALED else 'anneal x64'})"
-    )
+    budget = (f"anneal x{_ANNEAL_RESTARTS}, then randomized exact x{_RANDOMIZED_RESTARTS}"
+              if rec.op == "annealed" else _EXACT_BUDGET)
+    raise CatalogError(f"{rec.name}: witness search failed (status={last_status}, budget={budget})")
 
 
-def _first_chain_site(parent: Embedding, first: tuple, second: tuple | None):
-    """First handle site for ``first`` whose augmentation keeps ``second`` usable."""
-    for site in surgery.find_handle_sites(parent, first):
+def _first_chain_site(parent: Embedding, cycle: tuple, predicates: tuple) -> Embedding:
+    """``parent`` with a handle at the first site for ``cycle`` whose result
+    passes ``predicates``: the derived record's own bundle, so a site that
+    leaves a later handle without a site is passed over."""
+    for site in surgery.find_handle_sites(parent, cycle):
         try:
             out = surgery.handle_augment(parent, site)
         except QuadforgeError:
             continue
-        if second is None or surgery.find_handle_sites(out, second):
+        if search.check_predicates(out, predicates):
             return out
-    raise CatalogError(f"no usable handle site for cycle {first}")
+    raise CatalogError(f"no usable handle site for cycle {cycle}")
 
 
 def _derive(rec: CatalogRecord) -> Embedding:
-    name = rec.name
-    if name == "phi_11_4_plus_star":
-        return _first_chain_site(get_witness("phi_11_8_plus_star"), (1, 2, 3, 4), (5, 6, 7, 8))
-    if name == "phi_11_0_plus_star":
-        return _first_chain_site(get_witness("phi_11_4_plus_star"), (5, 6, 7, 8), None)
-    if name == "q8_0":
-        return _first_chain_site(get_witness("phi_8_4_star"), (4, 5, 6, 7), None)
-    if name in ("q7_1", "q7_3", "q7_3_orientable", "q11_5", "q11_1"):
-        parent = {
-            "q7_1": "phi_7_0_plus",
-            "q7_3": "phi_7_2_plus",
-            "q7_3_orientable": "phi_7_2_plus_star",
-            "q11_5": "phi_11_4_plus_star",
-            "q11_1": "phi_11_0_plus_star",
-        }[name]
-        return surgery.delete_degree2(get_witness(parent), "z")
-    if name == "q6_3_orientable":
-        parent = get_witness("phi_5_0_star")
-        face = parent.faces()[0].vertices
-        corner = min(face, key=vkey)
-        out, _ = surgery.insert_degree2(parent, face, corner)
+    """The witness of a derived record: its ``op`` applied to its parent's."""
+    out = get_witness(rec.parent)
+    if rec.op == "delete_degree2":
+        return surgery.delete_degree2(out, "z")
+    if rec.op == "insert_degree2":
+        face = out.faces()[0].vertices
+        return surgery.insert_degree2(out, face, min(face, key=vkey))[0]
+    if rec.op == "handle":
+        for cycle in rec.args:
+            out = _first_chain_site(out, cycle, rec.predicates)
         return out
-    raise CatalogError(f"no derivation rule for record {name!r}")
+    raise CatalogError(f"{rec.name}: no derivation rule for op {rec.op!r}")
 
 
 def get_witness(name: str) -> Embedding:
@@ -316,11 +327,11 @@ def get_witness(name: str) -> Embedding:
         if path.exists():
             try:
                 emb = serialize.parse_emap(path.read_text())
-            except Exception as exc:
+            except QuadforgeError as exc:
                 raise CatalogError(f"{name}: witness file corrupt: {exc}") from exc
             _verify(rec, emb)
         else:
-            emb = _derive(rec) if rec.provenance.startswith("derived") else _acquire_searched(rec)
+            emb = _derive(rec) if rec.parent else _acquire_searched(rec)
             _verify(rec, emb)
             _persist(rec, emb)
         _witness_cache[name] = emb
@@ -347,7 +358,7 @@ def verify_all() -> list:
             emb = serialize.parse_emap(text)
             _verify(rec, emb)
             report.append((rec.name, True, "ok"))
-        except Exception as exc:
+        except (QuadforgeError, OSError) as exc:
             report.append((rec.name, False, str(exc)))
     return report
 

@@ -111,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="exhaustive minimality sweep on a surface")
     p.add_argument("--surface", choices=("sphere", "projective"), required=True)
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
     return parser
@@ -359,10 +358,6 @@ def _cmd_kmn(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.max_n > 8 and not args.force:
-        print("error: sweeps beyond n=8 are expensive; pass --force to proceed",
-              file=sys.stderr)
-        return 1
     results = search.sweep_minimal(args.surface, args.max_n)
     for n in sorted(results):
         hits = results[n]

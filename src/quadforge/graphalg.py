@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .emap import Graph, Label, edge_between, vkey
-from .errors import StructuralError
+from .errors import CatalogError, StructuralError
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -161,18 +161,20 @@ _H_ALT_MISSING = [(1, 2), (3, 4)]  # the other K4-minus-2-edges block (a matchin
 
 
 def phi_target(name: str) -> Graph:
-    """Labeled target graph of a named catalog record."""
-    if name in ("phi_7_0_plus", "phi_7_2_plus", "phi_7_4_plus"):
+    """Labeled target graph of a named catalog record.
+
+    Searched records' graphs are written here.  A derived record's graph is its
+    parent's with the record's ``op`` applied, as the catalog's record table
+    states them; ``<name>_alt`` applies the same op to the parent's ``_alt``.
+    """
+    if name in ("phi_7_0_plus", "phi_7_2_plus", "phi_7_4_plus", "phi_7_2_plus_star"):
         i = int(name.split("_")[2])
         return _plus_target(_core_with_hub(h_graph(i)))
-    if name == "phi_7_2_plus_star":
-        return _plus_target(_core_with_hub(h_graph(2)))
     if name == "phi_7_2_plus_star_alt":
         block = delete_edges(Graph.from_edges(itertools.combinations([1, 2, 3, 4], 2)), _H_ALT_MISSING)
         return _plus_target(_core_with_hub(block))
-    if name in ("phi_11_0_plus_star", "phi_11_4_plus_star", "phi_11_8_plus_star"):
-        i = int(name.split("_")[2])
-        return _plus_target(_core_with_hub(j_graph(i)))
+    if name == "phi_11_8_plus_star":
+        return _plus_target(_core_with_hub(j_graph(8)))
     if name == "phi_4_0":
         return complete(4)
     if name == "phi_5_0_star":
@@ -190,19 +192,24 @@ def phi_target(name: str) -> Graph:
     if name == "klein_6_3":
         # Octahedron: K6 minus a perfect matching.
         return delete_edges(complete(6), [(0, 3), (1, 4), (2, 5)])
-    degree2_parents = {
-        "q7_1": "phi_7_0_plus",
-        "q7_3": "phi_7_2_plus",
-        "q7_3_orientable": "phi_7_2_plus_star",
-        "q7_3_orientable_alt": "phi_7_2_plus_star_alt",
-        "q11_5": "phi_11_4_plus_star",
-        "q11_1": "phi_11_0_plus_star",
-    }
-    if name in degree2_parents:
-        return delete_vertex(phi_target(degree2_parents[name]), "z")
-    if name == "q8_0":
-        return complete(8)
-    raise StructuralError(f"unknown catalog target {name!r}")
+    from . import catalog  # here, not at module load: catalog imports this module
+
+    stem = name.removesuffix("_alt")
+    try:
+        rec = catalog.get_record(stem)
+    except CatalogError:
+        rec = None
+    if rec is None or rec.parent is None:
+        raise StructuralError(f"unknown catalog target {name!r}")
+    g = phi_target(rec.parent + name[len(stem):])
+    if rec.op == "delete_degree2":
+        return delete_vertex(g, "z")
+    if rec.op == "handle":
+        edges = set(g.edges)
+        for c in rec.args:
+            edges.update(edge_between(u, v) for u, v in zip(c, c[1:] + c[:1]))
+        return Graph(g.vertices, frozenset(edges))
+    raise StructuralError(f"{name}: {rec.op} does not fix a target graph")
 
 
 def to_networkx(g: Graph) -> nx.Graph:

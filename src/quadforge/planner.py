@@ -16,6 +16,11 @@ the child embedding at one of its universal vertices.  The result gains 4
 face-simplicity is checked after every sum — the construction is refused
 rather than allowed to drift from its contract.
 
+The chains are grounded in base nodes, each naming the catalog record that
+holds its ``(n, t)``.  Whether that record is searched or derived from
+another, and by which surgery, is the record's own ``op`` and ``parent`` in
+``catalog.record_table``; ``plan_text`` reads it from there.
+
 The plans of different requests share their chains, so ``execute`` keeps the
 embedding of every plan node it builds until the catalog directory changes:
 each node is built, and its per-step guards run, once per catalog.
@@ -50,12 +55,10 @@ class ParamRequest:
 class PlanNode:
     """One derivation step; a plan is the root of a chain of these."""
 
-    step: str  # "base" | "nonorient" | "orient" | "intermediate" | "surgery"
+    step: str  # "base" | "nonorient" | "orient" | "intermediate"
     n: int
     t: int
-    record: str | None = None  # base/surgery: catalog record holding the result
-    op: str | None = None      # surgery: delete_degree2 | insert_degree2 | handle
-    parent: str | None = None  # surgery: record the operation starts from
+    record: str | None = None  # base: catalog record holding the result
     i: int | None = None       # nonorient/orient: missing edges added
     child: PlanNode | None = None
 
@@ -103,58 +106,33 @@ def _inadmissible_reason(req: ParamRequest) -> str:
 # Planning
 # ---------------------------------------------------------------------------
 
-def _base(n, t, record):
-    return PlanNode("base", n, t, record=record)
-
-
-def _surg(n, t, op, parent, record):
-    return PlanNode("surgery", n, t, record=record, op=op, parent=parent)
-
-
-_NONORIENT_BASES = {
-    (4, 0): _base(4, 0, "phi_4_0"),
-    (5, 0): _base(5, 0, "phi_5_0_star"),
-    (6, 1): _base(6, 1, "phi_6_1"),
-    (7, 1): _surg(7, 1, "delete_degree2", "phi_7_0_plus", "q7_1"),
-    (7, 3): _surg(7, 3, "delete_degree2", "phi_7_2_plus", "q7_3"),
+# The catalog record of each base (n, t); the record says how it is made.
+_BASES = {
+    "nonorientable": {
+        (4, 0): "phi_4_0",
+        (5, 0): "phi_5_0_star",
+        (6, 1): "phi_6_1",
+        (7, 1): "q7_1",
+        (7, 3): "q7_3",
+    },
+    "orientable": {
+        (5, 0): "phi_5_0_star",
+        (6, 3): "q6_3_orientable",
+        (7, 3): "q7_3_orientable",
+        (8, 0): "q8_0",
+        (8, 4): "phi_8_4_star",
+        (10, 1): "phi_10_1_star",
+        (11, 1): "q11_1",
+        (11, 5): "q11_5",
+    },
 }
 
+# Orientable (n, t) built by an intermediate step (+4 vertices, +2 missing
+# edges, over (n-4, t-2)) rather than by an orientable step.
+_INTERMEDIATES = {(9, 2), (10, 5), (12, 2), (12, 6), (14, 3), (14, 7)}
 
-def _intermediate(n, t, child):
-    return PlanNode("intermediate", n, t, child=child)
-
-
-_ORIENT_BASES = {
-    (5, 0): _base(5, 0, "phi_5_0_star"),
-    (7, 3): _surg(7, 3, "delete_degree2", "phi_7_2_plus_star", "q7_3_orientable"),
-    (8, 0): _surg(8, 0, "handle", "phi_8_4_star", "q8_0"),
-    (8, 4): _base(8, 4, "phi_8_4_star"),
-    (10, 1): _base(10, 1, "phi_10_1_star"),
-    (11, 1): _surg(11, 1, "delete_degree2", "phi_11_0_plus_star", "q11_1"),
-    (11, 5): _surg(11, 5, "delete_degree2", "phi_11_4_plus_star", "q11_5"),
-}
-
-
-def _orient_base(n: int, t: int) -> PlanNode:
-    if (n, t) in _ORIENT_BASES:
-        return _ORIENT_BASES[(n, t)]
-    if (n, t) == (9, 2):
-        return _intermediate(9, 2, _orient_base(5, 0))
-    if (n, t) == (10, 5):
-        return _intermediate(
-            10, 5, _surg(6, 3, "insert_degree2", "phi_5_0_star", "q6_3_orientable")
-        )
-    if (n, t) == (12, 2):
-        return _intermediate(12, 2, _orient_base(8, 0))
-    if (n, t) == (12, 6):
-        return _intermediate(12, 6, _orient_base(8, 4))
-    if n == 13 and t in (0, 4, 8):
-        return PlanNode("orient", 13, t, i=t, child=_orient_base(5, 0))
-    if (n, t) == (14, 3):
-        return _intermediate(14, 3, _orient_base(10, 1))
-    if (n, t) == (14, 7):
-        return _intermediate(14, 7, _orient_base(10, 5))
-    raise PlanError(f"no orientable base derivation for (n={n}, t={t})")
+# The least n built by a nonorientable (+4) or orientable (+8) step.
+_FIRST_STEP_N = {"nonorientable": 8, "orientable": 13}
 
 
 def _schedule_i(t: int, kind: str) -> int:
@@ -179,26 +157,25 @@ def plan(req: ParamRequest) -> PlanNode:
 
 
 def _plan(n: int, t: int, kind: str) -> PlanNode:
-    if kind == "nonorientable":
-        if n <= 7:
-            try:
-                return _NONORIENT_BASES[(n, t)]
-            except KeyError:
-                raise PlanError(f"no nonorientable base for (n={n}, t={t})") from None
-        i = _schedule_i(t, kind)
-        return PlanNode("nonorient", n, t, i=i, child=_plan(n - 4, t - i, kind))
-    if n <= 14:
-        return _orient_base(n, t)
+    record = _BASES[kind].get((n, t))
+    if record is not None:
+        return PlanNode("base", n, t, record=record)
+    if kind == "orientable" and (n, t) in _INTERMEDIATES:
+        return PlanNode("intermediate", n, t, child=_plan(n - 4, t - 2, kind))
+    if n < _FIRST_STEP_N[kind]:
+        raise PlanError(f"no {kind} base derivation for (n={n}, t={t})")
     i = _schedule_i(t, kind)
+    if kind == "nonorientable":
+        return PlanNode("nonorient", n, t, i=i, child=_plan(n - 4, t - i, kind))
     return PlanNode("orient", n, t, i=i, child=_plan(n - 8, t - i, kind))
 
 
 def plan_text(node: PlanNode, indent: int = 0) -> str:
     pad = "  " * indent
     if node.step == "base":
-        line = f"{pad}base {node.record} (n={node.n}, t={node.t})"
-    elif node.step == "surgery":
-        line = f"{pad}surgery {node.op} on {node.parent} -> {node.record} (n={node.n}, t={node.t})"
+        rec = catalog.get_record(node.record)
+        how = f"surgery {rec.op} on {rec.parent} -> " if rec.parent else "base "
+        line = f"{pad}{how}{rec.name} (n={node.n}, t={node.t})"
     elif node.step == "intermediate":
         line = f"{pad}intermediate +4 vertices, +2 missing edges (n={node.n}, t={node.t})"
     else:
@@ -295,7 +272,7 @@ def execute(node: PlanNode) -> Embedding:
     out = _GEN_CACHE.get(node)
     if out is not None:
         return out
-    if node.step in ("base", "surgery"):
+    if node.step == "base":
         out = catalog.get_witness(node.record)
     elif node.step == "nonorient":
         out = _induct_step(execute(node.child), f"phi_7_{node.i}_plus", 6)
@@ -329,7 +306,7 @@ def generate(req: ParamRequest) -> tuple:
         raise PlanError(f"({req.n},{req.t},{req.kind}) is inadmissible: "
                         + _inadmissible_reason(req))
     if status == "special":
-        p = _base(req.n, req.t, SPECIALS[(req.n, req.t, req.kind)])
+        p = PlanNode("base", req.n, req.t, record=SPECIALS[(req.n, req.t, req.kind)])
     else:
         p = plan(req)
     emb = execute(p)

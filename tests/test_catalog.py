@@ -225,3 +225,57 @@ def test_build_kmn_certified_through_k30(m):
         assert emap.is_orientable(emb)
         assert emap.euler_characteristic(emb) == m + n - m * n // 2
         assert emap.is_face_simple(emb) == (n >= 3)
+
+
+@pytest.fixture
+def catalog_copy(tmp_path, monkeypatch):
+    """A private copy of the shipped catalog, selected through QUADFORGE_CATALOG."""
+    root = tmp_path / "catalog"
+    shutil.copytree(catalog.catalog_dir(), root)
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(root))
+    catalog.clear_cache()
+    yield root
+    monkeypatch.delenv(catalog.CATALOG_ENV)
+    catalog.clear_cache()
+
+
+def test_failed_anneal_reports_the_budgets_it_ran(catalog_copy, monkeypatch):
+    (catalog_copy / "phi_8_4_star.emap").unlink()
+    runs = []
+
+    def miss(method):
+        def run(spec, **kwargs):
+            runs.append((method, kwargs.get("restarts")))
+            return search.SearchResult("none", None, 0)
+        return run
+
+    monkeypatch.setattr(search, "search_anneal", miss("anneal"))
+    monkeypatch.setattr(search, "search_randomized", miss("randomized"))
+    with pytest.raises(CatalogError) as err:
+        catalog.get_witness("phi_8_4_star")
+    assert runs == [("anneal", 4), ("randomized", 512)]
+    assert "status=none" in str(err.value)
+    assert "budget=anneal x4, then randomized exact x512" in str(err.value)
+    assert not (catalog_copy / "phi_8_4_star.emap").exists()
+
+
+def test_parse_bug_propagates_from_witness_loads(catalog_copy, monkeypatch):
+    def broken(text):
+        raise KeyError("kernel bug")
+
+    monkeypatch.setattr(catalog.serialize, "parse_emap", broken)
+    with pytest.raises(KeyError):
+        catalog.get_witness("phi_4_0")
+    with pytest.raises(KeyError):
+        catalog.verify_all()
+
+
+def test_truncated_witness_is_reported_corrupt(catalog_copy):
+    path = catalog_copy / "phi_4_0.emap"
+    lines = path.read_text().splitlines(True)
+    path.write_text("".join(lines[: len(lines) // 2]))
+    with pytest.raises(CatalogError, match="phi_4_0: witness file corrupt"):
+        catalog.get_witness("phi_4_0")
+    report = {name: (ok, msg) for name, ok, msg in catalog.verify_all()}
+    assert report["phi_4_0"][0] is False
+    assert all(ok for name, (ok, _) in report.items() if name != "phi_4_0")

@@ -148,10 +148,13 @@ def test_kmn_certificate(capsys):
     assert "orientable=true" in stdout
 
 
-def test_sweep_guard(capsys):
-    code, _, stderr = run(capsys, "sweep", "--surface", "sphere", "--max-n", "9")
+def test_sweep_guard(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(search, "candidate_graphs", lambda n, chi: calls.append(n) or iter(()))
+    code, stdout, stderr = run(capsys, "sweep", "--surface", "sphere", "--max-n", "9")
     assert code == 1
-    assert "--force" in stderr
+    assert "capped" in stderr
+    assert stdout == "" and calls == []
 
 
 def test_sweep_projective(capsys):
@@ -246,14 +249,17 @@ def test_sweep_leaves_networkx_unloaded():
     assert "n=6 face_simple_quadrangulations=1" in proc.stdout
 
 
+
 def test_forced_sweep_past_the_cap_fails_at_once(capsys, monkeypatch):
+    # `--force` no longer exists: the parser rejects it before any enumeration.
     calls = []
     monkeypatch.setattr(search, "candidate_graphs", lambda n, chi: calls.append(n) or iter(()))
-    code, stdout, stderr = run(capsys, "sweep", "--surface", "sphere",
-                               "--max-n", "9", "--force")
-    assert code == 1
-    assert "capped" in stderr
-    assert stdout == "" and calls == []
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--surface", "sphere", "--max-n", "9", "--force"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in captured.err
+    assert captured.out == "" and calls == []
 
 
 # What the fake search workers below do; forked pool workers inherit it.

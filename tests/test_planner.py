@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import shutil
 
 import pytest
@@ -215,3 +216,25 @@ def test_memo_does_not_outlive_a_catalog_change(tmp_path, monkeypatch):
     finally:
         monkeypatch.delenv(catalog.CATALOG_ENV)
         catalog.clear_cache()
+
+
+def test_plan_text_of_the_acceptance_pairs_is_pinned():
+    text = "".join(planner.plan_text(planner.plan(req)) for req in acceptance_requests())
+    assert "surgery handle on phi_8_4_star -> q8_0 (n=8, t=0)" in text
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "0671c4e0b94dd5260fe42af24f5572a70d658da74d5193ebbff023a046882391")
+
+
+def test_planner_tables_agree_with_the_catalog():
+    names = [rec.name for rec in catalog.record_table()]
+    for rec in catalog.record_table():
+        if rec.parent is not None:
+            assert names.index(rec.parent) < names.index(rec.name), rec.name
+    blocks = ([f"phi_7_{i}_plus" for i in (0, 2, 4)]
+              + [f"phi_11_{i}_plus_star" for i in (0, 4, 8)] + ["phi_7_2_plus_star"])
+    for name in blocks:
+        catalog.get_record(name)
+    for bases in planner._BASES.values():
+        for (n, t), name in bases.items():
+            emb = catalog.get_witness(name)
+            assert (len(emb.graph.vertices), planner._missing(emb)) == (n, t), name
