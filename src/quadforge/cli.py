@@ -125,8 +125,11 @@ def _say(args, text: str) -> None:
         print(text)
 
 
-def _emit(args, emb: emap.Embedding) -> None:
-    """Write the emap (to --out or stdout) and print the certificate."""
+def _emit(args, emb: emap.Embedding, cert: emap.Certificate | None = None) -> None:
+    """Write the emap (to --out or stdout) and print its certificate.
+
+    ``cert`` is the embedding's certificate when the caller already has it.
+    """
     text = serialize.write_emap(emb)
     out = getattr(args, "out", None)
     if out:
@@ -135,7 +138,7 @@ def _emit(args, emb: emap.Embedding) -> None:
         _say(args, f"wrote {out}")
     elif not args.quiet:
         sys.stdout.write(text)
-    sys.stdout.write(emap.certify(emb).to_text())
+    sys.stdout.write((cert or emap.certify(emb)).to_text())
 
 
 def _load(path: str) -> emap.Embedding:
@@ -157,7 +160,7 @@ def _cmd_gen(args) -> int:
         return 0
     emb, cert, node = planner.generate(req)
     _say(args, planner.plan_text(node).rstrip("\n"))
-    _emit(args, emb)
+    _emit(args, emb, cert)
     return 0
 
 

@@ -200,14 +200,6 @@ class FaceWalk:
     def edges(self) -> tuple:
         return tuple(e for _, e in self.darts)
 
-    @property
-    def corners(self) -> tuple:
-        """(vertex, entering edge, leaving edge) triples, one per dart."""
-        k = len(self.darts)
-        return tuple(
-            (self.darts[i][0], self.darts[i - 1][1], self.darts[i][1]) for i in range(k)
-        )
-
 
 class Embedding:
     """Signed rotation system over a connected simple graph.
@@ -299,10 +291,6 @@ class Embedding:
         if sum(len(w) for w in walks) != 2 * len(edges):
             raise StructuralError("face walks do not cover each edge exactly twice")
         return tuple(walks)
-
-
-def trace_faces(emb: Embedding) -> tuple:
-    return emb.faces()
 
 
 def euler_characteristic(emb: Embedding) -> int:

@@ -6,24 +6,29 @@ surface.  Admissible requests satisfy ``0 <= t <= n-4`` and a congruence on
 ``t``; they are fulfilled by a derivation plan: a chain of diamond-sum
 induction steps grounded in catalog base records.
 
-Each induction step composes three embeddings.  A fixed small block with a
-distinguished degree-6 (or degree-10) vertex ``x`` and a degree-2 vertex
-``z`` is first diamond-summed with a complete-bipartite quadrangulation at
-``x``, producing a face-simple embedding in which ``z``'s neighborhood is an
-independent set of size ``n'-1``; that is then diamond-summed at ``z`` with
-the child embedding at one of its universal vertices.  The result gains 4
-(or 8) vertices and ``i`` missing edges, keeps vertex 0 universal, and its
-face-simplicity is checked after every sum — the construction is refused
-rather than allowed to drift from its contract.
+Each induction step composes three quadrangulations.  A fixed small block
+with a distinguished degree-6 (or degree-10) vertex ``x`` and a degree-2
+vertex ``z`` is first diamond-summed with a complete-bipartite
+quadrangulation at ``x``, producing a face-simple quadrangulation in which
+``z``'s neighborhood is an independent set of size ``n'-1``; that is then
+diamond-summed at ``z`` with the child at one of its universal vertices.  The
+result gains 4 (or 8) vertices and ``i`` missing edges.  The sums are
+``surgery.FaceTable`` splices: the chain is one face table, each step
+replaces the faces around the summed vertex, and the chain's vertices keep
+their labels.  The sum hypotheses are checked before every sum and
+face-simplicity after it, each answered from the tables' indices — the
+construction is refused rather than allowed to drift from its contract.
 
 The chains are grounded in base nodes, each naming the catalog record that
 holds its ``(n, t)``.  Whether that record is searched or derived from
 another, and by which surgery, is the record's own ``op`` and ``parent`` in
 ``catalog.record_table``; ``plan_text`` reads it from there.
 
-The plans of different requests share their chains, so ``execute`` keeps the
-embedding of every plan node it builds until the catalog directory changes:
-each node is built, and its per-step guards run, once per catalog.
+The plans of different requests share their chains, so ``execute`` keeps
+the faces of every plan node it builds until the catalog directory changes:
+each node is built, and its per-step guards run, once per catalog, and a
+request resumes from its nearest built ancestor.  Only a requested node is
+rebuilt as an ``Embedding``, on 0..n-1, and only that embedding is kept.
 ``generate`` certifies its embedding against the request on every call.
 """
 
@@ -191,38 +196,27 @@ def plan_text(node: PlanNode, indent: int = 0) -> str:
 # Execution
 # ---------------------------------------------------------------------------
 
-def _missing(emb: Embedding) -> int:
-    n = len(emb.graph.vertices)
-    return n * (n - 1) // 2 - len(emb.graph.edges)
-
-
-def _choose_universal(emb: Embedding):
-    """Smallest universal vertex at which the embedding is nearly face-simple."""
-    for v in sorted(emap.universal_vertices(emb.graph), key=vkey):
-        if emap.is_nearly_face_simple_except(emb, v):
+def _choose_universal(chain: surgery.FaceTable):
+    """Smallest universal vertex at which the chain is nearly face-simple."""
+    for v in sorted(chain.universal_vertices(), key=vkey):
+        if chain.is_nearly_face_simple_except(v):
             return v
     raise PlanError("child embedding has no universal vertex with the "
                     "nearly-face-simple property")
 
 
-def _check_sum_hypotheses(face_simple_side: Embedding, side_face_simple: bool, v,
-                          other: Embedding, v2) -> bool:
+def _check_sum_hypotheses(face_simple_side: surgery.FaceTable, side_face_simple: bool, v,
+                          other: surgery.FaceTable, v2) -> bool:
     """Hypotheses under which a diamond sum is guaranteed face-simple.
 
-    ``side_face_simple`` is ``emap.is_face_simple(face_simple_side)``, which the
+    ``side_face_simple`` is ``face_simple_side.is_face_simple()``, which the
     caller computes once and may reuse.
     """
-    g = face_simple_side.graph
-    nbrs = g.neighbors(v)
-    # no edge joins two neighbours of v: one pass over their incidence lists
-    independent = not any(
-        e[0] in nbrs and e[1] in nbrs for a in nbrs for e in g.incident_edges(a)
-    )
     return (
         side_face_simple
-        and emap.min_degree(g) >= 3
-        and independent
-        and emap.is_nearly_face_simple_except(other, v2)
+        and face_simple_side.min_degree() >= 3
+        and face_simple_side.is_independent(v)
+        and other.is_nearly_face_simple_except(v2)
     )
 
 
@@ -232,63 +226,98 @@ def _check_sum_hypotheses(face_simple_side: Embedding, side_face_simple: bool, v
 SUM_OBSERVATIONS: list = []
 
 
-def _induct_step(child: Embedding, block_record: str, m: int) -> Embedding:
-    """Diamond-sum chain: block at x with K_{m,n'-1}, then at z with the child."""
-    n_child = len(child.graph.vertices)
-    block = catalog.get_witness(block_record)
+def _induct_step(chain: surgery.FaceTable, block_record: str, m: int) -> None:
+    """Splice one step into ``chain``: the block at x with K_{m,n'-1}, then that at z."""
+    n_child = len(chain.vertices())
+    block = surgery.FaceTable.from_embedding(catalog.get_witness(block_record))
     kmn = catalog.build_kmn(m, n_child - 1)
-    kmn_b, kmap = surgery.fresh_relabel(kmn, block.graph.vertices)
+    mid = surgery.FaceTable.from_embedding(kmn)
     # u must come from the side whose vertices have degree m
-    u = next(kmap[v] for v in kmn.graph.sorted_vertices() if kmn.graph.degree(v) == m)
-    if not _check_sum_hypotheses(kmn_b, emap.is_face_simple(kmn_b), u, block, "x"):
+    u = next(v for v in kmn.graph.sorted_vertices() if kmn.graph.degree(v) == m)
+    if not _check_sum_hypotheses(mid, mid.is_face_simple(), u, block, "x"):
         raise PlanError(f"{block_record} + K_{{{m},{n_child - 1}}} violates the "
                         "face-simplicity hypotheses")
-    mid = surgery.diamond_sum(block, "x", kmn_b, u)
-    mid_simple = emap.is_face_simple(mid)
+    z = mid.splice(u, block, "x")["z"]
+    mid_simple = mid.is_face_simple()
     SUM_OBSERVATIONS.append((True, mid_simple))
     if not mid_simple:
         raise PlanError("intermediate diamond sum is not face-simple")
-    v = _choose_universal(child)
-    child_b, cmap = surgery.fresh_relabel(child, mid.graph.vertices)
-    if not _check_sum_hypotheses(mid, mid_simple, "z", child_b, cmap[v]):
+    v = _choose_universal(chain)
+    if not _check_sum_hypotheses(mid, mid_simple, z, chain, v):
         raise PlanError("second diamond sum violates the face-simplicity hypotheses")
-    out = surgery.diamond_sum(mid, "z", child_b, cmap[v])
-    out_simple = emap.is_face_simple(out)
+    chain.splice(v, mid, z)
+    out_simple = chain.is_face_simple()
     SUM_OBSERVATIONS.append((True, out_simple))
     if not out_simple:
         raise PlanError("derivation output is not face-simple")
-    return surgery.fresh_relabel(out, ())[0]  # on 0..n-1
 
 
-# The embedding of every plan node built since the catalog directory last
-# changed.  Plans of different requests share their chains, and equal nodes are
-# equal keys, so each node is built (and its per-step guards run) once.
+def _step_block(node: PlanNode) -> tuple:
+    """(block record, m) of an induction step."""
+    if node.step == "nonorient":
+        return f"phi_7_{node.i}_plus", 6
+    if node.step == "orient":
+        return f"phi_11_{node.i}_plus_star", 10
+    if node.step == "intermediate":
+        return "phi_7_2_plus_star", 6
+    raise PlanError(f"unknown plan step {node.step!r}")
+
+
+def _check_size(node: PlanNode, n: int, edges: int) -> None:
+    t = n * (n - 1) // 2 - edges
+    if (n, t) != (node.n, node.t):
+        raise PlanError(f"step produced ({n},{t}), plan requires ({node.n},{node.t})")
+
+
+@dataclass
+class _Built:
+    """A plan node built since the catalog directory last changed: the faces its
+    chain table held after its step, frozen, and its embedding once requested."""
+
+    faces: bytes
+    orientable: bool
+    embedding: Embedding | None = None
+
+
+# The built induction nodes.  Plans of different requests share their chains,
+# and equal nodes are equal keys, so each node is spliced (and its per-step
+# guards run) once; a request resumes from its nearest built ancestor.
 _GEN_CACHE: dict = catalog.register_cache({})
 
 
 def execute(node: PlanNode) -> Embedding:
-    """The embedding ``node`` describes, built at most once per catalog directory."""
+    """The embedding ``node`` describes; each node is built at most once per catalog directory."""
     catalog.follow_catalog_dir()
-    out = _GEN_CACHE.get(node)
-    if out is not None:
-        return out
     if node.step == "base":
         out = catalog.get_witness(node.record)
-    elif node.step == "nonorient":
-        out = _induct_step(execute(node.child), f"phi_7_{node.i}_plus", 6)
-    elif node.step == "orient":
-        out = _induct_step(execute(node.child), f"phi_11_{node.i}_plus_star", 10)
-    elif node.step == "intermediate":
-        out = _induct_step(execute(node.child), "phi_7_2_plus_star", 6)
+        _check_size(node, len(out.graph.vertices), len(out.graph.edges))
+        return out
+    built = _GEN_CACHE.get(node) or _build_chain(node)
+    if built.embedding is None:
+        built.embedding = emap.embedding_from_faces(
+            surgery.ranked_faces(surgery.thawed(built.faces)))
+    return built.embedding
+
+
+def _build_chain(node: PlanNode) -> _Built:
+    """Splice ``node``'s chain up from its nearest built ancestor, or from its base."""
+    path = []
+    while node.step != "base" and node not in _GEN_CACHE:
+        path.append(node)
+        node = node.child
+    if node.step == "base":
+        base = execute(node)
+        # on ints, so that each node's faces can be frozen
+        chain = surgery.FaceTable(surgery.ranked_faces([w.vertices for w in base.faces()]),
+                                  emap.is_orientable(base))
     else:
-        raise PlanError(f"unknown plan step {node.step!r}")
-    if len(out.graph.vertices) != node.n or _missing(out) != node.t:
-        raise PlanError(
-            f"step produced ({len(out.graph.vertices)},{_missing(out)}), "
-            f"plan requires ({node.n},{node.t})"
-        )
-    _GEN_CACHE[node] = out
-    return out
+        chain = surgery.FaceTable(surgery.thawed(_GEN_CACHE[node].faces),
+                                  _GEN_CACHE[node].orientable)
+    for step in reversed(path):
+        _induct_step(chain, *_step_block(step))
+        _check_size(step, len(chain.vertices()), len(chain.edges()))
+        built = _GEN_CACHE[step] = _Built(chain.frozen(), chain.orientable)
+    return built
 
 
 # ---------------------------------------------------------------------------

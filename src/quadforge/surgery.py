@@ -1,18 +1,29 @@
 """Surgical primitives on quadrangular embeddings.
 
-All three operations are implemented at the face level: compute the new
-face set, then rebuild the signed rotation system with
-``embedding_from_faces``.  Every output is re-traced and checked against
-its postconditions; nothing is patched blindly.
+The four operations on an ``Embedding`` (diamond sum, handle augmentation,
+degree-2 deletion and insertion) are implemented at the face level: compute
+the new face set, then rebuild the signed rotation system with
+``embedding_from_faces``.  Every output is re-traced and checked against its
+postconditions; nothing is patched blindly.
+
+``FaceTable`` is the in-place counterpart of the diamond sum, for the
+planner's induction chain.  It holds a quadrangular face set with an
+edge -> faces index, and its ``splice`` replaces the disk around one vertex
+by the summand's faces, touching only the faces it adds and removes.  The
+face-simplicity predicates are answered from counters it keeps up to date,
+and an ``Embedding`` is rebuilt from the faces once, when it is wanted.
 """
 
 from __future__ import annotations
 
+import itertools
+import struct
+from collections import Counter
 from dataclasses import dataclass
 
 from . import emap
 from .emap import Embedding, FaceWalk, Graph, Label, edge_between, other_end, vkey
-from .errors import SurgeryError
+from .errors import StructuralError, SurgeryError
 
 
 def relabel_embedding(emb: Embedding, mapping: dict) -> Embedding:
@@ -193,6 +204,251 @@ def _diamond_sum_fixed(a, v, b, v2, offset, reflect) -> Embedding:
     if emap.euler_characteristic(out) != want_chi:
         raise SurgeryError("diamond sum output violates Euler additivity")
     return out
+
+
+def _ekey(u: Label, v: Label) -> tuple:
+    """``edge_between(u, v)``, without its ``vkey`` calls when both labels are ints."""
+    if type(u) is int and type(v) is int and u != v:
+        return (u, v) if u < v else (v, u)
+    return edge_between(u, v)
+
+
+class FaceTable:
+    """A mutable quadrangular face set, summed into in place by ``splice``.
+
+    ``_faces`` maps face ids to vertex walks, in insertion order; ``_edges``
+    maps each edge to the ids of the faces along it, ``_at`` each vertex to the
+    ids of the faces with a corner there, and ``_degree`` each vertex to its
+    number of corners, which is its degree.  ``_shared`` counts the edges that
+    each pair of distinct adjacent faces shares; ``_multi`` is the number of
+    pairs sharing more than one, and ``_loops`` the number of edges with one
+    face on both sides.  The faces are face-simple exactly when both are 0.
+    """
+
+    def __init__(self, faces, orientable: bool):
+        self.orientable = orientable
+        self._faces = {}
+        self._edges = {}
+        self._at = {}
+        self._degree = {}
+        self._shared = {}
+        self._multi = 0
+        self._loops = 0
+        self._next_id = 0
+        for w in faces:
+            self._add(tuple(w))
+        self._check_closed(self._edges)
+
+    @classmethod
+    def from_embedding(cls, emb: Embedding) -> FaceTable:
+        return cls((w.vertices for w in emb.faces()), emap.is_orientable(emb))
+
+    def faces(self) -> tuple:
+        """The vertex walks, in the order they were added."""
+        return tuple(self._faces.values())
+
+    def frozen(self) -> bytes:
+        """The faces, in order, packed as C ints; the labels must be ints."""
+        labels = list(itertools.chain.from_iterable(self._faces.values()))
+        return struct.pack(f"{len(labels)}i", *labels)
+
+    def vertices(self):
+        return self._degree.keys()
+
+    def edges(self):
+        return self._edges.keys()
+
+    def neighbors(self, v: Label) -> set:
+        out = set()
+        for f in self._at[v]:
+            w = self._faces[f]
+            for i, u in enumerate(w):
+                if u == v:
+                    out.add(w[i - 1])
+                    out.add(w[i - 3])
+        return out
+
+    def min_degree(self) -> int:
+        return min(self._degree.values())
+
+    def universal_vertices(self) -> set:
+        n = len(self._degree)
+        return {v for v, d in self._degree.items() if d == n - 1}
+
+    def is_face_simple(self) -> bool:
+        """``emap.is_face_simple`` of these faces."""
+        return not self._multi and not self._loops
+
+    def is_nearly_face_simple_except(self, v: Label) -> bool:
+        """``emap.is_nearly_face_simple_except`` of these faces, from ``v``'s edges only."""
+        if v not in self._degree:
+            raise StructuralError(f"unknown vertex {v!r}")
+        loops = self._loops
+        at_v = Counter()  # pair of faces -> the edges at v they share
+        for u in self.neighbors(v):
+            f, g = self._edges[_ekey(u, v)]
+            if f == g:
+                loops -= 1
+            else:
+                at_v[(f, g) if f < g else (g, f)] += 1
+        shared = self._shared
+        rescued = sum(1 for key, c in at_v.items() if shared[key] >= 2 > shared[key] - c)
+        return not loops and self._multi == rescued
+
+    def is_independent(self, v: Label) -> bool:
+        """No edge joins two neighbours of ``v``."""
+        nbrs = self.neighbors(v)
+        return not any(u in nbrs for a in nbrs for u in self.neighbors(a))
+
+    def splice(self, v: Label, summand: FaceTable, v2: Label) -> dict:
+        """Diamond sum in place: excise ``v`` here and ``v2`` in ``summand``, and glue.
+
+        The vertices here keep their labels.  Each neighbour of ``v2`` takes the
+        label of the neighbour of ``v`` it is glued to; the summand's other
+        vertices take fresh ints above every int here, in ``vkey`` order.  The
+        rims (see ``_rim``) are glued as ``diamond_sum`` glues at offset 0: the
+        j-th neighbour of ``v`` to the (-j)-th of ``v2``, or to the j-th when
+        that would create a parallel edge.  Either gluing keeps the contract
+        that the sum is orientable exactly when both summands are.  Returns
+        the summand's labels -> their labels here.
+        """
+        if v not in self._degree or v2 not in summand._degree:
+            raise SurgeryError(f"unknown summing vertex {v!r} or {v2!r}")
+        d, d2 = self._degree[v], summand._degree[v2]
+        if d != d2:
+            raise SurgeryError(f"degree mismatch at ({v!r}, {v2!r}): {d} != {d2}")
+        if d < 3:
+            raise SurgeryError(f"diamond sum site needs degree >= 3, got {d}")
+        rim, opposite = self._rim(v)
+        rim2, opposite2 = summand._rim(v2)
+        on_rim2 = set(rim2)
+        rim_edges = [(a, b) for a in rim2 for b in sorted(summand.neighbors(a), key=vkey)
+                     if b in on_rim2]
+        for reflect in (False, True):
+            mu = [(j if reflect else -j) % d for j in range(d)]
+            glue = {rim2[mu[j]]: rim[j] for j in range(d)}
+            clash = next((e for a, b in rim_edges
+                          if (e := _ekey(glue[a], glue[b])) in self._edges), None)
+            if clash is None:
+                break
+        else:
+            raise SurgeryError(f"identification creates a parallel edge {clash}")
+
+        base = max((u for u in self._degree if type(u) is int), default=-1) + 1
+        inner = sorted(summand._degree.keys() - on_rim2 - {v2}, key=vkey)
+        labels = {u: base + i for i, u in enumerate(inner)}
+        labels.update(glue)
+        for f in list(self._at[v]):
+            self._remove(f)
+        skip = summand._at[v2]
+        added = [self._add(tuple(labels[u] for u in w))
+                 for f, w in summand._faces.items() if f not in skip]
+        for j in range(d):
+            a, a1 = rim[j], rim[(j + 1) % d]
+            m2 = opposite2[frozenset((rim2[mu[j]], rim2[mu[(j + 1) % d]]))]
+            added.append(self._add((a, opposite[frozenset((a, a1))], a1, labels[m2])))
+        self._check_closed({_ekey(u, w[i - 3]) for w in added for i, u in enumerate(w)})
+        self.orientable = self.orientable and summand.orientable
+        return labels
+
+    def _rim(self, v: Label) -> tuple:
+        """Neighbour cycle of ``v``, and the map {a_j, a_j+1} -> opposite corner.
+
+        The cycle starts at ``v``'s least neighbour and runs towards the lesser
+        of that neighbour's two neighbours on it, so it depends on labels only.
+        """
+        opposite = {}
+        for f in self._at[v]:
+            w = self._faces[f]
+            if w.count(v) != 1:
+                raise SurgeryError(f"face {w} has {w.count(v)} corners at {v!r}")
+            i = w.index(v)
+            key = frozenset((w[i - 3], w[i - 1]))
+            if len(key) != 2 or key in opposite:
+                raise SurgeryError(f"two faces at {v!r} span the same neighbor pair {set(key)}")
+            opposite[key] = w[i - 2]
+        links = {}
+        for a, b in opposite:
+            links.setdefault(a, []).append(b)
+            links.setdefault(b, []).append(a)
+        if any(len(pair) != 2 for pair in links.values()):
+            raise SurgeryError(f"the faces at {v!r} do not close up around it")
+        start = min(links, key=vkey)
+        rim = [start]
+        prev, cur = start, min(links[start], key=vkey)
+        while cur != start:
+            rim.append(cur)
+            a, b = links[cur]
+            prev, cur = cur, b if a == prev else a
+        if len(rim) != len(opposite):
+            raise SurgeryError(f"the faces at {v!r} do not close up around it")
+        return rim, opposite
+
+    def _add(self, w: tuple) -> tuple:
+        if len(w) != 4:
+            raise SurgeryError(f"face {w} has length {len(w)}, expected 4")
+        f = self._next_id
+        self._next_id += 1
+        self._faces[f] = w
+        for i, u in enumerate(w):
+            self._at.setdefault(u, set()).add(f)
+            self._degree[u] = self._degree.get(u, 0) + 1
+            e = _ekey(u, w[i - 3])
+            sides = self._edges.setdefault(e, [])
+            if len(sides) == 2:
+                raise SurgeryError(f"edge {e} lies on more than two faces")
+            if sides:
+                self._meet(sides[0], f, 1)
+            sides.append(f)
+        return w
+
+    def _remove(self, f: int) -> None:
+        w = self._faces.pop(f)
+        for i, u in enumerate(w):
+            d = self._degree[u] - 1
+            if d:
+                self._degree[u] = d
+                self._at[u].discard(f)
+            else:
+                del self._degree[u], self._at[u]
+            e = _ekey(u, w[i - 3])
+            sides = self._edges[e]
+            sides.remove(f)
+            if sides:
+                self._meet(sides[0], f, -1)
+            else:
+                del self._edges[e]
+
+    def _meet(self, f: int, g: int, step: int) -> None:
+        """Count (``step`` = 1) or uncount (-1) one edge along faces ``f`` and ``g``."""
+        if f == g:
+            self._loops += step
+            return
+        key = (f, g) if f < g else (g, f)
+        c = self._shared.get(key, 0)
+        if max(c, c + step) == 2:
+            self._multi += step
+        if c + step:
+            self._shared[key] = c + step
+        else:
+            del self._shared[key]
+
+    def _check_closed(self, edges) -> None:
+        for e in edges:
+            if len(self._edges.get(e, ())) == 1:
+                raise SurgeryError(f"edge {e} lies on only one face")
+
+
+def ranked_faces(faces) -> list:
+    """``faces`` relabelled onto 0..n-1 in ``vkey`` order."""
+    rank = {u: i for i, u in enumerate(sorted({u for w in faces for u in w}, key=vkey))}
+    return [tuple(rank[u] for u in w) for w in faces]
+
+
+def thawed(frozen: bytes) -> list:
+    """The faces that ``FaceTable.frozen`` packed, in order."""
+    it = iter(memoryview(frozen).cast("i"))
+    return list(zip(it, it, it, it))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from quadforge import catalog, cli, search, serialize
+from quadforge import catalog, cli, emap, planner, search, serialize
 
 
 def run(capsys, *argv):
@@ -56,6 +56,19 @@ def test_gen_byte_identical(tmp_path, capsys):
                          "--kind", "nonorientable", "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_certifies_once(capsys, monkeypatch):
+    certified, generated = [], []
+    certify, generate = emap.certify, planner.generate
+    monkeypatch.setattr(emap, "certify", lambda emb: certified.append(emb) or certify(emb))
+    monkeypatch.setattr(planner, "generate",
+                        lambda req: generated.append(generate(req)) or generated[-1])
+    code, stdout, _ = run(capsys, "--quiet", "gen", "--n", "14", "--t", "3",
+                          "--kind", "nonorientable")
+    assert code == 0
+    assert len(certified) == 1
+    assert stdout == generated[0][1].to_text()
 
 
 def test_verify_expectations(tmp_path, capsys):

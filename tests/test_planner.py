@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import shutil
 
 import pytest
 
-from quadforge import catalog, emap, planner
+from quadforge import catalog, emap, planner, serialize, surgery
 from quadforge.errors import CatalogError, PlanError
 from quadforge.planner import ParamRequest
 
@@ -121,26 +122,33 @@ def test_generated_embedding_consistency():
 
 def test_induction_step_checks_each_face_simplicity_once(monkeypatch):
     child, _, _ = planner.generate(ParamRequest(n=10, t=3, kind="nonorientable"))
-    catalog.build_kmn(6, 9)  # warm: a cold build certifies with is_face_simple too
+    chain = surgery.FaceTable.from_embedding(child)
+    catalog.build_kmn(6, 9)  # warm: a cold build certifies with emap.is_face_simple
     checked = []
-    real = emap.is_face_simple
+    real = surgery.FaceTable.is_face_simple
 
-    def counting(emb):
-        checked.append(emb)
-        return real(emb)
+    def counting(table):
+        checked.append((table, len(table.vertices())))
+        return real(table)
 
-    monkeypatch.setattr(emap, "is_face_simple", counting)
-    out = planner._induct_step(child, "phi_7_2_plus", 6)
-    assert len(out.graph.vertices) == 14
-    # K_{6,9}, the block summed with it, and the output: once each
-    assert len(checked) == 3 and len({id(emb) for emb in checked}) == 3
+    def rebuilt(emb):
+        raise AssertionError("the step guards must be answered from the face tables")
+
+    monkeypatch.setattr(surgery.FaceTable, "is_face_simple", counting)
+    monkeypatch.setattr(emap, "is_face_simple", rebuilt)
+    planner._induct_step(chain, "phi_7_2_plus", 6)
+    assert len(chain.vertices()) == 14
+    # K_{6,9}, the block summed into it, and the output: once each
+    assert [n for _, n in checked] == [15, 15, 14]
+    assert checked[1][0] is checked[0][0] and checked[2][0] is chain
 
 
 def test_sum_hypotheses_need_an_independent_neighbourhood():
-    block = catalog.get_witness("phi_7_2_plus")
-    kmn = catalog.build_kmn(6, 5)
+    block = surgery.FaceTable.from_embedding(catalog.get_witness("phi_7_2_plus"))
+    kmn = surgery.FaceTable.from_embedding(catalog.build_kmn(6, 5))
     assert planner._check_sum_hypotheses(kmn, True, 6, block, "x")
     dense, _, _ = planner.generate(ParamRequest(n=10, t=3, kind="nonorientable"))
+    dense = surgery.FaceTable.from_embedding(dense)
     assert not planner._check_sum_hypotheses(dense, True, 0, block, "x")
 
 
@@ -199,6 +207,44 @@ def test_clearing_the_memo_executes_again(monkeypatch):
     assert again is not first and again == first
 
 
+def test_memo_keeps_no_embedding_of_an_unrequested_node(monkeypatch):
+    catalog.clear_cache()
+    req = ParamRequest(n=50, t=3, kind="nonorientable")
+    emb, _, node = planner.generate(req)
+    chain = list(induction_nodes(node))
+    assert len(chain) == 11 and set(planner._GEN_CACHE) == set(chain)
+    assert planner._GEN_CACHE[node].embedding is emb
+    assert all(planner._GEN_CACHE[step].embedding is None for step in chain[1:])
+    # a request for a built node rebuilds its embedding from the memo, splicing nothing
+    calls = count_induction_steps(monkeypatch)
+    child = chain[1]
+    warm = planner.generate(ParamRequest(n=child.n, t=child.t, kind=req.kind))[0]
+    assert calls == [] and planner._GEN_CACHE[child].embedding is warm
+    catalog.clear_cache()
+    assert planner._GEN_CACHE == {}
+    assert planner.generate(ParamRequest(n=child.n, t=child.t, kind=req.kind))[0] == warm
+
+
+def test_output_bytes_do_not_depend_on_request_order():
+    large = [ParamRequest(n=50, t=3, kind="nonorientable"),
+             ParamRequest(n=49, t=2, kind="orientable")]
+    cold = {}
+    for req in large:
+        catalog.clear_cache()
+        cold[req] = serialize.write_emap(planner.generate(req)[0])
+    requests = list(acceptance_requests())
+    outputs = []
+    for seed in (1, 2):
+        random.Random(seed).shuffle(requests)
+        catalog.clear_cache()
+        outputs.append({req: serialize.write_emap(planner.generate(req)[0]) for req in requests})
+    assert outputs[0] == outputs[1]
+    # the batch built the lower halves of both chains; the large requests resume there
+    assert all(any(node in planner._GEN_CACHE for node in induction_nodes(planner.plan(req)))
+               for req in large)
+    assert {req: serialize.write_emap(planner.generate(req)[0]) for req in large} == cold
+
+
 def test_memo_does_not_outlive_a_catalog_change(tmp_path, monkeypatch):
     good, bad = tmp_path / "good", tmp_path / "bad"
     shutil.copytree(catalog.catalog_dir(), good)
@@ -236,5 +282,6 @@ def test_planner_tables_agree_with_the_catalog():
         catalog.get_record(name)
     for bases in planner._BASES.values():
         for (n, t), name in bases.items():
-            emb = catalog.get_witness(name)
-            assert (len(emb.graph.vertices), planner._missing(emb)) == (n, t), name
+            g = catalog.get_witness(name).graph
+            missing = len(g.vertices) * (len(g.vertices) - 1) // 2 - len(g.edges)
+            assert (len(g.vertices), missing) == (n, t), name
