@@ -2,13 +2,14 @@
 complete-bipartite quadrangulation builder.
 
 Records come in two flavors.  *Searched* records are acquired once by the
-search module (exact backtracking for small graphs, annealing for large
-ones), persisted as emap files, and re-verified against their property
-bundle on every load.  *Derived* records are rebuilt deterministically from
-their parents by a named surgery, so they regenerate byte-for-byte.  Each
-record states its own ``op``, ``parent`` and ``args``, and ``record_table`` is
-the only place they are written: ``_derive``, ``graphalg.phi_target`` and the
-planner read them, and the manifest's provenance is generated from them.
+search module (exhaustive backtracking for small graphs, randomized restarts
+of the same backtracking for large ones), persisted as emap files, and
+re-verified against their property bundle on every load.  *Derived* records
+are rebuilt deterministically from their parents by a named surgery, so they
+regenerate byte-for-byte.  Each record states its own ``op``, ``parent`` and
+``args``, and ``record_table`` is the only place they are written:
+``_derive``, ``graphalg.phi_target`` and the planner read them, and the
+manifest's provenance is generated from them.
 
 The catalog directory defaults to the ``data/catalog`` tree shipped with the
 package and can be overridden with the ``QUADFORGE_CATALOG`` environment
@@ -37,7 +38,7 @@ from pathlib import Path
 from . import emap, graphalg, search, serialize, surgery
 from .emap import Embedding, Graph, vkey
 from .errors import CatalogError, QuadforgeError
-from .search import CoolingSchedule, WitnessSpec
+from .search import WitnessSpec
 
 CATALOG_ENV = "QUADFORGE_CATALOG"
 
@@ -53,8 +54,8 @@ def catalog_dir() -> Path:
 class CatalogRecord:
     """Specification bundle for one named embedding, and how it is made.
 
-    ``op`` says where the witness comes from: ``"searched"`` (exact search),
-    ``"annealed"`` (annealing with a randomized exact fallback), or the surgery
+    ``op`` says where the witness comes from: ``"searched"`` (exhaustive
+    search), ``"randomized"`` (randomized-restart search), or the surgery
     that derives it from the witness of ``parent``, with ``args`` as its
     operands: ``"delete_degree2"`` deletes ``z``, ``"insert_degree2"`` splits
     the first face at its least corner, and ``"handle"`` adds a handle along
@@ -120,24 +121,24 @@ def record_table() -> tuple:
                        ("delete_degree2_face_simple", "z"))),
         CatalogRecord("phi_7_4_plus", -1, False,
                       (("nearly_face_simple_except", "x"),)),
-        # Annealed records: their graphs carry 20-48 edges, beyond comfortable
+        # Randomized records: their graphs carry 20-48 edges, beyond comfortable
         # exhaustive backtracking.
         CatalogRecord("phi_7_2_plus_star", -2, True,
                       (("nearly_face_simple_except", "x"),),
-                      op="annealed", alternates=("phi_7_2_plus_star_alt",)),
+                      op="randomized", alternates=("phi_7_2_plus_star_alt",)),
         CatalogRecord("phi_8_4_star", -4, True,
                       (("face_simple",), ("universal_vertex",),
                        ("has_handle_site", (4, 5, 6, 7))),
-                      op="annealed"),
+                      op="randomized"),
         CatalogRecord("phi_10_1_star", -12, True,
                       (("face_simple",), ("universal_vertex",)),
-                      op="annealed"),
+                      op="randomized"),
         CatalogRecord("phi_11_8_plus_star", -12, True,
                       (("nearly_face_simple_except", "x"),
                        ("has_handle_site", (1, 2, 3, 4)),
                        ("has_handle_site", (5, 6, 7, 8)),
                        ("double_handle", (1, 2, 3, 4), (5, 6, 7, 8))),
-                      op="annealed"),
+                      op="randomized"),
         CatalogRecord("k_6_3", 0, True, (("face_simple",),)),
         CatalogRecord("c4_sphere", 2, True, ()),
         CatalogRecord("klein_6_3", 0, False,
@@ -185,8 +186,6 @@ _cache_env: str | None = None  # the raw QUADFORGE_CATALOG value _cache_dir came
 _registered_caches: list = []  # caches elsewhere of results built from witnesses
 _locks: defaultdict = defaultdict(threading.Lock)
 _EXACT_BUDGET = 50_000_000
-_ANNEAL_RESTARTS = 4
-_RANDOMIZED_RESTARTS = 512
 
 
 def get_record(name: str) -> CatalogRecord:
@@ -264,24 +263,16 @@ def _acquire_searched(rec: CatalogRecord) -> Embedding:
     last_status = "none"
     for g in rec.graphs():
         spec = rec.spec_for(g)
-        seed = zlib.crc32(rec.name.encode())
-        if rec.op == "annealed":
-            result = search.search_anneal(
-                spec, seed=seed, schedule=CoolingSchedule(), restarts=_ANNEAL_RESTARTS,
-            )
-            if result.status != "found":
-                # annealing can stall on the densest targets; fall back to
-                # randomized exact backtracking, which shares the checker
-                result = search.search_randomized(
-                    spec, seed=seed, restarts=_RANDOMIZED_RESTARTS,
-                )
+        if rec.op == "randomized":
+            result = search.search_randomized(spec, seed=zlib.crc32(rec.name.encode()),
+                                              restarts=search.RANDOMIZED_RESTARTS)
         else:
             result = search.search_exact(spec, _EXACT_BUDGET)
         if result.status == "found":
             return result.embedding
         last_status = result.status
-    budget = (f"anneal x{_ANNEAL_RESTARTS}, then randomized exact x{_RANDOMIZED_RESTARTS}"
-              if rec.op == "annealed" else _EXACT_BUDGET)
+    budget = (f"randomized x{search.RANDOMIZED_RESTARTS}" if rec.op == "randomized"
+              else _EXACT_BUDGET)
     raise CatalogError(f"{rec.name}: witness search failed (status={last_status}, budget={budget})")
 
 

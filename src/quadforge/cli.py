@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import catalog, emap, graphalg, planner, search, serialize, surgery
-from .errors import FormatError, QuadforgeError
+from .errors import FormatError, QuadforgeError, StructuralError
 from .serialize import _parse_label
 
 
@@ -54,9 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search for an embedding matching a spec file")
     p.add_argument("--spec", required=True)
-    p.add_argument("--method", choices=("exact", "anneal", "random"), default="exact")
+    p.add_argument("--method", choices=("exact", "random"), default="exact")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=search.RANDOMIZED_RESTARTS)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
@@ -200,9 +200,16 @@ def _parse_spec_file(text: str) -> search.WitnessSpec:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if key == "graph":
-            graph = graphalg.parse_expr(rest).eval()
+            try:
+                expr = graphalg.parse_expr(rest)
+            except StructuralError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
+            graph = expr.eval()
         elif key == "chi":
-            chi = int(rest)
+            try:
+                chi = int(rest)
+            except ValueError:
+                raise FormatError(f"line {lineno}: chi must be an integer, got {rest!r}") from None
         elif key == "orientable":
             if rest not in ("true", "false", "either"):
                 raise FormatError(f"line {lineno}: orientable must be true/false/either")
@@ -241,24 +248,19 @@ def _parse_predicate(name: str, toks: list, lineno: int) -> tuple:
 
 
 def _search_worker(payload):
-    spec, method, seed, restarts = payload
-    if method == "anneal":
-        return search.search_anneal(spec, seed=seed, restarts=restarts)
+    spec, seed, restarts = payload
     return search.search_randomized(spec, seed=seed, restarts=restarts)
 
 
 def _cmd_search(args) -> int:
-    spec = _parse_spec_file(open(args.spec).read())
+    with open(args.spec) as fh:
+        spec = _parse_spec_file(fh.read())
     if args.method == "exact":
         result = search.search_exact(spec, args.budget)
+    elif args.workers > 1:
+        result = _parallel_search(spec, args.seed, args.restarts, args.workers)
     else:
-        restarts = args.restarts if args.restarts is not None else (
-            64 if args.method == "anneal" else 512)
-        if args.workers > 1:
-            result = _parallel_search(spec, args.method, args.seed,
-                                      restarts, args.workers)
-        else:
-            result = _search_worker((spec, args.method, args.seed, restarts))
+        result = _search_worker((spec, args.seed, args.restarts))
     if result.status == "found":
         _emit(args, result.embedding)
         return 0
@@ -267,7 +269,7 @@ def _cmd_search(args) -> int:
     return 1
 
 
-def _parallel_search(spec, method, seed, restarts, workers):
+def _parallel_search(spec, seed, restarts, workers):
     """Split restarts across worker processes; the first hit wins and stops the
     others (order of completion, so multi-worker runs are not reproducible).
     Without a hit, the result sums every worker's nodes and names every
@@ -275,7 +277,7 @@ def _parallel_search(spec, method, seed, restarts, workers):
     import multiprocessing
 
     per = max(1, restarts // workers)
-    payloads = [(spec, method, seed + k, per) for k in range(workers)]
+    payloads = [(spec, seed + k, per) for k in range(workers)]
     misses = []
     # fork: workers inherit the loaded modules; this process starts no threads.
     # Leaving the block terminates the pool, killing workers still searching.

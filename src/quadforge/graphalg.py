@@ -360,16 +360,22 @@ def _label_token(tok: str) -> Label:
     return int(tok) if re.fullmatch(r"-?\d+", tok) else tok
 
 
+def _int_token(tok: str) -> int:
+    if not re.fullmatch(r"-?\d+", tok):
+        raise StructuralError(f"expected an integer in expression, got {tok!r}")
+    return int(tok)
+
+
 def _parse(tokens):
     if not tokens:
         raise StructuralError("unexpected end of expression")
     head, rest = tokens[0], tokens[1:]
     if head in ("K", "empty", "H", "J"):
         nums, rest = _parse_args(rest, 1)
-        return GraphExpr(head, (int(nums[0]),)), rest
+        return GraphExpr(head, (_int_token(nums[0]),)), rest
     if head == "Kmn":
         nums, rest = _parse_args(rest, 2)
-        return GraphExpr(head, (int(nums[0]), int(nums[1]))), rest
+        return GraphExpr(head, (_int_token(nums[0]), _int_token(nums[1]))), rest
     if head == "phi":
         names, rest = _parse_args(rest, 1)
         return GraphExpr(head, (names[0],)), rest

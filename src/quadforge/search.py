@@ -1,26 +1,24 @@
 """Materializing base embeddings from property specifications.
 
-Two engines:
+One engine, ``_QuadSearcher``: depth-first search over signed rotation
+systems that builds quadrangular faces one at a time, always extending the
+face of the lexicographically smallest open tracing state.  Partial walks
+that cannot close at length 4 are pruned immediately.  Symmetry is broken by
+fixing every spanning-tree edge sign to +1 (each switching class has exactly
+one such representative) and by orienting one high-degree vertex's rotation
+(quotienting the global reflection).  It is driven two ways:
 
-* ``search_exact`` - depth-first search over signed rotation systems that
-  builds quadrangular faces one at a time, always extending the face of the
-  lexicographically smallest open tracing state.  Partial walks that cannot
-  close at length 4 are pruned immediately.  Symmetry is broken by fixing
-  every spanning-tree edge sign to +1 (each switching class has exactly one
-  such representative) and by orienting one high-degree vertex's rotation
-  (quotienting the global reflection).  With an unlimited budget, "none" is
-  therefore a proof of nonexistence for the labeled graph.
+* ``search_exact`` - one exhaustive run.  With an unlimited budget, "none"
+  is therefore a proof of nonexistence for the labeled graph.
 
-* ``search_anneal`` - simulated annealing over the same space with energy
-  sum over faces of |length - 4| plus an orientability-mismatch penalty,
-  for targets too large to backtrack.
+* ``search_randomized`` - many short runs, each with its branch order
+  shuffled, for targets too large to backtrack exhaustively.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from . import emap, surgery
@@ -355,14 +353,15 @@ def search_exact(spec: WitnessSpec, budget: int | None = None) -> SearchResult:
     return SearchResult("none", None, searcher.nodes)
 
 
-def search_randomized(
-    spec: WitnessSpec,
-    seed: int = 0,
-    restarts: int = 512,
-    candidates_per_restart: int = 4,
-) -> SearchResult:
+RANDOMIZED_RESTARTS = 512
+CANDIDATES_PER_RESTART = 4
+
+
+def search_randomized(spec: WitnessSpec, seed: int = 0,
+                      restarts: int = RANDOMIZED_RESTARTS) -> SearchResult:
     """Random-restart exact backtracking: each restart shuffles branch order
-    and tests the first few quadrangular candidates against the predicates.
+    and tests the first ``CANDIDATES_PER_RESTART`` quadrangular candidates
+    against the predicates.
 
     Deterministic for fixed (spec, seed, restarts); no completeness claim —
     use search_exact for nonexistence proofs.
@@ -371,12 +370,10 @@ def search_randomized(
     total = 0
     for r in range(restarts):
         searcher = _QuadSearcher(spec.graph, spec.orientable, random.Random(1_000_003 * seed + r))
-        produced = 0
-        for emb in searcher.search(None):
-            produced += 1
+        for produced, emb in enumerate(searcher.search(None), start=1):
             if _matches(emb, spec):
                 return SearchResult("found", emb, total + searcher.nodes, seed=seed)
-            if produced >= candidates_per_restart:
+            if produced >= CANDIDATES_PER_RESTART:
                 break
         total += searcher.nodes
     return SearchResult("none", None, total, seed=seed)
@@ -408,189 +405,6 @@ def enumerate_embeddings(g: Graph, predicates=(), chi: int | None = None,
             continue
         if check_predicates(emb, predicates):
             yield emb
-
-
-# ---------------------------------------------------------------------------
-# Simulated annealing for the large fixed-graph targets.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoolingSchedule:
-    t_start: float = 2.0
-    t_end: float = 0.2
-    steps: int = 400_000
-
-
-class _AnnealState:
-    """Signed rotation state with an incrementally maintained successor table.
-
-    Tracing states are encoded as ``s = 4*ei + 2*side + (1 if o < 0 else 0)``
-    where ``side`` selects the tail endpoint of edge ``ei``.  ``succ[s]`` is
-    the next state of the face walk.  A rotation swap at a vertex only
-    invalidates the transitions entering that vertex; a sign flip only the
-    four states of that edge — so moves cost O(max degree), and a full energy
-    evaluation is a single pass over the flat table.
-    """
-
-    def __init__(self, graph: Graph, orientable: bool | None, rng: random.Random):
-        self.graph = graph
-        self.edges = graph.sorted_edges()
-        self.eindex = {e: i for i, e in enumerate(self.edges)}
-        self.vertices = graph.sorted_vertices()
-        self.rot = {}
-        self.pos = {}
-        for v in self.vertices:
-            ids = [self.eindex[e] for e in graph.incident_edges(v)]
-            rng.shuffle(ids)
-            self.rot[v] = ids
-            self.pos[v] = {ei: i for i, ei in enumerate(ids)}
-        self.sign = [1] * len(self.edges)
-        self.allow_flip = orientable is not True
-        if self.allow_flip:
-            for i in range(len(self.edges)):
-                if rng.random() < 0.5:
-                    self.sign[i] = -1
-        self.swappable = [v for v in self.vertices if len(self.rot[v]) >= 3]
-        self.succ = [0] * (4 * len(self.edges))
-        for s in range(len(self.succ)):
-            self.succ[s] = self._compute(s)
-
-    def _compute(self, s: int) -> int:
-        ei, rest = divmod(s, 4)
-        side, oneg = divmod(rest, 2)
-        e = self.edges[ei]
-        head = e[1 - side]
-        o2 = (-1 if oneg else 1) * self.sign[ei]
-        rot = self.rot[head]
-        p = self.pos[head][ei]
-        fi = rot[(p + o2) % len(rot)]
-        fe = self.edges[fi]
-        return 4 * fi + (2 if fe[1] == head else 0) + (1 if o2 == -1 else 0)
-
-    def _refresh_vertex(self, v) -> None:
-        for ei in self.rot[v]:
-            e = self.edges[ei]
-            side = 0 if e[1] == v else 1  # tail is the non-v endpoint
-            base = 4 * ei + 2 * side
-            self.succ[base] = self._compute(base)
-            self.succ[base + 1] = self._compute(base + 1)
-
-    def _refresh_edge(self, ei: int) -> None:
-        base = 4 * ei
-        for s in range(base, base + 4):
-            self.succ[s] = self._compute(s)
-
-    def energy(self) -> int:
-        succ = self.succ
-        seen = bytearray(len(succ))
-        total = 0
-        for s in range(len(succ)):
-            if seen[s]:
-                continue
-            length = 0
-            cur = s
-            while not seen[cur]:
-                seen[cur] = 1
-                length += 1
-                cur = succ[cur]
-            total += abs(length - 4)
-        return total // 2
-
-    def propose(self, rng: random.Random):
-        if self.allow_flip and rng.random() < 0.25:
-            ei = rng.randrange(len(self.edges))
-            self.sign[ei] = -self.sign[ei]
-            self._refresh_edge(ei)
-            return ("sign", ei)
-        v = self.swappable[rng.randrange(len(self.swappable))]
-        rot = self.rot[v]
-        i = rng.randrange(len(rot))
-        j = (i + 1) % len(rot)
-        rot[i], rot[j] = rot[j], rot[i]
-        self.pos[v][rot[i]] = i
-        self.pos[v][rot[j]] = j
-        self._refresh_vertex(v)
-        return ("swap", v, i, j)
-
-    def undo(self, move) -> None:
-        if move[0] == "sign":
-            _, ei = move
-            self.sign[ei] = -self.sign[ei]
-            self._refresh_edge(ei)
-        else:
-            _, v, i, j = move
-            rot = self.rot[v]
-            rot[i], rot[j] = rot[j], rot[i]
-            self.pos[v][rot[i]] = i
-            self.pos[v][rot[j]] = j
-            self._refresh_vertex(v)
-
-    def to_embedding(self) -> Embedding:
-        rotation = {v: tuple(self.edges[i] for i in self.rot[v]) for v in self.vertices}
-        signature = {self.edges[i]: self.sign[i] for i in range(len(self.edges))}
-        return Embedding(self.graph, rotation, signature)
-
-
-def search_anneal(
-    spec: WitnessSpec,
-    seed: int = 0,
-    schedule: CoolingSchedule = CoolingSchedule(),
-    restarts: int = 64,
-) -> SearchResult:
-    """Stochastic witness search; deterministic for fixed (spec, seed, schedule, restarts).
-
-    ``nodes`` counts the annealing steps taken, summed over the restarts.
-    """
-    spec.validate()
-    steps = 0
-    for r in range(restarts):
-        rng = random.Random(1_000_003 * seed + r)
-        found, taken = _anneal_once(spec, rng, schedule)
-        steps += taken
-        if found is not None:
-            return SearchResult("found", found, steps, seed=seed)
-    return SearchResult("none", None, steps, seed=seed)
-
-
-def _anneal_once(spec: WitnessSpec, rng: random.Random, schedule: CoolingSchedule) -> tuple:
-    """(witness or None, steps taken) of one annealing run."""
-    state = _AnnealState(spec.graph, spec.orientable, rng)
-    energy = state.energy()
-    ratio = schedule.t_end / schedule.t_start
-    exp = math.exp
-    for k in range(schedule.steps):
-        if energy == 0:
-            candidate = _accept_candidate(state, spec)
-            if candidate is not None:
-                return candidate, k + 1
-            # an optimum that fails the predicate bundle: kick and keep going
-            for _ in range(12):
-                state.propose(rng)
-            energy = state.energy()
-            continue
-        temp = schedule.t_start * (ratio ** (k / schedule.steps))
-        move = state.propose(rng)
-        new_energy = state.energy()
-        if new_energy <= energy or rng.random() < exp((energy - new_energy) / temp):
-            energy = new_energy
-        else:
-            state.undo(move)
-    if energy == 0:
-        return _accept_candidate(state, spec), schedule.steps
-    return None, schedule.steps
-
-
-def _accept_candidate(state: _AnnealState, spec: WitnessSpec):
-    try:
-        emb = state.to_embedding()
-        faces = emb.faces()
-    except QuadforgeError:
-        return None
-    if not all(len(w) == 4 for w in faces):
-        return None
-    if not _matches(emb, spec):
-        return None
-    return emb
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,10 @@ def diamond_sum(
 
     The neighbor cycle of v is matched against the reversed neighbor cycle
     of v2 rotated by ``offset`` (non-reversed when ``reflect``).  With
-    ``reflect=None`` the reflection is chosen so that the result is
-    orientable exactly when both inputs are.
+    ``reflect=None`` the first gluing that builds is taken, reversed first.
+    Either gluing keeps the contract that the result is orientable exactly
+    when both inputs are (two surfaces glued along a boundary circle give an
+    orientable surface exactly when both are); it is checked on the output.
     """
     if not emap.is_quadrangular(a) or not emap.is_quadrangular(b):
         raise SurgeryError("diamond sum requires quadrangular embeddings")
@@ -135,22 +137,14 @@ def diamond_sum(
         raise SurgeryError(f"diamond sum site needs degree >= 3, got {d}")
 
     if reflect is None:
-        want_orientable = emap.is_orientable(a) and emap.is_orientable(b)
-        last = None
-        for r in (False, True):
-            try:
-                out = _diamond_sum_fixed(a, v, b, v2, offset, r)
-            except SurgeryError as exc:
-                last = exc
-                continue
-            if emap.is_orientable(out) == want_orientable:
-                return out
-        if last is not None:
-            raise last
-        raise SurgeryError("no gluing reflection satisfies the orientability contract")
-    out = _diamond_sum_fixed(a, v, b, v2, offset, reflect)
+        try:
+            out = _diamond_sum_fixed(a, v, b, v2, offset, False)
+        except SurgeryError:
+            out = _diamond_sum_fixed(a, v, b, v2, offset, True)
+    else:
+        out = _diamond_sum_fixed(a, v, b, v2, offset, reflect)
     if emap.is_orientable(out) != (emap.is_orientable(a) and emap.is_orientable(b)):
-        raise SurgeryError("requested gluing violates the orientability contract")
+        raise SurgeryError("gluing violates the orientability contract")
     return out
 
 

@@ -243,20 +243,30 @@ def test_failed_anneal_reports_the_budgets_it_ran(catalog_copy, monkeypatch):
     (catalog_copy / "phi_8_4_star.emap").unlink()
     runs = []
 
-    def miss(method):
-        def run(spec, **kwargs):
-            runs.append((method, kwargs.get("restarts")))
-            return search.SearchResult("none", None, 0)
-        return run
+    def miss(spec, **kwargs):
+        runs.append(kwargs.get("restarts"))
+        return search.SearchResult("none", None, 0)
 
-    monkeypatch.setattr(search, "search_anneal", miss("anneal"))
-    monkeypatch.setattr(search, "search_randomized", miss("randomized"))
+    monkeypatch.setattr(search, "search_randomized", miss)
     with pytest.raises(CatalogError) as err:
         catalog.get_witness("phi_8_4_star")
-    assert runs == [("anneal", 4), ("randomized", 512)]
+    assert runs == [512]
     assert "status=none" in str(err.value)
-    assert "budget=anneal x4, then randomized exact x512" in str(err.value)
+    assert "budget=randomized x512" in str(err.value)
     assert not (catalog_copy / "phi_8_4_star.emap").exists()
+
+
+def test_missing_randomized_witness_is_searched_again(catalog_copy):
+    path = catalog_copy / "phi_8_4_star.emap"
+    path.unlink()
+    emb = catalog.get_witness("phi_8_4_star")
+    catalog._verify(catalog.get_record("phi_8_4_star"), emb)
+    assert serialize.parse_emap(path.read_text()) == emb
+    manifest = (catalog_copy / "manifest.txt").read_text()
+    assert manifest.count("phi_8_4_star ") == 1
+    report = catalog.verify_all()
+    assert len(report) == len(catalog.record_table())
+    assert [(name, msg) for name, ok, msg in report if not ok] == []
 
 
 def test_parse_bug_propagates_from_witness_loads(catalog_copy, monkeypatch):

@@ -125,11 +125,27 @@ def test_search_unsatisfiable(tmp_path, capsys):
     assert "no witness" in stderr
 
 
+BAD_SPEC_FILES = [
+    ("graph K(4)\n", "needs both a graph and a chi line"),
+    ("graph K(4)\nchi x\n", "line 2"),
+    ("graph K(x)\nchi 1\n", "line 1"),
+    ("chi 1\n# K4\ngraph K(4\n", "line 3"),
+]
+
+
 def test_search_bad_spec_file(tmp_path, capsys):
     spec = tmp_path / "bad.spec"
-    spec.write_text("graph K(4)\n")
-    code, _, stderr = run(capsys, "search", "--spec", str(spec))
-    assert code == 2
+    for text, where in BAD_SPEC_FILES:
+        spec.write_text(text)
+        code, _, stderr = run(capsys, "search", "--spec", str(spec))
+        assert (code, "format error" in stderr, where in stderr) == (2, True, True), text
+
+
+def test_search_method_is_exact_or_random(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--spec", str(tmp_path / "any.spec"), "--method", "anneal"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'anneal'" in capsys.readouterr().err
 
 
 def test_surgery_diamond_via_files(tmp_path, capsys):
@@ -280,7 +296,7 @@ _FAKE = {}
 
 
 def _fake_search_worker(payload):
-    _, _, seed, _ = payload
+    _, seed, _ = payload
     if _FAKE["mode"] == "miss":
         return search.SearchResult("none", None, 10 + seed, seed=seed)
     if seed == 0:
@@ -299,7 +315,7 @@ def test_parallel_search_stops_the_other_workers_on_a_hit(tmp_path, monkeypatch)
     monkeypatch.setitem(_FAKE, "started", multiprocessing.get_context("fork").Event())
     monkeypatch.setitem(_FAKE, "finished", tmp_path / "finished")
     monkeypatch.setattr(cli, "_search_worker", _fake_search_worker)
-    result = cli._parallel_search(None, "anneal", 0, 2, 2)
+    result = cli._parallel_search(None, 0, 2, 2)
     assert result.status == "found"
     assert result.embedding == witness
     # the blocked worker was killed, not waited for
@@ -309,7 +325,7 @@ def test_parallel_search_stops_the_other_workers_on_a_hit(tmp_path, monkeypatch)
 def test_parallel_search_miss_reports_every_worker(monkeypatch):
     monkeypatch.setitem(_FAKE, "mode", "miss")
     monkeypatch.setattr(cli, "_search_worker", _fake_search_worker)
-    result = cli._parallel_search(None, "anneal", 5, 6, 3)
+    result = cli._parallel_search(None, 5, 6, 3)
     assert result.status == "none"
     assert result.embedding is None
     assert result.nodes == 15 + 16 + 17

@@ -1,9 +1,8 @@
-"""Exact search, randomized restarts, annealing machinery, and sweeps."""
+"""Exact search, randomized restarts, enumeration, and sweeps."""
 
 from __future__ import annotations
 
 import itertools
-import random
 
 import pytest
 
@@ -98,23 +97,6 @@ def test_randomized_restarts_are_deterministic():
     assert search.check_predicates(a.embedding, spec.predicates)
 
 
-def test_anneal_state_energy_matches_direct_count():
-    import random
-    g = graphalg.phi_target("phi_7_0_plus")
-    st = search._AnnealState(g, orientable=False, rng=random.Random(3))
-    # incremental energy equals a from-scratch trace of the same state;
-    # the state table walks each face once per direction, hence the factor 2
-    emb = st.to_embedding()
-    direct = sum(abs(len(w) - 4) // 2 for w in emb.faces())
-    assert st.energy() == 2 * direct
-
-
-def test_anneal_finds_small_target():
-    g = cycle_graph(4)
-    spec = search.WitnessSpec(graph=g, chi=2, orientable=True)
-    res = search.search_anneal(spec, seed=1, restarts=4)
-    assert res.status == "found"
-    assert emap.is_quadrangular(res.embedding)
 
 
 def test_check_predicates_unknown_name():
@@ -159,26 +141,6 @@ def test_delete_degree2_bug_is_not_read_as_failed_predicate(monkeypatch):
         search.check_predicates(emb, (("delete_degree2_face_simple", "z"),))
 
 
-def test_anneal_candidate_bug_propagates(monkeypatch):
-    spec = search.WitnessSpec(graph=graphalg.complete(4), chi=1, orientable=False)
-    state = search._AnnealState(spec.graph, spec.orientable, random.Random(0))
-    monkeypatch.setattr(emap.Embedding, "faces", _raise_key_error)
-    with pytest.raises(KeyError):
-        search._accept_candidate(state, spec)
-
-
-def test_anneal_reports_its_steps():
-    hit = search.search_anneal(
-        search.WitnessSpec(graph=cycle_graph(4), chi=2, orientable=True), seed=1, restarts=4)
-    assert hit.status == "found"
-    assert hit.nodes >= 1
-    # K4 has no face-simple quadrangulation of the projective plane
-    spec = search.WitnessSpec(graph=graphalg.complete(4), chi=1, orientable=False,
-                              predicates=(("face_simple",),))
-    miss = search.search_anneal(spec, seed=0, restarts=3,
-                                schedule=search.CoolingSchedule(steps=40))
-    assert miss.status == "none"
-    assert miss.nodes == 3 * 40
 
 
 def test_sweep_past_the_cap_fails_before_enumerating(monkeypatch):
