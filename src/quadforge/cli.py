@@ -13,8 +13,8 @@ import argparse
 import sys
 
 from . import catalog, emap, graphalg, planner, search, serialize, surgery
+from .emap import parse_label
 from .errors import FormatError, QuadforgeError, StructuralError
-from .serialize import _parse_label
 
 
 def main(argv=None) -> int:
@@ -31,6 +31,13 @@ def main(argv=None) -> int:
     except QuadforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,9 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--method", choices=("exact", "random"), default="exact")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=search.RANDOMIZED_RESTARTS)
+    p.add_argument("--restarts", type=_positive_int, default=search.RANDOMIZED_RESTARTS)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
 
@@ -193,6 +200,7 @@ def _parse_spec_file(text: str) -> search.WitnessSpec:
     chi = None
     orientable = None
     predicates = []
+    named = []  # (line, vertex labels) of each predicate
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -215,18 +223,25 @@ def _parse_spec_file(text: str) -> search.WitnessSpec:
                 raise FormatError(f"line {lineno}: orientable must be true/false/either")
             orientable = None if rest == "either" else rest == "true"
         elif key == "predicate":
+            if not rest:
+                raise FormatError(f"line {lineno}: predicate needs a name")
             name, *toks = rest.split()
-            predicates.append(_parse_predicate(name, toks, lineno))
+            labels = tuple(parse_label(t) for t in toks)
+            predicates.append(_parse_predicate(name, labels, lineno))
+            named.append((lineno, labels))
         else:
             raise FormatError(f"line {lineno}: unknown spec key {key!r}")
     if graph is None or chi is None:
         raise FormatError("spec file needs both a graph and a chi line")
+    for lineno, labels in named:
+        for v in labels:
+            if v not in graph.vertices:
+                raise FormatError(f"line {lineno}: vertex {v!r} is not in the graph")
     return search.WitnessSpec(graph=graph, chi=chi, orientable=orientable,
                               predicates=tuple(predicates))
 
 
-def _parse_predicate(name: str, toks: list, lineno: int) -> tuple:
-    labels = tuple(_parse_label(t) for t in toks)
+def _parse_predicate(name: str, labels: tuple, lineno: int) -> tuple:
     if name in ("face_simple", "universal_vertex",
                 "nearly_face_simple_except_some_universal"):
         if labels:
@@ -270,14 +285,16 @@ def _cmd_search(args) -> int:
 
 
 def _parallel_search(spec, seed, restarts, workers):
-    """Split restarts across worker processes; the first hit wins and stops the
-    others (order of completion, so multi-worker runs are not reproducible).
-    Without a hit, the result sums every worker's nodes and names every
-    status that occurred."""
+    """Split exactly ``restarts`` restarts across ``min(workers, restarts)``
+    worker processes, the first ``restarts % workers`` taking one more; the
+    first hit wins and stops the others (order of completion, so multi-worker
+    runs are not reproducible).  Without a hit, the result sums every worker's
+    nodes and names every status that occurred."""
     import multiprocessing
 
-    per = max(1, restarts // workers)
-    payloads = [(spec, seed + k, per) for k in range(workers)]
+    workers = min(workers, restarts)
+    per, extra = divmod(restarts, workers)
+    payloads = [(spec, seed + k, per + (k < extra)) for k in range(workers)]
     misses = []
     # fork: workers inherit the loaded modules; this process starts no threads.
     # Leaving the block terminates the pool, killing workers still searching.
@@ -293,8 +310,8 @@ def _parallel_search(spec, seed, restarts, workers):
 def _cmd_diamond(args) -> int:
     a = _load(args.file_a)
     b = _load(args.file_b)
-    out = surgery.diamond_sum(a, _parse_label(args.vertex_a),
-                              b, _parse_label(args.vertex_b),
+    out = surgery.diamond_sum(a, parse_label(args.vertex_a),
+                              b, parse_label(args.vertex_b),
                               offset=args.offset,
                               reflect=True if args.reflect else None)
     _emit(args, out)
@@ -303,7 +320,7 @@ def _cmd_diamond(args) -> int:
 
 def _cmd_handle(args) -> int:
     emb = _load(args.file)
-    cycle = tuple(_parse_label(t) for t in args.cycle)
+    cycle = tuple(parse_label(t) for t in args.cycle)
     sites = surgery.find_handle_sites(emb, cycle)
     if not sites:
         print(f"error: no handle site for cycle {cycle}", file=sys.stderr)
@@ -314,14 +331,14 @@ def _cmd_handle(args) -> int:
 
 def _cmd_delete2(args) -> int:
     emb = _load(args.file)
-    _emit(args, surgery.delete_degree2(emb, _parse_label(args.vertex)))
+    _emit(args, surgery.delete_degree2(emb, parse_label(args.vertex)))
     return 0
 
 
 def _cmd_insert2(args) -> int:
     emb = _load(args.file)
-    face = tuple(_parse_label(t) for t in args.face)
-    out, z = surgery.insert_degree2(emb, face, _parse_label(args.corner))
+    face = tuple(parse_label(t) for t in args.face)
+    out, z = surgery.insert_degree2(emb, face, parse_label(args.corner))
     _say(args, f"inserted vertex {z}")
     _emit(args, out)
     return 0

@@ -19,7 +19,9 @@ tracing state is the integer
 The state that crosses edge e the other way on the other side of the surface
 is ``s ^ 3`` for a positive edge and ``s ^ 2`` for a negative one.  Faces are
 the orbits of a flat successor list over these states, taken in increasing
-order of their first state.
+order of their first state.  This is the repo's one encoding of a tracing
+state: the backtracking searcher (``search._QuadSearcher``) builds its faces
+over the same edge numbering, vertex ranks, states and reverse rule.
 """
 
 from __future__ import annotations
@@ -46,6 +48,14 @@ def vkey(v: Label):
     if isinstance(v, int):
         return (0, v, "")
     return (1, 0, v)
+
+
+def parse_label(token: str) -> Label:
+    """The label a text token names: an int when the token is ASCII
+    ``-?[0-9]+``, else the token itself.  Every reader and writer of labels
+    in text uses this one rule."""
+    digits = token[1:] if token[:1] == "-" else token
+    return int(token) if digits.isdigit() and digits.isascii() else token
 
 
 def edge_between(u: Label, v: Label) -> Edge:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .emap import Graph, Label, edge_between, vkey
+from .emap import Graph, Label, edge_between, parse_label, vkey
 from .errors import CatalogError, StructuralError
 
 if TYPE_CHECKING:
@@ -356,14 +356,11 @@ def _tokenize(text: str) -> list:
     return out
 
 
-def _label_token(tok: str) -> Label:
-    return int(tok) if re.fullmatch(r"-?\d+", tok) else tok
-
-
 def _int_token(tok: str) -> int:
-    if not re.fullmatch(r"-?\d+", tok):
+    value = parse_label(tok)
+    if not isinstance(value, int):
         raise StructuralError(f"expected an integer in expression, got {tok!r}")
-    return int(tok)
+    return value
 
 
 def _parse(tokens):
@@ -410,7 +407,7 @@ def _parse(tokens):
         rest = _expect(rest, ",")
         if not rest:
             raise StructuralError("subdivide needs a fresh label")
-        label, rest = _label_token(rest[0]), rest[1:]
+        label, rest = parse_label(rest[0]), rest[1:]
         rest = _expect(rest, ")")
         return GraphExpr(head, (a, pair, label)), rest
     raise StructuralError(f"unknown expression head {head!r}")
@@ -422,7 +419,7 @@ def _parse_pair(tokens):
         tokens = [tokens[0], "-", tokens[1][1:]] + list(tokens[2:])
     if len(tokens) < 3 or tokens[1] != "-":
         raise StructuralError("expected a u-v vertex pair")
-    return (_label_token(tokens[0]), _label_token(tokens[2])), tokens[3:]
+    return (parse_label(tokens[0]), parse_label(tokens[2])), tokens[3:]
 
 
 def _parse_args(tokens, count):

@@ -220,12 +220,6 @@ def _check_sum_hypotheses(face_simple_side: surgery.FaceTable, side_face_simple:
     )
 
 
-# Every checked diamond sum performed by _induct_step is logged here as
-# (hypotheses_ok, output_face_simple) so callers can audit the guarantee
-# "hypotheses hold => the sum is face-simple" across a whole run.
-SUM_OBSERVATIONS: list = []
-
-
 def _induct_step(chain: surgery.FaceTable, block_record: str, m: int) -> None:
     """Splice one step into ``chain``: the block at x with K_{m,n'-1}, then that at z."""
     n_child = len(chain.vertices())
@@ -239,16 +233,13 @@ def _induct_step(chain: surgery.FaceTable, block_record: str, m: int) -> None:
                         "face-simplicity hypotheses")
     z = mid.splice(u, block, "x")["z"]
     mid_simple = mid.is_face_simple()
-    SUM_OBSERVATIONS.append((True, mid_simple))
     if not mid_simple:
         raise PlanError("intermediate diamond sum is not face-simple")
     v = _choose_universal(chain)
     if not _check_sum_hypotheses(mid, mid_simple, z, chain, v):
         raise PlanError("second diamond sum violates the face-simplicity hypotheses")
     chain.splice(v, mid, z)
-    out_simple = chain.is_face_simple()
-    SUM_OBSERVATIONS.append((True, out_simple))
-    if not out_simple:
+    if not chain.is_face_simple():
         raise PlanError("derivation output is not face-simple")
 
 

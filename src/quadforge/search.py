@@ -6,7 +6,16 @@ face of the lexicographically smallest open tracing state.  Partial walks
 that cannot close at length 4 are pruned immediately.  Symmetry is broken by
 fixing every spanning-tree edge sign to +1 (each switching class has exactly
 one such representative) and by orienting one high-degree vertex's rotation
-(quotienting the global reflection).  It is driven two ways:
+(quotienting the global reflection).
+
+The engine works in ``emap``'s one encoding of a face-tracing state: edges
+numbered in ``Graph.sorted_edges()`` order, vertices ranked by ``vkey``, the
+state ``s = 4*e + 2*side + (o == -1)`` and its reverse ``s ^ 3`` across a
+positive edge or ``s ^ 2`` across a negative one.  Of its own it keeps only
+what a partial rotation system needs: per-dart rotation links, the open
+edge signs and the marks of the states already on a closed face.  Each
+complete system becomes an ``Embedding``, whose faces ``Embedding._trace``
+traces with the same states.  It is driven two ways:
 
 * ``search_exact`` - one exhaustive run.  With an unlimited budget, "none"
   is therefore a proof of nonexistence for the labeled graph.
@@ -97,7 +106,6 @@ class SearchResult:
     status: str  # "found" | "none" | "exhausted"
     embedding: Embedding | None = None
     nodes: int = 0
-    seed: int | None = None
 
 
 class _Budget(Exception):
@@ -105,239 +113,151 @@ class _Budget(Exception):
 
 
 class _QuadSearcher:
-    """Backtracking search for quadrangular signed rotation systems."""
+    """Backtracking search for quadrangular signed rotation systems.
+
+    It runs on ``emap``'s tracing states.  Edge e is the e-th edge of
+    ``graph.sorted_edges()``, and dart ``d = 2*e + end`` is e at its smaller
+    (end 0) or larger (end 1) endpoint.  The state leaving along dart d with
+    orientation o is ``s = 2*d + (o == -1)``, and its head is dart
+    ``(s >> 1) ^ 1``.  The partial rotation at a vertex is kept as per-dart
+    links ``nxt``/``prv`` (-1 while open), and ``done`` marks the states of
+    the closed faces, each with its reverse ``s ^ 3`` or ``s ^ 2``.  Every
+    move is undone by the frame that made it.
+    """
 
     def __init__(self, graph: Graph, orientable: bool | None, rng: random.Random | None = None):
         self.graph = graph
-        self.orientable = orientable
         self.rng = rng  # when set, branch order is shuffled (search stays exhaustive)
-        self.vertices = graph.sorted_vertices()
         self.edges = graph.sorted_edges()
-        self.eindex = {e: i for i, e in enumerate(self.edges)}
-        self.m = len(self.edges)
-        self.incident = {v: [self.eindex[e] for e in graph.incident_edges(v)] for v in self.vertices}
-        self.deg = {v: len(self.incident[v]) for v in self.vertices}
-        # succ/pred per vertex: partial rotation as edge-id -> edge-id links
-        self.succ = {v: {} for v in self.vertices}
-        self.pred = {v: {} for v in self.vertices}
-        self.links = {v: 0 for v in self.vertices}
-        self.sign = [0] * self.m  # 0 unknown, else +1/-1
-        self._fix_signs()
-        self._fix_reflection_vertex()
-        self.done = [False] * (4 * self.m)
+        rank = {v: i for i, v in enumerate(graph.sorted_vertices())}
+        self.vertex = [rank[v] for e in self.edges for v in e]  # dart -> vertex rank
+        self.darts = [[] for _ in rank]  # vertex rank -> its darts, in edge order
+        for d, v in enumerate(self.vertex):
+            self.darts[v].append(d)
+        self.nxt = [-1] * len(self.vertex)
+        self.prv = [-1] * len(self.vertex)
+        self.sign = [1] * len(self.edges) if orientable is True else self._tree_signs()
+        # Quotient the global reflection: at the first vertex of degree >= 3,
+        # its first dart's successor is a smaller dart than its predecessor.
+        self.refl = next((ds[0] for ds in self.darts if len(ds) >= 3), -1)
+        self.done = bytearray(4 * len(self.edges))
         self.nodes = 0
         self.budget = None
 
-    # -- symmetry breaking -------------------------------------------------
-    def _fix_signs(self):
-        if self.orientable is True:
-            self.sign = [1] * self.m
-            return
-        # Spanning-tree edges get sign +1: one representative per switching class.
-        root = self.vertices[0]
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for ei in self.incident[v]:
-                    e = self.edges[ei]
-                    w = emap.other_end(e, v)
-                    if w not in seen:
-                        seen.add(w)
-                        self.sign[ei] = 1
-                        nxt.append(w)
-            frontier = nxt
+    def _tree_signs(self) -> list:
+        """+1 on a BFS spanning tree and 0 (open) elsewhere: each switching
+        class has exactly one such representative."""
+        sign = [0] * len(self.edges)
+        order, seen = [0], {0}
+        for v in order:
+            for d in self.darts[v]:
+                w = self.vertex[d ^ 1]
+                if w not in seen:
+                    seen.add(w)
+                    sign[d >> 1] = 1
+                    order.append(w)
+        return sign
 
-    def _fix_reflection_vertex(self):
-        self.refl_v = None
-        for v in self.vertices:
-            if self.deg[v] >= 3:
-                self.refl_v = v
-                self.refl_e = min(self.incident[v])
-                break
-
-    def _reflection_ok(self, v) -> bool:
-        if v != self.refl_v:
-            return True
-        e0 = self.refl_e
-        s = self.succ[v].get(e0)
-        p = self.pred[v].get(e0)
-        if s is None or p is None:
-            return True
-        return s < p
-
-    # -- rotation link bookkeeping ----------------------------------------
-    def _can_link(self, v, e, f) -> bool:
-        if e in self.succ[v] or f in self.pred[v]:
+    def _can_link(self, a: int, b: int) -> bool:
+        """Whether the rotation at a's vertex may step from dart a to dart b:
+        both are free, and a cycle closes only through every dart there."""
+        nxt = self.nxt
+        if nxt[a] >= 0 or self.prv[b] >= 0:
             return False
-        if e == f:
-            return self.deg[v] == 1
-        # walk forward from f: closing back to e is only legal when the
-        # link completes the full rotation cycle at v
-        cur = f
-        while cur in self.succ[v]:
-            cur = self.succ[v][cur]
-        if cur == e and self.links[v] + 1 != self.deg[v]:
-            return False
-        return True
-
-    def _link(self, v, e, f):
-        self.succ[v][e] = f
-        self.pred[v][f] = e
-        self.links[v] += 1
-
-    def _unlink(self, v, e, f):
-        del self.succ[v][e]
-        del self.pred[v][f]
-        self.links[v] -= 1
-
-    # -- state encoding: (edge id, tail vertex, o) -------------------------
-    def _state_id(self, ei, tail_is_hi, o):
-        return 4 * ei + 2 * tail_is_hi + (0 if o == 1 else 1)
+        cur, k = b, 1
+        while nxt[cur] >= 0:
+            cur = nxt[cur]
+            k += 1
+        return cur != a or k == len(self.darts[self.vertex[a]])
 
     def search(self, budget: int | None) -> Iterator[Embedding]:
         self.budget = budget
-        yield from self._next_face()
+        yield from self._next_face(0)
 
-    def _next_face(self):
-        start = None
-        for s in range(4 * self.m):
-            if not self.done[s]:
-                start = s
-                break
-        if start is None:
+    def _next_face(self, start: int):
+        # the states below the first state of the face just closed are all done
+        start = self.done.find(0, start)
+        if start < 0:
             yield self._build()
-            return
-        ei, rest = divmod(start, 4)
-        tail_is_hi, oi = divmod(rest, 2)
-        e = self.edges[ei]
-        tail = e[1] if tail_is_hi else e[0]
-        o = 1 if oi == 0 else -1
-        yield from self._extend(start, [(ei, tail, o)], [])
+        else:
+            yield from self._extend([start])
 
-    def _trail_undo(self, trail):
-        for kind, *args in reversed(trail):
-            if kind == "link":
-                self._unlink(*args)
-            elif kind == "sign":
-                self.sign[args[0]] = 0
-            else:
-                self.done[args[0]] = False
-
-    def _extend(self, start, path, trail):
+    def _extend(self, path: list):
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise _Budget()
-        ei, tail, o = path[-1]
-        e = self.edges[ei]
-        head = emap.other_end(e, tail)
+        sign, nxt, prv, done, rng = self.sign, self.nxt, self.prv, self.done, self.rng
+        s = path[-1]
+        e, hd = s >> 2, (s >> 1) ^ 1  # the edge and its dart at the head
         closing = len(path) == 4
-
-        sign_options = [self.sign[ei]] if self.sign[ei] != 0 else [1, -1]
-        if self.rng is not None and len(sign_options) > 1:
-            self.rng.shuffle(sign_options)
-        for sg in sign_options:
-            o2 = o * sg
-            if closing:
-                s0_ei, s0_tail, s0_o = path[0]
-                if head != s0_tail or o2 != s0_o:
+        signs = [sign[e]] if sign[e] else [1, -1]
+        if rng is not None and len(signs) > 1:
+            rng.shuffle(signs)
+        for sg in signs:
+            o = (s & 1) ^ (sg < 0)  # orientation bit after crossing e
+            if closing and (o != path[0] & 1 or self.vertex[path[0] >> 1] != self.vertex[hd]):
+                continue
+            # corner at the head: o = +1 wants nxt[hd] = d, o = -1 wants nxt[d] = hd
+            forced = (prv if o else nxt)[hd]
+            if forced >= 0:
+                if closing and forced != path[0] >> 1:
                     continue
-                targets = [s0_ei]
+                choices = (forced,)
             else:
-                targets = None
-            # corner at head: o2=+1 wants succ(e)=f, o2=-1 wants succ(f)=e
-            if o2 == 1:
-                forced = self.succ[head].get(ei)
-            else:
-                forced = self.pred[head].get(ei)
-            if forced is not None:
-                choices = [forced] if (targets is None or forced in targets) else []
-                need_link = False
-            else:
-                pool = targets if targets is not None else self.incident[head]
-                if self.rng is not None and len(pool) > 1:
-                    pool = list(pool)
-                    self.rng.shuffle(pool)
-                choices = pool
-                need_link = True
-            for fi in choices:
-                if need_link:
-                    a, b = (ei, fi) if o2 == 1 else (fi, ei)
-                    if not self._can_link(head, a, b):
-                        continue
-                sub = []
-                if self.sign[ei] == 0:
-                    self.sign[ei] = sg
-                    sub.append(("sign", ei))
-                if need_link:
-                    a, b = (ei, fi) if o2 == 1 else (fi, ei)
-                    self._link(head, a, b)
-                    sub.append(("link", head, a, b))
-                    if not self._reflection_ok(head):
-                        self._trail_undo(sub)
-                        continue
-                if closing:
-                    ok = True
-                    marks = []
-                    for pei, ptail, po in path:
-                        pe = self.edges[pei]
-                        sid = self._state_id(pei, pe[1] == ptail, po)
-                        phead = emap.other_end(pe, ptail)
-                        comp = self._state_id(pei, pe[1] == phead, -po * self.sign[pei])
-                        if self.done[sid] or self.done[comp]:
-                            ok = False
-                            break
-                        self.done[sid] = True
-                        self.done[comp] = True
-                        marks.append(sid)
-                        marks.append(comp)
-                    if ok:
-                        trail.extend(sub)
-                        for sid in marks:
-                            trail.append(("done", sid))
-                        yield from self._next_face()
-                        for _ in range(len(sub) + len(marks)):
-                            trail.pop()
-                        for sid in marks:
-                            self.done[sid] = False
-                        self._trail_undo(sub)
-                    else:
-                        for sid in marks:
-                            self.done[sid] = False
-                        self._trail_undo(sub)
+                choices = (path[0] >> 1,) if closing else self.darts[self.vertex[hd]]
+                if rng is not None and len(choices) > 1:
+                    choices = list(choices)
+                    rng.shuffle(choices)
+            for d in choices:
+                a, b = (d, hd) if o else (hd, d)
+                if forced < 0 and not self._can_link(a, b):
+                    continue
+                fresh = not sign[e]
+                if fresh:
+                    sign[e] = sg
+                if forced < 0:
+                    nxt[a], prv[b] = b, a
+                if self.refl in (a, b) and nxt[self.refl] > prv[self.refl] >= 0:
+                    pass  # the mirror image of this branch is searched instead
+                elif closing:
+                    marked = self._close(path)
+                    if marked:
+                        yield from self._next_face(path[0])
+                        for t in marked:
+                            done[t] = 0
                 else:
-                    nxt_tail = head
-                    nxt_state = (fi, nxt_tail, o2)
-                    fe = self.edges[fi]
-                    sid = self._state_id(fi, fe[1] == nxt_tail, o2)
-                    if self.done[sid] or any(
-                        p == nxt_state for p in path
-                    ):
-                        self._trail_undo(sub)
-                        continue
-                    path.append(nxt_state)
-                    trail.extend(sub)
-                    yield from self._extend(start, path, trail)
-                    for _ in sub:
-                        trail.pop()
-                    path.pop()
-                    self._trail_undo(sub)
+                    t = 2 * d + o
+                    if not done[t] and t not in path:
+                        path.append(t)
+                        yield from self._extend(path)
+                        path.pop()
+                if forced < 0:
+                    nxt[a] = prv[b] = -1
+                if fresh:
+                    sign[e] = 0
+
+    def _close(self, path: list) -> list:
+        """Mark the face's states and their reverses done; [] if one already is."""
+        done, sign = self.done, self.sign
+        marked = []
+        for s in path:
+            rev = s ^ (3 if sign[s >> 2] > 0 else 2)
+            if done[s] or done[rev]:
+                for t in marked:
+                    done[t] = 0
+                return []
+            done[s] = done[rev] = 1
+            marked += (s, rev)
+        return marked
 
     def _build(self) -> Embedding:
         rotation = {}
-        for v in self.vertices:
-            start = min(self.incident[v])
-            cyc = [start]
-            cur = start
-            while True:
-                cur = self.succ[v][cur]
-                if cur == start:
-                    break
-                cyc.append(cur)
-            rotation[v] = tuple(self.edges[i] for i in cyc)
-        signature = {self.edges[i]: (self.sign[i] if self.sign[i] != 0 else 1) for i in range(self.m)}
-        return Embedding(self.graph, rotation, signature)
+        for v, ds in zip(self.graph.sorted_vertices(), self.darts):
+            cyc = ds[:1]
+            while cyc and self.nxt[cyc[-1]] != cyc[0]:
+                cyc.append(self.nxt[cyc[-1]])
+            rotation[v] = tuple(self.edges[d >> 1] for d in cyc)
+        return Embedding(self.graph, rotation, dict(zip(self.edges, self.sign)))
 
 
 def search_exact(spec: WitnessSpec, budget: int | None = None) -> SearchResult:
@@ -372,11 +292,11 @@ def search_randomized(spec: WitnessSpec, seed: int = 0,
         searcher = _QuadSearcher(spec.graph, spec.orientable, random.Random(1_000_003 * seed + r))
         for produced, emb in enumerate(searcher.search(None), start=1):
             if _matches(emb, spec):
-                return SearchResult("found", emb, total + searcher.nodes, seed=seed)
+                return SearchResult("found", emb, total + searcher.nodes)
             if produced >= CANDIDATES_PER_RESTART:
                 break
         total += searcher.nodes
-    return SearchResult("none", None, total, seed=seed)
+    return SearchResult("none", None, total)
 
 
 def _matches(emb: Embedding, spec: WitnessSpec) -> bool:

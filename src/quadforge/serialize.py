@@ -17,23 +17,17 @@ equals ``e``.
 
 from __future__ import annotations
 
-from .emap import Embedding, Graph, vkey
+from .emap import Embedding, Graph, parse_label, vkey
 from .errors import FormatError
 
 
 def _label_token(v) -> str:
     s = str(v)
-    # a string that looks like an int would be read back as one by _parse_label
+    # a string that looks like an int would be read back as one by parse_label
     if (not s or any(c.isspace() for c in s) or s == ":"
-            or (isinstance(v, str) and s.lstrip("-").isdigit())):
+            or (isinstance(v, str) and not isinstance(parse_label(s), str))):
         raise FormatError(f"vertex label {v!r} cannot be serialized")
     return s
-
-
-def _parse_label(token: str):
-    if token.lstrip("-").isdigit():
-        return int(token)
-    return token
 
 
 def write_emap(emb: Embedding) -> str:
@@ -74,7 +68,7 @@ def parse_emap(text: str) -> Embedding:
                 eid = int(parts[1])
                 if eid in edges_by_id:
                     raise FormatError(f"line {lineno}: duplicate edge id {eid}")
-                u, v = _parse_label(parts[2]), _parse_label(parts[3])
+                u, v = parse_label(parts[2]), parse_label(parts[3])
                 if parts[4] == "+":
                     sign = 1
                 elif parts[4] == "-":
@@ -89,7 +83,7 @@ def parse_emap(text: str) -> Embedding:
             elif tag == "r":
                 if parts[2] != ":":
                     raise FormatError(f"line {lineno}: expected ':' after vertex")
-                v = _parse_label(parts[1])
+                v = parse_label(parts[1])
                 if v in rotations:
                     raise FormatError(f"line {lineno}: duplicate rotation for vertex {v!r}")
                 rotations[v] = [int(t) for t in parts[3:]]

@@ -130,6 +130,9 @@ BAD_SPEC_FILES = [
     ("graph K(4)\nchi x\n", "line 2"),
     ("graph K(x)\nchi 1\n", "line 1"),
     ("chi 1\n# K4\ngraph K(4\n", "line 3"),
+    ("graph K(4)\nchi 1\npredicate nearly_face_simple_except --5\n", "line 3"),
+    ("graph K(4)\nchi 1\npredicate nearly_face_simple_except ²\n", "line 3"),
+    ("graph K(4)\nchi 1\npredicate\n", "line 3"),
 ]
 
 
@@ -296,16 +299,17 @@ _FAKE = {}
 
 
 def _fake_search_worker(payload):
-    _, seed, _ = payload
+    _, seed, restarts = payload
     if _FAKE["mode"] == "miss":
-        return search.SearchResult("none", None, 10 + seed, seed=seed)
+        # each worker reports its restart count in the decimal digit of its seed
+        return search.SearchResult("none", None, restarts * 10 ** seed)
     if seed == 0:
         _FAKE["started"].wait(60)  # hit only once the other worker is busy
-        return search.SearchResult("found", _FAKE["witness"], 1, seed=seed)
+        return search.SearchResult("found", _FAKE["witness"], 1)
     _FAKE["started"].set()
     time.sleep(60)
     _FAKE["finished"].write_text("a worker ran on after the first hit\n")
-    return search.SearchResult("none", None, 0, seed=seed)
+    return search.SearchResult("none", None, 0)
 
 
 def test_parallel_search_stops_the_other_workers_on_a_hit(tmp_path, monkeypatch):
@@ -325,7 +329,20 @@ def test_parallel_search_stops_the_other_workers_on_a_hit(tmp_path, monkeypatch)
 def test_parallel_search_miss_reports_every_worker(monkeypatch):
     monkeypatch.setitem(_FAKE, "mode", "miss")
     monkeypatch.setattr(cli, "_search_worker", _fake_search_worker)
-    result = cli._parallel_search(None, 5, 6, 3)
+    result = cli._parallel_search(None, 0, 6, 3)
     assert result.status == "none"
     assert result.embedding is None
-    assert result.nodes == 15 + 16 + 17
+    assert result.nodes == 222  # 2 restarts for each of the 3 workers
+    # exactly `restarts` restarts; the first `restarts % workers` workers take one more
+    assert cli._parallel_search(None, 0, 7, 3).nodes == 223
+    assert cli._parallel_search(None, 0, 2, 3).nodes == 11  # two workers start
+    assert cli._parallel_search(None, 0, 1, 4).nodes == 1
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--workers"])
+def test_search_restarts_and_workers_are_at_least_one(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--spec", str(tmp_path / "any.spec"), "--method", "random",
+                  flag, "0"])
+    assert exc.value.code == 2
+    assert "must be at least 1, got 0" in capsys.readouterr().err

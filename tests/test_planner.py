@@ -187,13 +187,10 @@ def test_each_plan_node_is_built_once(monkeypatch):
     distinct = {node for req in requests for node in induction_nodes(planner.plan(req))}
     catalog.clear_cache()
     calls = count_induction_steps(monkeypatch)
-    observed = len(planner.SUM_OBSERVATIONS)
     for req in requests:
         _, cert, _ = planner.generate(req)
         assert (cert.n, cert.t) == (req.n, req.t)
     assert len(calls) == len(distinct)
-    # both face-simplicity guards ran for every step that ran
-    assert len(planner.SUM_OBSERVATIONS) - observed == 2 * len(calls)
 
 
 def test_clearing_the_memo_executes_again(monkeypatch):

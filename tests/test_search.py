@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import zlib
+from pathlib import Path
 
 import pytest
 
-from quadforge import catalog, emap, graphalg, search, surgery
+from quadforge import catalog, emap, graphalg, search, serialize, surgery
 from quadforge.emap import Embedding, Graph
 from quadforge.errors import SearchError
 
@@ -66,7 +69,59 @@ def test_exact_search_exhaustion_is_budgeted():
     spec = search.WitnessSpec(graph=g, chi=-3, orientable=False)
     res = search.search_exact(spec, budget=5)
     assert res.status == "exhausted"
-    assert res.nodes <= 6  # the node that trips the budget is still counted
+    assert res.nodes == 6  # the node that trips the budget is still counted
+
+
+# The engine's output, pinned: the witness each search returns and the nodes
+# it took.  A change to the engine must keep every value.
+SHIPPED_CATALOG = Path(catalog.__file__).parent / "data" / "catalog"
+EXACT_NODES = {"phi_4_0": 32, "phi_5_0_star": 35, "phi_6_1": 234, "phi_7_0_plus": 4973,
+               "phi_7_2_plus": 5829, "phi_7_4_plus": 1712, "k_6_3": 116, "c4_sphere": 8,
+               "klein_6_3": 152}
+RANDOMIZED = {
+    "phi_7_2_plus_star":
+        (2373, "16522728b90882ce056abe4cb711d7ca33997fb744191cc4940b7005482b1994"),
+    "phi_8_4_star":
+        (7866, "1e8c76074ace992e15d31387de2ed2e96e88b2cfd8d8e7e4d94b9c5730955941"),
+    "phi_10_1_star":
+        (21565, "2379bcaad90cfc88423dbedb49aa8d73d3742f64ef6127cbac1759b3eb2e4271"),
+}
+ENUMERATED = {
+    (6, 1): "5e55a94cdb4c3cc445594da67609e6fa47f7d8c391cdac0af32b939d95baefe0",
+    (7, 0): "ecce4ee9c0bcc9f4f804a5f3c26573406799e99366461ef7d721a7d2f79d35c1",
+}
+
+
+def _record(name: str) -> catalog.CatalogRecord:
+    return next(rec for rec in catalog.record_table() if rec.name == name)
+
+
+def test_exact_search_reproduces_each_shipped_searched_witness():
+    searched = [rec for rec in catalog.record_table() if rec.op == "searched"]
+    assert sorted(rec.name for rec in searched) == sorted(EXACT_NODES)
+    for rec in searched:
+        res = search.search_exact(rec.spec_for(rec.graphs()[0]))
+        assert (res.status, res.nodes) == ("found", EXACT_NODES[rec.name]), rec.name
+        shipped = (SHIPPED_CATALOG / f"{rec.name}.emap").read_text()
+        assert serialize.write_emap(res.embedding) == shipped, rec.name
+
+
+@pytest.mark.parametrize("name", sorted(RANDOMIZED))
+def test_randomized_search_at_the_catalog_seed_is_pinned(name):
+    rec = _record(name)
+    res = search.search_randomized(rec.spec_for(rec.graphs()[0]),
+                                   seed=zlib.crc32(name.encode()))
+    digest = hashlib.sha256(serialize.write_emap(res.embedding).encode()).hexdigest()
+    assert (res.status, res.nodes, digest) == ("found", *RANDOMIZED[name])
+
+
+@pytest.mark.parametrize("n, chi", sorted(ENUMERATED))
+def test_enumeration_of_the_candidate_classes_is_pinned(n, chi):
+    digest = hashlib.sha256()
+    for g in search.candidate_graphs(n, chi):
+        for emb in search.enumerate_embeddings(g):
+            digest.update(serialize.write_emap(emb).encode())
+    assert digest.hexdigest() == ENUMERATED[n, chi]
 
 
 def test_enumeration_counts_small_graphs():

@@ -102,3 +102,15 @@ def test_digit_only_string_label_rejected(label):
         chi=2, orientable=True)).embedding
     with pytest.raises(FormatError, match="cannot be serialized"):
         serialize.write_emap(emb)
+
+
+@pytest.mark.parametrize("label", ["--5", "²"])
+def test_label_that_is_no_ascii_integer_round_trips(label):
+    # one integer rule, ASCII -?[0-9]+, for writing and reading labels
+    emb = search.search_exact(search.WitnessSpec(
+        graph=emap.Graph.from_edges([(0, label), (0, "y"), (1, label), (1, "y")]),
+        chi=2, orientable=True)).embedding
+    text = serialize.write_emap(emb)
+    again = serialize.parse_emap(text)
+    assert again == emb and label in again.graph.vertices
+    assert serialize.write_emap(again) == text
