@@ -17,12 +17,18 @@ variable.  The witness and ``K_{m,n}`` caches follow it: they are emptied when
 the directory changes, together with every cache registered by
 ``register_cache`` (the planner's memo of built plan nodes).
 
-``build_kmn`` composes orientable quadrangulations of ``K_{m,n}`` (m = 2 mod 4)
-by diamond sums at a vertex of degree m, ``K_{m,k} <> K_{m,j} = K_{m,k+j-2}``
-(Bouchet, JCTB 24, 1978).  Up to ``K_{m,m}`` it adds ``K_{m,3}`` one size at a
+The ``K_{m,n}`` (m = 2 mod 4, m >= 6) are summed in a ``surgery.FaceTable``,
+as the planner's chain is: ``K_{m,k} <> K_{m,j} = K_{m,k+j-2}`` (Bouchet, JCTB
+24, 1978) at an n-side vertex of each, and ``K_{m,3} = K_{m-4,3} <> K_{6,3}``
+at an m-side vertex of each, from the planar double wheel ``K_{m,2}`` and the
+record ``k_6_3``.  Up to ``K_{m,m}`` the chain adds ``K_{m,3}``, one size at a
 time; above it, it adds ``K_{m,m}``, a stride of m-2 sizes.  That is the
 planner's step (4 vertices with m = 6, 8 with m = 10), so the chain of sizes a
-derivation asks for costs one sum per step.  Every result is certified.
+derivation asks for costs one splice per step.  A cold build loops down to the
+nearest cached ``K`` and splices back up.  Each ``K`` is put on canonical
+labels (the m-side, of degree n, on 0..m-1, each side in ``vkey`` order),
+certified from its faces and cached as packed faces; ``kmn_table`` hands out a
+fresh table over them, and ``build_kmn`` an ``Embedding``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import hashlib
 import os
 import threading
 import zlib
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -390,97 +396,73 @@ def follow_catalog_dir() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Complete-bipartite quadrangulations via diamond-sum composition.
+# Complete-bipartite quadrangulations, summed in a face table.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KmnKey:
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.m % 4 != 2:
-            raise CatalogError(f"m must be congruent to 2 mod 4, got {self.m}")
-        if self.n < 2:
-            raise CatalogError(f"n must be at least 2, got {self.n}")
-
-
-_KMN_CACHE: dict = {}
+_KMN_CACHE: dict = {}  # (m, n) -> the faces of the certified K_{m,n}, frozen
 
 
 def build_kmn(m: int, n: int) -> Embedding:
-    """Orientable quadrangular embedding of K_{m,n} with canonical labels."""
-    key = KmnKey(m, n)
+    """Orientable quadrangular embedding of K_{m,n}: m-side 0..m-1, n-side m..m+n-1."""
+    return emap.embedding_from_faces(surgery.thawed(_kmn_faces(m, n)))
+
+
+def kmn_table(m: int, n: int) -> surgery.FaceTable:
+    """A fresh face table of the certified K_{m,n}, on ``build_kmn``'s labels."""
+    return surgery.FaceTable(surgery.thawed(_kmn_faces(m, n)))
+
+
+def _kmn_faces(m: int, n: int) -> bytes:
+    """The faces of K_{m,n}, summed up from the nearest cached K on first use."""
+    if m % 4 != 2 or m < 6:
+        raise CatalogError(f"m must be at least 6 and congruent to 2 mod 4, got {m}")
+    if n < 2:
+        raise CatalogError(f"n must be at least 2, got {n}")
     follow_catalog_dir()
-    if (key.m, key.n) in _KMN_CACHE:
-        return _KMN_CACHE[(key.m, key.n)]
-    emb = _build_kmn(key.m, key.n)
-    emb = _canonical_bipartite(emb, key.m, key.n)
-    _certify_kmn(emb, key.m, key.n)
-    _KMN_CACHE[(key.m, key.n)] = emb
-    return emb
+    path = []  # the K still to sum, the requested one first
+    while (m, n) not in _KMN_CACHE:
+        if n == 2 or (m, n) == (6, 3):
+            # the planar double wheel (both degree-m vertices see the m-cycle
+            # 0..m-1), or the catalog's K_{6,3}
+            base = ([(m, i, m + 1, (i + 1) % m) for i in range(m)] if n == 2
+                    else [w.vertices for w in get_witness("k_6_3").faces()])
+            _cache_kmn(surgery.FaceTable(base), m, n)
+            break
+        path.append((m, n))
+        m, n = (m - 4, 3) if n == 3 else (m, n - (m - 2 if n > m else 1))
+    if path:
+        table = surgery.FaceTable(surgery.thawed(_KMN_CACHE[m, n]))
+    for m, n in reversed(path):
+        if n == 3:  # K_{m-4,3} <> K_{6,3}, at an m-side vertex of each
+            table.splice(0, kmn_table(6, 3), 0)
+        else:  # K_{m,n-j+2} <> K_{m,j}, at an n-side vertex of each
+            table.splice(m, kmn_table(m, m if n > m else 3), m)
+        table = _cache_kmn(table, m, n)
+    return _KMN_CACHE[m, n]
 
 
-def _build_kmn(m: int, n: int) -> Embedding:
-    if n == 2:
-        # planar double wheel: both degree-m vertices see the m-cycle 0..m-1
-        faces = [(m, i, m + 1, (i + 1) % m) for i in range(m)]
-        return emap.embedding_from_faces(faces)
-    if n == 3:
-        if m == 6:
-            return get_witness("k_6_3")
-        a = build_kmn(m - 4, 3)
-        b, _ = surgery.fresh_relabel(build_kmn(6, 3), a.graph.vertices)
-        v = _first_vertex_of_degree(a, 3)
-        v2 = _first_vertex_of_degree(b, 3)
-        return surgery.diamond_sum(a, v, b, v2)
-    # K_{m,k} <> K_{m,j} = K_{m,k+j-2}: above K_{m,m} the second summand is
-    # K_{m,m}, a stride of m-2, the planner's step; below it, K_{m,3}.
-    j = m if n > m else 3
-    a = build_kmn(m, n - j + 2)
-    b, _ = surgery.fresh_relabel(build_kmn(m, j), a.graph.vertices)
-    v = _first_vertex_of_degree(a, m)
-    v2 = _first_vertex_of_degree(b, m)
-    return surgery.diamond_sum(a, v, b, v2)
+def _cache_kmn(table: surgery.FaceTable, m: int, n: int) -> surgery.FaceTable:
+    """Cache ``table``'s K_{m,n} on canonical labels, certified; returns its new table.
+
+    The m-side, whose vertices have degree n, comes first; each side is in
+    ``vkey`` order.
+    """
+    table = surgery.FaceTable(surgery.ranked_faces(
+        table.faces(), key=lambda v: (table.degree(v) != n, vkey(v))))
+    _certify_kmn(table, m, n)
+    _KMN_CACHE[m, n] = table.frozen()
+    return table
 
 
-def _first_vertex_of_degree(emb: Embedding, d: int):
-    for v in emb.graph.sorted_vertices():
-        if emb.graph.degree(v) == d:
-            return v
-    raise CatalogError(f"no vertex of degree {d} found")
-
-
-def _canonical_bipartite(emb: Embedding, m: int, n: int) -> Embedding:
-    root = emb.graph.sorted_vertices()[0]
-    color = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(emb.graph.neighbors(u), key=vkey):
-            if w not in color:
-                color[w] = 1 - color[u]
-                queue.append(w)
-    side0 = sorted((v for v, c in color.items() if c == 0), key=vkey)
-    side1 = sorted((v for v, c in color.items() if c == 1), key=vkey)
-    if len(side0) != m:
-        side0, side1 = side1, side0
-    if len(side0) != m or len(side1) != n:
-        raise CatalogError(f"graph is not bipartite with sides {m}, {n}")
-    mapping = {v: i for i, v in enumerate(side0)}
-    mapping.update({v: m + i for i, v in enumerate(side1)})
-    return surgery.relabel_embedding(emb, mapping)
-
-
-def _certify_kmn(emb: Embedding, m: int, n: int) -> None:
-    if emb.graph != graphalg.complete_bipartite(m, n):
-        raise CatalogError(f"builder output is not K_{{{m},{n}}}")
-    if not emap.is_quadrangular(emb):
-        raise CatalogError(f"K_{{{m},{n}}} embedding is not quadrangular")
-    if not emap.is_orientable(emb):
-        raise CatalogError(f"K_{{{m},{n}}} embedding is not orientable")
-    chi = m + n - m * n // 2
-    if emap.euler_characteristic(emb) != chi:
-        raise CatalogError(f"K_{{{m},{n}}} embedding has wrong Euler characteristic")
-    if min(m, n) >= 3 and not emap.is_face_simple(emb):
-        raise CatalogError(f"K_{{{m},{n}}} embedding is not face-simple")
+def _certify_kmn(table: surgery.FaceTable, m: int, n: int) -> None:
+    name = f"K_{{{m},{n}}}"
+    if set(table.edges()) != {(u, v) for u in range(m) for v in range(m, m + n)}:
+        raise CatalogError(f"builder output is not {name}")
+    if any(len(w) != 4 for w in table.faces()):
+        raise CatalogError(f"{name} embedding is not quadrangular")
+    if not table.is_orientable():
+        raise CatalogError(f"{name} embedding is not orientable")
+    if len(table.vertices()) - len(table.edges()) + len(table.faces()) != m + n - m * n // 2:
+        raise CatalogError(f"{name} embedding has wrong Euler characteristic")
+    if min(m, n) >= 3 and not table.is_face_simple():
+        raise CatalogError(f"{name} embedding is not face-simple")

@@ -15,9 +15,12 @@ diamond-summed at ``z`` with the child at one of its universal vertices.  The
 result gains 4 (or 8) vertices and ``i`` missing edges.  The sums are
 ``surgery.FaceTable`` splices: the chain is one face table, each step
 replaces the faces around the summed vertex, and the chain's vertices keep
-their labels.  The sum hypotheses are checked before every sum and
-face-simplicity after it, each answered from the tables' indices — the
-construction is refused rather than allowed to drift from its contract.
+their labels.  The complete-bipartite summand is a fresh table from
+``catalog.kmn_table``, summed at its first n-side vertex.  The sum hypotheses
+are checked before every sum and face-simplicity after it, each answered from
+the tables' indices — the construction is refused rather than allowed to
+drift from its contract.  No orientability is carried along the chain: the
+certificate of the finished embedding decides it.
 
 The chains are grounded in base nodes, each naming the catalog record that
 holds its ``(n, t)``.  Whether that record is searched or derived from
@@ -224,10 +227,8 @@ def _induct_step(chain: surgery.FaceTable, block_record: str, m: int) -> None:
     """Splice one step into ``chain``: the block at x with K_{m,n'-1}, then that at z."""
     n_child = len(chain.vertices())
     block = surgery.FaceTable.from_embedding(catalog.get_witness(block_record))
-    kmn = catalog.build_kmn(m, n_child - 1)
-    mid = surgery.FaceTable.from_embedding(kmn)
-    # u must come from the side whose vertices have degree m
-    u = next(v for v in kmn.graph.sorted_vertices() if kmn.graph.degree(v) == m)
+    mid = catalog.kmn_table(m, n_child - 1)
+    u = m  # the first vertex of the n-side, whose vertices have degree m
     if not _check_sum_hypotheses(mid, mid.is_face_simple(), u, block, "x"):
         raise PlanError(f"{block_record} + K_{{{m},{n_child - 1}}} violates the "
                         "face-simplicity hypotheses")
@@ -266,7 +267,6 @@ class _Built:
     chain table held after its step, frozen, and its embedding once requested."""
 
     faces: bytes
-    orientable: bool
     embedding: Embedding | None = None
 
 
@@ -299,15 +299,13 @@ def _build_chain(node: PlanNode) -> _Built:
     if node.step == "base":
         base = execute(node)
         # on ints, so that each node's faces can be frozen
-        chain = surgery.FaceTable(surgery.ranked_faces([w.vertices for w in base.faces()]),
-                                  emap.is_orientable(base))
+        chain = surgery.FaceTable(surgery.ranked_faces([w.vertices for w in base.faces()]))
     else:
-        chain = surgery.FaceTable(surgery.thawed(_GEN_CACHE[node].faces),
-                                  _GEN_CACHE[node].orientable)
+        chain = surgery.FaceTable(surgery.thawed(_GEN_CACHE[node].faces))
     for step in reversed(path):
         _induct_step(chain, *_step_block(step))
         _check_size(step, len(chain.vertices()), len(chain.edges()))
-        built = _GEN_CACHE[step] = _Built(chain.frozen(), chain.orientable)
+        built = _GEN_CACHE[step] = _Built(chain.frozen())
     return built
 
 

@@ -6,12 +6,14 @@ the new face set, then rebuild the signed rotation system with
 ``embedding_from_faces``.  Every output is re-traced and checked against its
 postconditions; nothing is patched blindly.
 
-``FaceTable`` is the in-place counterpart of the diamond sum, for the
-planner's induction chain.  It holds a quadrangular face set with an
-edge -> faces index, and its ``splice`` replaces the disk around one vertex
-by the summand's faces, touching only the faces it adds and removes.  The
-face-simplicity predicates are answered from counters it keeps up to date,
-and an ``Embedding`` is rebuilt from the faces once, when it is wanted.
+``FaceTable`` is the in-place counterpart of the diamond sum, for both
+chains of sums: the catalog's ``K_{m,n}`` and the planner's induction chain.
+It holds a quadrangular face set with an edge -> faces index, and its
+``splice`` replaces the disk around one vertex by the summand's faces,
+touching only the faces it adds and removes.  Every predicate a table answers
+is computed from its faces: face-simplicity from counters it keeps up to date,
+orientability by one pass over the edge index.  An ``Embedding`` is rebuilt
+from the faces once, when it is wanted.
 """
 
 from __future__ import annotations
@@ -54,17 +56,6 @@ def relabel_embedding(emb: Embedding, mapping: dict) -> Embedding:
             out._faces = tuple(FaceWalk(tuple((mapping[v], me[e]) for v, e in w.darts))
                                for w in emb._faces)
     return out
-
-
-def fresh_relabel(emb: Embedding, taken) -> tuple:
-    """``(relabelled, mapping)``: ``emb`` on ints above every int in ``taken``.
-
-    The vertices are numbered in ``vkey`` order, so the mapping keeps that
-    order and the input's traced faces carry over.
-    """
-    base = max((v for v in taken if isinstance(v, int)), default=-1) + 1
-    mapping = {v: base + i for i, v in enumerate(emb.graph.sorted_vertices())}
-    return relabel_embedding(emb, mapping), mapping
 
 
 def _face_vertex_walks(emb: Embedding) -> list:
@@ -219,8 +210,7 @@ class FaceTable:
     face on both sides.  The faces are face-simple exactly when both are 0.
     """
 
-    def __init__(self, faces, orientable: bool):
-        self.orientable = orientable
+    def __init__(self, faces):
         self._faces = {}
         self._edges = {}
         self._at = {}
@@ -235,7 +225,7 @@ class FaceTable:
 
     @classmethod
     def from_embedding(cls, emb: Embedding) -> FaceTable:
-        return cls((w.vertices for w in emb.faces()), emap.is_orientable(emb))
+        return cls(w.vertices for w in emb.faces())
 
     def faces(self) -> tuple:
         """The vertex walks, in the order they were added."""
@@ -261,6 +251,9 @@ class FaceTable:
                     out.add(w[i - 1])
                     out.add(w[i - 3])
         return out
+
+    def degree(self, v: Label) -> int:
+        return self._degree[v]
 
     def min_degree(self) -> int:
         return min(self._degree.values())
@@ -293,6 +286,30 @@ class FaceTable:
         """No edge joins two neighbours of ``v``."""
         nbrs = self.neighbors(v)
         return not any(u in nbrs for a in nbrs for u in self.neighbors(a))
+
+    def is_orientable(self) -> bool:
+        """``emap.is_orientable`` of these faces: whether each can be given a
+        direction in which the two faces along every edge walk it opposite ways."""
+        steps = {f: set(zip(w, w[1:] + w[:1])) for f, w in self._faces.items()}
+        forward = {}  # face id -> walked as stored (True) or reversed
+        for root in self._faces:
+            if root in forward:
+                continue
+            forward[root] = True
+            stack = [root]
+            while stack:
+                f = stack.pop()
+                for a, b in steps[f]:
+                    if not forward[f]:
+                        a, b = b, a
+                    f1, f2 = self._edges[_ekey(a, b)]
+                    g = f2 if f1 == f else f1
+                    if g not in forward:
+                        forward[g] = (b, a) in steps[g]
+                        stack.append(g)
+                    elif ((b, a) if forward[g] else (a, b)) not in steps[g]:
+                        return False
+        return True
 
     def splice(self, v: Label, summand: FaceTable, v2: Label) -> dict:
         """Diamond sum in place: excise ``v`` here and ``v2`` in ``summand``, and glue.
@@ -342,7 +359,6 @@ class FaceTable:
             m2 = opposite2[frozenset((rim2[mu[j]], rim2[mu[(j + 1) % d]]))]
             added.append(self._add((a, opposite[frozenset((a, a1))], a1, labels[m2])))
         self._check_closed({_ekey(u, w[i - 3]) for w in added for i, u in enumerate(w)})
-        self.orientable = self.orientable and summand.orientable
         return labels
 
     def _rim(self, v: Label) -> tuple:
@@ -433,9 +449,9 @@ class FaceTable:
                 raise SurgeryError(f"edge {e} lies on only one face")
 
 
-def ranked_faces(faces) -> list:
-    """``faces`` relabelled onto 0..n-1 in ``vkey`` order."""
-    rank = {u: i for i, u in enumerate(sorted({u for w in faces for u in w}, key=vkey))}
+def ranked_faces(faces, key=vkey) -> list:
+    """``faces`` relabelled onto 0..n-1 in ``key`` order."""
+    rank = {u: i for i, u in enumerate(sorted({u for w in faces for u in w}, key=key))}
     return [tuple(rank[u] for u in w) for w in faces]
 
 

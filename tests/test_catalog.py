@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import os
 import shutil
+import sys
 
 import pytest
 
@@ -202,18 +204,32 @@ def test_follow_catalog_dir_builds_a_path_only_on_a_change(tmp_path, monkeypatch
 @pytest.mark.parametrize("m, n", [(6, 45), (10, 41)])
 def test_cold_build_kmn_sums_once_per_stride(m, n, monkeypatch):
     sums = []
-    real = catalog.surgery.diamond_sum
+    real = catalog.surgery.FaceTable.splice
 
-    def counting(*args, **kwargs):
-        sums.append(args[1])
-        return real(*args, **kwargs)
+    def counting(table, v, summand, v2):
+        sums.append(v)
+        return real(table, v, summand, v2)
 
-    monkeypatch.setattr(catalog.surgery, "diamond_sum", counting)
+    monkeypatch.setattr(catalog.surgery.FaceTable, "splice", counting)
     catalog.clear_cache()
     emb = catalog.build_kmn(m, n)
     assert emb.graph == graphalg.complete_bipartite(m, n)
     # the unit stride took 42 and 39 sums; the stride of m-2 takes 13 and 12
-    assert len(sums) <= 15
+    assert 0 < len(sums) <= 15
+
+
+def test_cold_build_kmn_does_not_recurse():
+    catalog.clear_cache()
+    catalog.get_witness("k_6_3")
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        emb = catalog.build_kmn(6, 202)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert emb.graph == graphalg.complete_bipartite(6, 202)
+    assert emap.is_orientable(emb) and emap.is_face_simple(emb)
 
 
 @pytest.mark.parametrize("m", [6, 10])

@@ -123,7 +123,7 @@ def test_generated_embedding_consistency():
 def test_induction_step_checks_each_face_simplicity_once(monkeypatch):
     child, _, _ = planner.generate(ParamRequest(n=10, t=3, kind="nonorientable"))
     chain = surgery.FaceTable.from_embedding(child)
-    catalog.build_kmn(6, 9)  # warm: a cold build certifies with emap.is_face_simple
+    catalog.build_kmn(6, 9)  # warm: a cold build certifies with FaceTable.is_face_simple
     checked = []
     real = surgery.FaceTable.is_face_simple
 
@@ -141,6 +141,26 @@ def test_induction_step_checks_each_face_simplicity_once(monkeypatch):
     # K_{6,9}, the block summed into it, and the output: once each
     assert [n for _, n in checked] == [15, 15, 14]
     assert checked[1][0] is checked[0][0] and checked[2][0] is chain
+
+
+def test_cold_generation_calls_each_embedding_kernel_once(monkeypatch):
+    catalog.clear_cache()
+    for rec in catalog.record_table():
+        catalog.get_witness(rec.name)
+    kernels = ((surgery, "diamond_sum"), (emap, "embedding_from_faces"), (emap, "is_orientable"))
+    calls = {name: 0 for _, name in kernels}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module, name in kernels:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    planner.generate(ParamRequest(n=50, t=3, kind="nonorientable"))
+    # the K_{m,n} are summed in face tables, the chain is rebuilt once and certified once
+    assert calls == {"diamond_sum": 0, "embedding_from_faces": 1, "is_orientable": 1}
 
 
 def test_sum_hypotheses_need_an_independent_neighbourhood():

@@ -66,6 +66,7 @@ def assert_predicates_match(table: surgery.FaceTable, emb: emap.Embedding) -> No
     assert set(table.vertices()) == set(g.vertices)
     assert set(table.edges()) == set(g.edges)
     assert table.is_face_simple() == emap.is_face_simple(emb)
+    assert table.is_orientable() == emap.is_orientable(emb)
     assert table.min_degree() == emap.min_degree(g)
     assert table.universal_vertices() == emap.universal_vertices(g)
     for v in g.sorted_vertices():
@@ -86,11 +87,21 @@ def summand_pool() -> list:
 def test_table_predicates_match_emap():
     # the pool holds non-face-simple embeddings too: c4_sphere, K_{m,2}
     for emb in summand_pool():
-        table = surgery.FaceTable.from_embedding(emb)
-        assert table.orientable == emap.is_orientable(emb)
-        assert_predicates_match(table, emb)
+        assert_predicates_match(surgery.FaceTable.from_embedding(emb), emb)
     with pytest.raises(StructuralError):
         surgery.FaceTable.from_embedding(catalog.build_kmn(6, 3)).is_nearly_face_simple_except(99)
+
+
+def test_orientability_does_not_depend_on_how_a_face_is_walked():
+    pool = summand_pool()
+    assert sum(not emap.is_orientable(emb) for emb in pool) == 8
+    for emb in pool:
+        faces = [w.vertices for w in emb.faces()]
+        want = emap.is_orientable(emb)
+        for i, w in enumerate(faces):
+            for walk in (w[::-1], w[1:] + w[:1], w[::-1][2:] + w[::-1][:2]):
+                table = surgery.FaceTable(faces[:i] + [walk] + faces[i + 1:])
+                assert table.is_orientable() == want
 
 
 def test_splice_matches_diamond_sum():
@@ -113,7 +124,8 @@ def test_splice_matches_diamond_sum():
             continue
         ref = reference_splice(a, va, b, vb, labels)
         assert face_multiset(table.faces()) == face_multiset(w.vertices for w in ref.faces())
-        assert table.orientable == emap.is_orientable(ref)
+        assert emap.is_orientable(rebuilt(table)) == (emap.is_orientable(a)
+                                                      and emap.is_orientable(b))
         assert_predicates_match(table, rebuilt(table))
         done += 1
     assert refused < done
@@ -127,7 +139,7 @@ def test_splice_refuses_what_diamond_sum_refuses():
     with pytest.raises(SurgeryError, match="parallel edge"):
         table.splice(0, surgery.FaceTable.from_embedding(k4), 0)
     with pytest.raises(SurgeryError, match="parallel edge"):
-        surgery.diamond_sum(k4, 0, surgery.fresh_relabel(k4, k4.graph.vertices)[0], 4)
+        surgery.diamond_sum(k4, 0, surgery.relabel_embedding(k4, {v: v + 4 for v in range(4)}), 4)
     kmn = surgery.FaceTable.from_embedding(catalog.build_kmn(6, 3))
     with pytest.raises(SurgeryError, match="degree mismatch"):
         kmn.splice(0, surgery.FaceTable.from_embedding(catalog.build_kmn(6, 4)), 0)
@@ -161,12 +173,11 @@ def checked_steps(monkeypatch) -> Counter:
 
     def checked_splice(table, v, summand, v2):
         a, b = rebuilt(table), rebuilt(summand)
-        assert (table.orientable, summand.orientable) == (emap.is_orientable(a),
-                                                          emap.is_orientable(b))
         labels = splice(table, v, summand, v2)
         ref = reference_splice(a, v, b, v2, labels)
         assert face_multiset(table.faces()) == face_multiset(w.vertices for w in ref.faces())
-        assert table.orientable == emap.is_orientable(rebuilt(table))
+        assert emap.is_orientable(rebuilt(table)) == (emap.is_orientable(a)
+                                                      and emap.is_orientable(b))
         seen["splice"] += 1
         return labels
 
@@ -212,19 +223,21 @@ def test_every_chain_step_matches_the_rebuild(checked_steps):
     for req in requests:
         _, cert, _ = planner.generate(req)
         assert (cert.n, cert.t) == (req.n, req.t)
-    assert checked_steps == {"splice": 2 * len(steps), "hypotheses": 2 * len(steps),
-                             "face_simple": 3 * len(steps), "universal": len(steps)}
+    # each K_{m,n} but the catalog's K_{6,3} is spliced, and each is certified face-simple
+    kmn = len(catalog._KMN_CACHE)
+    assert checked_steps == {"splice": 2 * len(steps) + kmn - 1, "hypotheses": 2 * len(steps),
+                             "face_simple": 3 * len(steps) + kmn, "universal": len(steps)}
 
 
 def test_broken_summands_raise_the_plan_errors(monkeypatch):
     child, _, _ = planner.generate(ParamRequest(n=10, t=3, kind="nonorientable"))
-    kmn_6_2 = catalog.build_kmn(6, 2)  # two faces share both edges at each rim vertex
-    build_kmn = catalog.build_kmn
-    monkeypatch.setattr(catalog, "build_kmn", lambda m, n: kmn_6_2)
+    kmn_table = catalog.kmn_table
+    # K_{6,2}: two faces share both edges at each rim vertex
+    monkeypatch.setattr(catalog, "kmn_table", lambda m, n: kmn_table(6, 2))
     with pytest.raises(PlanError, match=r"^phi_7_2_plus \+ K_\{6,9\} violates the "
                                         "face-simplicity hypotheses$"):
         planner._induct_step(surgery.FaceTable.from_embedding(child), "phi_7_2_plus", 6)
-    monkeypatch.setattr(catalog, "build_kmn", build_kmn)
+    monkeypatch.setattr(catalog, "kmn_table", kmn_table)
     no_universal = surgery.FaceTable.from_embedding(catalog.build_kmn(6, 5))
     with pytest.raises(PlanError, match="^child embedding has no universal vertex with the "
                                         "nearly-face-simple property$"):

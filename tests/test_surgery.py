@@ -121,13 +121,21 @@ def test_find_handle_sites_rejects_existing_edges():
     assert surgery.find_handle_sites(emb, (0, 2, 1, 3)) == []
 
 
+def fresh_relabel(emb: emap.Embedding, taken) -> tuple:
+    """``(relabelled, mapping)``: ``emb`` on ints above every int in ``taken``,
+    numbered in ``vkey`` order, so the mapping keeps that order."""
+    base = max((v for v in taken if isinstance(v, int)), default=-1) + 1
+    mapping = {v: base + i for i, v in enumerate(emb.graph.sorted_vertices())}
+    return surgery.relabel_embedding(emb, mapping), mapping
+
+
 @pytest.mark.parametrize("name", ["phi_11_8_plus_star", "q11_5"])
 def test_fresh_relabel_carries_traced_faces(name):
     # more than 10 vertices, string labels among them, and a taken set to clear
     emb = catalog.get_witness(name)
     emb.faces()
     taken = {"x", 3, 40, "z"}
-    moved, mapping = surgery.fresh_relabel(emb, taken)
+    moved, mapping = fresh_relabel(emb, taken)
     assert len(mapping) > 10
     assert min(mapping.values()) == 41
     assert [mapping[v] for v in emb.graph.sorted_vertices()] == moved.graph.sorted_vertices()
@@ -152,7 +160,7 @@ def summable_pairs() -> tuple:
                           for vb in b.graph.sorted_vertices()
                           if a.graph.degree(va) == b.graph.degree(vb) >= 3)
             if sites:
-                pairs.append((a, surgery.fresh_relabel(b, a.graph.vertices), sites))
+                pairs.append((a, fresh_relabel(b, a.graph.vertices), sites))
     return tuple(pairs)
 
 
