@@ -24,11 +24,15 @@ at an m-side vertex of each, from the planar double wheel ``K_{m,2}`` and the
 record ``k_6_3``.  Up to ``K_{m,m}`` the chain adds ``K_{m,3}``, one size at a
 time; above it, it adds ``K_{m,m}``, a stride of m-2 sizes.  That is the
 planner's step (4 vertices with m = 6, 8 with m = 10), so the chain of sizes a
-derivation asks for costs one splice per step.  A cold build loops down to the
-nearest cached ``K`` and splices back up.  Each ``K`` is put on canonical
-labels (the m-side, of degree n, on 0..m-1, each side in ``vkey`` order),
-certified from its faces and cached as packed faces; ``kmn_table`` hands out a
-fresh table over them, and ``build_kmn`` an ``Embedding``.
+derivation asks for costs one splice per step.  A cold build copies the
+nearest cached ``K`` below and splices back up in that one table.  Labels are
+canonical throughout (the m-side, of degree n, on 0..m-1; the n-side on
+m..m+n-1): the summand is spliced in at the last n-side vertex, whose label
+its first fresh vertex takes, so no splice is followed by a relabel.  Only a
+``K_{m,3}``, built at an m-side vertex, is put back on canonical labels.  The
+``K`` with n <= m and each one asked for are certified from their faces and
+cached as tables, which are never spliced into: ``kmn_table`` hands out a
+copy, and ``build_kmn`` the table's ``embedding``.
 """
 
 from __future__ import annotations
@@ -399,26 +403,27 @@ def follow_catalog_dir() -> None:
 # Complete-bipartite quadrangulations, summed in a face table.
 # ---------------------------------------------------------------------------
 
-_KMN_CACHE: dict = {}  # (m, n) -> the faces of the certified K_{m,n}, frozen
+_KMN_CACHE: dict = {}  # (m, n) -> the certified K_{m,n}'s face table, never spliced into
 
 
 def build_kmn(m: int, n: int) -> Embedding:
     """Orientable quadrangular embedding of K_{m,n}: m-side 0..m-1, n-side m..m+n-1."""
-    return emap.embedding_from_faces(surgery.thawed(_kmn_faces(m, n)))
+    return _kmn(m, n).embedding()
 
 
 def kmn_table(m: int, n: int) -> surgery.FaceTable:
-    """A fresh face table of the certified K_{m,n}, on ``build_kmn``'s labels."""
-    return surgery.FaceTable(surgery.thawed(_kmn_faces(m, n)))
+    """A copy of the certified K_{m,n}'s face table, on ``build_kmn``'s labels."""
+    return _kmn(m, n).copy()
 
 
-def _kmn_faces(m: int, n: int) -> bytes:
-    """The faces of K_{m,n}, summed up from the nearest cached K on first use."""
+def _kmn(m: int, n: int) -> surgery.FaceTable:
+    """The cached table of K_{m,n}, spliced up from the nearest cached K on first use."""
     if m % 4 != 2 or m < 6:
         raise CatalogError(f"m must be at least 6 and congruent to 2 mod 4, got {m}")
     if n < 2:
         raise CatalogError(f"n must be at least 2, got {n}")
     follow_catalog_dir()
+    want = (m, n)
     path = []  # the K still to sum, the requested one first
     while (m, n) not in _KMN_CACHE:
         if n == 2 or (m, n) == (6, 3):
@@ -426,43 +431,48 @@ def _kmn_faces(m: int, n: int) -> bytes:
             # 0..m-1), or the catalog's K_{6,3}
             base = ([(m, i, m + 1, (i + 1) % m) for i in range(m)] if n == 2
                     else [w.vertices for w in get_witness("k_6_3").faces()])
-            _cache_kmn(surgery.FaceTable(base), m, n)
+            _cache_kmn(_canonical(surgery.FaceTable(base), n), m, n)
             break
         path.append((m, n))
         m, n = (m - 4, 3) if n == 3 else (m, n - (m - 2 if n > m else 1))
     if path:
-        table = surgery.FaceTable(surgery.thawed(_KMN_CACHE[m, n]))
+        table = _KMN_CACHE[m, n].copy()
     for m, n in reversed(path):
         if n == 3:  # K_{m-4,3} <> K_{6,3}, at an m-side vertex of each
-            table.splice(0, kmn_table(6, 3), 0)
-        else:  # K_{m,n-j+2} <> K_{m,j}, at an n-side vertex of each
-            table.splice(m, kmn_table(m, m if n > m else 3), m)
-        table = _cache_kmn(table, m, n)
-    return _KMN_CACHE[m, n]
+            table.splice(0, _kmn(6, 3), 0)
+            table = _canonical(table, 3)
+        else:  # K_{m,k} <> K_{m,j}, at the last n-side vertex of K_{m,k} and the first of K_{m,j}
+            j = m if n > m else 3
+            table.splice(m + n - j + 1, _kmn(m, j), m)
+        if (m, n) == want:
+            _cache_kmn(table, m, n)
+        elif n <= m:
+            _cache_kmn(table.copy(), m, n)
+    return _KMN_CACHE[want]
 
 
-def _cache_kmn(table: surgery.FaceTable, m: int, n: int) -> surgery.FaceTable:
-    """Cache ``table``'s K_{m,n} on canonical labels, certified; returns its new table.
+def _canonical(table: surgery.FaceTable, n: int) -> surgery.FaceTable:
+    """K_{m,n}'s ``table`` on canonical labels: the m-side, whose vertices have
+    degree n, first; each side in ``vkey`` order."""
+    return table.ranked(key=lambda v: (table.degree(v) != n, vkey(v)))
 
-    The m-side, whose vertices have degree n, comes first; each side is in
-    ``vkey`` order.
-    """
-    table = surgery.FaceTable(surgery.ranked_faces(
-        table.faces(), key=lambda v: (table.degree(v) != n, vkey(v))))
+
+def _cache_kmn(table: surgery.FaceTable, m: int, n: int) -> None:
     _certify_kmn(table, m, n)
-    _KMN_CACHE[m, n] = table.frozen()
-    return table
+    _KMN_CACHE[m, n] = table
 
 
 def _certify_kmn(table: surgery.FaceTable, m: int, n: int) -> None:
     name = f"K_{{{m},{n}}}"
-    if set(table.edges()) != {(u, v) for u in range(m) for v in range(m, m + n)}:
+    edges = table.edges()
+    if len(edges) != m * n or not all(a < m <= b < m + n for a, b in edges):
         raise CatalogError(f"builder output is not {name}")
-    if any(len(w) != 4 for w in table.faces()):
+    faces = table.faces()
+    if any(len(w) != 4 for w in faces):
         raise CatalogError(f"{name} embedding is not quadrangular")
     if not table.is_orientable():
         raise CatalogError(f"{name} embedding is not orientable")
-    if len(table.vertices()) - len(table.edges()) + len(table.faces()) != m + n - m * n // 2:
+    if len(table.vertices()) - len(edges) + len(faces) != m + n - m * n // 2:
         raise CatalogError(f"{name} embedding has wrong Euler characteristic")
     if min(m, n) >= 3 and not table.is_face_simple():
         raise CatalogError(f"{name} embedding is not face-simple")

@@ -15,8 +15,9 @@ diamond-summed at ``z`` with the child at one of its universal vertices.  The
 result gains 4 (or 8) vertices and ``i`` missing edges.  The sums are
 ``surgery.FaceTable`` splices: the chain is one face table, each step
 replaces the faces around the summed vertex, and the chain's vertices keep
-their labels.  The complete-bipartite summand is a fresh table from
-``catalog.kmn_table``, summed at its first n-side vertex.  The sum hypotheses
+their labels.  The complete-bipartite summand is a copy from
+``catalog.kmn_table``, summed at its first n-side vertex; each block's table
+is built once per catalog directory, and only read.  The sum hypotheses
 are checked before every sum and face-simplicity after it, each answered from
 the tables' indices — the construction is refused rather than allowed to
 drift from its contract.  No orientability is carried along the chain: the
@@ -30,9 +31,11 @@ another, and by which surgery, is the record's own ``op`` and ``parent`` in
 The plans of different requests share their chains, so ``execute`` keeps
 the faces of every plan node it builds until the catalog directory changes:
 each node is built, and its per-step guards run, once per catalog, and a
-request resumes from its nearest built ancestor.  Only a requested node is
-rebuilt as an ``Embedding``, on 0..n-1, and only that embedding is kept.
-``generate`` certifies its embedding against the request on every call.
+request resumes from its nearest built ancestor.  The memo keeps no
+embedding: a requested node's table is put on 0..n-1 and its rotation
+system built from it (``FaceTable.embedding``) on every request, which
+splices nothing when the node is already built.  ``generate`` certifies its
+embedding against the request on every call.
 """
 
 from __future__ import annotations
@@ -223,10 +226,23 @@ def _check_sum_hypotheses(face_simple_side: surgery.FaceTable, side_face_simple:
     )
 
 
+# The face table of each block witness, built once per catalog directory; a
+# step only reads it.
+_BLOCKS: dict = catalog.register_cache({})
+
+
+def _block_table(record: str) -> surgery.FaceTable:
+    catalog.follow_catalog_dir()
+    table = _BLOCKS.get(record)
+    if table is None:
+        table = _BLOCKS[record] = surgery.FaceTable.from_embedding(catalog.get_witness(record))
+    return table
+
+
 def _induct_step(chain: surgery.FaceTable, block_record: str, m: int) -> None:
     """Splice one step into ``chain``: the block at x with K_{m,n'-1}, then that at z."""
     n_child = len(chain.vertices())
-    block = surgery.FaceTable.from_embedding(catalog.get_witness(block_record))
+    block = _block_table(block_record)
     mid = catalog.kmn_table(m, n_child - 1)
     u = m  # the first vertex of the n-side, whose vertices have degree m
     if not _check_sum_hypotheses(mid, mid.is_face_simple(), u, block, "x"):
@@ -261,13 +277,13 @@ def _check_size(node: PlanNode, n: int, edges: int) -> None:
         raise PlanError(f"step produced ({n},{t}), plan requires ({node.n},{node.t})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Built:
     """A plan node built since the catalog directory last changed: the faces its
-    chain table held after its step, frozen, and its embedding once requested."""
+    chain table held after its step, frozen.  No embedding is kept; a request
+    for the node rebuilds its table from these faces and splices nothing."""
 
     faces: bytes
-    embedding: Embedding | None = None
 
 
 # The built induction nodes.  Plans of different requests share their chains,
@@ -283,15 +299,15 @@ def execute(node: PlanNode) -> Embedding:
         out = catalog.get_witness(node.record)
         _check_size(node, len(out.graph.vertices), len(out.graph.edges))
         return out
-    built = _GEN_CACHE.get(node) or _build_chain(node)
-    if built.embedding is None:
-        built.embedding = emap.embedding_from_faces(
-            surgery.ranked_faces(surgery.thawed(built.faces)))
-    return built.embedding
+    built = _GEN_CACHE.get(node)
+    # one expression, so that the chain is freed once its ranked copy is made
+    return (surgery.FaceTable(surgery.thawed(built.faces)) if built
+            else _build_chain(node)).ranked().embedding()
 
 
-def _build_chain(node: PlanNode) -> _Built:
-    """Splice ``node``'s chain up from its nearest built ancestor, or from its base."""
+def _build_chain(node: PlanNode) -> surgery.FaceTable:
+    """Splice ``node``'s chain up from its nearest built ancestor, or from its
+    base, into one table; returns it."""
     path = []
     while node.step != "base" and node not in _GEN_CACHE:
         path.append(node)
@@ -299,14 +315,14 @@ def _build_chain(node: PlanNode) -> _Built:
     if node.step == "base":
         base = execute(node)
         # on ints, so that each node's faces can be frozen
-        chain = surgery.FaceTable(surgery.ranked_faces([w.vertices for w in base.faces()]))
+        chain = surgery.FaceTable.from_embedding(base).ranked()
     else:
         chain = surgery.FaceTable(surgery.thawed(_GEN_CACHE[node].faces))
     for step in reversed(path):
         _induct_step(chain, *_step_block(step))
         _check_size(step, len(chain.vertices()), len(chain.edges()))
-        built = _GEN_CACHE[step] = _Built(chain.frozen())
-    return built
+        _GEN_CACHE[step] = _Built(chain.frozen())
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +332,8 @@ def _build_chain(node: PlanNode) -> _Built:
 def generate(req: ParamRequest) -> tuple:
     """(Embedding, Certificate, PlanNode) for an admissible or special request.
 
-    The embedding may come from the plan-node memo; the certificate is
-    computed and checked against the request on every call.
+    The embedding may be rebuilt from the plan-node memo's faces; the
+    certificate is computed and checked against the request on every call.
     """
     status = classify(req)
     if status == "inadmissible":

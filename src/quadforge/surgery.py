@@ -8,18 +8,19 @@ postconditions; nothing is patched blindly.
 
 ``FaceTable`` is the in-place counterpart of the diamond sum, for both
 chains of sums: the catalog's ``K_{m,n}`` and the planner's induction chain.
-It holds a quadrangular face set with an edge -> faces index, and its
-``splice`` replaces the disk around one vertex by the summand's faces,
-touching only the faces it adds and removes.  Every predicate a table answers
-is computed from its faces: face-simplicity from counters it keeps up to date,
-orientability by one pass over the edge index.  An ``Embedding`` is rebuilt
-from the faces once, when it is wanted.
+It holds a quadrangular face set in flat lists of ints (four corner slots per
+face, two side slots per edge), and its ``splice`` replaces the disk around
+one vertex by the summand's faces, touching only the faces it adds and
+removes.  Every predicate a table answers is computed from its faces:
+face-simplicity from counters it keeps up to date, orientability by one
+orientation pass over the faces.  ``FaceTable.embedding`` builds the signed
+rotation system from the table itself, once, when it is wanted: each
+vertex's rotation is its rim, and the signs come from the same pass.
 """
 
 from __future__ import annotations
 
-import itertools
-import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -198,58 +199,89 @@ def _ekey(u: Label, v: Label) -> tuple:
     return edge_between(u, v)
 
 
+def _next(s: int) -> int:
+    """The slot after ``s`` round its face."""
+    return (s & -4) | ((s + 1) & 3)
+
+
+def _prev(s: int) -> int:
+    """The slot before ``s`` round its face."""
+    return (s & -4) | ((s - 1) & 3)
+
+
 class FaceTable:
     """A mutable quadrangular face set, summed into in place by ``splice``.
 
-    ``_faces`` maps face ids to vertex walks, in insertion order; ``_edges``
-    maps each edge to the ids of the faces along it, ``_at`` each vertex to the
-    ids of the faces with a corner there, and ``_degree`` each vertex to its
-    number of corners, which is its degree.  ``_shared`` counts the edges that
-    each pair of distinct adjacent faces shares; ``_multi`` is the number of
-    pairs sharing more than one, and ``_loops`` the number of edges with one
-    face on both sides.  The faces are face-simple exactly when both are 0.
+    Storage is flat.  Face ``f`` owns the slots ``4f .. 4f+3``, one per
+    corner: ``_w[s]`` is the corner's label and ``_fe[s]`` the id of the edge
+    from it to the face's next corner.  Edge ``e``'s two sides are the slots
+    ``_side[2e]`` and ``_side[2e+1]`` (-1 while missing), and ``_eid`` maps
+    each edge, ordered as ``edge_between`` orders it, to its id.  The ids of
+    removed faces and edges are reused.  ``_degree`` maps each vertex to its
+    number of corners, which is its degree, and ``_anchor`` to the slot of
+    one of them: the others are found by walking round the vertex, across its
+    edges (``_walk``).  ``_multi`` is the number of pairs of distinct faces
+    that share more than one edge, and ``_loops`` the number of edges with
+    one face on both sides; the faces are face-simple exactly when both are 0.
+    ``copy`` copies the lists and dicts, and re-adds no face.
     """
 
     def __init__(self, faces):
-        self._faces = {}
-        self._edges = {}
-        self._at = {}
+        self._w = []
+        self._fe = []
+        self._side = []
+        self._eid = {}
         self._degree = {}
-        self._shared = {}
+        self._anchor = {}
+        self._free_faces = []
+        self._free_edges = []
         self._multi = 0
         self._loops = 0
-        self._next_id = 0
         for w in faces:
             self._add(tuple(w))
-        self._check_closed(self._edges)
+        self._check_closed(range(len(self._w) >> 2))
 
     @classmethod
     def from_embedding(cls, emb: Embedding) -> FaceTable:
         return cls(w.vertices for w in emb.faces())
 
+    def copy(self) -> FaceTable:
+        """An independent table over the same faces, with the same ids."""
+        out = FaceTable.__new__(FaceTable)
+        for name, value in vars(self).items():
+            setattr(out, name, value.copy() if isinstance(value, (list, dict)) else value)
+        return out
+
+    def ranked(self, key=vkey) -> FaceTable:
+        """A copy on labels 0..n-1, numbered in ``key`` order."""
+        rank = {u: i for i, u in enumerate(sorted(self._degree, key=key))}
+        out = self.copy()
+        out._w = [None if u is None else rank[u] for u in self._w]
+        out._eid = {_ekey(rank[a], rank[b]): e for (a, b), e in self._eid.items()}
+        out._degree = {rank[u]: d for u, d in self._degree.items()}
+        out._anchor = {rank[u]: s for u, s in self._anchor.items()}
+        return out
+
     def faces(self) -> tuple:
-        """The vertex walks, in the order they were added."""
-        return tuple(self._faces.values())
+        """The vertex walks, in face-id order."""
+        w = self._w
+        return tuple(tuple(w[s:s + 4]) for s in range(0, len(w), 4) if w[s] is not None)
 
     def frozen(self) -> bytes:
         """The faces, in order, packed as C ints; the labels must be ints."""
-        labels = list(itertools.chain.from_iterable(self._faces.values()))
-        return struct.pack(f"{len(labels)}i", *labels)
+        return array("i", [u for u in self._w if u is not None]).tobytes()
 
     def vertices(self):
         return self._degree.keys()
 
     def edges(self):
-        return self._edges.keys()
+        return self._eid.keys()
 
     def neighbors(self, v: Label) -> set:
+        w = self._w
         out = set()
-        for f in self._at[v]:
-            w = self._faces[f]
-            for i, u in enumerate(w):
-                if u == v:
-                    out.add(w[i - 1])
-                    out.add(w[i - 3])
+        for c, forward in self._walk(self._anchor[v], True):
+            out.add(w[_prev(c)] if forward else w[_next(c)])  # the one it is entered from
         return out
 
     def degree(self, v: Label) -> int:
@@ -270,16 +302,20 @@ class FaceTable:
         """``emap.is_nearly_face_simple_except`` of these faces, from ``v``'s edges only."""
         if v not in self._degree:
             raise StructuralError(f"unknown vertex {v!r}")
+        fe, side = self._fe, self._side
         loops = self._loops
         at_v = Counter()  # pair of faces -> the edges at v they share
-        for u in self.neighbors(v):
-            f, g = self._edges[_ekey(u, v)]
+        for c, forward in self._walk(self._anchor[v], True):
+            e = fe[_prev(c)] if forward else fe[c]  # each edge at v is entered once
+            f, g = side[2 * e] >> 2, side[2 * e + 1] >> 2
             if f == g:
                 loops -= 1
             else:
                 at_v[(f, g) if f < g else (g, f)] += 1
-        shared = self._shared
-        rescued = sum(1 for key, c in at_v.items() if shared[key] >= 2 > shared[key] - c)
+        rescued = 0
+        for (f, g), c in at_v.items():
+            shared = self._mates(f).count(g)
+            rescued += shared >= 2 > shared - c
         return not loops and self._multi == rescued
 
     def is_independent(self, v: Label) -> bool:
@@ -288,40 +324,66 @@ class FaceTable:
         return not any(u in nbrs for a in nbrs for u in self.neighbors(a))
 
     def is_orientable(self) -> bool:
-        """``emap.is_orientable`` of these faces: whether each can be given a
-        direction in which the two faces along every edge walk it opposite ways."""
-        steps = {f: set(zip(w, w[1:] + w[:1])) for f, w in self._faces.items()}
-        forward = {}  # face id -> walked as stored (True) or reversed
-        for root in self._faces:
-            if root in forward:
-                continue
-            forward[root] = True
-            stack = [root]
-            while stack:
-                f = stack.pop()
-                for a, b in steps[f]:
-                    if not forward[f]:
-                        a, b = b, a
-                    f1, f2 = self._edges[_ekey(a, b)]
-                    g = f2 if f1 == f else f1
-                    if g not in forward:
-                        forward[g] = (b, a) in steps[g]
-                        stack.append(g)
-                    elif ((b, a) if forward[g] else (a, b)) not in steps[g]:
-                        return False
-        return True
+        """``emap.is_orientable`` of these faces: whether the orientation pass
+        (``_orientation``) gives every face a direction in which the two faces
+        along each edge walk it opposite ways."""
+        return self._orientation()[2]
+
+    def embedding(self) -> Embedding:
+        """The signed rotation system whose faces these are.
+
+        The orientation pass starts from the face at the least vertex v between
+        its least neighbour a and the lesser b of a's two neighbours round it
+        (of two such faces, the one with the lesser corner opposite v),
+        directed a -> v -> b.  Each vertex's rotation is its rim, walked round
+        from the first of its corners the pass reaches, the way that corner's
+        directed face turns.  A corner turns +1 when its face runs from its
+        previous edge to its next one the way its vertex's rotation does, and
+        -1 otherwise; each edge's sign is the product of the turns at its two
+        ends in either face along it, which is what ``emap``'s tracer needs to
+        walk that face.  So the signs are all +1 exactly when the faces are
+        orientable, and the result does not depend on face or edge ids.  Its
+        traced faces must be these faces, or ``StructuralError`` is raised.
+        """
+        w, fe, side = self._w, self._fe, self._side
+
+        def span(c):  # a corner's two neighbours, least first, and its opposite corner
+            return (*sorted((vkey(w[_prev(c)]), vkey(w[_next(c)]))), vkey(w[c ^ 2]))
+
+        v = min(self._degree, key=vkey)
+        c = min((c for c, _ in self._walk(self._anchor[v], True)), key=span)
+        direction, first, _ = self._orientation(c >> 2, 1 if span(c)[0] == vkey(w[_prev(c)]) else -1)
+        turn = [0] * len(w)  # +1 where a corner turns with its vertex's rotation
+        rotation = {}
+        for v, c in first.items():
+            edges = rotation[v] = []
+            for s, forward in self._walk(c, direction[c >> 2] == 1):
+                turn[s] = 1 if forward else -1
+                edges.append(fe[_prev(s)] if forward else fe[s])
+        keys = [None] * (len(side) >> 1)
+        signature = {}
+        for key, e in self._eid.items():
+            keys[e] = key
+            s = side[2 * e]
+            signature[key] = turn[s] * turn[_next(s)]
+        emb = Embedding(Graph(frozenset(self._degree), frozenset(self._eid)),
+                        {v: tuple(keys[e] for e in es) for v, es in rotation.items()},
+                        signature)
+        self._check_traced(emb)
+        return emb
 
     def splice(self, v: Label, summand: FaceTable, v2: Label) -> dict:
         """Diamond sum in place: excise ``v`` here and ``v2`` in ``summand``, and glue.
 
         The vertices here keep their labels.  Each neighbour of ``v2`` takes the
         label of the neighbour of ``v`` it is glued to; the summand's other
-        vertices take fresh ints above every int here, in ``vkey`` order.  The
-        rims (see ``_rim``) are glued as ``diamond_sum`` glues at offset 0: the
-        j-th neighbour of ``v`` to the (-j)-th of ``v2``, or to the j-th when
-        that would create a parallel edge.  Either gluing keeps the contract
-        that the sum is orientable exactly when both summands are.  Returns
-        the summand's labels -> their labels here.
+        vertices take fresh ints above every int here but ``v``, in ``vkey``
+        order.  The rims (see ``_rim``) are glued as ``diamond_sum``
+        glues at offset 0: the j-th neighbour of ``v`` to the (-j)-th of ``v2``,
+        or to the j-th when that would create a parallel edge.  Either gluing
+        keeps the contract that the sum is orientable exactly when both
+        summands are.  ``summand`` is only read.  Returns the summand's labels
+        -> their labels here.
         """
         if v not in self._degree or v2 not in summand._degree:
             raise SurgeryError(f"unknown summing vertex {v!r} or {v2!r}")
@@ -330,129 +392,247 @@ class FaceTable:
             raise SurgeryError(f"degree mismatch at ({v!r}, {v2!r}): {d} != {d2}")
         if d < 3:
             raise SurgeryError(f"diamond sum site needs degree >= 3, got {d}")
-        rim, opposite = self._rim(v)
-        rim2, opposite2 = summand._rim(v2)
+        rim, opposite, at_v = self._rim(v)
+        rim2, opposite2, at_v2 = summand._rim(v2)
         on_rim2 = set(rim2)
-        rim_edges = [(a, b) for a in rim2 for b in sorted(summand.neighbors(a), key=vkey)
-                     if b in on_rim2]
+        rim_edges = [(a, b) for a in rim2 for b in summand.neighbors(a) if b in on_rim2]
         for reflect in (False, True):
             mu = [(j if reflect else -j) % d for j in range(d)]
             glue = {rim2[mu[j]]: rim[j] for j in range(d)}
-            clash = next((e for a, b in rim_edges
-                          if (e := _ekey(glue[a], glue[b])) in self._edges), None)
-            if clash is None:
+            clashes = [e for a, b in rim_edges if (e := _ekey(glue[a], glue[b])) in self._eid]
+            if not clashes:
                 break
         else:
+            clash = min(clashes, key=lambda e: (vkey(e[0]), vkey(e[1])))
             raise SurgeryError(f"identification creates a parallel edge {clash}")
 
-        base = max((u for u in self._degree if type(u) is int), default=-1) + 1
+        base = max((u for u in self._degree if type(u) is int and u != v), default=-1) + 1
+        for c in at_v:
+            self._remove(c >> 2)
         inner = sorted(summand._degree.keys() - on_rim2 - {v2}, key=vkey)
         labels = {u: base + i for i, u in enumerate(inner)}
         labels.update(glue)
-        for f in list(self._at[v]):
-            self._remove(f)
-        skip = summand._at[v2]
-        added = [self._add(tuple(labels[u] for u in w))
-                 for f, w in summand._faces.items() if f not in skip]
+        w2, skip = summand._w, {c >> 2 for c in at_v2}
+        added = [self._add([labels[u] for u in w2[s:s + 4]]) for s in range(0, len(w2), 4)
+                 if w2[s] is not None and s >> 2 not in skip]
         for j in range(d):
-            a, a1 = rim[j], rim[(j + 1) % d]
-            m2 = opposite2[frozenset((rim2[mu[j]], rim2[mu[(j + 1) % d]]))]
-            added.append(self._add((a, opposite[frozenset((a, a1))], a1, labels[m2])))
-        self._check_closed({_ekey(u, w[i - 3]) for w in added for i, u in enumerate(w)})
+            m2 = opposite2[j if reflect else (-j - 1) % d]
+            added.append(self._add((rim[j], opposite[j], rim[(j + 1) % d], labels[m2])))
+        self._check_closed(added)
         return labels
 
+    def _walk(self, c: int, forward: bool) -> list:
+        """The corners round the vertex at slot ``c``, from ``c``, as (slot, forward).
+
+        A corner is passed forward when it is entered across the edge from its
+        face's previous corner and left across the edge to its next one.  Each
+        step crosses the edge it leaves by into the face on its other side.
+        Raises ``SurgeryError`` when the vertex's corners do not form one
+        cycle round it.
+        """
+        w, fe, side = self._w, self._fe, self._side
+        v = w[c]
+        d = self._degree[v]
+        out = []
+        s, fwd = c, forward
+        for _ in range(d):
+            out.append((s, fwd))
+            q = s if fwd else (s - 1 if s & 3 else s + 3)  # _prev(s), inlined
+            e = 2 * fe[q]
+            t = side[e]
+            if t == q:
+                t = side[e + 1]
+            if w[t] == v:
+                s, fwd = t, False
+            else:
+                s, fwd = (t + 1 if ~t & 3 else t - 3), True  # _next(t)
+            if s == c and fwd == forward:
+                break
+        if len(out) != d or s != c or fwd != forward:
+            raise SurgeryError(f"vertex {v!r} is pinched: its corners form more than one cycle")
+        return out
+
     def _rim(self, v: Label) -> tuple:
-        """Neighbour cycle of ``v``, and the map {a_j, a_j+1} -> opposite corner.
+        """Neighbour cycle of ``v``, the opposite corner of the face between each
+        neighbour and the next, and the slots of ``v``'s corners in those faces.
 
         The cycle starts at ``v``'s least neighbour and runs towards the lesser
         of that neighbour's two neighbours on it, so it depends on labels only.
         """
-        opposite = {}
-        for f in self._at[v]:
-            w = self._faces[f]
-            if w.count(v) != 1:
-                raise SurgeryError(f"face {w} has {w.count(v)} corners at {v!r}")
-            i = w.index(v)
-            key = frozenset((w[i - 3], w[i - 1]))
-            if len(key) != 2 or key in opposite:
-                raise SurgeryError(f"two faces at {v!r} span the same neighbor pair {set(key)}")
-            opposite[key] = w[i - 2]
-        links = {}
-        for a, b in opposite:
-            links.setdefault(a, []).append(b)
-            links.setdefault(b, []).append(a)
-        if any(len(pair) != 2 for pair in links.values()):
+        w = self._w
+        rim, opposite, corners = [], [], []
+        for c, forward in self._walk(self._anchor[v], True):
+            b = c & -4
+            if w[b:b + 4].count(v) != 1:
+                raise SurgeryError(f"face {tuple(w[b:b + 4])} has {w[b:b + 4].count(v)} "
+                                   f"corners at {v!r}")
+            rim.append(w[_prev(c)] if forward else w[_next(c)])
+            opposite.append(w[b | ((c + 2) & 3)])
+            corners.append(c)
+        d = len(rim)
+        if len(set(rim)) != d:
             raise SurgeryError(f"the faces at {v!r} do not close up around it")
-        start = min(links, key=vkey)
-        rim = [start]
-        prev, cur = start, min(links[start], key=vkey)
-        while cur != start:
-            rim.append(cur)
-            a, b = links[cur]
-            prev, cur = cur, b if a == prev else a
-        if len(rim) != len(opposite):
-            raise SurgeryError(f"the faces at {v!r} do not close up around it")
-        return rim, opposite
+        k = rim.index(min(rim, key=vkey))
+        if vkey(rim[k - 1]) < vkey(rim[(k + 1) % d]):
+            # reversed, the face between rim[j] and rim[j+1] is the one that
+            # was between rim[j+1] and rim[j+2]
+            rim.reverse()
+            opposite = opposite[-2::-1] + opposite[-1:]
+            corners = corners[-2::-1] + corners[-1:]
+            k = d - 1 - k
+        return rim[k:] + rim[:k], opposite[k:] + opposite[:k], corners[k:] + corners[:k]
 
-    def _add(self, w: tuple) -> tuple:
+    def _orientation(self, root: int = 0, root_direction: int = 1) -> tuple:
+        """The orientation pass: (direction, first, orientable).
+
+        Faces are reached depth first from ``root``, then from each face not
+        yet reached, and each of a face's edges is crossed in the order of its
+        walk.  ``direction[f]`` is +1 when face ``f`` keeps the direction of
+        its walk and -1 when it is reversed: ``root`` takes
+        ``root_direction``, and each face reached takes the direction in which
+        it walks the edge it was reached by the other way from the face it was
+        reached from.  ``first`` maps each vertex to the first of its corners
+        reached, and ``orientable`` says whether every edge ends with its two
+        faces walking it opposite ways.
+        """
+        w, fe, side = self._w, self._fe, self._side
+        direction = [0] * (len(w) >> 2)
+        first = {}
+        orientable = True
+        for root in (root, *range(len(direction))) if direction else ():
+            if direction[root] or w[4 * root] is None:
+                continue
+            direction[root] = root_direction
+            stack = [root]
+            while stack:
+                f = stack.pop()
+                for s in range(4 * f, 4 * f + 4):
+                    first.setdefault(w[s], s)
+                    e = fe[s]
+                    t = side[2 * e]
+                    if t == s:
+                        t = side[2 * e + 1]
+                    g = t >> 2
+                    want = -direction[f] if w[t] == w[s] else direction[f]
+                    if not direction[g]:
+                        direction[g] = want
+                        stack.append(g)
+                    elif direction[g] != want:
+                        orientable = False
+        return direction, first, orientable
+
+    def _check_traced(self, emb: Embedding) -> None:
+        """Raise unless ``emb``'s traced faces are exactly these faces.
+
+        Each traced walk is matched with one of the two faces along its first
+        edge, read from that edge in either direction, and no face twice.
+        """
+        w, side, eid = self._w, self._side, self._eid
+        matched = set()
+        for walk in emb.faces():
+            darts = walk.darts
+            vs = [u for u, _ in darts]
+            e = eid[darts[0][1]]
+            for s in (side[2 * e], side[2 * e + 1]):
+                b = s & -4
+                cyc = w[s:b + 4] + w[b:s]  # the face, from slot s
+                if b not in matched and (cyc == vs or cyc == [vs[1], vs[0], *vs[:1:-1]]):
+                    matched.add(b)
+                    break
+            else:
+                raise StructuralError("rebuilt embedding does not reproduce the table's faces")
+        if len(matched) != (len(w) >> 2) - len(self._free_faces):
+            raise StructuralError("rebuilt embedding does not reproduce the table's faces")
+
+    def _mates(self, f: int) -> list:
+        """The face across each edge of face ``f`` (``f`` across a loop, -1 across none)."""
+        fe, side = self._fe, self._side
+        out = []
+        for s in range(4 * f, 4 * f + 4):
+            e = fe[s]
+            t = side[2 * e]
+            out.append((side[2 * e + 1] if t == s else t) >> 2)
+        return out
+
+    def _meet(self, f: int, mates: list, step: int) -> None:
+        """Count (``step`` = 1) or uncount (-1) the edges face ``f`` shares with
+        ``mates``, the faces across those of its edges that have two sides."""
+        if len(set(mates)) == len(mates) and f not in mates:
+            return
+        self._loops += step * mates.count(f)
+        for g in set(mates) - {f}:
+            if mates.count(g) >= 2:
+                self._multi += step
+
+    def _add(self, w) -> int:
         if len(w) != 4:
-            raise SurgeryError(f"face {w} has length {len(w)}, expected 4")
-        f = self._next_id
-        self._next_id += 1
-        self._faces[f] = w
-        for i, u in enumerate(w):
-            self._at.setdefault(u, set()).add(f)
-            self._degree[u] = self._degree.get(u, 0) + 1
-            e = _ekey(u, w[i - 3])
-            sides = self._edges.setdefault(e, [])
-            if len(sides) == 2:
-                raise SurgeryError(f"edge {e} lies on more than two faces")
-            if sides:
-                self._meet(sides[0], f, 1)
-            sides.append(f)
-        return w
+            raise SurgeryError(f"face {tuple(w)} has length {len(w)}, expected 4")
+        if self._free_faces:
+            f = self._free_faces.pop()
+        else:
+            f = len(self._w) >> 2
+            self._w += (None,) * 4
+            self._fe += (0,) * 4
+        b = 4 * f
+        self._w[b:b + 4] = w
+        fe, side, eid = self._fe, self._side, self._eid
+        degree, anchor = self._degree, self._anchor
+        mates = []
+        for i in range(4):
+            u = w[i]
+            key = _ekey(u, w[(i + 1) & 3])
+            e = eid.get(key)
+            if e is None:
+                if self._free_edges:
+                    e = self._free_edges.pop()
+                else:
+                    e = len(side) >> 1
+                    side += (-1, -1)
+                eid[key] = e
+                side[2 * e] = b + i
+            elif side[2 * e + 1] < 0:
+                side[2 * e + 1] = b + i
+                mates.append(side[2 * e] >> 2)
+            else:
+                raise SurgeryError(f"edge {key} lies on more than two faces")
+            fe[b + i] = e
+            degree[u] = degree.get(u, 0) + 1
+            anchor[u] = b + i
+        self._meet(f, mates, 1)
+        return f
 
     def _remove(self, f: int) -> None:
-        w = self._faces.pop(f)
-        for i, u in enumerate(w):
-            d = self._degree[u] - 1
-            if d:
-                self._degree[u] = d
-                self._at[u].discard(f)
+        """Drop face ``f``.  A vertex it leaves may keep a stale anchor; ``splice``
+        adds a face at each such vertex before anything walks round it."""
+        labels, fe, side, degree = self._w, self._fe, self._side, self._degree
+        mates = []
+        for i in range(4):
+            s = 4 * f + i
+            u = labels[s]
+            if degree[u] > 1:
+                degree[u] -= 1
             else:
-                del self._degree[u], self._at[u]
-            e = _ekey(u, w[i - 3])
-            sides = self._edges[e]
-            sides.remove(f)
-            if sides:
-                self._meet(sides[0], f, -1)
+                del degree[u], self._anchor[u]
+            e = fe[s]
+            if side[2 * e] == s:
+                side[2 * e] = side[2 * e + 1]
+            side[2 * e + 1] = -1
+            if side[2 * e] < 0:
+                del self._eid[_ekey(u, labels[4 * f + ((i + 1) & 3)])]
+                self._free_edges.append(e)
             else:
-                del self._edges[e]
+                mates.append(side[2 * e] >> 2)
+        self._meet(f, mates, -1)
+        labels[4 * f:4 * f + 4] = (None,) * 4
+        self._free_faces.append(f)
 
-    def _meet(self, f: int, g: int, step: int) -> None:
-        """Count (``step`` = 1) or uncount (-1) one edge along faces ``f`` and ``g``."""
-        if f == g:
-            self._loops += step
-            return
-        key = (f, g) if f < g else (g, f)
-        c = self._shared.get(key, 0)
-        if max(c, c + step) == 2:
-            self._multi += step
-        if c + step:
-            self._shared[key] = c + step
-        else:
-            del self._shared[key]
-
-    def _check_closed(self, edges) -> None:
-        for e in edges:
-            if len(self._edges.get(e, ())) == 1:
-                raise SurgeryError(f"edge {e} lies on only one face")
-
-
-def ranked_faces(faces, key=vkey) -> list:
-    """``faces`` relabelled onto 0..n-1 in ``key`` order."""
-    rank = {u: i for i, u in enumerate(sorted({u for w in faces for u in w}, key=key))}
-    return [tuple(rank[u] for u in w) for w in faces]
+    def _check_closed(self, faces) -> None:
+        """Raise unless every edge of ``faces`` lies on two faces."""
+        w, fe, side = self._w, self._fe, self._side
+        for f in faces:
+            for s in range(4 * f, 4 * f + 4):
+                if side[2 * fe[s] + 1] < 0:
+                    raise SurgeryError(f"edge {_ekey(w[s], w[_next(s)])} lies on only one face")
 
 
 def thawed(frozen: bytes) -> list:

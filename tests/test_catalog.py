@@ -232,6 +232,30 @@ def test_cold_build_kmn_does_not_recurse():
     assert emap.is_orientable(emb) and emap.is_face_simple(emb)
 
 
+def test_cold_kmn_chain_adds_linearly_many_faces(monkeypatch):
+    added, certified = [], []
+    add, certify = catalog.surgery.FaceTable._add, catalog._certify_kmn
+
+    def counting_add(table, w):
+        added.append(w)
+        return add(table, w)
+
+    def counting_certify(table, m, n):
+        certified.append((m, n))
+        return certify(table, m, n)
+
+    monkeypatch.setattr(catalog.surgery.FaceTable, "_add", counting_add)
+    monkeypatch.setattr(catalog, "_certify_kmn", counting_certify)
+    catalog.clear_cache()
+    n = 402
+    table = catalog.kmn_table(6, n)
+    assert set(table.edges()) == graphalg.complete_bipartite(6, n).edges
+    # the chain splices K_{6,6}'s 18 faces about 100 times in place;
+    # relabelling and rebuilding each K after its splice added 66,078
+    assert len(added) <= 5 * n
+    assert sorted(certified) == sorted(catalog._KMN_CACHE)
+
+
 @pytest.mark.parametrize("m", [6, 10])
 def test_build_kmn_certified_through_k30(m):
     for n in range(2, 31):

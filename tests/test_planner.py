@@ -147,7 +147,8 @@ def test_cold_generation_calls_each_embedding_kernel_once(monkeypatch):
     catalog.clear_cache()
     for rec in catalog.record_table():
         catalog.get_witness(rec.name)
-    kernels = ((surgery, "diamond_sum"), (emap, "embedding_from_faces"), (emap, "is_orientable"))
+    kernels = ((surgery, "diamond_sum"), (emap, "embedding_from_faces"),
+               (surgery.FaceTable, "embedding"), (emap, "is_orientable"))
     calls = {name: 0 for _, name in kernels}
 
     def counting(name, real):
@@ -159,8 +160,10 @@ def test_cold_generation_calls_each_embedding_kernel_once(monkeypatch):
     for module, name in kernels:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     planner.generate(ParamRequest(n=50, t=3, kind="nonorientable"))
-    # the K_{m,n} are summed in face tables, the chain is rebuilt once and certified once
-    assert calls == {"diamond_sum": 0, "embedding_from_faces": 1, "is_orientable": 1}
+    # the K_{m,n} are summed in face tables, the output's rotation system is
+    # built from the chain's table once, and it is certified once
+    assert calls == {"diamond_sum": 0, "embedding_from_faces": 0, "embedding": 1,
+                     "is_orientable": 1}
 
 
 def test_sum_hypotheses_need_an_independent_neighbourhood():
@@ -213,11 +216,33 @@ def test_each_plan_node_is_built_once(monkeypatch):
     assert len(calls) == len(distinct)
 
 
+def count_splices(monkeypatch) -> list:
+    calls = []
+    real = surgery.FaceTable.splice
+
+    def counting(table, *args):
+        calls.append(args)
+        return real(table, *args)
+
+    monkeypatch.setattr(surgery.FaceTable, "splice", counting)
+    return calls
+
+
+def memo_holds_no_embedding() -> bool:
+    return not any(isinstance(value, emap.Embedding)
+                   for built in planner._GEN_CACHE.values() for value in vars(built).values())
+
+
 def test_clearing_the_memo_executes_again(monkeypatch):
     req = ParamRequest(n=18, t=3, kind="nonorientable")
     first, _, node = planner.generate(req)
     calls = count_induction_steps(monkeypatch)
-    assert planner.generate(req)[0] is first and calls == []
+    splices = count_splices(monkeypatch)
+    # a repeated request rebuilds from the memo's faces: no step, no splice, equal bytes
+    repeated = planner.generate(req)[0]
+    assert calls == [] and splices == []
+    assert serialize.write_emap(repeated) == serialize.write_emap(first)
+    assert memo_holds_no_embedding()
     planner._GEN_CACHE.clear()
     again, _, _ = planner.generate(req)
     assert len(calls) == len(list(induction_nodes(node))) == 3
@@ -230,13 +255,14 @@ def test_memo_keeps_no_embedding_of_an_unrequested_node(monkeypatch):
     emb, _, node = planner.generate(req)
     chain = list(induction_nodes(node))
     assert len(chain) == 11 and set(planner._GEN_CACHE) == set(chain)
-    assert planner._GEN_CACHE[node].embedding is emb
-    assert all(planner._GEN_CACHE[step].embedding is None for step in chain[1:])
+    assert memo_holds_no_embedding()
     # a request for a built node rebuilds its embedding from the memo, splicing nothing
     calls = count_induction_steps(monkeypatch)
+    splices = count_splices(monkeypatch)
     child = chain[1]
     warm = planner.generate(ParamRequest(n=child.n, t=child.t, kind=req.kind))[0]
-    assert calls == [] and planner._GEN_CACHE[child].embedding is warm
+    assert calls == [] and splices == [] and memo_holds_no_embedding()
+    assert planner.generate(req)[0] == emb and splices == []
     catalog.clear_cache()
     assert planner._GEN_CACHE == {}
     assert planner.generate(ParamRequest(n=child.n, t=child.t, kind=req.kind))[0] == warm

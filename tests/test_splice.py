@@ -77,6 +77,15 @@ def assert_predicates_match(table: surgery.FaceTable, emb: emap.Embedding) -> No
             not any(g.has_edge(p, q) for p in nbrs for q in nbrs))
 
 
+def assert_embedding_matches(table: surgery.FaceTable) -> None:
+    """``FaceTable.embedding`` against ``emap.embedding_from_faces`` over the same faces."""
+    got, want = table.embedding(), rebuilt(table)
+    assert (face_multiset(w.vertices for w in got.faces())
+            == face_multiset(w.vertices for w in want.faces())
+            == face_multiset(table.faces()))
+    assert emap.certify(got) == emap.certify(want)
+
+
 def summand_pool() -> list:
     pool = [catalog.get_witness(rec.name) for rec in catalog.record_table()]
     pool += [catalog.build_kmn(6, n) for n in range(2, 8)]
@@ -102,6 +111,47 @@ def test_orientability_does_not_depend_on_how_a_face_is_walked():
             for walk in (w[::-1], w[1:] + w[:1], w[::-1][2:] + w[::-1][:2]):
                 table = surgery.FaceTable(faces[:i] + [walk] + faces[i + 1:])
                 assert table.is_orientable() == want
+
+
+def test_table_embedding_matches_the_rebuild_on_the_pool():
+    for emb in summand_pool():
+        table = surgery.FaceTable.from_embedding(emb)
+        assert_embedding_matches(table)
+        assert emap.certify(table.embedding()) == emap.certify(emb)
+
+
+def test_table_embedding_does_not_depend_on_face_order():
+    # a chain resumed from the memo holds its faces under other ids than the
+    # cold chain did; the output must not see the difference
+    rng = random.Random(11)
+    for emb in summand_pool():
+        faces = [w.vertices for w in emb.faces()]
+        want = surgery.FaceTable(faces).embedding()
+        rng.shuffle(faces)
+        assert surgery.FaceTable(faces).embedding() == want
+
+
+@pytest.mark.parametrize("m", [6, 10])
+def test_table_embedding_matches_the_rebuild_on_each_kmn(m):
+    for n in range(2, 31):
+        table = catalog.kmn_table(m, n)
+        assert_embedding_matches(table)
+        assert table.embedding() == catalog.build_kmn(m, n)
+
+
+@pytest.mark.parametrize("shared", [0, 8, None])
+def test_table_embedding_refuses_a_pinched_vertex(shared):
+    # two surfaces glued at one vertex: its corners form two cycles
+    if shared is None:  # two square spheres, at vertex 0
+        faces = [(0, 1, 2, 3), (0, 3, 2, 1), (0, 4, 5, 6), (0, 6, 5, 4)]
+    else:  # two K_{6,3} tori, at the least vertex or at another
+        torus = [w.vertices for w in catalog.build_kmn(6, 3).faces()]
+        faces = torus + [tuple(u if u == shared else u + 100 for u in w) for w in torus]
+    table = surgery.FaceTable(faces)
+    with pytest.raises((SurgeryError, StructuralError), match="pinched"):
+        table.embedding()
+    with pytest.raises(StructuralError, match="pinched"):
+        emap.embedding_from_faces(faces)
 
 
 def test_splice_matches_diamond_sum():
@@ -178,6 +228,7 @@ def checked_steps(monkeypatch) -> Counter:
         assert face_multiset(table.faces()) == face_multiset(w.vertices for w in ref.faces())
         assert emap.is_orientable(rebuilt(table)) == (emap.is_orientable(a)
                                                       and emap.is_orientable(b))
+        assert_embedding_matches(table)
         seen["splice"] += 1
         return labels
 
