@@ -47,7 +47,7 @@ from pathlib import Path
 
 from . import emap, graphalg, search, serialize, surgery
 from .emap import Embedding, Graph, vkey
-from .errors import CatalogError, QuadforgeError
+from .errors import CatalogError, QuadforgeError, SurgeryError
 from .search import WitnessSpec
 
 CATALOG_ENV = "QUADFORGE_CATALOG"
@@ -290,29 +290,35 @@ def _first_chain_site(parent: Embedding, cycle: tuple, predicates: tuple) -> Emb
     """``parent`` with a handle at the first site for ``cycle`` whose result
     passes ``predicates``: the derived record's own bundle, so a site that
     leaves a later handle without a site is passed over."""
-    for site in surgery.find_handle_sites(parent, cycle):
+    table = surgery.FaceTable.from_embedding(parent)
+    for site in table.handle_sites(cycle):
+        out = table.copy()
         try:
-            out = surgery.handle_augment(parent, site)
-        except QuadforgeError:
+            out.handle(site)
+        except SurgeryError:
             continue
-        if search.check_predicates(out, predicates):
-            return out
+        emb = out.embedding()
+        if search.check_predicates(emb, predicates):
+            return emb
     raise CatalogError(f"no usable handle site for cycle {cycle}")
 
 
 def _derive(rec: CatalogRecord) -> Embedding:
     """The witness of a derived record: its ``op`` applied to its parent's."""
     out = get_witness(rec.parent)
-    if rec.op == "delete_degree2":
-        return surgery.delete_degree2(out, "z")
-    if rec.op == "insert_degree2":
-        face = out.faces()[0].vertices
-        return surgery.insert_degree2(out, face, min(face, key=vkey))[0]
     if rec.op == "handle":
         for cycle in rec.args:
             out = _first_chain_site(out, cycle, rec.predicates)
         return out
-    raise CatalogError(f"{rec.name}: no derivation rule for op {rec.op!r}")
+    table = surgery.FaceTable.from_embedding(out)
+    if rec.op == "delete_degree2":
+        table.delete_degree2("z")
+    elif rec.op == "insert_degree2":
+        face = table.faces()[0]
+        table.insert_degree2(face, min(face, key=vkey))
+    else:
+        raise CatalogError(f"{rec.name}: no derivation rule for op {rec.op!r}")
+    return table.embedding()
 
 
 def get_witness(name: str) -> Embedding:

@@ -77,8 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("vertex_a")
     q.add_argument("file_b")
     q.add_argument("vertex_b")
-    q.add_argument("--offset", type=int, default=0)
-    q.add_argument("--reflect", action="store_true")
+    q.add_argument("--offset", type=int, default=0,
+                   help="rotate the gluing: offsets count on each vertex's rim started at its "
+                        "least neighbour and run towards the lesser of that neighbour's two "
+                        "neighbours on the rim")
+    q.add_argument("--reflect", action="store_true",
+                   help="glue the rims the same way round; by default they are glued opposite "
+                        "ways, or the same way when that would create a parallel edge")
     q.add_argument("--out")
     q.set_defaults(func=_cmd_diamond)
 
@@ -151,6 +156,10 @@ def _emit(args, emb: emap.Embedding, cert: emap.Certificate | None = None) -> No
 def _load(path: str) -> emap.Embedding:
     with open(path) as fh:
         return serialize.parse_emap(fh.read())
+
+
+def _load_table(path: str) -> surgery.FaceTable:
+    return surgery.FaceTable.from_embedding(_load(path))
 
 
 # ---------------------------------------------------------------------------
@@ -319,28 +328,30 @@ def _cmd_diamond(args) -> int:
 
 
 def _cmd_handle(args) -> int:
-    emb = _load(args.file)
+    table = _load_table(args.file)
     cycle = tuple(parse_label(t) for t in args.cycle)
-    sites = surgery.find_handle_sites(emb, cycle)
+    sites = table.handle_sites(cycle)
     if not sites:
         print(f"error: no handle site for cycle {cycle}", file=sys.stderr)
         return 1
-    _emit(args, surgery.handle_augment(emb, sites[0]))
+    table.handle(sites[0])
+    _emit(args, table.embedding())
     return 0
 
 
 def _cmd_delete2(args) -> int:
-    emb = _load(args.file)
-    _emit(args, surgery.delete_degree2(emb, parse_label(args.vertex)))
+    table = _load_table(args.file)
+    table.delete_degree2(parse_label(args.vertex))
+    _emit(args, table.embedding())
     return 0
 
 
 def _cmd_insert2(args) -> int:
-    emb = _load(args.file)
+    table = _load_table(args.file)
     face = tuple(parse_label(t) for t in args.face)
-    out, z = surgery.insert_degree2(emb, face, parse_label(args.corner))
+    z = table.insert_degree2(face, parse_label(args.corner))
     _say(args, f"inserted vertex {z}")
-    _emit(args, out)
+    _emit(args, table.embedding())
     return 0
 
 

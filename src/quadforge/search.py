@@ -32,7 +32,7 @@ from typing import Iterator
 
 from . import emap, surgery
 from .emap import Embedding, Graph, vkey
-from .errors import QuadforgeError, SearchError
+from .errors import SearchError, SurgeryError
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,13 @@ class WitnessSpec:
 
 
 def check_predicates(emb: Embedding, predicates) -> bool:
+    """Whether ``emb`` passes every predicate.  The surgery predicates are
+    answered from its face table, built once; their edits are made on copies."""
+    table = None
     for pred in predicates:
         name, *args = pred
+        if name in ("has_handle_site", "delete_degree2_face_simple", "double_handle"):
+            table = table or surgery.FaceTable.from_embedding(emb)
         if name == "face_simple":
             ok = emap.is_face_simple(emb)
         elif name == "nearly_face_simple_except":
@@ -74,14 +79,17 @@ def check_predicates(emb: Embedding, predicates) -> bool:
         elif name == "universal_vertex":
             ok = bool(emap.universal_vertices(emb.graph))
         elif name == "has_handle_site":
-            ok = bool(surgery.find_handle_sites(emb, tuple(args[0])))
+            ok = bool(table.handle_sites(tuple(args[0])))
         elif name == "delete_degree2_face_simple":
+            out = table.copy()
             try:
-                ok = emap.is_face_simple(surgery.delete_degree2(emb, args[0]))
-            except QuadforgeError:
+                out.delete_degree2(args[0])
+            except SurgeryError:
                 ok = False
+            else:
+                ok = out.is_face_simple()
         elif name == "double_handle":
-            ok = _double_handle_ok(emb, tuple(args[0]), tuple(args[1]))
+            ok = _double_handle_ok(table, tuple(args[0]), tuple(args[1]))
         else:
             raise SearchError(f"unknown predicate {name!r}")
         if not ok:
@@ -89,14 +97,15 @@ def check_predicates(emb: Embedding, predicates) -> bool:
     return True
 
 
-def _double_handle_ok(emb: Embedding, cycle1, cycle2) -> bool:
+def _double_handle_ok(table: surgery.FaceTable, cycle1, cycle2) -> bool:
     """Some site for cycle1 leaves a usable site for cycle2 after augmenting."""
-    for site in surgery.find_handle_sites(emb, cycle1):
+    for site in table.handle_sites(cycle1):
+        mid = table.copy()
         try:
-            mid = surgery.handle_augment(emb, site)
-        except QuadforgeError:
+            mid.handle(site)
+        except SurgeryError:
             continue
-        if surgery.find_handle_sites(mid, cycle2):
+        if mid.handle_sites(cycle2):
             return True
     return False
 

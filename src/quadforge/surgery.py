@@ -1,21 +1,20 @@
-"""Surgical primitives on quadrangular embeddings.
+"""Surgery on quadrangular face sets.
 
-The four operations on an ``Embedding`` (diamond sum, handle augmentation,
-degree-2 deletion and insertion) are implemented at the face level: compute
-the new face set, then rebuild the signed rotation system with
-``embedding_from_faces``.  Every output is re-traced and checked against its
-postconditions; nothing is patched blindly.
+Every surgery is done on a ``FaceTable``: a mutable quadrangular face set
+held in flat lists of ints (four corner slots per face, two side slots per
+edge).  Each operation replaces a few faces in place and touches only the
+faces it removes and adds: ``splice`` (the diamond sum), ``handle`` (handle
+augmentation along a 4-cycle), ``delete_degree2`` and ``insert_degree2``.
+Every predicate a table answers is computed from its faces: face-simplicity
+from counters it keeps up to date, orientability by one orientation pass over
+the faces.
 
-``FaceTable`` is the in-place counterpart of the diamond sum, for both
-chains of sums: the catalog's ``K_{m,n}`` and the planner's induction chain.
-It holds a quadrangular face set in flat lists of ints (four corner slots per
-face, two side slots per edge), and its ``splice`` replaces the disk around
-one vertex by the summand's faces, touching only the faces it adds and
-removes.  Every predicate a table answers is computed from its faces:
-face-simplicity from counters it keeps up to date, orientability by one
-orientation pass over the faces.  ``FaceTable.embedding`` builds the signed
-rotation system from the table itself, once, when it is wanted: each
-vertex's rotation is its rim, and the signs come from the same pass.
+An ``Embedding`` appears only at the edges.  A table is loaded from an
+embedding's traced faces (``FaceTable.from_embedding``), and
+``FaceTable.embedding`` builds the signed rotation system from the table,
+once, when it is wanted: each vertex's rotation is its rim, and the signs come
+from the same orientation pass.  ``diamond_sum`` is that pattern for two
+embeddings: load both, splice, rebuild.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import emap
-from .emap import Embedding, FaceWalk, Graph, Label, edge_between, other_end, vkey
+from .emap import Embedding, FaceWalk, Graph, Label, edge_between, vkey
 from .errors import StructuralError, SurgeryError
 
 
@@ -59,47 +58,6 @@ def relabel_embedding(emb: Embedding, mapping: dict) -> Embedding:
     return out
 
 
-def _face_vertex_walks(emb: Embedding) -> list:
-    return [w.vertices for w in emb.faces()]
-
-
-def _corner_positions(walk: tuple, v: Label) -> list:
-    return [i for i, u in enumerate(walk) if u == v]
-
-
-def _faces_at_vertex(emb: Embedding, v: Label):
-    """The faces incident with v; each must have exactly one corner at v."""
-    out = []
-    for idx, w in enumerate(emb.faces()):
-        pos = _corner_positions(w.vertices, v)
-        if len(pos) > 1:
-            raise SurgeryError(f"face {w.vertices} has {len(pos)} corners at {v!r}")
-        if pos:
-            out.append((idx, w.vertices, pos[0]))
-    return out
-
-
-def _rim(emb: Embedding, v: Label):
-    """Neighbor cycle of v plus the map {a_j, a_j+1} -> opposite corner."""
-    cyc = tuple(other_end(e, v) for e in emb.rotation[v])
-    pair_to_m = {}
-    removed = set()
-    for idx, walk, pos in _faces_at_vertex(emb, v):
-        if len(walk) != 4:
-            raise SurgeryError(f"face at {v!r} has length {len(walk)}, expected 4")
-        a = walk[(pos + 1) % 4]
-        m = walk[(pos + 2) % 4]
-        b = walk[(pos + 3) % 4]
-        key = frozenset((a, b))
-        if key in pair_to_m:
-            raise SurgeryError(f"two faces at {v!r} span the same neighbor pair {set(key)}")
-        pair_to_m[key] = m
-        removed.add(idx)
-    if len(removed) != len(cyc):
-        raise SurgeryError(f"vertex {v!r} has {len(removed)} incident faces but degree {len(cyc)}")
-    return cyc, pair_to_m, removed
-
-
 def diamond_sum(
     a: Embedding,
     v: Label,
@@ -110,86 +68,25 @@ def diamond_sum(
 ) -> Embedding:
     """Excise v and v2, glue the disk boundaries, and requadrangulate.
 
-    The neighbor cycle of v is matched against the reversed neighbor cycle
-    of v2 rotated by ``offset`` (non-reversed when ``reflect``).  With
-    ``reflect=None`` the first gluing that builds is taken, reversed first.
-    Either gluing keeps the contract that the result is orientable exactly
-    when both inputs are (two surfaces glued along a boundary circle give an
-    orientable surface exactly when both are); it is checked on the output.
+    ``FaceTable.splice`` of the two embeddings' tables, with ``offset`` and
+    ``reflect`` as it takes them.  The output keeps the labels of both inputs,
+    so the summand's vertices off the rim of v2 must not be labels of ``a``
+    other than v.  Either gluing keeps the contract that the result is
+    orientable exactly when both inputs are (two surfaces glued along a
+    boundary circle give an orientable surface exactly when both are); it is
+    checked on the output.
     """
-    if not emap.is_quadrangular(a) or not emap.is_quadrangular(b):
-        raise SurgeryError("diamond sum requires quadrangular embeddings")
-    if v not in a.graph.vertices or v2 not in b.graph.vertices:
-        raise SurgeryError(f"unknown summing vertex {v!r} or {v2!r}")
-    d = a.graph.degree(v)
-    d2 = b.graph.degree(v2)
-    if d != d2:
-        raise SurgeryError(f"degree mismatch at ({v!r}, {v2!r}): {d} != {d2}")
-    if d < 3:
-        raise SurgeryError(f"diamond sum site needs degree >= 3, got {d}")
-
-    if reflect is None:
-        try:
-            out = _diamond_sum_fixed(a, v, b, v2, offset, False)
-        except SurgeryError:
-            out = _diamond_sum_fixed(a, v, b, v2, offset, True)
-    else:
-        out = _diamond_sum_fixed(a, v, b, v2, offset, reflect)
-    if emap.is_orientable(out) != (emap.is_orientable(a) and emap.is_orientable(b)):
-        raise SurgeryError("gluing violates the orientability contract")
-    return out
-
-
-def _diamond_sum_fixed(a, v, b, v2, offset, reflect) -> Embedding:
-    rim_a, pair_m_a, removed_a = _rim(a, v)
-    rim_b, pair_m_b, removed_b = _rim(b, v2)
-    d = len(rim_a)
-
-    def mu(j):
-        return (offset + j) % d if reflect else (offset - j) % d
-
-    ident = {rim_b[mu(j)]: rim_a[j] for j in range(d)}
-    interior_b = b.graph.vertices - {v2} - set(ident)
-    rest_a = a.graph.vertices - {v}
-    clash = interior_b & rest_a
+    table = FaceTable.from_embedding(a)
+    labels = table.splice(v, FaceTable.from_embedding(b), v2, offset, reflect)
+    rim = b.graph.neighbors(v2)
+    clash = (b.graph.vertices - rim - {v2}) & (a.graph.vertices - {v})
     if clash:
         raise SurgeryError(f"label collision between summands: {sorted(clash, key=vkey)}")
-
-    def mb(u):
-        return ident.get(u, u)
-
-    edges_a = {e for e in a.graph.edges if v not in e[:2]}
-    for e in b.graph.edges:
-        if v2 in e[:2]:
-            continue
-        me = edge_between(mb(e[0]), mb(e[1]))
-        if me in edges_a:
-            raise SurgeryError(f"identification creates a parallel edge {me}")
-
-    faces = []
-    for idx, w in enumerate(a.faces()):
-        if idx not in removed_a:
-            faces.append(w.vertices)
-    for idx, w in enumerate(b.faces()):
-        if idx not in removed_b:
-            faces.append(tuple(mb(u) for u in w.vertices))
-    for j in range(d):
-        aj, aj1 = rim_a[j], rim_a[(j + 1) % d]
-        mj = pair_m_a[frozenset((aj, aj1))]
-        key = frozenset((rim_b[mu(j)], rim_b[mu((j + 1) % d)]))
-        m2 = mb(pair_m_b[key])
-        faces.append((aj, mj, aj1, m2))
-
-    out = emap.embedding_from_faces(faces)
-    want_v = len(a.graph.vertices) + len(b.graph.vertices) - d - 2
-    want_chi = emap.euler_characteristic(a) + emap.euler_characteristic(b) - 2
-    if len(out.graph.vertices) != want_v:
-        raise SurgeryError("diamond sum produced the wrong vertex count")
-    if not emap.is_quadrangular(out):
-        raise SurgeryError("diamond sum output is not quadrangular")
-    if emap.euler_characteristic(out) != want_chi:
-        raise SurgeryError("diamond sum output violates Euler additivity")
-    return out
+    if table.is_orientable() != (emap.is_orientable(a) and emap.is_orientable(b)):
+        raise SurgeryError("gluing violates the orientability contract")
+    back = {u: u for u in table.vertices()}
+    back.update((labels[u], u) for u in labels if u not in rim)
+    return relabel_embedding(table.embedding(), back)
 
 
 def _ekey(u: Label, v: Label) -> tuple:
@@ -210,7 +107,7 @@ def _prev(s: int) -> int:
 
 
 class FaceTable:
-    """A mutable quadrangular face set, summed into in place by ``splice``.
+    """A mutable quadrangular face set, edited in place by its surgeries.
 
     Storage is flat.  Face ``f`` owns the slots ``4f .. 4f+3``, one per
     corner: ``_w[s]`` is the corner's label and ``_fe[s]`` the id of the edge
@@ -372,18 +269,20 @@ class FaceTable:
         self._check_traced(emb)
         return emb
 
-    def splice(self, v: Label, summand: FaceTable, v2: Label) -> dict:
+    def splice(self, v: Label, summand: FaceTable, v2: Label, offset: int = 0,
+               reflect: bool | None = None) -> dict:
         """Diamond sum in place: excise ``v`` here and ``v2`` in ``summand``, and glue.
 
         The vertices here keep their labels.  Each neighbour of ``v2`` takes the
         label of the neighbour of ``v`` it is glued to; the summand's other
         vertices take fresh ints above every int here but ``v``, in ``vkey``
-        order.  The rims (see ``_rim``) are glued as ``diamond_sum``
-        glues at offset 0: the j-th neighbour of ``v`` to the (-j)-th of ``v2``,
-        or to the j-th when that would create a parallel edge.  Either gluing
-        keeps the contract that the sum is orientable exactly when both
-        summands are.  ``summand`` is only read.  Returns the summand's labels
-        -> their labels here.
+        order.  Offsets count on the label-canonical rims (see ``_rim``): the
+        j-th neighbour of ``v`` is glued to the (offset - j)-th of ``v2``, or
+        to the (offset + j)-th when ``reflect``.  With ``reflect=None`` the
+        first gluing is taken unless it would create a parallel edge, and the
+        second then.  Either gluing keeps the contract that the sum is
+        orientable exactly when both summands are.  ``summand`` is only read.
+        Returns the summand's labels -> their labels here.
         """
         if v not in self._degree or v2 not in summand._degree:
             raise SurgeryError(f"unknown summing vertex {v!r} or {v2!r}")
@@ -396,8 +295,8 @@ class FaceTable:
         rim2, opposite2, at_v2 = summand._rim(v2)
         on_rim2 = set(rim2)
         rim_edges = [(a, b) for a in rim2 for b in summand.neighbors(a) if b in on_rim2]
-        for reflect in (False, True):
-            mu = [(j if reflect else -j) % d for j in range(d)]
+        for flip in (False, True) if reflect is None else (reflect,):
+            mu = [(offset + j if flip else offset - j) % d for j in range(d + 1)]
             glue = {rim2[mu[j]]: rim[j] for j in range(d)}
             clashes = [e for a, b in rim_edges if (e := _ekey(glue[a], glue[b])) in self._eid]
             if not clashes:
@@ -416,10 +315,109 @@ class FaceTable:
         added = [self._add([labels[u] for u in w2[s:s + 4]]) for s in range(0, len(w2), 4)
                  if w2[s] is not None and s >> 2 not in skip]
         for j in range(d):
-            m2 = opposite2[j if reflect else (-j - 1) % d]
+            # the summand's face between rim2[mu[j]] and rim2[mu[j + 1]]
+            m2 = opposite2[mu[j] if flip else mu[j + 1]]
             added.append(self._add((rim[j], opposite[j], rim[(j + 1) % d], labels[m2])))
         self._check_closed(added)
         return labels
+
+    def handle_sites(self, cycle: tuple) -> list:
+        """Every site for a handle along the 4-cycle ``(a, b, c, d)``: a face
+        with a and c at opposite corners, and another with b and d, in face-id
+        order (for a table loaded from an embedding, the order its faces are
+        traced in).  None when an edge of the cycle is already present."""
+        if len(cycle) != 4 or len(set(cycle)) != 4:
+            raise SurgeryError(f"handle cycle must have 4 distinct vertices, got {cycle}")
+        for u in cycle:
+            if u not in self._degree:
+                raise SurgeryError(f"unknown vertex {u!r} in handle cycle")
+        a, b, c, d = cycle
+        if any(_ekey(u, x) in self._eid for u, x in ((a, b), (b, c), (c, d), (d, a))):
+            return []
+        return [HandleSite(alpha, beta) for f, alpha in self._spans(a, c)
+                for g, beta in self._spans(b, d) if f != g]
+
+    def handle(self, site: HandleSite) -> None:
+        """Add a handle through the site's two faces, creating the 4-cycle's edges.
+
+        The two faces are replaced by a tube of four.  When the table is
+        orientable and the tube glued along ``site.beta`` is not, ``beta`` is
+        glued the other way round.
+        """
+        a, p, c, q = site.alpha
+        b, r, d, s = site.beta
+        if len({a, b, c, d}) != 4:
+            raise SurgeryError("handle cycle corners are not pairwise distinct")
+        for u, x in ((a, b), (b, c), (c, d), (d, a)):
+            if _ekey(u, x) in self._eid:
+                raise SurgeryError(f"edge {_ekey(u, x)} already present")
+        f = self._find(site.alpha)
+        g = self._find(site.beta, skip=f)
+        orientable = self.is_orientable()
+        self._remove(f)
+        self._remove(g)
+        tube = [self._add((a, p, c, b)), self._add((c, q, a, d))]
+        back = [self._add((b, r, d, c)), self._add((d, s, b, a))]
+        self._check_closed(tube + back)
+        if orientable and not self.is_orientable():
+            for h in back:
+                self._remove(h)
+            back = [self._add((b, s, d, c)), self._add((d, r, b, a))]
+            self._check_closed(back)
+
+    def delete_degree2(self, z: Label) -> None:
+        """Remove a degree-2 vertex, merging its two faces into one quadrilateral."""
+        if z not in self._degree:
+            raise SurgeryError(f"unknown vertex {z!r}")
+        if self._degree[z] != 2:
+            raise SurgeryError(f"vertex {z!r} has degree {self._degree[z]}, expected 2")
+        w = self._w
+        (c1, _), (c2, _) = self._walk(self._anchor[z], True)
+        if c1 >> 2 == c2 >> 2:
+            raise SurgeryError(f"the two faces at {z!r} coincide")
+        (x1, m1, y1), (x2, m2, y2) = ((w[_next(c)], w[c ^ 2], w[_prev(c)]) for c in (c1, c2))
+        if {x1, y1} != {x2, y2}:
+            raise SurgeryError(f"faces at {z!r} do not share the x-z-y path")
+        self._remove(c1 >> 2)
+        self._remove(c2 >> 2)
+        # either orientation of the second remnant closes the merged walk at x1
+        self._check_closed([self._add((x1, m1, y1, m2))])
+
+    def insert_degree2(self, face, corner: Label) -> Label:
+        """Split a face with a new degree-2 vertex joined to ``corner`` and its
+        opposite; returns the new vertex, the least nonnegative int not a label here."""
+        f = self._find(face)
+        walk = self._w[4 * f:4 * f + 4]
+        if corner not in walk:
+            raise SurgeryError(f"{corner!r} is not a corner of face {tuple(walk)}")
+        i = walk.index(corner)
+        p, a, q, b = walk[i:] + walk[:i]
+        z = _fresh_label(self._degree)
+        self._remove(f)
+        self._check_closed([self._add((p, a, q, z)), self._add((q, b, p, z))])
+        return z
+
+    def _find(self, walk, skip: int = -1) -> int:
+        """The id of a face other than ``skip`` walked as ``walk``, up to
+        rotation and reflection."""
+        target = emap.normalize_walk(walk)
+        if len(target) == 4 and target[0] in self._degree:
+            for c, _ in self._walk(self._anchor[target[0]], True):
+                f = c >> 2
+                if f != skip and emap.normalize_walk(self._w[4 * f:4 * f + 4]) == target:
+                    return f
+        raise SurgeryError(f"no face matches {tuple(walk)}")
+
+    def _spans(self, first: Label, second: Label) -> list:
+        """``(f, (first, p, second, q))`` for each face ``f`` walked
+        first-p-second-q, in face-id order."""
+        w = self._w
+        out = []
+        for f in sorted({c >> 2 for c, _ in self._walk(self._anchor[first], True)}):
+            for s in range(4 * f, 4 * f + 4):
+                if w[s] == first and w[s ^ 2] == second:
+                    out.append((f, (first, w[_next(s)], second, w[_prev(s)])))
+        return out
 
     def _walk(self, c: int, forward: bool) -> list:
         """The corners round the vertex at slot ``c``, from ``c``, as (slot, forward).
@@ -602,8 +600,8 @@ class FaceTable:
         return f
 
     def _remove(self, f: int) -> None:
-        """Drop face ``f``.  A vertex it leaves may keep a stale anchor; ``splice``
-        adds a face at each such vertex before anything walks round it."""
+        """Drop face ``f``.  A vertex it leaves may keep a stale anchor; each
+        operation adds a face at each such vertex before anything walks round it."""
         labels, fe, side, degree = self._w, self._fe, self._side, self._degree
         mates = []
         for i in range(4):
@@ -651,138 +649,6 @@ class HandleSite:
 
     alpha: tuple
     beta: tuple
-
-    def cycle(self) -> tuple:
-        return (self.alpha[0], self.beta[0], self.alpha[2], self.beta[2])
-
-
-def find_handle_sites(emb: Embedding, cycle: tuple) -> list:
-    """All valid sites realizing the 4-cycle ``(a, b, c, d)``, in trace order."""
-    if len(cycle) != 4 or len(set(cycle)) != 4:
-        raise SurgeryError(f"handle cycle must have 4 distinct vertices, got {cycle}")
-    a, b, c, d = cycle
-    for u in cycle:
-        if u not in emb.graph.vertices:
-            raise SurgeryError(f"unknown vertex {u!r} in handle cycle")
-    for u, w in ((a, b), (b, c), (c, d), (d, a)):
-        if emb.graph.has_edge(u, w):
-            return []
-
-    def spans(first, second):
-        found = []
-        for idx, walk in enumerate(_face_vertex_walks(emb)):
-            if len(walk) != 4:
-                continue
-            for i in range(4):
-                if walk[i] == first and walk[(i + 2) % 4] == second:
-                    found.append((idx, (first, walk[(i + 1) % 4], second, walk[(i + 3) % 4])))
-        return found
-
-    sites = []
-    for ia, alpha in spans(a, c):
-        for ib, beta in spans(b, d):
-            if ia != ib:
-                sites.append(HandleSite(alpha=alpha, beta=beta))
-    return sites
-
-
-def handle_augment(emb: Embedding, site: HandleSite) -> Embedding:
-    """Add a handle through the site's two faces, creating the 4-cycle's edges."""
-    if not emap.is_quadrangular(emb):
-        raise SurgeryError("handle augmentation requires a quadrangular embedding")
-    a, p, c, q = site.alpha
-    b, r, d, s = site.beta
-    if site.alpha == site.beta:
-        raise SurgeryError("handle site faces coincide")
-    if len({a, b, c, d}) != 4:
-        raise SurgeryError("handle cycle corners are not pairwise distinct")
-    for u, w in ((a, b), (b, c), (c, d), (d, a)):
-        if emb.graph.has_edge(u, w):
-            raise SurgeryError(f"edge {edge_between(u, w)} already present")
-
-    walks = _face_vertex_walks(emb)
-    ia = _locate_face(walks, site.alpha)
-    ib = _locate_face(walks, site.beta, skip={ia})
-    orientable_before = emap.is_orientable(emb)
-
-    def build(beta):
-        bb, rr, dd, ss = beta
-        faces = [w for i, w in enumerate(walks) if i not in (ia, ib)]
-        faces += [(a, p, c, bb), (c, q, a, dd), (bb, rr, dd, c), (dd, ss, bb, a)]
-        return emap.embedding_from_faces(faces)
-
-    out = build(site.beta)
-    if orientable_before and not emap.is_orientable(out):
-        out = build((b, s, d, r))
-    chi = emap.euler_characteristic(emb)
-    if emap.euler_characteristic(out) != chi - 2:
-        raise SurgeryError("handle augmentation did not drop chi by 2")
-    if not emap.is_quadrangular(out):
-        raise SurgeryError("handle augmentation output is not quadrangular")
-    if emap.is_orientable(out) != orientable_before:
-        raise SurgeryError("handle augmentation changed orientability")
-    return out
-
-
-def _locate_face(walks, quad, skip=frozenset()):
-    target = emap.normalize_walk(quad)
-    for i, w in enumerate(walks):
-        if i not in skip and emap.normalize_walk(w) == target:
-            return i
-    raise SurgeryError(f"no face matches {quad}")
-
-
-def delete_degree2(emb: Embedding, z: Label) -> Embedding:
-    """Remove a degree-2 vertex, merging its two faces into one quadrilateral."""
-    if not emap.is_quadrangular(emb):
-        raise SurgeryError("degree-2 deletion requires a quadrangular embedding")
-    if z not in emb.graph.vertices:
-        raise SurgeryError(f"unknown vertex {z!r}")
-    if emb.graph.degree(z) != 2:
-        raise SurgeryError(f"vertex {z!r} has degree {emb.graph.degree(z)}, expected 2")
-    at_z = _faces_at_vertex(emb, z)
-    if len(at_z) != 2:
-        raise SurgeryError(f"the two faces at {z!r} coincide")
-    (i1, w1, p1), (i2, w2, p2) = at_z
-    x1, y1 = w1[(p1 + 1) % 4], w1[(p1 + 3) % 4]
-    m1 = w1[(p1 + 2) % 4]
-    x2, y2 = w2[(p2 + 1) % 4], w2[(p2 + 3) % 4]
-    m2 = w2[(p2 + 2) % 4]
-    if {x1, y1} != {x2, y2}:
-        raise SurgeryError(f"faces at {z!r} do not share the x-z-y path")
-    # Either orientation of the second remnant closes the merged walk at x1.
-    merged = (x1, m1, y1, m2)
-    faces = [w.vertices for i, w in enumerate(emb.faces()) if i not in (i1, i2)]
-    faces.append(merged)
-    out = emap.embedding_from_faces(faces)
-    if emap.euler_characteristic(out) != emap.euler_characteristic(emb):
-        raise SurgeryError("degree-2 deletion changed the Euler characteristic")
-    if not emap.is_quadrangular(out):
-        raise SurgeryError("degree-2 deletion output is not quadrangular")
-    return out
-
-
-def insert_degree2(emb: Embedding, face, corner: Label) -> tuple:
-    """Split a face with a new degree-2 vertex joined to ``corner`` and its opposite."""
-    if not emap.is_quadrangular(emb):
-        raise SurgeryError("degree-2 insertion requires a quadrangular embedding")
-    walk = face.vertices if isinstance(face, FaceWalk) else tuple(face)
-    walks = _face_vertex_walks(emb)
-    idx = _locate_face(walks, walk)
-    w = walks[idx]
-    if corner not in w:
-        raise SurgeryError(f"{corner!r} is not a corner of face {w}")
-    i = w.index(corner)
-    p, a, q, b = w[i], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]
-    z = _fresh_label(emb.graph.vertices)
-    faces = [x for j, x in enumerate(walks) if j != idx]
-    faces += [(p, a, q, z), (q, b, p, z)]
-    out = emap.embedding_from_faces(faces)
-    if emap.euler_characteristic(out) != emap.euler_characteristic(emb):
-        raise SurgeryError("degree-2 insertion changed the Euler characteristic")
-    if not emap.is_quadrangular(out):
-        raise SurgeryError("degree-2 insertion output is not quadrangular")
-    return out, z
 
 
 def _fresh_label(vertices) -> int:

@@ -195,23 +195,26 @@ def test_criterion_06_complete_bipartite_builder():
 
 def test_criterion_07_handle_augmentation():
     # one handle turns the (8,4) witness into a complete-graph quadrangulation
-    emb = catalog.get_witness("phi_8_4_star")
-    sites = surgery.find_handle_sites(emb, (4, 5, 6, 7))
+    table = surgery.FaceTable.from_embedding(catalog.get_witness("phi_8_4_star"))
+    sites = table.handle_sites((4, 5, 6, 7))
     assert sites
-    out = surgery.handle_augment(emb, sites[0])
+    table.handle(sites[0])
+    out = table.embedding()
     cert = emap.certify(out)
     assert (cert.n, cert.t) == (8, 0)
     assert cert.orientable and cert.quadrangular
     assert out.graph == graphalg.complete(8)
 
     # two handles turn the 12-vertex apex witness into its zero-deleted form
-    big = catalog.get_witness("phi_11_8_plus_star")
+    big = surgery.FaceTable.from_embedding(catalog.get_witness("phi_11_8_plus_star"))
     target = graphalg.phi_target("phi_11_0_plus_star")
     final = None
-    for site in surgery.find_handle_sites(big, (1, 2, 3, 4)):
-        mid = surgery.handle_augment(big, site)
-        for site2 in surgery.find_handle_sites(mid, (5, 6, 7, 8)):
-            final = surgery.handle_augment(mid, site2)
+    for site in big.handle_sites((1, 2, 3, 4)):
+        mid = big.copy()
+        mid.handle(site)
+        for site2 in mid.handle_sites((5, 6, 7, 8)):
+            mid.handle(site2)
+            final = mid.embedding()
             break
         if final is not None:
             break

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from quadforge import catalog, emap, graphalg, search, serialize
-from quadforge.errors import CatalogError
+from quadforge.errors import CatalogError, SurgeryError
 
 
 def test_record_table_names_unique():
@@ -130,9 +130,26 @@ def test_handle_augment_bug_propagates_from_chain_site(monkeypatch):
     def broken(*args, **kwargs):
         raise KeyError("kernel bug")
 
-    monkeypatch.setattr(catalog.surgery, "handle_augment", broken)
+    monkeypatch.setattr(catalog.surgery.FaceTable, "handle", broken)
     with pytest.raises(KeyError):
         catalog._first_chain_site(parent, (1, 2, 3, 4), (5, 6, 7, 8))
+
+
+def test_refused_handle_is_read_as_an_unusable_site(monkeypatch):
+    parent = catalog.get_witness("phi_11_8_plus_star")
+
+    def refused(*args, **kwargs):
+        raise SurgeryError("refused")
+
+    monkeypatch.setattr(catalog.surgery.FaceTable, "handle", refused)
+    with pytest.raises(CatalogError, match="no usable handle site"):
+        catalog._first_chain_site(parent, (1, 2, 3, 4), ())
+
+
+@pytest.mark.parametrize("rec", [rec for rec in catalog.record_table() if rec.parent],
+                         ids=lambda rec: rec.name)
+def test_derived_record_rebuilds_to_its_shipped_bytes(rec):
+    assert serialize.write_emap(catalog._derive(rec)) == catalog._witness_path(rec.name).read_text()
 
 
 def test_bad_derivation_is_not_persisted(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from quadforge import catalog, cli, emap, planner, search, serialize
+from quadforge import catalog, cli, emap, planner, search, serialize, surgery
 
 
 def run(capsys, *argv):
@@ -162,6 +162,58 @@ def test_surgery_diamond_via_files(tmp_path, capsys):
     code, _, stderr = run(capsys, "surgery", "diamond", str(a), "0",
                           str(b), "0")
     assert code == 1
+
+
+def certificate(stdout: str) -> dict:
+    return dict(line.split("=", 1) for line in stdout.splitlines() if "=" in line)
+
+
+def test_surgery_diamond_of_two_tori(tmp_path, capsys):
+    a = tmp_path / "a.emap"
+    b = tmp_path / "b.emap"
+    k63 = catalog.build_kmn(6, 3)
+    a.write_text(serialize.write_emap(k63))
+    b.write_text(serialize.write_emap(
+        surgery.relabel_embedding(k63, {v: v + 100 for v in k63.graph.vertices})))
+    code, stdout, _ = run(capsys, "--quiet", "surgery", "diamond", str(a), "0", str(b), "100")
+    assert code == 0
+    cert = certificate(stdout)
+    # chi adds up: 0 + 0 - 2; the rims are identified, 9 + 9 - 3 - 2 vertices
+    assert (cert["chi"], cert["n"], cert["quadrangular"]) == ("-2", "13", "true")
+    # the second summand's vertices off the rim keep their labels
+    code, stdout, _ = run(capsys, "surgery", "diamond", str(a), "0", str(b), "100",
+                          "--offset", "1", "--reflect")
+    assert code == 0
+    assert "r 101 :" in stdout and certificate(stdout)["chi"] == "-2"
+    # without the relabelling, the vertices off the rim collide
+    code, _, stderr = run(capsys, "surgery", "diamond", str(a), "0", str(a), "0")
+    assert code == 1
+    assert "label collision" in stderr
+
+
+def test_surgery_handle_and_degree2_moves_via_files(tmp_path, capsys):
+    src = tmp_path / "phi.emap"
+    src.write_text(serialize.write_emap(catalog.get_witness("phi_8_4_star")))
+    out = tmp_path / "out.emap"
+    code, stdout, _ = run(capsys, "surgery", "handle", str(src), "4", "5", "6", "7",
+                          "--out", str(out))
+    assert code == 0
+    assert (certificate(stdout)["t"], certificate(stdout)["chi"]) == ("0", "-6")
+    code, _, stderr = run(capsys, "surgery", "handle", str(out), "4", "5", "6", "7")
+    assert code == 1 and "no handle site" in stderr
+    face = catalog.get_witness("phi_8_4_star").faces()[0].vertices
+    code, stdout, _ = run(capsys, "surgery", "insert2", str(src), *map(str, face),
+                          str(face[0]), "--out", str(out))
+    assert code == 0 and "inserted vertex 8" in stdout
+    code, stdout, _ = run(capsys, "surgery", "delete2", str(out), "8")
+    assert code == 0
+    assert certificate(stdout)["n"] == "8"
+    code, _, stderr = run(capsys, "surgery", "delete2", str(src), "0")
+    assert code == 1 and "expected 2" in stderr
+    code, _, stderr = run(capsys, "surgery", "insert2", str(src), "0", "1", "2", "3", "0")
+    assert code == 1 and "no face matches" in stderr
+    code, _, _ = run(capsys, "surgery", "delete2", str(tmp_path / "missing.emap"), "0")
+    assert code == 2
 
 
 def test_dual_output(tmp_path, capsys):

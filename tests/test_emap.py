@@ -233,9 +233,10 @@ def test_relabel_carries_traced_faces(name, ordered, data):
 
 
 def test_insert_degree2_output_rebuilds_to_itself():
-    parent = catalog.get_witness("phi_5_0_star")
-    face = parent.faces()[0].vertices
-    out, z = surgery.insert_degree2(parent, face, min(face))
+    table = surgery.FaceTable.from_embedding(catalog.get_witness("phi_5_0_star"))
+    face = table.faces()[0]
+    z = table.insert_degree2(face, min(face))
+    out = emap.embedding_from_faces(table.faces())
     assert out.graph.degree(z) == 2
     assert emap.embedding_from_faces([w.vertices for w in out.faces()]) == out
 

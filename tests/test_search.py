@@ -11,7 +11,7 @@ import pytest
 
 from quadforge import catalog, emap, graphalg, search, serialize, surgery
 from quadforge.emap import Embedding, Graph
-from quadforge.errors import SearchError
+from quadforge.errors import SearchError, SurgeryError
 
 
 def cycle_graph(k: int) -> Graph:
@@ -184,16 +184,34 @@ def _raise_key_error(*args, **kwargs):
 
 def test_handle_augment_bug_is_not_read_as_unusable_site(monkeypatch):
     emb = catalog.get_witness("phi_11_8_plus_star")
-    monkeypatch.setattr(surgery, "handle_augment", _raise_key_error)
+    monkeypatch.setattr(surgery.FaceTable, "handle", _raise_key_error)
     with pytest.raises(KeyError):
-        search._double_handle_ok(emb, (1, 2, 3, 4), (5, 6, 7, 8))
+        search._double_handle_ok(surgery.FaceTable.from_embedding(emb), (1, 2, 3, 4), (5, 6, 7, 8))
+    with pytest.raises(KeyError):
+        search.check_predicates(emb, (("double_handle", (1, 2, 3, 4), (5, 6, 7, 8)),))
 
 
 def test_delete_degree2_bug_is_not_read_as_failed_predicate(monkeypatch):
     emb = catalog.get_witness("phi_7_0_plus")
-    monkeypatch.setattr(surgery, "delete_degree2", _raise_key_error)
+    monkeypatch.setattr(surgery.FaceTable, "delete_degree2", _raise_key_error)
     with pytest.raises(KeyError):
         search.check_predicates(emb, (("delete_degree2_face_simple", "z"),))
+
+
+def test_refused_surgery_is_read_as_a_failed_predicate(monkeypatch):
+    emb = catalog.get_witness("phi_11_8_plus_star")
+    predicates = (("delete_degree2_face_simple", "z"),
+                  ("double_handle", (1, 2, 3, 4), (5, 6, 7, 8)))
+    assert search.check_predicates(emb, predicates)
+    assert not search.check_predicates(emb, (("delete_degree2_face_simple", "x"),))
+
+    def refused(*args, **kwargs):
+        raise SurgeryError("refused")
+
+    for name in ("handle", "delete_degree2"):
+        with monkeypatch.context() as m:
+            m.setattr(surgery.FaceTable, name, refused)
+            assert not search.check_predicates(emb, predicates)
 
 
 

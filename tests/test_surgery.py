@@ -1,4 +1,4 @@
-"""Embedding surgeries: diamond sum, handle augmentation, degree-2 moves."""
+"""Surgeries: diamond sum, handle augmentation, degree-2 moves."""
 
 from __future__ import annotations
 
@@ -87,28 +87,33 @@ def test_diamond_sum_rejects_label_collisions():
 def test_delete_insert_degree2_round_trip():
     emb = k23_sphere()
     # insert a degree-2 vertex into some face, then delete it again
-    face = emb.faces()[0].vertices
-    bigger, z = surgery.insert_degree2(emb, face, face[0])
+    table = surgery.FaceTable.from_embedding(emb)
+    face = table.faces()[0]
+    z = table.insert_degree2(face, face[0])
+    bigger = table.embedding()
     assert bigger.graph.degree(z) == 2
     assert emap.euler_characteristic(bigger) == 2
     assert emap.is_quadrangular(bigger)
-    back = surgery.delete_degree2(bigger, z)
+    table.delete_degree2(z)
+    back = table.embedding()
     assert graphalg.are_isomorphic(back.graph, emb.graph)
     assert emap.euler_characteristic(back) == 2
 
 
 def test_delete_degree2_requires_degree2():
-    emb = k23_sphere()
+    table = surgery.FaceTable.from_embedding(k23_sphere())
     with pytest.raises(SurgeryError):
-        surgery.delete_degree2(emb, 0)  # degree 3
+        table.delete_degree2(0)  # degree 3
 
 
 def test_handle_augment_adds_handle():
     emb = quad_embedding(graphalg.phi_target("phi_8_4_star"), -4, True)
-    sites = surgery.find_handle_sites(emb, (4, 5, 6, 7))
+    table = surgery.FaceTable.from_embedding(emb)
+    sites = table.handle_sites((4, 5, 6, 7))
     if not sites:
         pytest.skip("this witness has no usable site; the catalog one does")
-    out = surgery.handle_augment(emb, sites[0])
+    table.handle(sites[0])
+    out = table.embedding()
     assert emap.euler_characteristic(out) == -6
     assert emap.is_orientable(out)
     assert emap.is_quadrangular(out)
@@ -117,8 +122,8 @@ def test_handle_augment_adds_handle():
 
 
 def test_find_handle_sites_rejects_existing_edges():
-    emb = k23_sphere()
-    assert surgery.find_handle_sites(emb, (0, 2, 1, 3)) == []
+    table = surgery.FaceTable.from_embedding(k23_sphere())
+    assert table.handle_sites((0, 2, 1, 3)) == []
 
 
 def fresh_relabel(emb: emap.Embedding, taken) -> tuple:
