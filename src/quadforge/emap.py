@@ -339,17 +339,23 @@ def surface_class(emb: Embedding) -> SurfaceClass:
     return SurfaceClass(is_orientable(emb), euler_characteristic(emb))
 
 
+def _edge_faces(emb: Embedding) -> dict:
+    """Each edge -> the indices in ``emb.faces()`` of the two faces along it
+    (one index twice when a face runs along the edge both ways)."""
+    uses = {}
+    for i, w in enumerate(emb.faces()):
+        for e in w.edges:
+            uses.setdefault(e, []).append(i)
+    return uses
+
+
 def dual_multigraph(emb: Embedding) -> nx.MultiGraph:
     """Faces as nodes, one dual edge per primal edge; loops allowed."""
     import networkx as nx
 
-    walks = emb.faces()
-    uses = {}
-    for i, w in enumerate(walks):
-        for e in w.edges:
-            uses.setdefault(e, []).append(i)
+    uses = _edge_faces(emb)
     dual = nx.MultiGraph()
-    dual.add_nodes_from(range(len(walks)))
+    dual.add_nodes_from(range(len(emb.faces())))
     for e in emb.graph.sorted_edges():
         fa, fb = uses[e]
         dual.add_edge(fa, fb, primal=e)
@@ -360,41 +366,29 @@ def is_quadrangular(emb: Embedding) -> bool:
     return all(len(w) == 4 for w in emb.faces())
 
 
-def is_face_simple(emb: Embedding) -> bool:
-    uses = {}
-    for i, w in enumerate(emb.faces()):
-        for e in w.edges:
-            uses.setdefault(e, []).append(i)
+def _faces_meet_once(emb: Embedding, away_from: tuple) -> bool:
+    """No face runs along an edge twice and no two faces share two edges,
+    counting only the edges with no end in ``away_from``."""
     pairs = set()
-    for e, (fa, fb) in uses.items():
-        if fa == fb:
-            return False
-        key = (min(fa, fb), max(fa, fb))
-        if key in pairs:
+    for e, (fa, fb) in _edge_faces(emb).items():
+        if e[0] in away_from or e[1] in away_from:
+            continue
+        key = (fa, fb) if fa < fb else (fb, fa)
+        if fa == fb or key in pairs:
             return False
         pairs.add(key)
     return True
+
+
+def is_face_simple(emb: Embedding) -> bool:
+    return _faces_meet_once(emb, ())
 
 
 def is_nearly_face_simple_except(emb: Embedding, v: Label) -> bool:
     """Face-simplicity may fail only through shared edges incident with v."""
     if v not in emb.graph.vertices:
         raise StructuralError(f"unknown vertex {v!r}")
-    uses = {}
-    for i, w in enumerate(emb.faces()):
-        for e in w.edges:
-            uses.setdefault(e, []).append(i)
-    pairs = {}
-    for e, (fa, fb) in uses.items():
-        if v in e[:2]:
-            continue
-        if fa == fb:
-            return False
-        key = (min(fa, fb), max(fa, fb))
-        pairs[key] = pairs.get(key, 0) + 1
-        if pairs[key] > 1:
-            return False
-    return True
+    return _faces_meet_once(emb, (v,))
 
 
 @dataclass(frozen=True)

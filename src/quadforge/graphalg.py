@@ -10,12 +10,12 @@ either operand (sorted order, so evaluation is deterministic).
 
 from __future__ import annotations
 
+import ast
 import itertools
-import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .emap import Graph, Label, edge_between, parse_label, vkey
+from .emap import Graph, Label, edge_between, vkey
 from .errors import CatalogError, StructuralError
 
 if TYPE_CHECKING:
@@ -290,15 +290,30 @@ def canonical_form(g: Graph) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Expression strings for the CLI.  Grammar (prefix notation, whitespace-free
-# or not):
-#   expr := K(n) | empty(n) | H(i) | J(i) | Kmn(m,n) | phi(name)
-#         | join(expr, expr) | union(expr, expr) | complement(expr)
-#         | delete(expr, u-v [, u-v ...]) | subdivide(expr, u-v, label)
-# Vertex tokens in delete/subdivide are integer labels or x/y/z.
+# Graph expressions, as ``search --spec`` reads them.  Grammar:
+#   expr  := OP(arg, ..., arg)   an operator of _OPERATORS, with its argument kinds
+#   int   := [-]digits           decimal, no leading zeros
+#   name  := an ASCII identifier that is not a Python keyword
+#   label := int | name          a vertex label
+#   pair  := label-label         an edge
+# Spaces between tokens are optional.  The text must be ASCII; it is parsed by
+# ``ast`` and only these forms are read from the tree: nothing is evaluated.
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+|-\d+|[(),-])")
+# operator -> (builder, argument kinds); a kind ending in "+" repeats, at least once
+_OPERATORS = {
+    "K": (complete, ("int",)),
+    "empty": (empty_graph, ("int",)),
+    "H": (h_graph, ("int",)),
+    "J": (j_graph, ("int",)),
+    "Kmn": (complete_bipartite, ("int", "int")),
+    "phi": (phi_target, ("name",)),
+    "join": (join, ("expr", "expr")),
+    "union": (disjoint_union, ("expr", "expr")),
+    "complement": (complement, ("expr",)),
+    "delete": (lambda g, *pairs: delete_edges(g, pairs), ("expr", "pair+")),
+    "subdivide": (lambda g, uv, label: subdivide_edge(g, *uv, label), ("expr", "pair", "label")),
+}
 
 
 @dataclass(frozen=True)
@@ -309,134 +324,43 @@ class GraphExpr:
     args: tuple
 
     def eval(self) -> Graph:
-        op, args = self.op, self.args
-        if op == "K":
-            return complete(args[0])
-        if op == "empty":
-            return empty_graph(args[0])
-        if op == "H":
-            return h_graph(args[0])
-        if op == "J":
-            return j_graph(args[0])
-        if op == "Kmn":
-            return complete_bipartite(args[0], args[1])
-        if op == "phi":
-            return phi_target(args[0])
-        if op == "join":
-            return join(args[0].eval(), args[1].eval())
-        if op == "union":
-            return disjoint_union(args[0].eval(), args[1].eval())
-        if op == "complement":
-            return complement(args[0].eval())
-        if op == "delete":
-            return delete_edges(args[0].eval(), args[1])
-        if op == "subdivide":
-            (u, v), label = args[1], args[2]
-            return subdivide_edge(args[0].eval(), u, v, label)
-        raise StructuralError(f"unknown operator {op!r}")
+        return _OPERATORS[self.op][0](*(a.eval() if isinstance(a, GraphExpr) else a
+                                         for a in self.args))
 
 
 def parse_expr(text: str) -> GraphExpr:
-    tokens = _tokenize(text)
-    expr, rest = _parse(tokens)
-    if rest:
-        raise StructuralError(f"trailing tokens in expression: {rest!r}")
-    return expr
+    if not text.isascii():  # so that no identifier is NFKC-folded into another
+        raise StructuralError("expression must be ASCII")
+    text = text.strip()
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        # ValueError: a NUL byte before Python 3.12
+        raise StructuralError(f"malformed expression: {exc}") from None
+    return _read(tree.body, "expr", text)
 
 
-def _tokenize(text: str) -> list:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise StructuralError(f"bad character in expression at offset {pos}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-def _int_token(tok: str) -> int:
-    value = parse_label(tok)
-    if not isinstance(value, int):
-        raise StructuralError(f"expected an integer in expression, got {tok!r}")
-    return value
-
-
-def _parse(tokens):
-    if not tokens:
-        raise StructuralError("unexpected end of expression")
-    head, rest = tokens[0], tokens[1:]
-    if head in ("K", "empty", "H", "J"):
-        nums, rest = _parse_args(rest, 1)
-        return GraphExpr(head, (_int_token(nums[0]),)), rest
-    if head == "Kmn":
-        nums, rest = _parse_args(rest, 2)
-        return GraphExpr(head, (_int_token(nums[0]), _int_token(nums[1]))), rest
-    if head == "phi":
-        names, rest = _parse_args(rest, 1)
-        return GraphExpr(head, (names[0],)), rest
-    if head in ("join", "union"):
-        rest = _expect(rest, "(")
-        a, rest = _parse(rest)
-        rest = _expect(rest, ",")
-        b, rest = _parse(rest)
-        rest = _expect(rest, ")")
-        return GraphExpr(head, (a, b)), rest
-    if head == "complement":
-        rest = _expect(rest, "(")
-        a, rest = _parse(rest)
-        rest = _expect(rest, ")")
-        return GraphExpr(head, (a,)), rest
-    if head == "delete":
-        rest = _expect(rest, "(")
-        a, rest = _parse(rest)
-        pairs = []
-        while rest and rest[0] == ",":
-            pair, rest = _parse_pair(rest[1:])
-            pairs.append(pair)
-        rest = _expect(rest, ")")
-        if not pairs:
-            raise StructuralError("delete needs at least one u-v pair")
-        return GraphExpr(head, (a, tuple(pairs))), rest
-    if head == "subdivide":
-        rest = _expect(rest, "(")
-        a, rest = _parse(rest)
-        rest = _expect(rest, ",")
-        pair, rest = _parse_pair(rest)
-        rest = _expect(rest, ",")
-        if not rest:
-            raise StructuralError("subdivide needs a fresh label")
-        label, rest = parse_label(rest[0]), rest[1:]
-        rest = _expect(rest, ")")
-        return GraphExpr(head, (a, pair, label)), rest
-    raise StructuralError(f"unknown expression head {head!r}")
-
-
-def _parse_pair(tokens):
-    # "u - v"; the tokenizer may glue "-v" into one negative-number token
-    if len(tokens) >= 2 and re.fullmatch(r"-\d+", tokens[1]):
-        tokens = [tokens[0], "-", tokens[1][1:]] + list(tokens[2:])
-    if len(tokens) < 3 or tokens[1] != "-":
-        raise StructuralError("expected a u-v vertex pair")
-    return (parse_label(tokens[0]), parse_label(tokens[2])), tokens[3:]
-
-
-def _parse_args(tokens, count):
-    tokens = _expect(tokens, "(")
-    vals = []
-    for i in range(count):
-        if i:
-            tokens = _expect(tokens, ",")
-        if not tokens:
-            raise StructuralError("unexpected end of expression")
-        vals.append(tokens[0])
-        tokens = tokens[1:]
-    tokens = _expect(tokens, ")")
-    return vals, tokens
-
-
-def _expect(tokens, tok):
-    if not tokens or tokens[0] != tok:
-        raise StructuralError(f"expected {tok!r} in expression")
-    return tokens[1:]
+def _read(node: ast.AST, kind: str, text: str):
+    """The value of one argument of the given kind."""
+    if kind == "expr" and isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        op = node.func.id
+        if op not in _OPERATORS:
+            raise StructuralError(f"unknown operator {op!r}")
+        kinds = _OPERATORS[op][1]
+        if kinds[-1].endswith("+"):
+            kinds = kinds[:-1] + (kinds[-1][:-1],) * max(1, len(node.args) - len(kinds) + 1)
+        if node.keywords or len(node.args) != len(kinds):
+            raise StructuralError(f"{op} takes arguments ({', '.join(_OPERATORS[op][1])})")
+        return GraphExpr(op, tuple(_read(a, k, text) for a, k in zip(node.args, kinds)))
+    if kind == "pair" and isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        return _read(node.left, "label", text), _read(node.right, "label", text)
+    if kind in ("name", "label") and isinstance(node, ast.Name):
+        return node.id
+    if kind in ("int", "label"):
+        negative = isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+        digits = node.operand if negative else node
+        if (isinstance(digits, ast.Constant) and type(digits.value) is int
+                and ast.get_source_segment(text, digits).isdigit()):  # not 0x10 or 1_0
+            return -digits.value if negative else digits.value
+    got = ast.get_source_segment(text, node)
+    raise StructuralError(f"expected {kind} in expression, got {got!r}")

@@ -161,9 +161,13 @@ def _schedule_i(t: int, kind: str) -> int:
 
 
 def plan(req: ParamRequest) -> PlanNode:
-    if not admissible(req):
+    """The derivation of an admissible request; a special's is its catalog record."""
+    status = classify(req)
+    if status == "inadmissible":
         raise PlanError(f"({req.n},{req.t},{req.kind}) is not admissible: "
                         + _inadmissible_reason(req))
+    if status == "special":
+        return PlanNode("base", req.n, req.t, record=SPECIALS[(req.n, req.t, req.kind)])
     return _plan(req.n, req.t, req.kind)
 
 
@@ -277,18 +281,11 @@ def _check_size(node: PlanNode, n: int, edges: int) -> None:
         raise PlanError(f"step produced ({n},{t}), plan requires ({node.n},{node.t})")
 
 
-@dataclass(frozen=True)
-class _Built:
-    """A plan node built since the catalog directory last changed: the faces its
-    chain table held after its step, frozen.  No embedding is kept; a request
-    for the node rebuilds its table from these faces and splices nothing."""
-
-    faces: bytes
-
-
-# The built induction nodes.  Plans of different requests share their chains,
-# and equal nodes are equal keys, so each node is spliced (and its per-step
-# guards run) once; a request resumes from its nearest built ancestor.
+# The built induction nodes, each mapped to the faces its chain table held
+# after its step, frozen; no embedding is kept.  Plans of different requests
+# share their chains, and equal nodes are equal keys, so each node is spliced
+# (and its per-step guards run) once; a request resumes from its nearest built
+# ancestor.
 _GEN_CACHE: dict = catalog.register_cache({})
 
 
@@ -296,32 +293,29 @@ def execute(node: PlanNode) -> Embedding:
     """The embedding ``node`` describes; each node is built at most once per catalog directory."""
     catalog.follow_catalog_dir()
     if node.step == "base":
-        out = catalog.get_witness(node.record)
-        _check_size(node, len(out.graph.vertices), len(out.graph.edges))
-        return out
-    built = _GEN_CACHE.get(node)
+        return _base(node)
     # one expression, so that the chain is freed once its ranked copy is made
-    return (surgery.FaceTable(surgery.thawed(built.faces)) if built
-            else _build_chain(node)).ranked().embedding()
+    return _chain(node).ranked().embedding()
 
 
-def _build_chain(node: PlanNode) -> surgery.FaceTable:
-    """Splice ``node``'s chain up from its nearest built ancestor, or from its
-    base, into one table; returns it."""
-    path = []
-    while node.step != "base" and node not in _GEN_CACHE:
-        path.append(node)
-        node = node.child
+def _base(node: PlanNode) -> Embedding:
+    out = catalog.get_witness(node.record)
+    _check_size(node, len(out.graph.vertices), len(out.graph.edges))
+    return out
+
+
+def _chain(node: PlanNode) -> surgery.FaceTable:
+    """A table of ``node``'s chain on ints: thawed from the memo, or spliced on
+    its child's chain and then frozen into the memo."""
     if node.step == "base":
-        base = execute(node)
-        # on ints, so that each node's faces can be frozen
-        chain = surgery.FaceTable.from_embedding(base).ranked()
-    else:
-        chain = surgery.FaceTable(surgery.thawed(_GEN_CACHE[node].faces))
-    for step in reversed(path):
-        _induct_step(chain, *_step_block(step))
-        _check_size(step, len(chain.vertices()), len(chain.edges()))
-        _GEN_CACHE[step] = _Built(chain.frozen())
+        return surgery.FaceTable.from_embedding(_base(node)).ranked()
+    frozen = _GEN_CACHE.get(node)
+    if frozen is not None:
+        return surgery.FaceTable(surgery.thawed(frozen))
+    chain = _chain(node.child)
+    _induct_step(chain, *_step_block(node))
+    _check_size(node, len(chain.vertices()), len(chain.edges()))
+    _GEN_CACHE[node] = chain.frozen()
     return chain
 
 
@@ -335,14 +329,7 @@ def generate(req: ParamRequest) -> tuple:
     The embedding may be rebuilt from the plan-node memo's faces; the
     certificate is computed and checked against the request on every call.
     """
-    status = classify(req)
-    if status == "inadmissible":
-        raise PlanError(f"({req.n},{req.t},{req.kind}) is inadmissible: "
-                        + _inadmissible_reason(req))
-    if status == "special":
-        p = PlanNode("base", req.n, req.t, record=SPECIALS[(req.n, req.t, req.kind)])
-    else:
-        p = plan(req)
+    p = plan(req)
     emb = execute(p)
     cert = emap.certify(emb)
     _check_certificate(req, cert)

@@ -40,6 +40,31 @@ def test_gen_inadmissible_cites_congruence(capsys):
     assert "mod 4" in stderr
 
 
+def test_gen_plan_only_refuses_an_inadmissible_request(capsys):
+    code, stdout, stderr = run(capsys, "gen", "--n", "6", "--t", "0",
+                               "--kind", "orientable", "--plan-only")
+    assert (code, stdout) == (1, "")
+    assert "violates the congruence" in stderr and "mod 4" in stderr
+
+
+@pytest.mark.parametrize("n, t, kind, record, certified", [
+    # the octahedron on the Klein bottle: face-simple, but t = 3 > n - 4
+    (6, 3, "nonorientable", "klein_6_3", ["orientable=false", "face_simple=true", "minimal=false"]),
+    # the 4-cycle on the sphere: its two faces share all four edges
+    (4, 2, "orientable", "c4_sphere", ["orientable=true", "face_simple=false"]),
+])
+def test_gen_reaches_the_specials(tmp_path, capsys, n, t, kind, record, certified):
+    out = tmp_path / "q.emap"
+    argv = ["gen", "--n", str(n), "--t", str(t), "--kind", kind]
+    code, stdout, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert stdout.startswith(f"base {record} (n={n}, t={t})\n")
+    assert set(certified) <= set(stdout.splitlines())
+    assert serialize.parse_emap(out.read_text()) == catalog.get_witness(record)
+    code, stdout, _ = run(capsys, *argv, "--plan-only")
+    assert (code, stdout.strip()) == (0, f"base {record} (n={n}, t={t})")
+
+
 def test_gen_plan_only(capsys):
     code, stdout, _ = run(capsys, "gen", "--n", "14", "--t", "3",
                           "--kind", "nonorientable", "--plan-only")
@@ -142,6 +167,20 @@ def test_search_bad_spec_file(tmp_path, capsys):
         spec.write_text(text)
         code, _, stderr = run(capsys, "search", "--spec", str(spec))
         assert (code, "format error" in stderr, where in stderr) == (2, True, True), text
+
+
+@pytest.mark.parametrize("expr, code", [
+    # a malformed graph line is a format error
+    ("K(\x00)", 2), ("(" * 300 + "K(4)" + ")" * 300, 2), ("K(x)", 2), ("frobnicate(3)", 2),
+    ("subdivide(K(4), 0-1, é)", 2),
+    # a well-formed one that cannot be built is a domain error
+    ("delete(K(4), 0-9)", 1), ("phi(nope)", 1),
+])
+def test_search_spec_graph_exit_codes(tmp_path, capsys, expr, code):
+    spec = tmp_path / "graph.spec"
+    spec.write_text(f"graph {expr}\nchi 1\n")
+    got, _, stderr = run(capsys, "search", "--spec", str(spec))
+    assert (got, ("format error: line 1" if code == 2 else "error:") in stderr) == (code, True)
 
 
 def test_search_method_is_exact_or_random(tmp_path, capsys):

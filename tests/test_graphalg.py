@@ -188,3 +188,83 @@ def test_parse_expr_rejects_garbage():
         graphalg.parse_expr("frobnicate(3)")
     with pytest.raises(StructuralError):
         graphalg.parse_expr("K(4")
+
+
+# A few records' targets, among them ones labelled x, y and z.
+PHI_NAMES = ["phi_6_1", "k_6_3", "klein_6_3", "c4_sphere", "phi_7_2_plus", "q7_1"]
+FRESH_LABELS = ["x", "y", "z", -1, -7, 40]
+
+
+@st.composite
+def expressions(draw, depth=3):
+    """(text, graph): an expression over every operator, spelled as documented
+    with optional spaces, and its graph built by the constructors directly."""
+
+    def sp() -> str:
+        return draw(st.sampled_from(["", " "]))
+
+    def call(op, *args) -> str:
+        return f"{op}{sp()}({sp()}" + f"{sp()},{sp()}".join(args) + f"{sp()})"
+
+    def pair(u, v) -> str:
+        if draw(st.booleans()):
+            u, v = v, u
+        return f"{u}{sp()}-{sp()}{v}"
+
+    leaves = ["K", "empty", "H", "J", "Kmn", "phi"]
+    inner = ["join", "union", "complement", "delete", "subdivide"]
+    op = draw(st.sampled_from(leaves + inner if depth else leaves))
+    if op in ("K", "empty"):
+        k = draw(st.integers(0, 5))
+        return call(op, str(k)), (graphalg.complete if op == "K" else graphalg.empty_graph)(k)
+    if op in ("H", "J"):
+        i = draw(st.sampled_from([0, 2, 4] if op == "H" else [0, 4, 8]))
+        return call(op, str(i)), (graphalg.h_graph if op == "H" else graphalg.j_graph)(i)
+    if op == "Kmn":
+        m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        return call(op, str(m), str(n)), graphalg.complete_bipartite(m, n)
+    if op == "phi":
+        name = draw(st.sampled_from(PHI_NAMES))
+        return call(op, name), graphalg.phi_target(name)
+    a, g = draw(expressions(depth - 1))
+    if op in ("join", "union"):
+        b, h = draw(expressions(depth - 1))
+        return call(op, a, b), (graphalg.join if op == "join" else graphalg.disjoint_union)(g, h)
+    if op == "complement":
+        return call(op, a), graphalg.complement(g)
+    edges = g.sorted_edges()
+    fresh = [v for v in FRESH_LABELS if v not in g.vertices]
+    if not edges or not fresh:
+        return a, g
+    if op == "delete":
+        doomed = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3, unique=True))
+        return (call(op, a, *(pair(u, v) for u, v in doomed)),
+                graphalg.delete_edges(g, doomed))
+    (u, v), label = draw(st.sampled_from(edges)), draw(st.sampled_from(fresh))
+    return call(op, a, pair(u, v), str(label)), graphalg.subdivide_edge(g, u, v, label)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=expressions())
+def test_parse_expr_builds_what_it_spells(expr):
+    text, graph = expr
+    assert graphalg.parse_expr(text).eval() == graph
+
+
+def test_parse_expr_reads_negative_and_named_labels():
+    got = graphalg.parse_expr("delete(subdivide(K(3), 0 - 1, -4), -4--0, 2-1)").eval()
+    assert got.sorted_edges() == [(-4, 1), (0, 2)]
+    got = graphalg.parse_expr("subdivide(phi(phi_7_2_plus), x-z, -1)").eval()
+    assert got.has_edge(-1, "x") and got.has_edge(-1, "z") and not got.has_edge("x", "z")
+
+
+@pytest.mark.parametrize("text", [
+    "K(x)", "K(4", "K(4))", "K()", "K(4, 5)", "K(n=4)", "K(0x4)", "K(1_0)", "K(True)",
+    "frobnicate(3)", "K(4)(3)", "x", "delete(K(4))", "delete(K(4), 0)", "delete(K(4), 0-1-2)",
+    "subdivide(K(4), 0-1)", "subdivide(K(4), 0-1, if)", "phi(5)", "K(\x00)", "K(4)\x00",
+    "(" * 300 + "K(4)" + ")" * 300, "-" * 5000 + "1", "subdivide(K(4), 0-1, é)",
+    "subdivide(K(4), 0-1, ﬁ)",  # NFKC would fold the ligature into "fi"
+])
+def test_parse_expr_rejects_what_the_grammar_does_not_spell(text):
+    with pytest.raises(StructuralError):
+        graphalg.parse_expr(text)

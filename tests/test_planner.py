@@ -56,6 +56,14 @@ def test_plan_rejects_inadmissible():
         planner.plan(ParamRequest(n=10, t=2, kind="nonorientable"))
 
 
+def test_plan_of_a_special_is_its_record():
+    for (n, t, kind), record in planner.SPECIALS.items():
+        node = planner.plan(ParamRequest(n=n, t=t, kind=kind))
+        assert node == planner.PlanNode("base", n, t, record=record)
+        emb, cert, got = planner.generate(ParamRequest(n=n, t=t, kind=kind))
+        assert got == node and emb is catalog.get_witness(record)
+
+
 def test_generate_special_sphere():
     emb, cert, node = planner.generate(ParamRequest(n=4, t=2, kind="orientable"))
     assert cert.n == 4 and cert.t == 2
@@ -229,8 +237,7 @@ def count_splices(monkeypatch) -> list:
 
 
 def memo_holds_no_embedding() -> bool:
-    return not any(isinstance(value, emap.Embedding)
-                   for built in planner._GEN_CACHE.values() for value in vars(built).values())
+    return all(type(faces) is bytes for faces in planner._GEN_CACHE.values())
 
 
 def test_clearing_the_memo_executes_again(monkeypatch):
