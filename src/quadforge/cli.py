@@ -169,10 +169,10 @@ def _load_table(path: str) -> surgery.FaceTable:
 def _cmd_gen(args) -> int:
     req = planner.ParamRequest(n=args.n, t=args.t, kind=args.kind)
     if args.plan_only:
-        print(planner.plan_text(planner.plan(req)), end="")
+        print(planner.plan_text(planner.plan(req)))
         return 0
     emb, cert, node = planner.generate(req)
-    _say(args, planner.plan_text(node).rstrip("\n"))
+    _say(args, planner.plan_text(node))
     _emit(args, emb, cert)
     return 0
 

@@ -19,14 +19,20 @@ tracing state is the integer
 The state that crosses edge e the other way on the other side of the surface
 is ``s ^ 3`` for a positive edge and ``s ^ 2`` for a negative one.  Faces are
 the orbits of a flat successor list over these states, taken in increasing
-order of their first state.  This is the repo's one encoding of a tracing
-state: the backtracking searcher (``search._QuadSearcher``) builds its faces
-over the same edge numbering, vertex ranks, states and reverse rule.
+order of their first state.  An embedding traces them once and keeps them;
+the Euler characteristic, quadrangularity and face-simplicity (the two faces
+along edge e are those of states 4e and 4e + 1) are read from the states,
+and ``FaceWalk`` objects are built only when ``faces()`` is asked for.
+
+This is the repo's one encoding of a tracing state: the backtracking
+searcher (``search._QuadSearcher``) builds its faces over the same edge
+numbering, vertex ranks, states and reverse rule.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -112,6 +118,11 @@ class Graph:
         return tuple(sorted(self.edges, key=lambda e: rank[e[0]] * n + rank[e[1]]))
 
     @cached_property
+    def _edge_id(self) -> dict:
+        """Edge -> its id: its index in the sorted edge order."""
+        return {e: i for i, e in enumerate(self._edge_order)}
+
+    @cached_property
     def _incidence(self) -> dict:
         """Vertex -> its incident edges, in sorted edge order."""
         inc = {v: [] for v in self._order}
@@ -160,12 +171,12 @@ class Graph:
 
 
 def min_degree(g: Graph) -> int:
-    return min(g.degree(v) for v in g.vertices)
+    return min(map(len, g._incidence.values()))
 
 
 def universal_vertices(g: Graph) -> set:
     n = len(g.vertices)
-    return {v for v in g.vertices if g.degree(v) == n - 1}
+    return {v for v, es in g._incidence.items() if len(es) == n - 1}
 
 
 @dataclass(frozen=True)
@@ -215,6 +226,10 @@ class Embedding:
     """Signed rotation system over a connected simple graph.
 
     Treat instances as immutable: every operation returns a new embedding.
+    The faces are traced once, on first use, into ``_orbits``: each face the
+    list of its tracing states, in the order the face is walked.  A state
+    that is not on any orbit lies on the reverse of one, and ``_face_of``
+    maps every state to the index of its face.
     """
 
     def __init__(self, graph: Graph, rotation: Mapping, signature: Mapping):
@@ -241,10 +256,25 @@ class Embedding:
             if s not in (1, -1):
                 raise StructuralError(f"signature of {e} must be +1 or -1, got {s!r}")
             sig[e] = s
+        self._adopt(graph, rot, sig)
+
+    @classmethod
+    def _of_checked(cls, graph: Graph, rotation: dict, signature: dict) -> "Embedding":
+        """The embedding of a rotation and signature already checked against
+        ``graph``: each cycle a tuple of its vertex's incident edges, started at
+        the least one, and each edge's sign +1 or -1.  Only connectivity is
+        checked here."""
+        if not graph.is_connected():
+            raise StructuralError("embedding requires a connected graph")
+        emb = cls.__new__(cls)
+        emb._adopt(graph, rotation, signature)
+        return emb
+
+    def _adopt(self, graph: Graph, rotation: dict, signature: dict) -> None:
         self.graph = graph
-        self.rotation = rot
-        self.signature = sig
-        self._faces = None
+        self.rotation = rotation
+        self.signature = signature
+        self._orbits = self._face_of = self._faces = None
 
     def __eq__(self, o) -> bool:
         return (
@@ -256,12 +286,21 @@ class Embedding:
 
     def faces(self) -> tuple:
         if self._faces is None:
-            self._faces = self._trace()
+            edges = self.graph._edge_order
+            ends = list(itertools.chain.from_iterable(edges))  # state s leaves ends[s >> 1]
+            self._faces = tuple(FaceWalk(tuple((ends[s >> 1], edges[s >> 2]) for s in orbit))
+                                for orbit in self._traced())
         return self._faces
+
+    def _traced(self) -> list:
+        """``_orbits``, traced on first use."""
+        if self._orbits is None:
+            self._orbits, self._face_of = self._trace()
+        return self._orbits
 
     def _trace(self) -> tuple:
         edges = self.graph._edge_order
-        eid = {e: i for i, e in enumerate(edges)}
+        eid = self.graph._edge_id
         sig = self.signature
         succ = [0] * (4 * len(edges))
         for v, cyc in self.rotation.items():
@@ -276,60 +315,60 @@ class Embedding:
                 else:
                     succ[s], succ[s + 1] = back, fwd
         flip = [3 if sig[e] == 1 else 2 for e in edges]
-        seen = bytearray(len(succ))
-        walks = []
+        face_of = [-1] * len(succ)
+        orbits = []
         for start in range(len(succ)):
-            if seen[start]:
+            if face_of[start] >= 0:
                 continue
+            f = len(orbits)
             orbit = [start]
-            seen[start] = 1
+            face_of[start] = f
             cur = succ[start]
             while cur != start:
-                if seen[cur]:
+                if face_of[cur] >= 0:
                     raise StructuralError("face tracing re-entered a consumed state")
                 orbit.append(cur)
-                seen[cur] = 1
+                face_of[cur] = f
                 cur = succ[cur]
-            members = set(orbit)
             for s in orbit:
                 comp = s ^ flip[s >> 2]
-                if comp in members:
+                if face_of[comp] == f:  # comp is on this very orbit
                     raise StructuralError("degenerate self-reverse face walk")
-                seen[comp] = 1
-            walks.append(FaceWalk(tuple((edges[s >> 2][(s >> 1) & 1], edges[s >> 2])
-                                        for s in orbit)))
-        if sum(len(w) for w in walks) != 2 * len(edges):
+                face_of[comp] = f
+            orbits.append(orbit)
+        if sum(map(len, orbits)) != 2 * len(edges):
             raise StructuralError("face walks do not cover each edge exactly twice")
-        return tuple(walks)
+        return orbits, face_of
 
 
 def euler_characteristic(emb: Embedding) -> int:
     g = emb.graph
-    return len(g.vertices) - len(g.edges) + len(emb.faces())
+    return len(g.vertices) - len(g.edges) + len(emb._traced())
 
 
 def is_orientable(emb: Embedding) -> bool:
     """True iff the signature is switching-equivalent to all-positive.
 
     Equivalent to every cycle having positive sign product, decided by a
-    BFS two-coloring of the vertices.
+    BFS two-coloring of the vertex ranks.
     """
-    g = emb.graph
-    color = {}
-    start = g._order[0]
-    color[start] = 1
-    queue = [start]
-    adj = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj[e[0]].append((e[1], emb.signature[e]))
-        adj[e[1]].append((e[0], emb.signature[e]))
-    while queue:
-        u = queue.pop()
+    rank = emb.graph._rank
+    adj = [[] for _ in rank]
+    for (a, b), s in emb.signature.items():
+        ra, rb = rank[a], rank[b]
+        adj[ra].append((rb, s))
+        adj[rb].append((ra, s))
+    color = [0] * len(adj)
+    color[0] = 1
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        cu = color[u]
         for w, s in adj[u]:
-            want = color[u] * s
-            if w not in color:
+            want = cu * s
+            if not color[w]:
                 color[w] = want
-                queue.append(w)
+                stack.append(w)
             elif color[w] != want:
                 return False
     return True
@@ -339,45 +378,42 @@ def surface_class(emb: Embedding) -> SurfaceClass:
     return SurfaceClass(is_orientable(emb), euler_characteristic(emb))
 
 
-def _edge_faces(emb: Embedding) -> dict:
-    """Each edge -> the indices in ``emb.faces()`` of the two faces along it
-    (one index twice when a face runs along the edge both ways)."""
-    uses = {}
-    for i, w in enumerate(emb.faces()):
-        for e in w.edges:
-            uses.setdefault(e, []).append(i)
-    return uses
+def _edge_faces(emb: Embedding) -> tuple:
+    """Two lists over the edge ids: the lesser and the greater index in
+    ``emb.faces()`` of the two faces along each edge (one index twice when a
+    face runs along the edge both ways).  States ``4e`` and ``4e + 1`` lie on
+    the two different traversals of edge ``e``."""
+    emb._traced()
+    fa, fb = emb._face_of[0::4], emb._face_of[1::4]
+    return list(map(min, fa, fb)), list(map(max, fa, fb))
 
 
 def dual_multigraph(emb: Embedding) -> nx.MultiGraph:
     """Faces as nodes, one dual edge per primal edge; loops allowed."""
     import networkx as nx
 
-    uses = _edge_faces(emb)
+    lo, hi = _edge_faces(emb)
     dual = nx.MultiGraph()
-    dual.add_nodes_from(range(len(emb.faces())))
-    for e in emb.graph.sorted_edges():
-        fa, fb = uses[e]
+    dual.add_nodes_from(range(len(emb._traced())))
+    for e, fa, fb in zip(emb.graph._edge_order, lo, hi):
         dual.add_edge(fa, fb, primal=e)
     return dual
 
 
 def is_quadrangular(emb: Embedding) -> bool:
-    return all(len(w) == 4 for w in emb.faces())
+    return all(len(orbit) == 4 for orbit in emb._traced())
 
 
 def _faces_meet_once(emb: Embedding, away_from: tuple) -> bool:
     """No face runs along an edge twice and no two faces share two edges,
     counting only the edges with no end in ``away_from``."""
-    pairs = set()
-    for e, (fa, fb) in _edge_faces(emb).items():
-        if e[0] in away_from or e[1] in away_from:
-            continue
-        key = (fa, fb) if fa < fb else (fb, fa)
-        if fa == fb or key in pairs:
-            return False
-        pairs.add(key)
-    return True
+    lo, hi = _edge_faces(emb)
+    if away_from:
+        g = emb.graph
+        skip = {g._edge_id[e] for v in away_from for e in g._incidence[v]}
+        lo = [f for e, f in enumerate(lo) if e not in skip]
+        hi = [f for e, f in enumerate(hi) if e not in skip]
+    return not any(map(operator.eq, lo, hi)) and len(set(zip(lo, hi))) == len(lo)
 
 
 def is_face_simple(emb: Embedding) -> bool:
@@ -434,7 +470,7 @@ def certify(emb: Embedding) -> Certificate:
     n = len(g.vertices)
     m = len(g.edges)
     t = n * (n - 1) // 2 - m
-    quad = is_quadrangular(emb)
+    quad = is_quadrangular(emb)  # traces the faces, once
     return Certificate(
         n=n,
         edges=m,

@@ -14,8 +14,9 @@ state ``s = 4*e + 2*side + (o == -1)`` and its reverse ``s ^ 3`` across a
 positive edge or ``s ^ 2`` across a negative one.  Of its own it keeps only
 what a partial rotation system needs: per-dart rotation links, the open
 edge signs and the marks of the states already on a closed face.  Each
-complete system becomes an ``Embedding``, whose faces ``Embedding._trace``
-traces with the same states.  It is driven two ways:
+complete system becomes an ``Embedding``, which traces its faces into
+orbits of the same states (``Embedding._traced``) the first time a predicate
+reads them.  It is driven two ways:
 
 * ``search_exact`` - one exhaustive run.  With an unlimited budget, "none"
   is therefore a proof of nonexistence for the labeled graph.

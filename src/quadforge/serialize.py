@@ -17,8 +17,20 @@ equals ``e``.
 
 from __future__ import annotations
 
+import itertools
+
 from .emap import Embedding, Graph, parse_label, vkey
 from .errors import FormatError
+
+_SIGNS = {"+": 1, "-": -1}
+
+
+class _Labels(dict):
+    """Token -> the label it names, each distinct token parsed once."""
+
+    def __missing__(self, token: str):
+        label = self[token] = parse_label(token)
+        return label
 
 
 def _label_token(v) -> str:
@@ -30,18 +42,29 @@ def _label_token(v) -> str:
     return s
 
 
+def _label_tokens(g: Graph) -> dict:
+    """Each vertex -> its token, each label checked once."""
+    try:
+        return {v: _label_token(v) for v in g._order}
+    except FormatError:
+        # refuse the first label the file would have written
+        for e in g._edge_order:
+            _label_token(e[0])
+            _label_token(e[1])
+        raise
+
+
 def write_emap(emb: Embedding) -> str:
-    edges = emb.graph.sorted_edges()
-    eid = {e: i for i, e in enumerate(edges)}
-    lines = ["emap 1", f"V {len(emb.graph.vertices)}", f"E {len(edges)}"]
-    for i, e in enumerate(edges):
-        sign = "+" if emb.signature[e] == 1 else "-"
-        lines.append(f"e {i} {_label_token(e[0])} {_label_token(e[1])} {sign}")
-    for v in emb.graph.sorted_vertices():
-        ids = [eid[e] for e in emb.rotation[v]]
-        k = ids.index(min(ids))
-        ids = ids[k:] + ids[:k]
-        lines.append(f"r {_label_token(v)} : " + " ".join(str(i) for i in ids))
+    g = emb.graph
+    edges, eid = g._edge_order, g._edge_id
+    tok = _label_tokens(g)
+    sig = emb.signature
+    lines = ["emap 1", f"V {len(g.vertices)}", f"E {len(edges)}"]
+    lines += [f"e {i} {tok[e[0]]} {tok[e[1]]} {'+' if sig[e] == 1 else '-'}"
+              for i, e in enumerate(edges)]
+    # each rotation already starts at its smallest edge (see Embedding)
+    lines += [f"r {tok[v]} : " + " ".join(map(str, map(eid.__getitem__, emb.rotation[v])))
+              for v in g._order]
     return "\n".join(lines) + "\n"
 
 
@@ -50,43 +73,43 @@ def parse_emap(text: str) -> Embedding:
     if not lines or lines[0].strip() != "emap 1":
         raise FormatError("line 1: expected header 'emap 1'")
     n_decl = m_decl = None
+    labels = _Labels()
     edges_by_id = {}
     signature = {}
     rotations = {}
     for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         tag = parts[0]
         try:
-            if tag == "V":
-                n_decl = int(parts[1])
-            elif tag == "E":
-                m_decl = int(parts[1])
-            elif tag == "e":
+            if tag == "e":
                 eid = int(parts[1])
                 if eid in edges_by_id:
                     raise FormatError(f"line {lineno}: duplicate edge id {eid}")
-                u, v = parse_label(parts[2]), parse_label(parts[3])
-                if parts[4] == "+":
-                    sign = 1
-                elif parts[4] == "-":
-                    sign = -1
-                else:
+                u, v = labels[parts[2]], labels[parts[3]]
+                sign = _SIGNS.get(parts[4])
+                if sign is None:
                     raise FormatError(f"line {lineno}: sign must be + or -, got {parts[4]!r}")
                 if u == v:
                     raise FormatError(f"line {lineno}: loop edge {u!r}")
-                e = tuple(sorted((u, v), key=vkey))
+                if type(u) is int and type(v) is int:
+                    e = (u, v) if u < v else (v, u)
+                else:
+                    e = (u, v) if vkey(u) < vkey(v) else (v, u)
                 edges_by_id[eid] = e
                 signature[e] = sign
             elif tag == "r":
                 if parts[2] != ":":
                     raise FormatError(f"line {lineno}: expected ':' after vertex")
-                v = parse_label(parts[1])
+                v = labels[parts[1]]
                 if v in rotations:
                     raise FormatError(f"line {lineno}: duplicate rotation for vertex {v!r}")
-                rotations[v] = [int(t) for t in parts[3:]]
+                rotations[v] = list(map(int, parts[3:]))
+            elif tag == "V":
+                n_decl = int(parts[1])
+            elif tag == "E":
+                m_decl = int(parts[1])
             else:
                 raise FormatError(f"line {lineno}: unknown record tag {tag!r}")
         except FormatError:
@@ -95,25 +118,29 @@ def parse_emap(text: str) -> Embedding:
             raise FormatError(f"line {lineno}: malformed record: {exc}") from exc
     if m_decl is not None and m_decl != len(edges_by_id):
         raise FormatError(f"E declares {m_decl} edges, file lists {len(edges_by_id)}")
-    if len(set(edges_by_id.values())) != len(edges_by_id):
+    edges = frozenset(edges_by_id.values())
+    if len(edges) != len(edges_by_id):
         raise FormatError("the same edge appears under two ids")
-    graph = Graph.from_edges(edges_by_id.values())
+    graph = Graph(frozenset(itertools.chain.from_iterable(edges)), edges)
     if n_decl is not None and n_decl != len(graph.vertices):
         raise FormatError(f"V declares {n_decl} vertices, edges mention {len(graph.vertices)}")
-    rotation = {}
+    order, cid = graph._edge_order, graph._edge_id
+    canon = {i: cid[e] for i, e in edges_by_id.items()}  # file id -> edge id
+    cycles = {}
     for v, ids in rotations.items():
         if v not in graph.vertices:
             raise FormatError(f"rotation given for unknown vertex {v!r}")
-        cyc = []
-        for i in ids:
-            if i not in edges_by_id:
-                raise FormatError(f"rotation at {v!r} references unknown edge id {i}")
-            cyc.append(edges_by_id[i])
-        expected = set(graph.incident_edges(v))
-        if set(cyc) != expected or len(cyc) != len(expected):
+        try:
+            cyc = [canon[i] for i in ids]
+        except KeyError as exc:
+            raise FormatError(f"rotation at {v!r} references unknown edge id {exc.args[0]}") from None
+        expected = [cid[e] for e in graph._incidence[v]]  # ascending
+        if sorted(cyc) != expected:
             raise FormatError(f"rotation at {v!r} is not a permutation of its incident edges")
-        rotation[v] = tuple(cyc)
-    missing = set(graph.vertices) - set(rotation)
+        k = cyc.index(expected[0])  # start at the smallest edge, as Embedding does
+        cyc = cyc[k:] + cyc[:k]
+        cycles[v] = tuple([order[i] for i in cyc])
+    missing = set(graph.vertices) - set(cycles)
     if missing:
         raise FormatError(f"no rotation for vertices {sorted(missing, key=vkey)}")
-    return Embedding(graph, rotation, signature)
+    return Embedding._of_checked(graph, {v: cycles[v] for v in graph._order}, signature)

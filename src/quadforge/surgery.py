@@ -19,12 +19,13 @@ embeddings: load both, splice, rebuild.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 
 from . import emap
-from .emap import Embedding, FaceWalk, Graph, Label, edge_between, vkey
+from .emap import Embedding, Graph, Label, edge_between, vkey
 from .errors import StructuralError, SurgeryError
 
 
@@ -32,7 +33,7 @@ def relabel_embedding(emb: Embedding, mapping: dict) -> Embedding:
     """Rename vertices; rotation, signature, and faces carry over unchanged.
 
     When the mapping keeps the ``vkey`` order and the input's faces are
-    already traced, the output takes them relabelled instead of tracing again.
+    already traced, the output takes its traced states instead of tracing again.
     """
     if set(mapping) != set(emb.graph.vertices):
         raise SurgeryError("relabel mapping must cover every vertex exactly")
@@ -48,13 +49,12 @@ def relabel_embedding(emb: Embedding, mapping: dict) -> Embedding:
     rotation = {mapping[v]: tuple(me[e] for e in cyc) for v, cyc in emb.rotation.items()}
     signature = {me[e]: s for e, s in emb.signature.items()}
     out = Embedding(graph, rotation, signature)
-    if emb._faces is not None:
+    if emb._orbits is not None:
         order = [key[v] for v in emb.graph.sorted_vertices()]
         if all(a < b for a, b in zip(order, order[1:])):
             # The mapping keeps the vkey order, so edge ids, rotation phases and
-            # tracing states are unchanged: the faces are the input's, relabelled.
-            out._faces = tuple(FaceWalk(tuple((mapping[v], me[e]) for v, e in w.darts))
-                               for w in emb._faces)
+            # tracing states are unchanged: the faces are the input's orbits.
+            out._orbits, out._face_of = emb._orbits, emb._face_of
     return out
 
 
@@ -263,8 +263,10 @@ class FaceTable:
             keys[e] = key
             s = side[2 * e]
             signature[key] = turn[s] * turn[_next(s)]
+        # each rotation is made as a list first: a tuple grown from a generator
+        # leaves one more tuple of its odd size on the interpreter's free lists
         emb = Embedding(Graph(frozenset(self._degree), frozenset(self._eid)),
-                        {v: tuple(keys[e] for e in es) for v, es in rotation.items()},
+                        {v: tuple([keys[e] for e in es]) for v, es in rotation.items()},
                         signature)
         self._check_traced(emb)
         return emb
@@ -522,15 +524,18 @@ class FaceTable:
     def _check_traced(self, emb: Embedding) -> None:
         """Raise unless ``emb``'s traced faces are exactly these faces.
 
-        Each traced walk is matched with one of the two faces along its first
-        edge, read from that edge in either direction, and no face twice.
+        Each traced face, an orbit of ``emb``'s tracing states (traced here
+        once, and kept for ``emap.certify``), is matched with one of the two
+        faces along its first edge, read from that edge in either direction,
+        and no face twice.
         """
         w, side, eid = self._w, self._side, self._eid
+        edges = emb.graph._edge_order
+        ends = list(itertools.chain.from_iterable(edges))  # state s leaves ends[s >> 1]
         matched = set()
-        for walk in emb.faces():
-            darts = walk.darts
-            vs = [u for u, _ in darts]
-            e = eid[darts[0][1]]
+        for orbit in emb._traced():
+            vs = [ends[s >> 1] for s in orbit]
+            e = eid[edges[orbit[0] >> 2]]
             for s in (side[2 * e], side[2 * e + 1]):
                 b = s & -4
                 cyc = w[s:b + 4] + w[b:s]  # the face, from slot s

@@ -73,6 +73,14 @@ def test_gen_plan_only(capsys):
     assert "emap 1" not in stdout
 
 
+@pytest.mark.parametrize("n, t, kind", [(6, 3, "nonorientable"), (14, 3, "nonorientable")])
+def test_gen_plan_only_ends_with_a_newline(capsys, n, t, kind):
+    code, stdout, _ = run(capsys, "gen", "--n", str(n), "--t", str(t), "--kind", kind,
+                          "--plan-only")
+    req = planner.ParamRequest(n=n, t=t, kind=kind)
+    assert (code, stdout) == (0, planner.plan_text(planner.plan(req)) + "\n")
+
+
 def test_gen_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.emap"
     b = tmp_path / "b.emap"

@@ -174,6 +174,18 @@ def test_cold_generation_calls_each_embedding_kernel_once(monkeypatch):
                      "is_orientable": 1}
 
 
+def test_generated_output_is_traced_once(monkeypatch):
+    for rec in catalog.record_table():
+        catalog.get_witness(rec.name)
+    traced = []
+    trace = emap.Embedding._trace
+    monkeypatch.setattr(emap.Embedding, "_trace", lambda emb: traced.append(emb) or trace(emb))
+    emb, cert, _ = planner.generate(ParamRequest(n=50, t=3, kind="nonorientable"))
+    # checked against the chain's table and certified from the same traced states
+    assert len(traced) == 1 and traced[0] is emb
+    assert cert.face_simple and cert.quadrangular
+
+
 def test_sum_hypotheses_need_an_independent_neighbourhood():
     block = surgery.FaceTable.from_embedding(catalog.get_witness("phi_7_2_plus"))
     kmn = surgery.FaceTable.from_embedding(catalog.build_kmn(6, 5))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from quadforge import emap, graphalg, search, serialize
+from quadforge import cli, emap, graphalg, search, serialize
 from quadforge.errors import FormatError
 
 
@@ -87,6 +87,46 @@ def test_vertex_count_mismatch():
         serialize.parse_emap(text)
 
 
+# One case per refusal of ``parse_emap``, each with the fragment of its message.
+# Every case is the one-edge file "e 0 0 1 +", "r 0 : 0", "r 1 : 0" with one fault.
+GOOD_TEXT = "emap 1\nV 2\nE 1\ne 0 0 1 +\nr 0 : 0\nr 1 : 0\n"
+REFUSALS = {
+    "unknown edge id": (GOOD_TEXT.replace("r 1 : 0", "r 1 : 7"),
+                        "rotation at 1 references unknown edge id 7"),
+    "duplicate rotation": (GOOD_TEXT + "r 1 : 0\n",
+                           "line 7: duplicate rotation for vertex 1"),
+    "rotation of an unmentioned vertex": (GOOD_TEXT + "r 2 :\n",
+                                          "rotation given for unknown vertex 2"),
+    "missing colon": (GOOD_TEXT.replace("r 1 : 0", "r 1 0"),
+                      "line 6: expected ':' after vertex"),
+    "unknown tag": (GOOD_TEXT + "x 1\n", "line 7: unknown record tag 'x'"),
+    "non-integer id": (GOOD_TEXT.replace("e 0 0", "e a 0"),
+                       "line 4: malformed record: invalid literal for int()"),
+    "short edge line": (GOOD_TEXT.replace("e 0 0 1 +", "e 0 0 1"),
+                        "line 4: malformed record: list index out of range"),
+    "edge count": (GOOD_TEXT.replace("E 1", "E 2"), "E declares 2 edges, file lists 1"),
+    "edge under two ids": (GOOD_TEXT.replace("e 0 0 1 +", "e 0 0 1 +\ne 1 1 0 -")
+                           .replace("E 1", "E 2"),
+                           "the same edge appears under two ids"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_parse_refusal_names_its_fault(case):
+    text, fragment = REFUSALS[case]
+    with pytest.raises(FormatError) as err:
+        serialize.parse_emap(text)
+    assert fragment in str(err.value)
+
+
+def test_refused_file_exits_2_from_verify(tmp_path, capsys):
+    text, fragment = REFUSALS["unknown edge id"]
+    bad = tmp_path / "bad.emap"
+    bad.write_text(text)
+    assert cli.main(["verify", str(bad)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_comment_and_blank_lines_ignored():
     emb = sample_embedding()
     text = serialize.write_emap(emb)
@@ -94,9 +134,10 @@ def test_comment_and_blank_lines_ignored():
     assert serialize.parse_emap(padded) == emb
 
 
-@pytest.mark.parametrize("label", ["3", "-12", "007"])
+@pytest.mark.parametrize("label", ["3", "-12", "007", "a b", "a\tb", ":", ""])
 def test_digit_only_string_label_rejected(label):
-    # written as is, such a label would be read back as an int
+    # written as is, a digit-only label would be read back as an int, and an
+    # empty one, one with white space or ":" would not be read back at all
     emb = search.search_exact(search.WitnessSpec(
         graph=emap.Graph.from_edges([(0, label), (0, "y"), (1, label), (1, "y")]),
         chi=2, orientable=True)).embedding
