@@ -37,13 +37,12 @@ copy, and ``build_kmn`` the table's ``embedding``.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import zlib
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import emap, graphalg, search, serialize, surgery
 from .emap import Embedding, Graph, vkey
@@ -60,8 +59,7 @@ def catalog_dir() -> Path:
     return Path(__file__).parent / "data" / "catalog"
 
 
-@dataclass(frozen=True)
-class CatalogRecord:
+class CatalogRecord(NamedTuple):
     """Specification bundle for one named embedding, and how it is made.
 
     ``op`` says where the witness comes from: ``"searched"`` (exhaustive
@@ -100,6 +98,8 @@ class CatalogRecord:
         return WitnessSpec(g, self.chi, self.orientable, self.predicates)
 
     def spec_hash(self) -> str:
+        import hashlib  # on use: a gen or verify process never hashes
+
         text = "|".join(
             [
                 self.name,
@@ -253,6 +253,8 @@ def _read_manifest() -> dict:
 
 
 def _update_manifest(rec: CatalogRecord, file_text: str) -> None:
+    import hashlib
+
     entries = _read_manifest()
     file_hash = hashlib.sha256(file_text.encode()).hexdigest()[:16]
     entries[rec.name] = (rec.spec_hash(), file_hash, rec.provenance)
@@ -347,6 +349,8 @@ def get_witness(name: str) -> Embedding:
 
 def verify_all() -> list:
     """Re-certify every record; returns (name, ok, message) triples."""
+    import hashlib
+
     report = []
     manifest = _read_manifest()
     for rec in record_table():
@@ -356,12 +360,12 @@ def verify_all() -> list:
                 raise CatalogError("witness file missing")
             text = path.read_text()
             entry = manifest.get(rec.name)
-            if entry is not None:
-                file_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
-                if entry[1] != file_hash:
-                    raise CatalogError("witness file does not match manifest hash")
-                if entry[0] != rec.spec_hash():
-                    raise CatalogError("record spec changed since witness was stored")
+            if entry is None:
+                raise CatalogError("no well-formed manifest line for the witness file")
+            if entry[1] != hashlib.sha256(text.encode()).hexdigest()[:16]:
+                raise CatalogError("witness file does not match manifest hash")
+            if entry[0] != rec.spec_hash():
+                raise CatalogError("record spec changed since witness was stored")
             emb = serialize.parse_emap(text)
             _verify(rec, emb)
             report.append((rec.name, True, "ok"))

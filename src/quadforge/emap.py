@@ -34,9 +34,8 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import StructuralError
 
@@ -78,21 +77,18 @@ def other_end(e: Edge, v: Label) -> Label:
     raise StructuralError(f"vertex {v!r} not an endpoint of {e}")
 
 
-@dataclass(frozen=True)
 class Graph:
     """Labeled simple graph: loop-free, no parallel edges.
 
     Construction ranks the vertices by ``vkey``; the sorted edge list and the
-    incidence index are built from the ranks on first use.
+    incidence index are built from the ranks on first use.  A graph is
+    immutable, and equal only to a graph with the same vertices and edges.
     """
 
-    vertices: frozenset
-    edges: frozenset
-
-    def __post_init__(self):
-        order = tuple(sorted(self.vertices, key=vkey))
+    def __init__(self, vertices: frozenset, edges: frozenset):
+        order = tuple(sorted(vertices, key=vkey))
         rank = {v: i for i, v in enumerate(order)}
-        for e in self.edges:
+        for e in edges:
             if not (isinstance(e, tuple) and len(e) == 2):
                 raise StructuralError(f"edge {e!r} is not a pair")
             ra, rb = rank.get(e[0]), rank.get(e[1])
@@ -101,10 +97,25 @@ class Graph:
                 # not plainly two ranked labels in order: the full checks name the fault
                 if edge_between(*e) != e:
                     raise StructuralError(f"edge {e!r} is not normalized")
-                if e[0] not in self.vertices or e[1] not in self.vertices:
+                if e[0] not in vertices or e[1] not in vertices:
                     raise StructuralError(f"edge {e!r} has an endpoint outside the vertex set")
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_rank", rank)
+        self.__dict__.update(vertices=vertices, edges=edges, _order=order, _rank=rank)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r}: a Graph is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"Graph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @staticmethod
     def from_edges(edges: Iterable[tuple], vertices: Iterable[Label] = ()) -> "Graph":
@@ -179,17 +190,17 @@ def universal_vertices(g: Graph) -> set:
     return {v for v, es in g._incidence.items() if len(es) == n - 1}
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
-    orientable: bool
-    euler_characteristic: int
+class SurfaceClass(NamedTuple("SurfaceClass", [("orientable", bool),
+                                                ("euler_characteristic", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        chi = self.euler_characteristic
-        if self.orientable and (chi % 2 != 0 or chi > 2):
+    def __new__(cls, orientable: bool, euler_characteristic: int):
+        chi = euler_characteristic
+        if orientable and (chi % 2 != 0 or chi > 2):
             raise StructuralError(f"orientable surface cannot have chi={chi}")
-        if not self.orientable and chi > 1:
+        if not orientable and chi > 1:
             raise StructuralError(f"nonorientable surface cannot have chi={chi}")
+        return super().__new__(cls, orientable, euler_characteristic)
 
     @property
     def genus(self) -> int:
@@ -204,8 +215,7 @@ class SurfaceClass:
         return 2 - self.euler_characteristic
 
 
-@dataclass(frozen=True)
-class FaceWalk:
+class FaceWalk(NamedTuple):
     """Closed boundary walk; ``darts[i] = (vertex, edge)`` leaves vertex along edge."""
 
     darts: tuple
@@ -427,8 +437,7 @@ def is_nearly_face_simple_except(emb: Embedding, v: Label) -> bool:
     return _faces_meet_once(emb, (v,))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Machine-checked summary of an embedding, serialized as key=value lines."""
 
     n: int

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import ast
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .emap import Graph, Label, edge_between, vkey
 from .errors import CatalogError, StructuralError
@@ -316,8 +315,7 @@ _OPERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class GraphExpr:
+class GraphExpr(NamedTuple):
     """Parsed graph expression; ``eval`` materializes the labeled graph."""
 
     op: str

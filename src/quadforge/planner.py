@@ -40,30 +40,27 @@ embedding against the request on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catalog, emap, surgery
 from .emap import Certificate, Embedding, vkey
 from .errors import PlanError
 
 
-@dataclass(frozen=True)
-class ParamRequest:
-    n: int
-    t: int
-    kind: str  # "orientable" | "nonorientable"
+class ParamRequest(NamedTuple("ParamRequest", [("n", int), ("t", int), ("kind", str)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("orientable", "nonorientable"):
-            raise PlanError(f"kind must be orientable or nonorientable, got {self.kind!r}")
-        if self.n < 4:
-            raise PlanError(f"n must be at least 4, got {self.n}")
-        if self.t < 0:
-            raise PlanError(f"t must be nonnegative, got {self.t}")
+    def __new__(cls, n: int, t: int, kind: str):  # kind: "orientable" | "nonorientable"
+        if kind not in ("orientable", "nonorientable"):
+            raise PlanError(f"kind must be orientable or nonorientable, got {kind!r}")
+        if n < 4:
+            raise PlanError(f"n must be at least 4, got {n}")
+        if t < 0:
+            raise PlanError(f"t must be nonnegative, got {t}")
+        return super().__new__(cls, n, t, kind)
 
 
-@dataclass(frozen=True)
-class PlanNode:
+class PlanNode(NamedTuple):
     """One derivation step; a plan is the root of a chain of these."""
 
     step: str  # "base" | "nonorient" | "orient" | "intermediate"

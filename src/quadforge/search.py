@@ -28,16 +28,14 @@ reads them.  It is driven two ways:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import emap, surgery
 from .emap import Embedding, Graph, vkey
 from .errors import SearchError, SurgeryError
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
+class WitnessSpec(NamedTuple):
     """Target graph plus the property bundle a witness must satisfy."""
 
     graph: Graph
@@ -111,8 +109,7 @@ def _double_handle_ok(table: surgery.FaceTable, cycle1, cycle2) -> bool:
     return False
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     status: str  # "found" | "none" | "exhausted"
     embedding: Embedding | None = None
     nodes: int = 0
@@ -266,7 +263,7 @@ class _QuadSearcher:
             cyc = ds[:1]
             while cyc and self.nxt[cyc[-1]] != cyc[0]:
                 cyc.append(self.nxt[cyc[-1]])
-            rotation[v] = tuple(self.edges[d >> 1] for d in cyc)
+            rotation[v] = tuple([self.edges[d >> 1] for d in cyc])
         return Embedding(self.graph, rotation, dict(zip(self.edges, self.sign)))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import emap
 from .emap import Embedding, Graph, Label, edge_between, vkey
@@ -46,7 +46,7 @@ def relabel_embedding(emb: Embedding, mapping: dict) -> Embedding:
         for a, b in emb.graph.edges
     }
     graph = Graph(frozenset(mapping.values()), frozenset(me.values()))
-    rotation = {mapping[v]: tuple(me[e] for e in cyc) for v, cyc in emb.rotation.items()}
+    rotation = {mapping[v]: tuple([me[e] for e in cyc]) for v, cyc in emb.rotation.items()}
     signature = {me[e]: s for e, s in emb.signature.items()}
     out = Embedding(graph, rotation, signature)
     if emb._orbits is not None:
@@ -644,8 +644,7 @@ def thawed(frozen: bytes) -> list:
     return list(zip(it, it, it, it))
 
 
-@dataclass(frozen=True)
-class HandleSite:
+class HandleSite(NamedTuple):
     """Two quadrilateral faces with designated opposite-corner pairs.
 
     ``alpha = (a, p, c, q)`` and ``beta = (b, r, d, s)``: the handle adds

@@ -342,6 +342,32 @@ def test_catalog_verify_fails_on_altered_witness(catalog_copy, capsys):
     assert "catalog verified" not in stdout
 
 
+@pytest.mark.parametrize("name, edit", [
+    ("phi_4_0", lambda line: ""),
+    ("phi_5_0_star", lambda line: line.rstrip("\n") + " extra\n"),
+], ids=["line-deleted", "five-fields"])
+def test_catalog_verify_fails_without_a_manifest_line(catalog_copy, capsys, name, edit):
+    manifest = catalog_copy / "manifest.txt"
+    manifest.write_text("".join(edit(line) if line.startswith(name + " ") else line
+                                for line in manifest.read_text().splitlines(True)))
+    with open(catalog_copy / f"{name}.emap", "a") as f:
+        f.write("# an edit the manifest cannot vouch for\n")
+    code, stdout, stderr = run(capsys, "catalog", "verify")
+    assert code == 1
+    assert f"{name}: no well-formed manifest line" in stderr
+    assert "catalog verified" not in stdout
+
+
+def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_gen_and_verify_leave_networkx_unloaded(tmp_path):
     script = textwrap.dedent("""
         import sys
@@ -355,13 +381,26 @@ def test_gen_and_verify_leave_networkx_unloaded(tmp_path):
         assert graphalg.are_isomorphic(graphalg.complete(4), graphalg.complete(4))
         assert "networkx" in sys.modules
     """)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "q.emap")],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "faces " in proc.stdout
+    assert "faces " in _fresh_python(script, str(tmp_path / "q.emap")).stdout
+
+
+def test_gen_and_verify_import_no_dataclasses_inspect_or_hashlib(tmp_path):
+    # Each costs a cold `gen` milliseconds of import; only the catalog's
+    # manifest checks hash.  Modules a site hook loaded before are not counted.
+    script = textwrap.dedent("""
+        import sys
+        bare = set(sys.modules)
+        from quadforge import cli
+        out = sys.argv[1]
+        assert cli.main(["--quiet", "gen", "--n", "14", "--t", "3",
+                         "--kind", "nonorientable", "--out", out]) == 0
+        assert cli.main(["verify", out]) == 0
+        added = {"dataclasses", "inspect", "hashlib"} & (set(sys.modules) - bare)
+        assert not added, f"gen or verify imported {sorted(added)}"
+        assert cli.main(["catalog", "verify"]) == 0
+        assert "hashlib" in sys.modules
+    """)
+    assert "catalog verified" in _fresh_python(script, str(tmp_path / "q.emap")).stdout
 
 
 def test_sweep_leaves_networkx_unloaded():
@@ -371,13 +410,7 @@ def test_sweep_leaves_networkx_unloaded():
         assert cli.main(["sweep", "--surface", "projective", "--max-n", "6"]) == 0
         assert "networkx" not in sys.modules, "sweep imported networkx"
     """)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", script],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "n=6 face_simple_quadrangulations=1" in proc.stdout
+    assert "n=6 face_simple_quadrangulations=1" in _fresh_python(script).stdout
 
 
 

@@ -84,6 +84,31 @@ def test_surface_class_rejects_impossible_chi():
         emap.SurfaceClass(orientable=True, euler_characteristic=1)
     with pytest.raises(StructuralError):
         emap.SurfaceClass(orientable=False, euler_characteristic=2)
+    with pytest.raises(StructuralError, match="chi=-1"):
+        emap.SurfaceClass(True, -1)
+    assert emap.SurfaceClass(False, 1) == emap.SurfaceClass(orientable=False,
+                                                            euler_characteristic=1)
+
+
+@pytest.mark.parametrize("vertices, edges, message", [
+    ({0, 1}, {(1, 0)}, "not normalized"),
+    ({0, 1}, {(0, 0)}, "loop"),
+    ({0}, {(0, 1)}, "outside the vertex set"),
+    ({0, 1}, {(0, 1, 2)}, "not a pair"),
+    ({0, "a"}, {("a", 0)}, "not normalized"),
+])
+def test_graph_refuses_bad_edges(vertices, edges, message):
+    with pytest.raises(StructuralError, match=message):
+        Graph(frozenset(vertices), frozenset(edges))
+
+
+def test_graph_is_a_value_of_its_vertices_and_edges():
+    g = Graph(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}))
+    h = Graph.from_edges([(2, 1), (1, 0)])
+    assert g == h and hash(g) == hash(h) and g != Graph.from_edges([(0, 1)])
+    assert g != (g.vertices, g.edges) and (g.vertices, g.edges) != g
+    assert g._incidence is g._incidence and g._incidence[1] == ((0, 1), (1, 2))
+    assert repr(g) == f"Graph(vertices={g.vertices!r}, edges={g.edges!r})"
 
 
 def test_dual_multigraph_counts():

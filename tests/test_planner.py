@@ -8,7 +8,7 @@ import shutil
 
 import pytest
 
-from quadforge import catalog, emap, planner, serialize, surgery
+from quadforge import catalog, emap, graphalg, planner, search, serialize, surgery
 from quadforge.errors import CatalogError, PlanError
 from quadforge.planner import ParamRequest
 
@@ -20,6 +20,52 @@ def test_request_validation():
         ParamRequest(n=8, t=-1, kind="orientable")
     with pytest.raises(PlanError):
         ParamRequest(n=8, t=0, kind="klein")
+    with pytest.raises(PlanError, match="kind must be"):
+        ParamRequest(8, 0, "klein")
+    assert ParamRequest(8, 0, "orientable") == ParamRequest(n=8, t=0, kind="orientable")
+
+
+def test_plans_of_one_request_are_equal_and_hash_equal():
+    # the memo `_GEN_CACHE` is keyed by plan nodes
+    a = planner.plan(ParamRequest(50, 3, "nonorientable"))
+    b = planner.plan(ParamRequest(n=50, t=3, kind="nonorientable"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != planner.plan(ParamRequest(50, 5, "nonorientable"))
+    assert planner.PlanNode("base", 6, 1) == planner.PlanNode(
+        step="base", n=6, t=1, record=None, i=None, child=None)
+
+
+@pytest.mark.parametrize("record, field", [
+    (emap.Graph.from_edges([(0, 1)]), "edges"),
+    (emap.SurfaceClass(False, 1), "orientable"),
+    (emap.FaceWalk(((0, (0, 1)), (1, (0, 1)))), "darts"),
+    (emap.Certificate(4, 6, 0, 1, False, True, False, (0, 1, 2, 3), 3, True), "minimal"),
+    (ParamRequest(6, 1, "nonorientable"), "t"),
+    (planner.PlanNode("base", 6, 1), "child"),
+    (catalog.CatalogRecord("x", 1, False), "op"),
+    (search.WitnessSpec(graphalg.complete(4), 1, None), "predicates"),
+    (search.SearchResult("none"), "nodes"),
+    (graphalg.parse_expr("K(4)"), "args"),
+    (surgery.HandleSite((0, 1, 2, 3), (4, 5, 6, 7)), "alpha"),
+], ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
+def test_records_are_immutable(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+
+
+def test_record_defaults():
+    rec = catalog.CatalogRecord("x", 1, False)
+    assert rec == catalog.CatalogRecord(name="x", chi=1, orientable=False, predicates=(),
+                                        op="searched", parent=None, args=(), alternates=(),
+                                        counts=None)
+    assert (rec.target, rec.provenance) == ("x", "searched")
+    assert search.SearchResult("none") == search.SearchResult(status="none", embedding=None,
+                                                              nodes=0)
+    assert search.WitnessSpec(graphalg.complete(4), 1, None).predicates == ()
 
 
 def test_classify_specials():
