@@ -373,11 +373,12 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_dual(args) -> int:
     emb = _load(args.file)
-    dual = emap.dual_multigraph(emb)
-    print(f"faces {dual.number_of_nodes()}")
-    for fa, fb, data in sorted(dual.edges(data=True),
-                               key=lambda x: (x[0], x[1], str(x[2]))):
-        print(f"{fa} {fb} via {data['primal'][0]}-{data['primal'][1]}")
+    lo, hi = emap._edge_faces(emb)
+    print(f"faces {len(emb.faces())}")
+    # one dual edge per primal edge; parallel ones ordered by the primal edge's repr
+    for fa, fb, (u, v) in sorted(zip(lo, hi, emb.graph._edge_order),
+                                 key=lambda d: (d[0], d[1], repr(d[2]))):
+        print(f"{fa} {fb} via {u}-{v}")
     return 0
 
 

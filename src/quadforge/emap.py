@@ -35,12 +35,9 @@ import itertools
 import operator
 from collections import Counter
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import StructuralError
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 Label = int | str
 Edge = tuple  # normalized 2-tuple of labels, endpoints sorted by vkey
@@ -188,31 +185,6 @@ def min_degree(g: Graph) -> int:
 def universal_vertices(g: Graph) -> set:
     n = len(g.vertices)
     return {v for v, es in g._incidence.items() if len(es) == n - 1}
-
-
-class SurfaceClass(NamedTuple("SurfaceClass", [("orientable", bool),
-                                                ("euler_characteristic", int)])):
-    __slots__ = ()
-
-    def __new__(cls, orientable: bool, euler_characteristic: int):
-        chi = euler_characteristic
-        if orientable and (chi % 2 != 0 or chi > 2):
-            raise StructuralError(f"orientable surface cannot have chi={chi}")
-        if not orientable and chi > 1:
-            raise StructuralError(f"nonorientable surface cannot have chi={chi}")
-        return super().__new__(cls, orientable, euler_characteristic)
-
-    @property
-    def genus(self) -> int:
-        if not self.orientable:
-            raise StructuralError("genus is defined for orientable surfaces")
-        return (2 - self.euler_characteristic) // 2
-
-    @property
-    def crosscap_number(self) -> int:
-        if self.orientable:
-            raise StructuralError("crosscap number is defined for nonorientable surfaces")
-        return 2 - self.euler_characteristic
 
 
 class FaceWalk(NamedTuple):
@@ -384,10 +356,6 @@ def is_orientable(emb: Embedding) -> bool:
     return True
 
 
-def surface_class(emb: Embedding) -> SurfaceClass:
-    return SurfaceClass(is_orientable(emb), euler_characteristic(emb))
-
-
 def _edge_faces(emb: Embedding) -> tuple:
     """Two lists over the edge ids: the lesser and the greater index in
     ``emb.faces()`` of the two faces along each edge (one index twice when a
@@ -396,18 +364,6 @@ def _edge_faces(emb: Embedding) -> tuple:
     emb._traced()
     fa, fb = emb._face_of[0::4], emb._face_of[1::4]
     return list(map(min, fa, fb)), list(map(max, fa, fb))
-
-
-def dual_multigraph(emb: Embedding) -> nx.MultiGraph:
-    """Faces as nodes, one dual edge per primal edge; loops allowed."""
-    import networkx as nx
-
-    lo, hi = _edge_faces(emb)
-    dual = nx.MultiGraph()
-    dual.add_nodes_from(range(len(emb._traced())))
-    for e, fa, fb in zip(emb.graph._edge_order, lo, hi):
-        dual.add_edge(fa, fb, primal=e)
-    return dual
 
 
 def is_quadrangular(emb: Embedding) -> bool:

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import ast
 import itertools
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .emap import Graph, Label, edge_between, vkey
 from .errors import CatalogError, StructuralError
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 ISO_VERTEX_CAP = 16
 
@@ -211,21 +208,10 @@ def phi_target(name: str) -> Graph:
     raise StructuralError(f"{name}: {rec.op} does not fix a target graph")
 
 
-def to_networkx(g: Graph) -> nx.Graph:
-    import networkx as nx
-
-    out = nx.Graph()
-    out.add_nodes_from(g.vertices)
-    out.add_edges_from(g.edges)
-    return out
-
-
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     if len(g.vertices) > ISO_VERTEX_CAP or len(h.vertices) > ISO_VERTEX_CAP:
         raise StructuralError(f"isomorphism testing is capped at {ISO_VERTEX_CAP} vertices")
-    import networkx as nx
-
-    return nx.is_isomorphic(to_networkx(g), to_networkx(h))
+    return canonical_form(g) == canonical_form(h)
 
 
 def canonical_form(g: Graph) -> tuple:

@@ -165,38 +165,39 @@ def plan(req: ParamRequest) -> PlanNode:
                         + _inadmissible_reason(req))
     if status == "special":
         return PlanNode("base", req.n, req.t, record=SPECIALS[(req.n, req.t, req.kind)])
-    return _plan(req.n, req.t, req.kind)
+    n, t, kind = req
+    step, dn = ("nonorient", 4) if kind == "nonorientable" else ("orient", 8)
+    steps = []  # (step, n, t, i) from the request down to its base
+    while (record := _BASES[kind].get((n, t))) is None:
+        if kind == "orientable" and (n, t) in _INTERMEDIATES:
+            steps.append(("intermediate", n, t, None))
+            n, t = n - 4, t - 2
+        elif n < _FIRST_STEP_N[kind]:
+            raise PlanError(f"no {kind} base derivation for (n={n}, t={t})")
+        else:
+            i = _schedule_i(t, kind)
+            steps.append((step, n, t, i))
+            n, t = n - dn, t - i
+    node = PlanNode("base", n, t, record=record)
+    for step, n, t, i in reversed(steps):
+        node = PlanNode(step, n, t, i=i, child=node)
+    return node
 
 
-def _plan(n: int, t: int, kind: str) -> PlanNode:
-    record = _BASES[kind].get((n, t))
-    if record is not None:
-        return PlanNode("base", n, t, record=record)
-    if kind == "orientable" and (n, t) in _INTERMEDIATES:
-        return PlanNode("intermediate", n, t, child=_plan(n - 4, t - 2, kind))
-    if n < _FIRST_STEP_N[kind]:
-        raise PlanError(f"no {kind} base derivation for (n={n}, t={t})")
-    i = _schedule_i(t, kind)
-    if kind == "nonorientable":
-        return PlanNode("nonorient", n, t, i=i, child=_plan(n - 4, t - i, kind))
-    return PlanNode("orient", n, t, i=i, child=_plan(n - 8, t - i, kind))
-
-
-def plan_text(node: PlanNode, indent: int = 0) -> str:
-    pad = "  " * indent
-    if node.step == "base":
-        rec = catalog.get_record(node.record)
-        how = f"surgery {rec.op} on {rec.parent} -> " if rec.parent else "base "
-        line = f"{pad}{how}{rec.name} (n={node.n}, t={node.t})"
-    elif node.step == "intermediate":
-        line = f"{pad}intermediate +4 vertices, +2 missing edges (n={node.n}, t={node.t})"
-    else:
-        sign = "nonorientable" if node.step == "nonorient" else "orientable"
-        dn = 4 if node.step == "nonorient" else 8
-        line = f"{pad}{sign} step +{dn} vertices, +{node.i} missing edges (n={node.n}, t={node.t})"
-    if node.child is not None:
-        line += "\n" + plan_text(node.child, indent + 1)
-    return line
+def plan_text(node: PlanNode) -> str:
+    lines = []
+    while node is not None:
+        if node.step == "base":
+            rec = catalog.get_record(node.record)
+            what = (f"surgery {rec.op} on {rec.parent} -> " if rec.parent else "base ") + rec.name
+        elif node.step == "intermediate":
+            what = "intermediate +4 vertices, +2 missing edges"
+        else:
+            sign, dn = ("nonorientable", 4) if node.step == "nonorient" else ("orientable", 8)
+            what = f"{sign} step +{dn} vertices, +{node.i} missing edges"
+        lines.append(f"{'  ' * len(lines)}{what} (n={node.n}, t={node.t})")
+        node = node.child
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +303,20 @@ def _base(node: PlanNode) -> Embedding:
 
 
 def _chain(node: PlanNode) -> surgery.FaceTable:
-    """A table of ``node``'s chain on ints: thawed from the memo, or spliced on
-    its child's chain and then frozen into the memo."""
+    """A table of ``node``'s chain on ints: spliced up to ``node`` from its nearest
+    built ancestor's frozen faces or from its base, each spliced node frozen into the memo."""
+    path = []
+    while node.step != "base" and node not in _GEN_CACHE:
+        path.append(node)
+        node = node.child
     if node.step == "base":
-        return surgery.FaceTable.from_embedding(_base(node)).ranked()
-    frozen = _GEN_CACHE.get(node)
-    if frozen is not None:
-        return surgery.FaceTable(surgery.thawed(frozen))
-    chain = _chain(node.child)
-    _induct_step(chain, *_step_block(node))
-    _check_size(node, len(chain.vertices()), len(chain.edges()))
-    _GEN_CACHE[node] = chain.frozen()
+        chain = surgery.FaceTable.from_embedding(_base(node)).ranked()
+    else:
+        chain = surgery.FaceTable(surgery.thawed(_GEN_CACHE[node]))
+    for node in reversed(path):
+        _induct_step(chain, *_step_block(node))
+        _check_size(node, len(chain.vertices()), len(chain.edges()))
+        _GEN_CACHE[node] = chain.frozen()
     return chain
 
 

@@ -33,6 +33,15 @@ class _Labels(dict):
         return label
 
 
+def _digits(tokens: list) -> list:
+    """Edge ids and counts as ints: ASCII digits only, as every writer makes them."""
+    joined = "".join(tokens)
+    if tokens and not (joined.isdigit() and joined.isascii()):
+        bad = next(t for t in tokens if not (t.isdigit() and t.isascii()))
+        raise ValueError(f"invalid literal for int() with base 10: {bad!r}")
+    return list(map(int, tokens))
+
+
 def _label_token(v) -> str:
     s = str(v)
     # a string that looks like an int would be read back as one by parse_label
@@ -72,7 +81,7 @@ def parse_emap(text: str) -> Embedding:
     lines = text.splitlines()
     if not lines or lines[0].strip() != "emap 1":
         raise FormatError("line 1: expected header 'emap 1'")
-    n_decl = m_decl = None
+    declared = {}  # "V" and "E" -> the count the file declares
     labels = _Labels()
     edges_by_id = {}
     signature = {}
@@ -84,7 +93,11 @@ def parse_emap(text: str) -> Embedding:
         tag = parts[0]
         try:
             if tag == "e":
-                eid = int(parts[1])
+                if len(parts) > 5:
+                    raise FormatError(f"line {lineno}: extra field {parts[5]!r}")
+                token = parts[1]
+                # _digits's check inlined: one id per line, on the hot path
+                eid = int(token) if token.isdigit() and token.isascii() else _digits([token])[0]
                 if eid in edges_by_id:
                     raise FormatError(f"line {lineno}: duplicate edge id {eid}")
                 u, v = labels[parts[2]], labels[parts[3]]
@@ -105,25 +118,25 @@ def parse_emap(text: str) -> Embedding:
                 v = labels[parts[1]]
                 if v in rotations:
                     raise FormatError(f"line {lineno}: duplicate rotation for vertex {v!r}")
-                rotations[v] = list(map(int, parts[3:]))
-            elif tag == "V":
-                n_decl = int(parts[1])
-            elif tag == "E":
-                m_decl = int(parts[1])
+                rotations[v] = _digits(parts[3:])
+            elif tag in ("V", "E"):
+                if len(parts) > 2:
+                    raise FormatError(f"line {lineno}: extra field {parts[2]!r}")
+                declared[tag] = _digits([parts[1]])[0]
             else:
                 raise FormatError(f"line {lineno}: unknown record tag {tag!r}")
         except FormatError:
             raise
         except (IndexError, ValueError) as exc:
             raise FormatError(f"line {lineno}: malformed record: {exc}") from exc
-    if m_decl is not None and m_decl != len(edges_by_id):
-        raise FormatError(f"E declares {m_decl} edges, file lists {len(edges_by_id)}")
+    if declared.get("E", len(edges_by_id)) != len(edges_by_id):
+        raise FormatError(f"E declares {declared['E']} edges, file lists {len(edges_by_id)}")
     edges = frozenset(edges_by_id.values())
     if len(edges) != len(edges_by_id):
         raise FormatError("the same edge appears under two ids")
     graph = Graph(frozenset(itertools.chain.from_iterable(edges)), edges)
-    if n_decl is not None and n_decl != len(graph.vertices):
-        raise FormatError(f"V declares {n_decl} vertices, edges mention {len(graph.vertices)}")
+    if declared.get("V", len(graph.vertices)) != len(graph.vertices):
+        raise FormatError(f"V declares {declared['V']} vertices, edges mention {len(graph.vertices)}")
     order, cid = graph._edge_order, graph._edge_id
     canon = {i: cid[e] for i, e in edges_by_id.items()}  # file id -> edge id
     cycles = {}

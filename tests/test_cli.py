@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import nx_oracle
 from quadforge import catalog, cli, emap, planner, search, serialize, surgery
 
 
@@ -79,6 +80,22 @@ def test_gen_plan_only_ends_with_a_newline(capsys, n, t, kind):
                           "--plan-only")
     req = planner.ParamRequest(n=n, t=t, kind=kind)
     assert (code, stdout) == (0, planner.plan_text(planner.plan(req)) + "\n")
+
+
+@pytest.mark.parametrize("n, t, kind", [(4002, 3, "nonorientable"), (7937, 2, "orientable")])
+def test_gen_plan_only_prints_a_deep_plan(capsys, n, t, kind):
+    # about 1,000 induction steps: as deep as Python's default recursion limit
+    code, stdout, _ = run(capsys, "gen", "--n", str(n), "--t", str(t), "--kind", kind,
+                          "--plan-only")
+    node, nodes = planner.plan(planner.ParamRequest(n=n, t=t, kind=kind)), []
+    while node is not None:
+        nodes.append(node)
+        node = node.child
+    lines = stdout.splitlines()
+    assert (code, len(lines)) == (0, len(nodes)) and len(nodes) > 980
+    for depth, (line, node) in enumerate(zip(lines, nodes)):
+        assert line == "  " * depth + line.lstrip()
+        assert line.endswith(f"(n={node.n}, t={node.t})")
 
 
 def test_gen_byte_identical(tmp_path, capsys):
@@ -272,6 +289,28 @@ def test_dual_output(tmp_path, capsys):
     assert len(stdout.splitlines()) == 1 + 18
 
 
+def test_dual_matches_the_networkx_rendering(tmp_path, capsys):
+    # the order of parallel dual edges is pinned too: ten catalog duals have
+    # some, and the one face of a star on the sphere gives three parallel loops
+    out, star = tmp_path / "q.emap", tmp_path / "star.emap"
+    assert run(capsys, "--quiet", "gen", "--n", "30", "--t", "3",
+               "--kind", "nonorientable", "--out", str(out))[0] == 0
+    g = emap.Graph.from_edges([(0, 1), (0, 2), (0, 10)])
+    star.write_text(serialize.write_emap(emap.Embedding(
+        g, {v: g._incidence[v] for v in g.vertices}, {e: 1 for e in g.edges})))
+    files = sorted(catalog.catalog_dir().glob("*.emap")) + [out, star]
+    assert len(files) == 24
+    for path in files:
+        emb = serialize.parse_emap(path.read_text())
+        code, stdout, _ = run(capsys, "dual", str(path))
+        assert (code, stdout) == (0, nx_oracle.dual_text(emb)), path.name
+        cert = emap.certify(emb)
+        lines = stdout.splitlines()
+        # F = chi - V + E faces, and one dual edge per primal edge
+        assert lines[0] == f"faces {cert.chi - cert.n + cert.edges}", path.name
+        assert len(lines) - 1 == cert.edges, path.name
+
+
 def test_kmn_certificate(capsys):
     code, stdout, _ = run(capsys, "kmn", "--m", "6", "--n", "4")
     assert code == 0
@@ -368,20 +407,68 @@ def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
     return proc
 
 
+def test_every_subcommand_runs_without_networkx(tmp_path):
+    # networkx is only the tests' oracle: with it unimportable, each command
+    # exits as it does with it
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["networkx"] = None  # `import networkx` raises ImportError
+        from quadforge import catalog, cli, serialize, surgery
+        d = sys.argv[1]
+        q, a, b, phi, out, spec = (f"{d}/{name}" for name in
+                                   ("q.emap", "a.emap", "b.emap", "phi.emap", "out.emap", "k4.spec"))
+        k63 = catalog.build_kmn(6, 3)
+        with open(b, "w") as f:
+            f.write(serialize.write_emap(surgery.relabel_embedding(
+                k63, {v: v + 100 for v in k63.graph.vertices})))
+        with open(phi, "w") as f:
+            f.write(serialize.write_emap(catalog.get_witness("phi_8_4_star")))
+        with open(spec, "w") as f:
+            f.write("graph K(4)\\nchi 1\\norientable false\\n")
+        face = [str(v) for v in catalog.get_witness("phi_8_4_star").faces()[0].vertices]
+        commands = [
+            ["gen", "--n", "14", "--t", "3", "--kind", "nonorientable", "--out", q],
+            ["verify", q],
+            ["dual", q],
+            ["kmn", "--m", "6", "--n", "3", "--out", a],
+            ["surgery", "diamond", a, "0", b, "100"],
+            ["surgery", "handle", phi, "4", "5", "6", "7"],
+            ["surgery", "insert2", phi, *face, face[0], "--out", out],
+            ["surgery", "delete2", out, "8"],
+            ["catalog", "list"],
+            ["catalog", "verify"],
+            ["search", "--spec", spec],
+            ["sweep", "--surface", "projective", "--max-n", "6"],
+        ]
+        for argv in commands:
+            assert cli.main(["--quiet", *argv]) == 0, argv
+        assert sys.modules["networkx"] is None
+    """)
+    assert "n=6 face_simple_quadrangulations=1" in _fresh_python(script, str(tmp_path)).stdout
+
+
 def test_gen_and_verify_leave_networkx_unloaded(tmp_path):
     script = textwrap.dedent("""
         import sys
-        from quadforge import cli, graphalg
+        from quadforge import cli
         out = sys.argv[1]
         assert cli.main(["--quiet", "gen", "--n", "14", "--t", "3",
                          "--kind", "nonorientable", "--out", out]) == 0
         assert cli.main(["verify", out]) == 0
-        assert "networkx" not in sys.modules, "gen or verify imported networkx"
         assert cli.main(["dual", out]) == 0
-        assert graphalg.are_isomorphic(graphalg.complete(4), graphalg.complete(4))
-        assert "networkx" in sys.modules
+        assert "networkx" not in sys.modules, "gen, verify or dual imported networkx"
     """)
     assert "faces " in _fresh_python(script, str(tmp_path / "q.emap")).stdout
+
+
+def test_sweep_leaves_networkx_unloaded():
+    script = textwrap.dedent("""
+        import sys
+        from quadforge import cli
+        assert cli.main(["sweep", "--surface", "projective", "--max-n", "6"]) == 0
+        assert "networkx" not in sys.modules, "sweep imported networkx"
+    """)
+    assert "n=6 face_simple_quadrangulations=1" in _fresh_python(script).stdout
 
 
 def test_gen_and_verify_import_no_dataclasses_inspect_or_hashlib(tmp_path):
@@ -401,17 +488,6 @@ def test_gen_and_verify_import_no_dataclasses_inspect_or_hashlib(tmp_path):
         assert "hashlib" in sys.modules
     """)
     assert "catalog verified" in _fresh_python(script, str(tmp_path / "q.emap")).stdout
-
-
-def test_sweep_leaves_networkx_unloaded():
-    script = textwrap.dedent("""
-        import sys
-        from quadforge import cli
-        assert cli.main(["sweep", "--surface", "projective", "--max-n", "6"]) == 0
-        assert "networkx" not in sys.modules, "sweep imported networkx"
-    """)
-    assert "n=6 face_simple_quadrangulations=1" in _fresh_python(script).stdout
-
 
 
 def test_forced_sweep_past_the_cap_fails_at_once(capsys, monkeypatch):

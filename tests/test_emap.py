@@ -74,22 +74,6 @@ def test_each_edge_used_twice():
     assert set(uses) == emb.graph.edges
 
 
-def test_surface_class_names():
-    assert emap.surface_class(square_sphere()).genus == 0
-    assert emap.surface_class(k4_projective()).crosscap_number == 1
-
-
-def test_surface_class_rejects_impossible_chi():
-    with pytest.raises(StructuralError):
-        emap.SurfaceClass(orientable=True, euler_characteristic=1)
-    with pytest.raises(StructuralError):
-        emap.SurfaceClass(orientable=False, euler_characteristic=2)
-    with pytest.raises(StructuralError, match="chi=-1"):
-        emap.SurfaceClass(True, -1)
-    assert emap.SurfaceClass(False, 1) == emap.SurfaceClass(orientable=False,
-                                                            euler_characteristic=1)
-
-
 @pytest.mark.parametrize("vertices, edges, message", [
     ({0, 1}, {(1, 0)}, "not normalized"),
     ({0, 1}, {(0, 0)}, "loop"),
@@ -109,13 +93,6 @@ def test_graph_is_a_value_of_its_vertices_and_edges():
     assert g != (g.vertices, g.edges) and (g.vertices, g.edges) != g
     assert g._incidence is g._incidence and g._incidence[1] == ((0, 1), (1, 2))
     assert repr(g) == f"Graph(vertices={g.vertices!r}, edges={g.edges!r})"
-
-
-def test_dual_multigraph_counts():
-    emb = k4_projective()
-    dual = emap.dual_multigraph(emb)
-    assert dual.number_of_nodes() == 3
-    assert dual.number_of_edges() == 6
 
 
 def test_certify_fields():

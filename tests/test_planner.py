@@ -37,7 +37,6 @@ def test_plans_of_one_request_are_equal_and_hash_equal():
 
 @pytest.mark.parametrize("record, field", [
     (emap.Graph.from_edges([(0, 1)]), "edges"),
-    (emap.SurfaceClass(False, 1), "orientable"),
     (emap.FaceWalk(((0, (0, 1)), (1, (0, 1)))), "darts"),
     (emap.Certificate(4, 6, 0, 1, False, True, False, (0, 1, 2, 3), 3, True), "minimal"),
     (ParamRequest(6, 1, "nonorientable"), "t"),

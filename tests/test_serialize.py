@@ -104,6 +104,23 @@ REFUSALS = {
                        "line 4: malformed record: invalid literal for int()"),
     "short edge line": (GOOD_TEXT.replace("e 0 0 1 +", "e 0 0 1"),
                         "line 4: malformed record: list index out of range"),
+    # ids and counts are ASCII digits, as written, though int() takes more
+    "id with an underscore": (GOOD_TEXT.replace("e 0 0", "e 0_0 0"),
+                              "line 4: malformed record: invalid literal for int() with base 10: '0_0'"),
+    "id with a plus sign": (GOOD_TEXT.replace("e 0 0", "e +0 0"),
+                            "line 4: malformed record: invalid literal for int() with base 10: '+0'"),
+    "id in Arabic-Indic digits": (GOOD_TEXT.replace("e 0 0", "e \u0660 0"),
+                                  "line 4: malformed record: invalid literal for int()"),
+    "rotation id with a plus sign": (GOOD_TEXT.replace("r 1 : 0", "r 1 : +0"),
+                                     "line 6: malformed record: invalid literal for int()"),
+    "count with an underscore": (GOOD_TEXT.replace("V 2", "V 0_2"),
+                                 "line 2: malformed record: invalid literal for int() with base 10: '0_2'"),
+    "extra field on an edge line": (GOOD_TEXT.replace("e 0 0 1 +", "e 0 0 1 + junk"),
+                                    "line 4: extra field 'junk'"),
+    "extra field on the vertex count": (GOOD_TEXT.replace("V 2", "V 2 7"),
+                                        "line 2: extra field '7'"),
+    "extra field on the edge count": (GOOD_TEXT.replace("E 1", "E 1 1"),
+                                      "line 3: extra field '1'"),
     "edge count": (GOOD_TEXT.replace("E 1", "E 2"), "E declares 2 edges, file lists 1"),
     "edge under two ids": (GOOD_TEXT.replace("e 0 0 1 +", "e 0 0 1 +\ne 1 1 0 -")
                            .replace("E 1", "E 2"),
@@ -120,11 +137,11 @@ def test_parse_refusal_names_its_fault(case):
 
 
 def test_refused_file_exits_2_from_verify(tmp_path, capsys):
-    text, fragment = REFUSALS["unknown edge id"]
     bad = tmp_path / "bad.emap"
-    bad.write_text(text)
-    assert cli.main(["verify", str(bad)]) == 2
-    assert fragment in capsys.readouterr().err
+    for case, (text, fragment) in REFUSALS.items():
+        bad.write_text(text, encoding="utf-8")
+        assert cli.main(["verify", str(bad)]) == 2, case
+        assert fragment in capsys.readouterr().err, case
 
 
 def test_comment_and_blank_lines_ignored():
