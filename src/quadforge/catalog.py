@@ -336,7 +336,7 @@ def get_witness(name: str) -> Embedding:
         if path.exists():
             try:
                 emb = serialize.parse_emap(path.read_text())
-            except QuadforgeError as exc:
+            except (QuadforgeError, UnicodeDecodeError) as exc:
                 raise CatalogError(f"{name}: witness file corrupt: {exc}") from exc
             _verify(rec, emb)
         else:
@@ -369,7 +369,7 @@ def verify_all() -> list:
             emb = serialize.parse_emap(text)
             _verify(rec, emb)
             report.append((rec.name, True, "ok"))
-        except (QuadforgeError, OSError) as exc:
+        except (QuadforgeError, OSError, UnicodeDecodeError) as exc:
             report.append((rec.name, False, str(exc)))
     return report
 

@@ -22,7 +22,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, UnicodeDecodeError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "random"), default="exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=_positive_int, default=search.RANDOMIZED_RESTARTS)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
@@ -171,8 +171,8 @@ def _cmd_gen(args) -> int:
     if args.plan_only:
         print(planner.plan_text(planner.plan(req)))
         return 0
-    emb, cert, node = planner.generate(req)
-    _say(args, planner.plan_text(node))
+    emb, cert, plan = planner.generate(req)
+    _say(args, planner.plan_text(plan))
     _emit(args, emb, cert)
     return 0
 

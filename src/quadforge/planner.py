@@ -3,16 +3,20 @@
 A request ``(n, t, kind)`` asks for a quadrangulation of a simple graph with
 ``n`` vertices and ``C(n,2) - t`` edges on an orientable or nonorientable
 surface.  Admissible requests satisfy ``0 <= t <= n-4`` and a congruence on
-``t``; they are fulfilled by a derivation plan: a chain of diamond-sum
-induction steps grounded in catalog base records.
+``t``; they are fulfilled by a derivation plan: a tuple of plan nodes, a
+catalog base record first and then one diamond-sum induction step per node,
+each on the result of the one before, up to the request.
 
 Each induction step composes three quadrangulations.  A fixed small block
 with a distinguished degree-6 (or degree-10) vertex ``x`` and a degree-2
 vertex ``z`` is first diamond-summed with a complete-bipartite
 quadrangulation at ``x``, producing a face-simple quadrangulation in which
 ``z``'s neighborhood is an independent set of size ``n'-1``; that is then
-diamond-summed at ``z`` with the child at one of its universal vertices.  The
-result gains 4 (or 8) vertices and ``i`` missing edges.  The sums are
+diamond-summed at ``z`` with the chain so far at one of its universal
+vertices.  The result gains 4 (or 8) vertices and ``i`` missing edges.  Each
+step node names its block record: ``phi_7_{i}_plus`` for a nonorientable
+step, ``phi_11_{i}_plus_star`` for an orientable one and
+``phi_7_2_plus_star`` for an intermediate one.  The sums are
 ``surgery.FaceTable`` splices: the chain is one face table, each step
 replaces the faces around the summed vertex, and the chain's vertices keep
 their labels.  The complete-bipartite summand is a copy from
@@ -23,19 +27,20 @@ the tables' indices — the construction is refused rather than allowed to
 drift from its contract.  No orientability is carried along the chain: the
 certificate of the finished embedding decides it.
 
-The chains are grounded in base nodes, each naming the catalog record that
-holds its ``(n, t)``.  Whether that record is searched or derived from
-another, and by which surgery, is the record's own ``op`` and ``parent`` in
+Each plan starts at a base node naming the catalog record that holds its
+``(n, t)``.  Whether that record is searched or derived from another, and by
+which surgery, is the record's own ``op`` and ``parent`` in
 ``catalog.record_table``; ``plan_text`` reads it from there.
 
 The plans of different requests share their chains, so ``execute`` keeps
 the faces of every plan node it builds until the catalog directory changes:
 each node is built, and its per-step guards run, once per catalog, and a
-request resumes from its nearest built ancestor.  The memo keeps no
-embedding: a requested node's table is put on 0..n-1 and its rotation
-system built from it (``FaceTable.embedding``) on every request, which
-splices nothing when the node is already built.  ``generate`` certifies its
-embedding against the request on every call.
+request resumes from the last node of its plan that is built.  A node's
+fields decide its whole chain, so the memo is keyed by the flat node.  The
+memo keeps no embedding: a requested node's table is put on 0..n-1 and its
+rotation system built from it (``FaceTable.embedding``) on every request,
+which splices nothing when the node is already built.  ``generate``
+certifies its embedding against the request on every call.
 """
 
 from __future__ import annotations
@@ -61,14 +66,18 @@ class ParamRequest(NamedTuple("ParamRequest", [("n", int), ("t", int), ("kind", 
 
 
 class PlanNode(NamedTuple):
-    """One derivation step; a plan is the root of a chain of these."""
+    """One derivation step; a plan is a tuple of these, its base first.
+
+    ``plan`` walks ``(n, t)`` down the same way for every request of a kind,
+    and the step names the kind, so a node's fields decide its whole chain:
+    equal nodes build equal tables, and the memo is keyed by the node alone.
+    """
 
     step: str  # "base" | "nonorient" | "orient" | "intermediate"
     n: int
     t: int
-    record: str | None = None  # base: catalog record holding the result
+    record: str | None = None  # base: catalog record holding the result; else the block
     i: int | None = None       # nonorient/orient: missing edges added
-    child: PlanNode | None = None
 
 
 def congruence_mod(kind: str) -> int:
@@ -157,36 +166,38 @@ def _schedule_i(t: int, kind: str) -> int:
     return 8
 
 
-def plan(req: ParamRequest) -> PlanNode:
-    """The derivation of an admissible request; a special's is its catalog record."""
+def plan(req: ParamRequest) -> tuple:
+    """The derivation of an admissible request, base first and the request last;
+    a special's is its catalog record."""
     status = classify(req)
     if status == "inadmissible":
         raise PlanError(f"({req.n},{req.t},{req.kind}) is not admissible: "
                         + _inadmissible_reason(req))
     if status == "special":
-        return PlanNode("base", req.n, req.t, record=SPECIALS[(req.n, req.t, req.kind)])
+        return (PlanNode("base", req.n, req.t, SPECIALS[(req.n, req.t, req.kind)]),)
     n, t, kind = req
-    step, dn = ("nonorient", 4) if kind == "nonorientable" else ("orient", 8)
-    steps = []  # (step, n, t, i) from the request down to its base
+    if kind == "nonorientable":
+        step, dn, block = "nonorient", 4, "phi_7_{}_plus"
+    else:
+        step, dn, block = "orient", 8, "phi_11_{}_plus_star"
+    nodes = []  # from the request down to its base
     while (record := _BASES[kind].get((n, t))) is None:
         if kind == "orientable" and (n, t) in _INTERMEDIATES:
-            steps.append(("intermediate", n, t, None))
+            nodes.append(PlanNode("intermediate", n, t, "phi_7_2_plus_star"))
             n, t = n - 4, t - 2
         elif n < _FIRST_STEP_N[kind]:
             raise PlanError(f"no {kind} base derivation for (n={n}, t={t})")
         else:
             i = _schedule_i(t, kind)
-            steps.append((step, n, t, i))
+            nodes.append(PlanNode(step, n, t, block.format(i), i))
             n, t = n - dn, t - i
-    node = PlanNode("base", n, t, record=record)
-    for step, n, t, i in reversed(steps):
-        node = PlanNode(step, n, t, i=i, child=node)
-    return node
+    nodes.append(PlanNode("base", n, t, record))
+    return tuple(reversed(nodes))
 
 
-def plan_text(node: PlanNode) -> str:
+def plan_text(plan: tuple) -> str:
     lines = []
-    while node is not None:
+    for node in reversed(plan):
         if node.step == "base":
             rec = catalog.get_record(node.record)
             what = (f"surgery {rec.op} on {rec.parent} -> " if rec.parent else "base ") + rec.name
@@ -196,7 +207,6 @@ def plan_text(node: PlanNode) -> str:
             sign, dn = ("nonorientable", 4) if node.step == "nonorient" else ("orientable", 8)
             what = f"{sign} step +{dn} vertices, +{node.i} missing edges"
         lines.append(f"{'  ' * len(lines)}{what} (n={node.n}, t={node.t})")
-        node = node.child
     return "\n".join(lines)
 
 
@@ -243,12 +253,12 @@ def _block_table(record: str) -> surgery.FaceTable:
 
 def _induct_step(chain: surgery.FaceTable, block_record: str, m: int) -> None:
     """Splice one step into ``chain``: the block at x with K_{m,n'-1}, then that at z."""
-    n_child = len(chain.vertices())
+    n_chain = len(chain.vertices())
     block = _block_table(block_record)
-    mid = catalog.kmn_table(m, n_child - 1)
+    mid = catalog.kmn_table(m, n_chain - 1)
     u = m  # the first vertex of the n-side, whose vertices have degree m
     if not _check_sum_hypotheses(mid, mid.is_face_simple(), u, block, "x"):
-        raise PlanError(f"{block_record} + K_{{{m},{n_child - 1}}} violates the "
+        raise PlanError(f"{block_record} + K_{{{m},{n_chain - 1}}} violates the "
                         "face-simplicity hypotheses")
     z = mid.splice(u, block, "x")["z"]
     mid_simple = mid.is_face_simple()
@@ -262,17 +272,6 @@ def _induct_step(chain: surgery.FaceTable, block_record: str, m: int) -> None:
         raise PlanError("derivation output is not face-simple")
 
 
-def _step_block(node: PlanNode) -> tuple:
-    """(block record, m) of an induction step."""
-    if node.step == "nonorient":
-        return f"phi_7_{node.i}_plus", 6
-    if node.step == "orient":
-        return f"phi_11_{node.i}_plus_star", 10
-    if node.step == "intermediate":
-        return "phi_7_2_plus_star", 6
-    raise PlanError(f"unknown plan step {node.step!r}")
-
-
 def _check_size(node: PlanNode, n: int, edges: int) -> None:
     t = n * (n - 1) // 2 - edges
     if (n, t) != (node.n, node.t):
@@ -282,18 +281,18 @@ def _check_size(node: PlanNode, n: int, edges: int) -> None:
 # The built induction nodes, each mapped to the faces its chain table held
 # after its step, frozen; no embedding is kept.  Plans of different requests
 # share their chains, and equal nodes are equal keys, so each node is spliced
-# (and its per-step guards run) once; a request resumes from its nearest built
-# ancestor.
+# (and its per-step guards run) once; a request resumes from its last built
+# node.
 _GEN_CACHE: dict = catalog.register_cache({})
 
 
-def execute(node: PlanNode) -> Embedding:
-    """The embedding ``node`` describes; each node is built at most once per catalog directory."""
+def execute(plan: tuple) -> Embedding:
+    """The embedding ``plan`` describes; each node is built at most once per catalog directory."""
     catalog.follow_catalog_dir()
-    if node.step == "base":
-        return _base(node)
+    if len(plan) == 1:
+        return _base(plan[0])
     # one expression, so that the chain is freed once its ranked copy is made
-    return _chain(node).ranked().embedding()
+    return _chain(plan).ranked().embedding()
 
 
 def _base(node: PlanNode) -> Embedding:
@@ -302,19 +301,18 @@ def _base(node: PlanNode) -> Embedding:
     return out
 
 
-def _chain(node: PlanNode) -> surgery.FaceTable:
-    """A table of ``node``'s chain on ints: spliced up to ``node`` from its nearest
-    built ancestor's frozen faces or from its base, each spliced node frozen into the memo."""
-    path = []
-    while node.step != "base" and node not in _GEN_CACHE:
-        path.append(node)
-        node = node.child
-    if node.step == "base":
-        chain = surgery.FaceTable.from_embedding(_base(node)).ranked()
+def _chain(plan: tuple) -> surgery.FaceTable:
+    """A table of ``plan``'s chain on ints: spliced up to its last node from the last
+    built node's frozen faces or from its base, each spliced node frozen into the memo."""
+    k = len(plan) - 1
+    while k and plan[k] not in _GEN_CACHE:
+        k -= 1
+    if k:
+        chain = surgery.FaceTable(surgery.thawed(_GEN_CACHE[plan[k]]))
     else:
-        chain = surgery.FaceTable(surgery.thawed(_GEN_CACHE[node]))
-    for node in reversed(path):
-        _induct_step(chain, *_step_block(node))
+        chain = surgery.FaceTable.from_embedding(_base(plan[0])).ranked()
+    for node in plan[k + 1:]:
+        _induct_step(chain, node.record, 10 if node.step == "orient" else 6)
         _check_size(node, len(chain.vertices()), len(chain.edges()))
         _GEN_CACHE[node] = chain.frozen()
     return chain
@@ -325,7 +323,7 @@ def _chain(node: PlanNode) -> surgery.FaceTable:
 # ---------------------------------------------------------------------------
 
 def generate(req: ParamRequest) -> tuple:
-    """(Embedding, Certificate, PlanNode) for an admissible or special request.
+    """(Embedding, Certificate, plan) for an admissible or special request.
 
     The embedding may be rebuilt from the plan-node memo's faces; the
     certificate is computed and checked against the request on every call.

@@ -87,10 +87,7 @@ def test_gen_plan_only_prints_a_deep_plan(capsys, n, t, kind):
     # about 1,000 induction steps: as deep as Python's default recursion limit
     code, stdout, _ = run(capsys, "gen", "--n", str(n), "--t", str(t), "--kind", kind,
                           "--plan-only")
-    node, nodes = planner.plan(planner.ParamRequest(n=n, t=t, kind=kind)), []
-    while node is not None:
-        nodes.append(node)
-        node = node.child
+    nodes = planner.plan(planner.ParamRequest(n=n, t=t, kind=kind))[::-1]
     lines = stdout.splitlines()
     assert (code, len(lines)) == (0, len(nodes)) and len(nodes) > 980
     for depth, (line, node) in enumerate(zip(lines, nodes)):
@@ -397,6 +394,25 @@ def test_catalog_verify_fails_without_a_manifest_line(catalog_copy, capsys, name
     assert "catalog verified" not in stdout
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["verify", "BAD"], 2, "format error: "),
+    (["dual", "BAD"], 2, "format error: "),
+    (["surgery", "delete2", "BAD", "0"], 2, "format error: "),
+    (["search", "--spec", "BAD"], 2, "format error: "),
+    (["catalog", "verify"], 1, "error: phi_4_0: "),
+    (["gen", "--n", "8", "--t", "0", "--kind", "nonorientable"], 1,
+     "error: phi_4_0: witness file corrupt: "),
+], ids=["verify", "dual", "surgery-delete2", "search-spec", "catalog-verify", "gen"])
+def test_a_file_that_is_not_utf8_is_refused(catalog_copy, tmp_path, capsys, argv, code, message):
+    bad = b"emap 1\nV \xff\n"
+    (tmp_path / "bad.emap").write_bytes(bad)
+    (catalog_copy / "phi_4_0.emap").write_bytes(bad)
+    argv = [str(tmp_path / "bad.emap") if arg == "BAD" else arg for arg in argv]
+    got, _, stderr = run(capsys, *argv)
+    assert got == code
+    assert stderr.startswith(message) and "can't decode byte 0xff" in stderr
+
+
 def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -547,7 +563,7 @@ def test_parallel_search_miss_reports_every_worker(monkeypatch):
     assert cli._parallel_search(None, 0, 1, 4).nodes == 1
 
 
-@pytest.mark.parametrize("flag", ["--restarts", "--workers"])
+@pytest.mark.parametrize("flag", ["--restarts", "--workers", "--budget"])
 def test_search_restarts_and_workers_are_at_least_one(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--spec", str(tmp_path / "any.spec"), "--method", "random",

@@ -32,7 +32,16 @@ def test_plans_of_one_request_are_equal_and_hash_equal():
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != planner.plan(ParamRequest(50, 5, "nonorientable"))
     assert planner.PlanNode("base", 6, 1) == planner.PlanNode(
-        step="base", n=6, t=1, record=None, i=None, child=None)
+        step="base", n=6, t=1, record=None, i=None)
+
+
+def test_deep_plans_are_equal_memo_keys():
+    # about 1,000 steps; each node is a flat memo key, so no lookup recurses
+    a = planner.plan(ParamRequest(4002, 3, "nonorientable"))
+    b = planner.plan(ParamRequest(4002, 3, "nonorientable"))
+    keys = dict.fromkeys(b)
+    assert all(node in keys for node in a)
+    assert len(a) > 980 and planner.plan_text(a) == planner.plan_text(b)
 
 
 @pytest.mark.parametrize("record, field", [
@@ -40,7 +49,7 @@ def test_plans_of_one_request_are_equal_and_hash_equal():
     (emap.FaceWalk(((0, (0, 1)), (1, (0, 1)))), "darts"),
     (emap.Certificate(4, 6, 0, 1, False, True, False, (0, 1, 2, 3), 3, True), "minimal"),
     (ParamRequest(6, 1, "nonorientable"), "t"),
-    (planner.PlanNode("base", 6, 1), "child"),
+    (planner.PlanNode("base", 6, 1), "record"),
     (catalog.CatalogRecord("x", 1, False), "op"),
     (search.WitnessSpec(graphalg.complete(4), 1, None), "predicates"),
     (search.SearchResult("none"), "nodes"),
@@ -104,7 +113,7 @@ def test_plan_rejects_inadmissible():
 def test_plan_of_a_special_is_its_record():
     for (n, t, kind), record in planner.SPECIALS.items():
         node = planner.plan(ParamRequest(n=n, t=t, kind=kind))
-        assert node == planner.PlanNode("base", n, t, record=record)
+        assert node == (planner.PlanNode("base", n, t, record=record),)
         emb, cert, got = planner.generate(ParamRequest(n=n, t=t, kind=kind))
         assert got == node and emb is catalog.get_witness(record)
 
@@ -250,11 +259,9 @@ def acceptance_requests():
                     yield req
 
 
-def induction_nodes(node):
-    while node is not None:
-        if node.step not in ("base", "surgery"):
-            yield node
-        node = node.child
+def induction_nodes(plan):
+    """The induction steps of ``plan``, the request first."""
+    return plan[:0:-1]
 
 
 def count_induction_steps(monkeypatch) -> list:
@@ -359,7 +366,7 @@ def test_memo_does_not_outlive_a_catalog_change(tmp_path, monkeypatch):
     for path in bad.glob("*.emap"):
         path.write_text("not an emap file\n")
     req = ParamRequest(n=14, t=3, kind="nonorientable")
-    child = planner.plan(req).child
+    child = planner.plan(req)[-2]
     monkeypatch.setenv(catalog.CATALOG_ENV, str(good))
     try:
         planner.generate(req)  # builds the child node as well

@@ -545,12 +545,7 @@ def test_every_chain_step_matches_the_rebuild(checked_steps):
     requests = list(acceptance_requests())
     requests += [ParamRequest(n=50, t=3, kind="nonorientable"),
                  ParamRequest(n=49, t=2, kind="orientable")]
-    steps = set()
-    for req in requests:
-        node = planner.plan(req)
-        while node.step != "base":
-            steps.add(node)
-            node = node.child
+    steps = {node for req in requests for node in planner.plan(req)[1:]}
     catalog.clear_cache()
     # loading the witnesses answers the catalog's own predicates, one of them
     # (delete_degree2_face_simple) from a table: only the planner's are counted
