@@ -245,30 +245,32 @@ def _read_manifest() -> dict:
     path = _manifest_path()
     entries = {}
     if path.exists():
-        for line in path.read_text().splitlines():
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as exc:
+            raise CatalogError(f"{path} is not UTF-8 text: {exc}") from None
+        for line in text.splitlines():
             parts = line.split()
             if len(parts) == 4:
                 entries[parts[0]] = (parts[1], parts[2], parts[3])
     return entries
 
 
-def _update_manifest(rec: CatalogRecord, file_text: str) -> None:
+def _persist(rec: CatalogRecord, emb: Embedding) -> None:
+    """Write the witness file and its manifest line; the manifest is read
+    first, so a manifest that cannot be read leaves no file behind."""
     import hashlib
 
     entries = _read_manifest()
-    file_hash = hashlib.sha256(file_text.encode()).hexdigest()[:16]
+    text = serialize.write_emap(emb)
+    _atomic_write(_witness_path(rec.name), text)
+    file_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
     entries[rec.name] = (rec.spec_hash(), file_hash, rec.provenance)
     lines = [
         f"{name} {sh} {fh} {prov}"
         for name, (sh, fh, prov) in sorted(entries.items())
     ]
     _atomic_write(_manifest_path(), "\n".join(lines) + "\n")
-
-
-def _persist(rec: CatalogRecord, emb: Embedding) -> None:
-    text = serialize.write_emap(emb)
-    _atomic_write(_witness_path(rec.name), text)
-    _update_manifest(rec, text)
 
 
 def _acquire_searched(rec: CatalogRecord) -> Embedding:

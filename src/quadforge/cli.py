@@ -207,12 +207,16 @@ def _parse_spec_file(text: str) -> search.WitnessSpec:
     orientable = None
     predicates = []
     named = []  # (line, vertex labels) of each predicate
+    seen = set()  # the keys read so far; only ``predicate`` may repeat
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if key in seen and key != "predicate":
+            raise FormatError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
         if key == "graph":
             try:
                 expr = graphalg.parse_expr(rest)
@@ -233,7 +237,10 @@ def _parse_spec_file(text: str) -> search.WitnessSpec:
                 raise FormatError(f"line {lineno}: predicate needs a name")
             name, *toks = rest.split()
             labels = tuple(parse_label(t) for t in toks)
-            predicates.append(_parse_predicate(name, labels, lineno))
+            try:
+                predicates.append(search.spec_predicate(name, labels))
+            except FormatError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
             named.append((lineno, labels))
         else:
             raise FormatError(f"line {lineno}: unknown spec key {key!r}")
@@ -245,27 +252,6 @@ def _parse_spec_file(text: str) -> search.WitnessSpec:
                 raise FormatError(f"line {lineno}: vertex {v!r} is not in the graph")
     return search.WitnessSpec(graph=graph, chi=chi, orientable=orientable,
                               predicates=tuple(predicates))
-
-
-def _parse_predicate(name: str, labels: tuple, lineno: int) -> tuple:
-    if name in ("face_simple", "universal_vertex",
-                "nearly_face_simple_except_some_universal"):
-        if labels:
-            raise FormatError(f"line {lineno}: {name} takes no arguments")
-        return (name,)
-    if name in ("nearly_face_simple_except", "delete_degree2_face_simple"):
-        if len(labels) != 1:
-            raise FormatError(f"line {lineno}: {name} takes one vertex")
-        return (name, labels[0])
-    if name == "has_handle_site":
-        if len(labels) != 4:
-            raise FormatError(f"line {lineno}: {name} takes a 4-cycle")
-        return (name, labels)
-    if name == "double_handle":
-        if len(labels) != 8:
-            raise FormatError(f"line {lineno}: {name} takes two 4-cycles")
-        return (name, labels[:4], labels[4:])
-    raise FormatError(f"line {lineno}: unknown predicate {name!r}")
 
 
 def _search_worker(payload):

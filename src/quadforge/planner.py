@@ -223,15 +223,11 @@ def _choose_universal(chain: surgery.FaceTable):
                     "nearly-face-simple property")
 
 
-def _check_sum_hypotheses(face_simple_side: surgery.FaceTable, side_face_simple: bool, v,
+def _check_sum_hypotheses(face_simple_side: surgery.FaceTable, v,
                           other: surgery.FaceTable, v2) -> bool:
-    """Hypotheses under which a diamond sum is guaranteed face-simple.
-
-    ``side_face_simple`` is ``face_simple_side.is_face_simple()``, which the
-    caller computes once and may reuse.
-    """
+    """Hypotheses under which a diamond sum is guaranteed face-simple."""
     return (
-        side_face_simple
+        face_simple_side.is_face_simple()
         and face_simple_side.min_degree() >= 3
         and face_simple_side.is_independent(v)
         and other.is_nearly_face_simple_except(v2)
@@ -257,15 +253,14 @@ def _induct_step(chain: surgery.FaceTable, block_record: str, m: int) -> None:
     block = _block_table(block_record)
     mid = catalog.kmn_table(m, n_chain - 1)
     u = m  # the first vertex of the n-side, whose vertices have degree m
-    if not _check_sum_hypotheses(mid, mid.is_face_simple(), u, block, "x"):
+    if not _check_sum_hypotheses(mid, u, block, "x"):
         raise PlanError(f"{block_record} + K_{{{m},{n_chain - 1}}} violates the "
                         "face-simplicity hypotheses")
     z = mid.splice(u, block, "x")["z"]
-    mid_simple = mid.is_face_simple()
-    if not mid_simple:
+    if not mid.is_face_simple():
         raise PlanError("intermediate diamond sum is not face-simple")
     v = _choose_universal(chain)
-    if not _check_sum_hypotheses(mid, mid_simple, z, chain, v):
+    if not _check_sum_hypotheses(mid, z, chain, v):
         raise PlanError("second diamond sum violates the face-simplicity hypotheses")
     chain.splice(v, mid, z)
     if not chain.is_face_simple():

@@ -32,14 +32,14 @@ from typing import Iterator, NamedTuple
 
 from . import emap, surgery
 from .emap import Embedding, Graph, vkey
-from .errors import SearchError, SurgeryError
+from .errors import FormatError, SearchError, SurgeryError
 
 
 class WitnessSpec(NamedTuple):
     """Target graph plus the property bundle a witness must satisfy."""
 
     graph: Graph
-    chi: int
+    chi: int | None  # None, only when enumerating, means "any"
     orientable: bool | None  # None means "either"
     predicates: tuple = ()
 
@@ -58,55 +58,78 @@ class WitnessSpec(NamedTuple):
             raise SearchError("target graph must be connected")
 
 
-def check_predicates(emb: Embedding, predicates) -> bool:
-    """Whether ``emb`` passes every predicate.  The surgery predicates are
-    answered from its face table, built once; their edits are made on copies."""
-    table = None
-    for pred in predicates:
-        name, *args = pred
-        if name in ("has_handle_site", "delete_degree2_face_simple", "double_handle"):
-            table = table or surgery.FaceTable.from_embedding(emb)
-        if name == "face_simple":
-            ok = emap.is_face_simple(emb)
-        elif name == "nearly_face_simple_except":
-            ok = emap.is_nearly_face_simple_except(emb, args[0])
-        elif name == "nearly_face_simple_except_some_universal":
-            ok = any(
-                emap.is_nearly_face_simple_except(emb, v)
-                for v in sorted(emap.universal_vertices(emb.graph), key=vkey)
-            )
-        elif name == "universal_vertex":
-            ok = bool(emap.universal_vertices(emb.graph))
-        elif name == "has_handle_site":
-            ok = bool(table.handle_sites(tuple(args[0])))
-        elif name == "delete_degree2_face_simple":
-            out = table.copy()
-            try:
-                out.delete_degree2(args[0])
-            except SurgeryError:
-                ok = False
-            else:
-                ok = out.is_face_simple()
-        elif name == "double_handle":
-            ok = _double_handle_ok(table, tuple(args[0]), tuple(args[1]))
-        else:
-            raise SearchError(f"unknown predicate {name!r}")
-        if not ok:
-            return False
-    return True
+def _some_universal_ok(emb: Embedding) -> bool:
+    return any(emap.is_nearly_face_simple_except(emb, v)
+               for v in sorted(emap.universal_vertices(emb.graph), key=vkey))
+
+
+def _delete_degree2_ok(table: surgery.FaceTable, z) -> bool:
+    out = table.copy()
+    try:
+        out.delete_degree2(z)
+    except SurgeryError:
+        return False
+    return out.is_face_simple()
 
 
 def _double_handle_ok(table: surgery.FaceTable, cycle1, cycle2) -> bool:
     """Some site for cycle1 leaves a usable site for cycle2 after augmenting."""
-    for site in table.handle_sites(cycle1):
+    for site in table.handle_sites(tuple(cycle1)):
         mid = table.copy()
         try:
             mid.handle(site)
         except SurgeryError:
             continue
-        if mid.handle_sites(cycle2):
+        if mid.handle_sites(tuple(cycle2)):
             return True
     return False
+
+
+# Every witness predicate, by name: the number of vertex labels its spec line
+# gives (0, 1, 4 for a 4-cycle or 8 for two), the words a refusal of another
+# number uses, whether its check reads the face table rather than the
+# embedding, and the check, called with that and the predicate's arguments.
+# The spec reader and ``check_predicates`` read only this table.
+PREDICATES = {
+    "face_simple": (0, "no arguments", False, emap.is_face_simple),
+    "universal_vertex":
+        (0, "no arguments", False, lambda emb: bool(emap.universal_vertices(emb.graph))),
+    "nearly_face_simple_except_some_universal": (0, "no arguments", False, _some_universal_ok),
+    "nearly_face_simple_except": (1, "one vertex", False, emap.is_nearly_face_simple_except),
+    "delete_degree2_face_simple": (1, "one vertex", True, _delete_degree2_ok),
+    "has_handle_site":
+        (4, "a 4-cycle", True, lambda table, cycle: bool(table.handle_sites(tuple(cycle)))),
+    "double_handle": (8, "two 4-cycles", True, _double_handle_ok),
+}
+
+
+def spec_predicate(name: str, labels: tuple) -> tuple:
+    """The predicate tuple of a spec line ``predicate NAME LABEL...``: the
+    name, then the one vertex or each 4-cycle of labels."""
+    if name not in PREDICATES:
+        raise FormatError(f"unknown predicate {name!r}")
+    count, takes, _, _ = PREDICATES[name]
+    if len(labels) != count:
+        raise FormatError(f"{name} takes {takes}")
+    if count == 1:
+        return (name, labels[0])
+    return (name, *(labels[i:i + 4] for i in range(0, count, 4)))
+
+
+def check_predicates(emb: Embedding, predicates) -> bool:
+    """Whether ``emb`` passes every predicate.  Those that read the face
+    table are answered from one table, built at the first of them; the
+    surgery predicates make their edits on copies."""
+    table = None
+    for name, *args in predicates:
+        if name not in PREDICATES:
+            raise SearchError(f"unknown predicate {name!r}")
+        _, _, on_table, check = PREDICATES[name]
+        if on_table:
+            table = table or surgery.FaceTable.from_embedding(emb)
+        if not check(table if on_table else emb, *args):
+            return False
+    return True
 
 
 class SearchResult(NamedTuple):
@@ -130,6 +153,16 @@ class _QuadSearcher:
     links ``nxt``/``prv`` (-1 while open), and ``done`` marks the states of
     the closed faces, each with its reverse ``s ^ 3`` or ``s ^ 2``.  Every
     move is undone by the frame that made it.
+
+    Every corner is linked through ``_can_link``, never found linked.  A
+    dart's link is made only by the step turning its corner.  A second turn
+    would come from the same state, which is done or held once by the path,
+    or from its reverse.  A reverse on a closed face had the state marked
+    done by ``_close``.  One on the open path would make the stretch between
+    them read the same reversed: that needs a state that is its own reverse,
+    or a step from a state to its reverse, which turns a degree-1 corner and
+    so keeps the orientation bit that the reverse flips.  Neither exists.
+    A corner found linked would be pruned by ``_can_link``, not built wrong.
     """
 
     def __init__(self, graph: Graph, orientable: bool | None, rng: random.Random | None = None):
@@ -204,26 +237,18 @@ class _QuadSearcher:
             o = (s & 1) ^ (sg < 0)  # orientation bit after crossing e
             if closing and (o != path[0] & 1 or self.vertex[path[0] >> 1] != self.vertex[hd]):
                 continue
-            # corner at the head: o = +1 wants nxt[hd] = d, o = -1 wants nxt[d] = hd
-            forced = (prv if o else nxt)[hd]
-            if forced >= 0:
-                if closing and forced != path[0] >> 1:
-                    continue
-                choices = (forced,)
-            else:
-                choices = (path[0] >> 1,) if closing else self.darts[self.vertex[hd]]
-                if rng is not None and len(choices) > 1:
-                    choices = list(choices)
-                    rng.shuffle(choices)
+            # corner at the head: o = +1 links d to hd, o = -1 links hd to d
+            choices = (path[0] >> 1,) if closing else self.darts[self.vertex[hd]]
+            if rng is not None and len(choices) > 1:
+                choices = list(choices)
+                rng.shuffle(choices)
             for d in choices:
                 a, b = (d, hd) if o else (hd, d)
-                if forced < 0 and not self._can_link(a, b):
+                if not self._can_link(a, b):
                     continue
                 fresh = not sign[e]
-                if fresh:
-                    sign[e] = sg
-                if forced < 0:
-                    nxt[a], prv[b] = b, a
+                sign[e] = sg  # sg is the sign already set on an edge that is not fresh
+                nxt[a], prv[b] = b, a
                 if self.refl in (a, b) and nxt[self.refl] > prv[self.refl] >= 0:
                     pass  # the mirror image of this branch is searched instead
                 elif closing:
@@ -238,8 +263,7 @@ class _QuadSearcher:
                         path.append(t)
                         yield from self._extend(path)
                         path.pop()
-                if forced < 0:
-                    nxt[a] = prv[b] = -1
+                nxt[a] = prv[b] = -1
                 if fresh:
                     sign[e] = 0
 
@@ -307,7 +331,7 @@ def search_randomized(spec: WitnessSpec, seed: int = 0,
 
 
 def _matches(emb: Embedding, spec: WitnessSpec) -> bool:
-    if emap.euler_characteristic(emb) != spec.chi:
+    if spec.chi is not None and emap.euler_characteristic(emb) != spec.chi:
         return False
     if spec.orientable is not None and emap.is_orientable(emb) != spec.orientable:
         return False
@@ -324,13 +348,9 @@ def enumerate_embeddings(g: Graph, predicates=(), chi: int | None = None,
         raise SearchError(f"enumeration is capped at {ENUMERATION_VERTEX_CAP} vertices")
     if len(g.edges) % 2 != 0 or not g.is_connected():
         return
-    searcher = _QuadSearcher(g, None)
-    for emb in searcher.search(None):
-        if chi is not None and emap.euler_characteristic(emb) != chi:
-            continue
-        if orientable is not None and emap.is_orientable(emb) != orientable:
-            continue
-        if check_predicates(emb, predicates):
+    spec = WitnessSpec(g, chi, orientable, predicates)
+    for emb in _QuadSearcher(g, None).search(None):
+        if _matches(emb, spec):
             yield emb
 
 
@@ -434,12 +454,8 @@ def sweep_minimal(surface: str, max_n: int) -> dict:
     for n in range(4, max_n + 1):
         hits = []
         for g in candidate_graphs(n, chi):
-            found = next(
-                iter(enumerate_embeddings(g, (("face_simple",),), chi=chi,
-                                          orientable=orientable)),
-                None,
-            )
-            if found is not None:
+            embs = enumerate_embeddings(g, (("face_simple",),), chi=chi, orientable=orientable)
+            if next(embs, None) is not None:
                 hits.append(g)
         results[n] = hits
     return results

@@ -180,6 +180,20 @@ BAD_SPEC_FILES = [
     ("graph K(4)\nchi 1\npredicate nearly_face_simple_except --5\n", "line 3"),
     ("graph K(4)\nchi 1\npredicate nearly_face_simple_except ²\n", "line 3"),
     ("graph K(4)\nchi 1\npredicate\n", "line 3"),
+    # a setting given twice is refused; predicate lines repeat freely
+    ("graph K(5)\ngraph K(4)\nchi 1\nchi 0\n", "line 2: duplicate key 'graph'"),
+    ("graph K(4)\nchi 1\nchi 0\n", "line 3: duplicate key 'chi'"),
+    ("graph K(4)\nchi 1\norientable false\norientable either\n",
+     "line 4: duplicate key 'orientable'"),
+    # one wrong number of labels per argument shape, and an unknown name
+    ("graph K(4)\nchi 1\npredicate face_simple 0\n", "line 3: face_simple takes no arguments"),
+    ("graph K(4)\nchi 1\npredicate nearly_face_simple_except 0 1\n",
+     "line 3: nearly_face_simple_except takes one vertex"),
+    ("graph K(4)\nchi 1\npredicate has_handle_site 0 1 2\n",
+     "line 3: has_handle_site takes a 4-cycle"),
+    ("graph K(4)\nchi 1\npredicate double_handle 0 1 2 3\n",
+     "line 3: double_handle takes two 4-cycles"),
+    ("graph K(4)\nchi 1\npredicate made_up\n", "line 3: unknown predicate 'made_up'"),
 ]
 
 
@@ -189,6 +203,22 @@ def test_search_bad_spec_file(tmp_path, capsys):
         spec.write_text(text)
         code, _, stderr = run(capsys, "search", "--spec", str(spec))
         assert (code, "format error" in stderr, where in stderr) == (2, True, True), text
+
+
+def spec_line(pred: tuple) -> str:
+    """A predicate tuple spelled as a spec file line."""
+    name, *args = pred
+    labels = [v for arg in args for v in (arg if isinstance(arg, tuple) else (arg,))]
+    return " ".join(["predicate", name, *map(str, labels)])
+
+
+def test_catalog_predicates_read_back_from_spec_lines():
+    for rec in catalog.record_table():
+        lines = [f"graph phi({rec.target})" if rec.target else "graph K(4)",
+                 f"chi {rec.chi}", *map(spec_line, rec.predicates)]
+        spec = cli._parse_spec_file("".join(line + "\n" for line in lines))
+        # spec_hash reads the repr, so equal tuples are not enough
+        assert repr(spec.predicates) == repr(rec.predicates), rec.name
 
 
 @pytest.mark.parametrize("expr, code", [
@@ -392,6 +422,21 @@ def test_catalog_verify_fails_without_a_manifest_line(catalog_copy, capsys, name
     assert code == 1
     assert f"{name}: no well-formed manifest line" in stderr
     assert "catalog verified" not in stdout
+
+
+def test_a_manifest_that_is_not_utf8_is_named_and_nothing_is_written(catalog_copy, capsys):
+    manifest = catalog_copy / "manifest.txt"
+    with open(manifest, "ab") as f:
+        f.write(b"\xff")
+    before = manifest.read_bytes()
+    code, stdout, stderr = run(capsys, "catalog", "verify")
+    assert (code, "manifest.txt" in stderr, "catalog verified" in stdout) == (1, True, False)
+    # a witness searched again is not written, since no manifest line could vouch for it
+    witness = catalog_copy / "phi_4_0.emap"
+    witness.unlink()
+    code, _, stderr = run(capsys, "gen", "--n", "8", "--t", "0", "--kind", "nonorientable")
+    assert (code, "manifest.txt" in stderr) == (1, True)
+    assert not witness.exists() and manifest.read_bytes() == before
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -182,7 +182,7 @@ def test_generated_embedding_consistency():
     assert emap.euler_characteristic(emb) == cert.chi
 
 
-def test_induction_step_checks_each_face_simplicity_once(monkeypatch):
+def test_induction_step_answers_face_simplicity_from_the_tables(monkeypatch):
     child, _, _ = planner.generate(ParamRequest(n=10, t=3, kind="nonorientable"))
     chain = surgery.FaceTable.from_embedding(child)
     catalog.build_kmn(6, 9)  # warm: a cold build certifies with FaceTable.is_face_simple
@@ -200,9 +200,10 @@ def test_induction_step_checks_each_face_simplicity_once(monkeypatch):
     monkeypatch.setattr(emap, "is_face_simple", rebuilt)
     planner._induct_step(chain, "phi_7_2_plus", 6)
     assert len(chain.vertices()) == 14
-    # K_{6,9}, the block summed into it, and the output: once each
-    assert [n for _, n in checked] == [15, 15, 14]
-    assert checked[1][0] is checked[0][0] and checked[2][0] is chain
+    # K_{6,9} by the first sum's hypotheses; the same table with the block summed
+    # into it by the intermediate guard and by the second sum's hypotheses; the output
+    assert [n for _, n in checked] == [15, 15, 15, 14]
+    assert checked[0][0] is checked[1][0] is checked[2][0] and checked[3][0] is chain
 
 
 def test_cold_generation_calls_each_embedding_kernel_once(monkeypatch):
@@ -243,10 +244,10 @@ def test_generated_output_is_traced_once(monkeypatch):
 def test_sum_hypotheses_need_an_independent_neighbourhood():
     block = surgery.FaceTable.from_embedding(catalog.get_witness("phi_7_2_plus"))
     kmn = surgery.FaceTable.from_embedding(catalog.build_kmn(6, 5))
-    assert planner._check_sum_hypotheses(kmn, True, 6, block, "x")
+    assert planner._check_sum_hypotheses(kmn, 6, block, "x")
     dense, _, _ = planner.generate(ParamRequest(n=10, t=3, kind="nonorientable"))
     dense = surgery.FaceTable.from_embedding(dense)
-    assert not planner._check_sum_hypotheses(dense, True, 0, block, "x")
+    assert not planner._check_sum_hypotheses(dense, 0, block, "x")
 
 
 def acceptance_requests():

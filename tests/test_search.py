@@ -93,6 +93,17 @@ ENUMERATED = {
 }
 
 
+# Exhaustive "none" answers, pinned with the nodes they took: a change to the
+# traversal must keep both.
+@pytest.mark.parametrize("k, chi, predicates, nodes", [
+    (4, 1, (("face_simple",),), 61),
+    (5, 0, (), 1139),
+])
+def test_exhaustive_none_is_pinned(k, chi, predicates, nodes):
+    res = search.search_exact(search.WitnessSpec(graphalg.complete(k), chi, False, predicates))
+    assert (res.status, res.nodes) == ("none", nodes)
+
+
 def _record(name: str) -> catalog.CatalogRecord:
     return next(rec for rec in catalog.record_table() if rec.name == name)
 

@@ -519,9 +519,8 @@ def checked_steps(monkeypatch) -> Counter:
         seen["face_simple"] += 1
         return got
 
-    def checked_hypotheses(side, side_face_simple, v, other, v2):
-        got = check_sum_hypotheses(side, side_face_simple, v, other, v2)
-        assert side_face_simple == emap.is_face_simple(rebuilt(side))
+    def checked_hypotheses(side, v, other, v2):
+        got = check_sum_hypotheses(side, v, other, v2)
         assert got == reference_hypotheses(rebuilt(side), v, rebuilt(other), v2)
         seen["hypotheses"] += 1
         return got
@@ -555,10 +554,12 @@ def test_every_chain_step_matches_the_rebuild(checked_steps):
     for req in requests:
         _, cert, _ = planner.generate(req)
         assert (cert.n, cert.t) == (req.n, req.t)
-    # each K_{m,n} but the catalog's K_{6,3} is spliced, and each is certified face-simple
+    # each K_{m,n} but the catalog's K_{6,3} is spliced, and each is certified face-simple;
+    # a step reads face-simplicity in each of its two hypotheses, after its first
+    # sum and after its second
     kmn = len(catalog._KMN_CACHE)
     assert checked_steps == {"splice": 2 * len(steps) + kmn - 1, "hypotheses": 2 * len(steps),
-                             "face_simple": 3 * len(steps) + kmn, "universal": len(steps)}
+                             "face_simple": 4 * len(steps) + kmn, "universal": len(steps)}
 
 
 def test_broken_summands_raise_the_plan_errors(monkeypatch):
