@@ -77,7 +77,6 @@ class CatalogRecord(NamedTuple):
     op: str = "searched"
     parent: str | None = None
     args: tuple = ()
-    alternates: tuple = ()  # phi_target names of fallback target graphs
     counts: tuple | None = None  # (vertices, edges), checked in place of a target graph
 
     @property
@@ -92,7 +91,7 @@ class CatalogRecord(NamedTuple):
     def graphs(self) -> tuple:
         if not self.target:
             return ()
-        return tuple(graphalg.phi_target(t) for t in (self.target, *self.alternates))
+        return (graphalg.phi_target(self.target),)
 
     def spec_for(self, g: Graph) -> WitnessSpec:
         return WitnessSpec(g, self.chi, self.orientable, self.predicates)
@@ -104,7 +103,6 @@ class CatalogRecord(NamedTuple):
             [
                 self.name,
                 self.target,
-                ",".join(self.alternates),
                 str(self.chi),
                 str(self.orientable),
                 repr(self.predicates),
@@ -135,7 +133,7 @@ def record_table() -> tuple:
         # exhaustive backtracking.
         CatalogRecord("phi_7_2_plus_star", -2, True,
                       (("nearly_face_simple_except", "x"),),
-                      op="randomized", alternates=("phi_7_2_plus_star_alt",)),
+                      op="randomized"),
         CatalogRecord("phi_8_4_star", -4, True,
                       (("face_simple",), ("universal_vertex",),
                        ("has_handle_site", (4, 5, 6, 7))),
@@ -169,8 +167,7 @@ def record_table() -> tuple:
                       op="delete_degree2", parent="phi_7_2_plus"),
         CatalogRecord("q7_3_orientable", -2, True,
                       (("face_simple",), ("universal_vertex",)),
-                      op="delete_degree2", parent="phi_7_2_plus_star",
-                      alternates=("q7_3_orientable_alt",)),
+                      op="delete_degree2", parent="phi_7_2_plus_star"),
         CatalogRecord("q11_5", -14, True,
                       (("face_simple",), ("universal_vertex",)),
                       op="delete_degree2", parent="phi_11_4_plus_star"),
@@ -211,10 +208,9 @@ def _witness_path(name: str) -> Path:
 
 def _verify(rec: CatalogRecord, emb: Embedding) -> None:
     graphs = rec.graphs()
-    if graphs:
-        if not any(emb.graph == g for g in graphs):
-            raise CatalogError(f"{rec.name}: stored witness is not on the record's target graph")
-    elif rec.counts is not None:
+    if graphs and emb.graph != graphs[0]:
+        raise CatalogError(f"{rec.name}: stored witness is not on the record's target graph")
+    if rec.counts is not None:
         got = (len(emb.graph.vertices), len(emb.graph.edges))
         if got != rec.counts:
             raise CatalogError(f"{rec.name}: witness has counts {got}, record requires {rec.counts}")
@@ -274,20 +270,18 @@ def _persist(rec: CatalogRecord, emb: Embedding) -> None:
 
 
 def _acquire_searched(rec: CatalogRecord) -> Embedding:
-    last_status = "none"
-    for g in rec.graphs():
-        spec = rec.spec_for(g)
-        if rec.op == "randomized":
-            result = search.search_randomized(spec, seed=zlib.crc32(rec.name.encode()),
-                                              restarts=search.RANDOMIZED_RESTARTS)
-        else:
-            result = search.search_exact(spec, _EXACT_BUDGET)
-        if result.status == "found":
-            return result.embedding
-        last_status = result.status
-    budget = (f"randomized x{search.RANDOMIZED_RESTARTS}" if rec.op == "randomized"
-              else _EXACT_BUDGET)
-    raise CatalogError(f"{rec.name}: witness search failed (status={last_status}, budget={budget})")
+    spec = rec.spec_for(*rec.graphs())
+    if rec.op == "randomized":
+        result = search.search_randomized(spec, seed=zlib.crc32(rec.name.encode()),
+                                          restarts=search.RANDOMIZED_RESTARTS)
+        budget = f"randomized x{search.RANDOMIZED_RESTARTS}"
+    else:
+        result = search.search_exact(spec, _EXACT_BUDGET)
+        budget = _EXACT_BUDGET
+    if result.status != "found":
+        raise CatalogError(f"{rec.name}: witness search failed "
+                           f"(status={result.status}, budget={budget})")
+    return result.embedding
 
 
 def _first_chain_site(parent: Embedding, cycle: tuple, predicates: tuple) -> Embedding:

@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=_positive_int, default=search.RANDOMIZED_RESTARTS)
     p.add_argument("--budget", type=_positive_int, default=None)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
 
@@ -224,10 +223,9 @@ def _parse_spec_file(text: str) -> search.WitnessSpec:
                 raise FormatError(f"line {lineno}: {exc}") from None
             graph = expr.eval()
         elif key == "chi":
-            try:
-                chi = int(rest)
-            except ValueError:
-                raise FormatError(f"line {lineno}: chi must be an integer, got {rest!r}") from None
+            chi = parse_label(rest)
+            if not isinstance(chi, int):
+                raise FormatError(f"line {lineno}: chi must be an integer, got {rest!r}")
         elif key == "orientable":
             if rest not in ("true", "false", "either"):
                 raise FormatError(f"line {lineno}: orientable must be true/false/either")
@@ -254,49 +252,19 @@ def _parse_spec_file(text: str) -> search.WitnessSpec:
                               predicates=tuple(predicates))
 
 
-def _search_worker(payload):
-    spec, seed, restarts = payload
-    return search.search_randomized(spec, seed=seed, restarts=restarts)
-
-
 def _cmd_search(args) -> int:
     with open(args.spec) as fh:
         spec = _parse_spec_file(fh.read())
     if args.method == "exact":
         result = search.search_exact(spec, args.budget)
-    elif args.workers > 1:
-        result = _parallel_search(spec, args.seed, args.restarts, args.workers)
     else:
-        result = _search_worker((spec, args.seed, args.restarts))
+        result = search.search_randomized(spec, seed=args.seed, restarts=args.restarts)
     if result.status == "found":
         _emit(args, result.embedding)
         return 0
     print(f"no witness: search status {result.status} "
           f"after {result.nodes} nodes", file=sys.stderr)
     return 1
-
-
-def _parallel_search(spec, seed, restarts, workers):
-    """Split exactly ``restarts`` restarts across ``min(workers, restarts)``
-    worker processes, the first ``restarts % workers`` taking one more; the
-    first hit wins and stops the others (order of completion, so multi-worker
-    runs are not reproducible).  Without a hit, the result sums every worker's
-    nodes and names every status that occurred."""
-    import multiprocessing
-
-    workers = min(workers, restarts)
-    per, extra = divmod(restarts, workers)
-    payloads = [(spec, seed + k, per + (k < extra)) for k in range(workers)]
-    misses = []
-    # fork: workers inherit the loaded modules; this process starts no threads.
-    # Leaving the block terminates the pool, killing workers still searching.
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        for result in pool.imap_unordered(_search_worker, payloads):
-            if result.status == "found":
-                return result
-            misses.append(result)
-    status = "/".join(sorted({r.status for r in misses}))
-    return search.SearchResult(status, None, sum(r.nodes for r in misses))
 
 
 def _cmd_diamond(args) -> int:

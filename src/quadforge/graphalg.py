@@ -153,22 +153,16 @@ def _core_with_hub(block: Graph) -> Graph:
     return Graph(block.vertices | {0}, frozenset(edges))
 
 
-_H_ALT_MISSING = [(1, 2), (3, 4)]  # the other K4-minus-2-edges block (a matching)
-
-
 def phi_target(name: str) -> Graph:
     """Labeled target graph of a named catalog record.
 
     Searched records' graphs are written here.  A derived record's graph is its
     parent's with the record's ``op`` applied, as the catalog's record table
-    states them; ``<name>_alt`` applies the same op to the parent's ``_alt``.
+    states them.
     """
     if name in ("phi_7_0_plus", "phi_7_2_plus", "phi_7_4_plus", "phi_7_2_plus_star"):
         i = int(name.split("_")[2])
         return _plus_target(_core_with_hub(h_graph(i)))
-    if name == "phi_7_2_plus_star_alt":
-        block = delete_edges(Graph.from_edges(itertools.combinations([1, 2, 3, 4], 2)), _H_ALT_MISSING)
-        return _plus_target(_core_with_hub(block))
     if name == "phi_11_8_plus_star":
         return _plus_target(_core_with_hub(j_graph(8)))
     if name == "phi_4_0":
@@ -190,14 +184,13 @@ def phi_target(name: str) -> Graph:
         return delete_edges(complete(6), [(0, 3), (1, 4), (2, 5)])
     from . import catalog  # here, not at module load: catalog imports this module
 
-    stem = name.removesuffix("_alt")
     try:
-        rec = catalog.get_record(stem)
+        rec = catalog.get_record(name)
     except CatalogError:
         rec = None
     if rec is None or rec.parent is None:
         raise StructuralError(f"unknown catalog target {name!r}")
-    g = phi_target(rec.parent + name[len(stem):])
+    g = phi_target(rec.parent)
     if rec.op == "delete_degree2":
         return delete_vertex(g, "z")
     if rec.op == "handle":

@@ -90,13 +90,15 @@ def _congruent(n: int, t: int, kind: str) -> bool:
 
 SPECIALS = {(4, 2, "orientable"): "c4_sphere", (6, 3, "nonorientable"): "klein_6_3"}
 
+# The least admissible n of each kind.
+_N_MIN = {"nonorientable": 6, "orientable": 5}
+
 
 def classify(req: ParamRequest) -> str:
     """"admissible" (in the constructible family), "special" (the two extras), or "inadmissible"."""
     if (req.n, req.t, req.kind) in SPECIALS:
         return "special"
-    n_min = 6 if req.kind == "nonorientable" else 5
-    if req.n >= n_min and 0 <= req.t <= req.n - 4 and _congruent(req.n, req.t, req.kind):
+    if req.n >= _N_MIN[req.kind] and 0 <= req.t <= req.n - 4 and _congruent(req.n, req.t, req.kind):
         return "admissible"
     return "inadmissible"
 
@@ -107,9 +109,8 @@ def admissible(req: ParamRequest) -> bool:
 
 def _inadmissible_reason(req: ParamRequest) -> str:
     n, t, kind = req.n, req.t, req.kind
-    n_min = 6 if kind == "nonorientable" else 5
-    if n < n_min:
-        return f"n={n} is below the {kind} minimum n={n_min}"
+    if n < _N_MIN[kind]:
+        return f"n={n} is below the {kind} minimum n={_N_MIN[kind]}"
     if not 0 <= t <= n - 4:
         return f"t={t} is outside 0 <= t <= n-4 = {n - 4}"
     mod = congruence_mod(kind)
@@ -151,6 +152,9 @@ _INTERMEDIATES = {(9, 2), (10, 5), (12, 2), (12, 6), (14, 3), (14, 7)}
 # The least n built by a nonorientable (+4) or orientable (+8) step.
 _FIRST_STEP_N = {"nonorientable": 8, "orientable": 13}
 
+# The vertices each induction step adds; its K_{m,n'-1} summand has m = that + 2.
+_STEP_VERTICES = {"nonorient": 4, "orient": 8, "intermediate": 4}
+
 
 def _schedule_i(t: int, kind: str) -> int:
     if kind == "nonorientable":
@@ -177,20 +181,20 @@ def plan(req: ParamRequest) -> tuple:
         return (PlanNode("base", req.n, req.t, SPECIALS[(req.n, req.t, req.kind)]),)
     n, t, kind = req
     if kind == "nonorientable":
-        step, dn, block = "nonorient", 4, "phi_7_{}_plus"
+        step, block = "nonorient", "phi_7_{}_plus"
     else:
-        step, dn, block = "orient", 8, "phi_11_{}_plus_star"
+        step, block = "orient", "phi_11_{}_plus_star"
     nodes = []  # from the request down to its base
     while (record := _BASES[kind].get((n, t))) is None:
         if kind == "orientable" and (n, t) in _INTERMEDIATES:
             nodes.append(PlanNode("intermediate", n, t, "phi_7_2_plus_star"))
-            n, t = n - 4, t - 2
+            n, t = n - _STEP_VERTICES["intermediate"], t - 2
         elif n < _FIRST_STEP_N[kind]:
             raise PlanError(f"no {kind} base derivation for (n={n}, t={t})")
         else:
             i = _schedule_i(t, kind)
             nodes.append(PlanNode(step, n, t, block.format(i), i))
-            n, t = n - dn, t - i
+            n, t = n - _STEP_VERTICES[step], t - i
     nodes.append(PlanNode("base", n, t, record))
     return tuple(reversed(nodes))
 
@@ -202,10 +206,10 @@ def plan_text(plan: tuple) -> str:
             rec = catalog.get_record(node.record)
             what = (f"surgery {rec.op} on {rec.parent} -> " if rec.parent else "base ") + rec.name
         elif node.step == "intermediate":
-            what = "intermediate +4 vertices, +2 missing edges"
+            what = f"intermediate +{_STEP_VERTICES[node.step]} vertices, +2 missing edges"
         else:
-            sign, dn = ("nonorientable", 4) if node.step == "nonorient" else ("orientable", 8)
-            what = f"{sign} step +{dn} vertices, +{node.i} missing edges"
+            sign = "nonorientable" if node.step == "nonorient" else "orientable"
+            what = f"{sign} step +{_STEP_VERTICES[node.step]} vertices, +{node.i} missing edges"
         lines.append(f"{'  ' * len(lines)}{what} (n={node.n}, t={node.t})")
     return "\n".join(lines)
 
@@ -307,7 +311,7 @@ def _chain(plan: tuple) -> surgery.FaceTable:
     else:
         chain = surgery.FaceTable.from_embedding(_base(plan[0])).ranked()
     for node in plan[k + 1:]:
-        _induct_step(chain, node.record, 10 if node.step == "orient" else 6)
+        _induct_step(chain, node.record, _STEP_VERTICES[node.step] + 2)
         _check_size(node, len(chain.vertices()), len(chain.edges()))
         _GEN_CACHE[node] = chain.frozen()
     return chain

@@ -30,11 +30,8 @@ from .errors import StructuralError, SurgeryError
 
 
 def relabel_embedding(emb: Embedding, mapping: dict) -> Embedding:
-    """Rename vertices; rotation, signature, and faces carry over unchanged.
-
-    When the mapping keeps the ``vkey`` order and the input's faces are
-    already traced, the output takes its traced states instead of tracing again.
-    """
+    """Rename vertices; rotation and signature carry over, so the faces are
+    the input's, renamed."""
     if set(mapping) != set(emb.graph.vertices):
         raise SurgeryError("relabel mapping must cover every vertex exactly")
     if len(set(mapping.values())) != len(mapping):
@@ -48,14 +45,7 @@ def relabel_embedding(emb: Embedding, mapping: dict) -> Embedding:
     graph = Graph(frozenset(mapping.values()), frozenset(me.values()))
     rotation = {mapping[v]: tuple([me[e] for e in cyc]) for v, cyc in emb.rotation.items()}
     signature = {me[e]: s for e, s in emb.signature.items()}
-    out = Embedding(graph, rotation, signature)
-    if emb._orbits is not None:
-        order = [key[v] for v in emb.graph.sorted_vertices()]
-        if all(a < b for a, b in zip(order, order[1:])):
-            # The mapping keeps the vkey order, so edge ids, rotation phases and
-            # tracing states are unchanged: the faces are the input's orbits.
-            out._orbits, out._face_of = emb._orbits, emb._face_of
-    return out
+    return Embedding(graph, rotation, signature)
 
 
 def diamond_sum(

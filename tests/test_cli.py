@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 import textwrap
-import time
 from pathlib import Path
 
 import pytest
@@ -175,6 +173,10 @@ def test_search_unsatisfiable(tmp_path, capsys):
 BAD_SPEC_FILES = [
     ("graph K(4)\n", "needs both a graph and a chi line"),
     ("graph K(4)\nchi x\n", "line 2"),
+    # chi is read by the one label rule: ASCII [-]digits only
+    ("graph K(4)\nchi +0_1\n", "line 2: chi must be an integer, got '+0_1'"),
+    ("graph K(4)\nchi \u0661\n", "line 2: chi must be an integer, got '\u0661'"),
+    ("graph K(4)\nchi 1_0\n", "line 2: chi must be an integer, got '1_0'"),
     ("graph K(x)\nchi 1\n", "line 1"),
     ("chi 1\n# K4\ngraph K(4\n", "line 3"),
     ("graph K(4)\nchi 1\npredicate nearly_face_simple_except --5\n", "line 3"),
@@ -563,52 +565,33 @@ def test_forced_sweep_past_the_cap_fails_at_once(capsys, monkeypatch):
     assert captured.out == "" and calls == []
 
 
-# What the fake search workers below do; forked pool workers inherit it.
-_FAKE = {}
+def test_search_has_no_workers_option(tmp_path, capsys):
+    # `--workers` no longer exists: the parser rejects it before any search.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--spec", str(tmp_path / "any.spec"), "--method", "random",
+                  "--workers", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in captured.err
+    assert captured.out == ""
 
 
-def _fake_search_worker(payload):
-    _, seed, restarts = payload
-    if _FAKE["mode"] == "miss":
-        # each worker reports its restart count in the decimal digit of its seed
-        return search.SearchResult("none", None, restarts * 10 ** seed)
-    if seed == 0:
-        _FAKE["started"].wait(60)  # hit only once the other worker is busy
-        return search.SearchResult("found", _FAKE["witness"], 1)
-    _FAKE["started"].set()
-    time.sleep(60)
-    _FAKE["finished"].write_text("a worker ran on after the first hit\n")
-    return search.SearchResult("none", None, 0)
+def test_random_search_prints_the_same_witness_every_run(tmp_path, capsys):
+    text = ("graph phi(phi_7_2_plus_star)\nchi -2\norientable true\n"
+            "predicate nearly_face_simple_except x\n")
+    spec = tmp_path / "phi.spec"
+    spec.write_text(text)
+    argv = ["search", "--spec", str(spec), "--method", "random",
+            "--seed", "0", "--restarts", "8"]
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second
+    res = search.search_randomized(cli._parse_spec_file(text), seed=0, restarts=8)
+    assert res.status == "found"
+    witness = res.embedding
+    assert first == (0, serialize.write_emap(witness) + emap.certify(witness).to_text(), "")
 
 
-def test_parallel_search_stops_the_other_workers_on_a_hit(tmp_path, monkeypatch):
-    witness = catalog.get_witness("c4_sphere")
-    monkeypatch.setitem(_FAKE, "mode", "hit")
-    monkeypatch.setitem(_FAKE, "witness", witness)
-    monkeypatch.setitem(_FAKE, "started", multiprocessing.get_context("fork").Event())
-    monkeypatch.setitem(_FAKE, "finished", tmp_path / "finished")
-    monkeypatch.setattr(cli, "_search_worker", _fake_search_worker)
-    result = cli._parallel_search(None, 0, 2, 2)
-    assert result.status == "found"
-    assert result.embedding == witness
-    # the blocked worker was killed, not waited for
-    assert not (tmp_path / "finished").exists()
-
-
-def test_parallel_search_miss_reports_every_worker(monkeypatch):
-    monkeypatch.setitem(_FAKE, "mode", "miss")
-    monkeypatch.setattr(cli, "_search_worker", _fake_search_worker)
-    result = cli._parallel_search(None, 0, 6, 3)
-    assert result.status == "none"
-    assert result.embedding is None
-    assert result.nodes == 222  # 2 restarts for each of the 3 workers
-    # exactly `restarts` restarts; the first `restarts % workers` workers take one more
-    assert cli._parallel_search(None, 0, 7, 3).nodes == 223
-    assert cli._parallel_search(None, 0, 2, 3).nodes == 11  # two workers start
-    assert cli._parallel_search(None, 0, 1, 4).nodes == 1
-
-
-@pytest.mark.parametrize("flag", ["--restarts", "--workers", "--budget"])
+@pytest.mark.parametrize("flag", ["--restarts", "--budget"])
 def test_search_restarts_and_workers_are_at_least_one(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--spec", str(tmp_path / "any.spec"), "--method", "random",

