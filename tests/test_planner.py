@@ -385,6 +385,31 @@ def test_plan_text_of_the_acceptance_pairs_is_pinned():
             == "0671c4e0b94dd5260fe42af24f5572a70d658da74d5193ebbff023a046882391")
 
 
+def pinned_requests():
+    """The acceptance pairs, every admissible t at n = 50 and 49, and the specials."""
+    yield from acceptance_requests()
+    for n, kind in ((50, "nonorientable"), (49, "orientable")):
+        for t in range(n - 3):
+            req = ParamRequest(n=n, t=t, kind=kind)
+            if planner.admissible(req):
+                yield req
+    for n, t, kind in planner.SPECIALS:
+        yield ParamRequest(n=n, t=t, kind=kind)
+
+
+def test_gen_output_bytes_are_pinned():
+    # a change that alters `gen` output on purpose updates this digest and says so
+    digest = hashlib.sha256()
+    count = 0
+    for req in pinned_requests():
+        emb, cert, _ = planner.generate(req)
+        digest.update(serialize.write_emap(emb).encode())
+        digest.update(cert.to_text().encode())
+        count += 1
+    assert count == 260
+    assert digest.hexdigest() == "c069398d1ff9e5a9391922690e047c3fd6aa35311e6b9b3cd29fe150e68d8c93"
+
+
 def test_planner_tables_agree_with_the_catalog():
     names = [rec.name for rec in catalog.record_table()]
     for rec in catalog.record_table():
