@@ -337,7 +337,7 @@ def _read(node: ast.AST, kind: str, text: str):
         negative = isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
         digits = node.operand if negative else node
         if (isinstance(digits, ast.Constant) and type(digits.value) is int
-                and ast.get_source_segment(text, digits).isdigit()):  # not 0x10 or 1_0
+                and ast.get_source_segment(text, digits) == str(digits.value)):  # not 0x10, 1_0 or 00
             return -digits.value if negative else digits.value
     got = ast.get_source_segment(text, node)
     raise StructuralError(f"expected {kind} in expression, got {got!r}")

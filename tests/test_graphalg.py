@@ -267,6 +267,7 @@ def test_parse_expr_reads_negative_and_named_labels():
     "subdivide(K(4), 0-1)", "subdivide(K(4), 0-1, if)", "phi(5)", "K(\x00)", "K(4)\x00",
     "(" * 300 + "K(4)" + ")" * 300, "-" * 5000 + "1", "subdivide(K(4), 0-1, é)",
     "subdivide(K(4), 0-1, ﬁ)",  # NFKC would fold the ligature into "fi"
+    "delete(K(4), 00-1)", "delete(K(4), 1-00)", "K(00)",
 ])
 def test_parse_expr_rejects_what_the_grammar_does_not_spell(text):
     with pytest.raises(StructuralError):
