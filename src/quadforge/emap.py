@@ -10,9 +10,10 @@ and the step is
     successor of e when o' = +1 and the predecessor when o' = -1.
 
 Vertex labels are ints or strings; all orderings use ``vkey`` so output is
-reproducible.  Inside the kernel labels become dense integers: a graph ranks
-its vertices by ``vkey`` once and numbers its edges in sorted order, and a
-tracing state is the integer
+reproducible.  An ``Embedding`` is held as one integer core: its labels in
+``vkey`` order, so that a vertex is its rank; the two end ranks of every edge,
+with the edges numbered in order of those pairs; each rank's rotation as edge
+ids; and each edge's sign.  A tracing state is the integer
 
     s = 4*e + 2*side + (o == -1),   side = 0 when the tail is e's smaller end.
 
@@ -22,7 +23,11 @@ the orbits of a flat successor list over these states, taken in increasing
 order of their first state.  An embedding traces them once and keeps them;
 the Euler characteristic, quadrangularity and face-simplicity (the two faces
 along edge e are those of states 4e and 4e + 1) are read from the states,
-and ``FaceWalk`` objects are built only when ``faces()`` is asked for.
+and the degrees and orientability from the core.  The label-level views, a
+``Graph`` and the ``rotation`` and ``signature`` dicts over its edge tuples,
+are built only when a caller asks for them (search, surgery on labels,
+``dual``), and ``FaceWalk`` objects only when ``faces()`` is asked for.
+``certify``, ``serialize`` and ``FaceTable.embedding`` use the core alone.
 
 This is the repo's one encoding of a tracing state: the backtracking
 searcher (``search._QuadSearcher``) builds its faces over the same edge
@@ -205,19 +210,30 @@ class FaceWalk(NamedTuple):
 
 
 class Embedding:
-    """Signed rotation system over a connected simple graph.
+    """Signed rotation system over a connected simple graph, held on integers.
 
-    Treat instances as immutable: every operation returns a new embedding.
-    The faces are traced once, on first use, into ``_orbits``: each face the
-    list of its tracing states, in the order the face is walked.  A state
-    that is not on any orbit lies on the reverse of one, and ``_face_of``
-    maps every state to the index of its face.
+    The core is four lists:
+
+    - ``labels``: the vertex labels in ``vkey`` order; a vertex's rank is its index;
+    - ``ends``: edge ``e``'s end ranks, the lesser at ``ends[2e]`` and the greater
+      at ``ends[2e + 1]``, with the edges numbered in order of those pairs;
+    - ``rot``: each rank's rotation as edge ids, started at the least id;
+    - ``sign``: each edge id's sign, +1 or -1.
+
+    Two embeddings are equal when their cores are.  ``graph``, ``rotation`` and
+    ``signature`` are the label-level views (a ``Graph``, and dicts over its
+    edge tuples), built on first use.  Treat instances as immutable: every
+    operation returns a new embedding.  The faces are traced once, on first
+    use, into ``_orbits``: each face the list of its tracing states, in the
+    order the face is walked.  A state that is not on any orbit lies on the
+    reverse of one, and ``_face_of`` maps every state to the index of its face.
     """
 
     def __init__(self, graph: Graph, rotation: Mapping, signature: Mapping):
         if not graph.is_connected():
             raise StructuralError("embedding requires a connected graph")
-        rot = {}
+        eid = graph._edge_id
+        rot, cycles = {}, []
         for v, incident in graph._incidence.items():
             if v not in rotation:
                 raise StructuralError(f"no rotation given for vertex {v!r}")
@@ -230,47 +246,80 @@ class Embedding:
                 k = cyc.index(incident[0])
                 cyc = cyc[k:] + cyc[:k]
             rot[v] = cyc
+            cycles.append([eid[e] for e in cyc])
         sig = {}
-        for e in graph.edges:
+        for e in graph._edge_order:
             if e not in signature:
                 raise StructuralError(f"no signature entry for edge {e}")
             s = signature[e]
             if s not in (1, -1):
                 raise StructuralError(f"signature of {e} must be +1 or -1, got {s!r}")
             sig[e] = s
-        self._adopt(graph, rot, sig)
+        rank = graph._rank
+        ends = [rank[v] for v in itertools.chain.from_iterable(graph._edge_order)]
+        self._adopt(graph._order, ends, cycles, list(sig.values()))
+        self.__dict__.update(graph=graph, rotation=rot, signature=sig)
 
     @classmethod
-    def _of_checked(cls, graph: Graph, rotation: dict, signature: dict) -> "Embedding":
-        """The embedding of a rotation and signature already checked against
-        ``graph``: each cycle a tuple of its vertex's incident edges, started at
-        the least one, and each edge's sign +1 or -1.  Only connectivity is
-        checked here."""
-        if not graph.is_connected():
+    def _of_core(cls, labels: tuple, ends: list, rot: list, sign: list) -> "Embedding":
+        """The embedding of a core already checked as the class docstring
+        describes it; only connectivity is checked here."""
+        seen = bytearray(len(labels))
+        stack = []
+        if labels:
+            seen[0] = 1
+            stack.append(0)
+        while stack:
+            v = stack.pop()
+            for e in rot[v]:
+                w = ends[2 * e] ^ ends[2 * e + 1] ^ v  # the other end
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append(w)
+        if not labels or not all(seen):
             raise StructuralError("embedding requires a connected graph")
         emb = cls.__new__(cls)
-        emb._adopt(graph, rotation, signature)
+        emb._adopt(labels, ends, rot, sign)
         return emb
 
-    def _adopt(self, graph: Graph, rotation: dict, signature: dict) -> None:
-        self.graph = graph
-        self.rotation = rotation
-        self.signature = signature
+    def _adopt(self, labels: tuple, ends: list, rot: list, sign: list) -> None:
+        self.labels = labels
+        self.ends = ends
+        self.rot = rot
+        self.sign = sign
         self._orbits = self._face_of = self._faces = None
 
     def __eq__(self, o) -> bool:
         return (
             isinstance(o, Embedding)
-            and self.graph == o.graph
-            and self.rotation == o.rotation
-            and self.signature == o.signature
+            and self.labels == o.labels
+            and self.ends == o.ends
+            and self.rot == o.rot
+            and self.sign == o.sign
         )
+
+    @cached_property
+    def graph(self) -> Graph:
+        labels, ends = self.labels, self.ends
+        return Graph(frozenset(labels),
+                     frozenset([(labels[a], labels[b]) for a, b in zip(ends[0::2], ends[1::2])]))
+
+    @cached_property
+    def rotation(self) -> dict:
+        """Vertex -> its incident edges in rotation order, from its least edge."""
+        edges = self.graph._edge_order
+        return {v: tuple([edges[e] for e in cyc]) for v, cyc in zip(self.labels, self.rot)}
+
+    @cached_property
+    def signature(self) -> dict:
+        """Edge -> its sign."""
+        return dict(zip(self.graph._edge_order, self.sign))
 
     def faces(self) -> tuple:
         if self._faces is None:
+            labels, ends = self.labels, self.ends  # state s leaves ends[s >> 1]
             edges = self.graph._edge_order
-            ends = list(itertools.chain.from_iterable(edges))  # state s leaves ends[s >> 1]
-            self._faces = tuple(FaceWalk(tuple((ends[s >> 1], edges[s >> 2]) for s in orbit))
+            self._faces = tuple(FaceWalk(tuple((labels[ends[s >> 1]], edges[s >> 2]) for s in orbit))
                                 for orbit in self._traced())
         return self._faces
 
@@ -281,22 +330,22 @@ class Embedding:
         return self._orbits
 
     def _trace(self) -> tuple:
-        edges = self.graph._edge_order
-        eid = self.graph._edge_id
-        sig = self.signature
-        succ = [0] * (4 * len(edges))
-        for v, cyc in self.rotation.items():
+        ends, sign = self.ends, self.sign
+        succ = [0] * (4 * len(sign))
+        for v, cyc in enumerate(self.rot):
             # out[p]: the state leaving v along cyc[p] with o = +1
-            out = [4 * eid[e] + (0 if e[0] == v else 2) for e in cyc]
-            d = len(out)
-            for p, e in enumerate(cyc):
-                fwd, back = out[(p + 1) % d], out[p - 1] + 1
-                s = out[p] ^ 2  # the state entering v along cyc[p] with o = +1
-                if sig[e] == 1:
+            out = [4 * e if ends[2 * e] == v else 4 * e + 2 for e in cyc]
+            if not out:
+                continue  # the one vertex of a graph with no edge
+            back = out[-1] + 1  # the state leaving v along the previous edge with o = -1
+            for o, e, fwd in zip(out, cyc, out[1:] + out[:1]):
+                s = o ^ 2  # the state entering v along e with o = +1
+                if sign[e] == 1:
                     succ[s], succ[s + 1] = fwd, back
                 else:
                     succ[s], succ[s + 1] = back, fwd
-        flip = [3 if sig[e] == 1 else 2 for e in edges]
+                back = o + 1
+        flip = [3 if s == 1 else 2 for s in sign]
         face_of = [-1] * len(succ)
         orbits = []
         for start in range(len(succ)):
@@ -318,14 +367,13 @@ class Embedding:
                     raise StructuralError("degenerate self-reverse face walk")
                 face_of[comp] = f
             orbits.append(orbit)
-        if sum(map(len, orbits)) != 2 * len(edges):
+        if sum(map(len, orbits)) != 2 * len(sign):
             raise StructuralError("face walks do not cover each edge exactly twice")
         return orbits, face_of
 
 
 def euler_characteristic(emb: Embedding) -> int:
-    g = emb.graph
-    return len(g.vertices) - len(g.edges) + len(emb._traced())
+    return len(emb.labels) - len(emb.sign) + len(emb._traced())
 
 
 def is_orientable(emb: Embedding) -> bool:
@@ -334,20 +382,16 @@ def is_orientable(emb: Embedding) -> bool:
     Equivalent to every cycle having positive sign product, decided by a
     BFS two-coloring of the vertex ranks.
     """
-    rank = emb.graph._rank
-    adj = [[] for _ in rank]
-    for (a, b), s in emb.signature.items():
-        ra, rb = rank[a], rank[b]
-        adj[ra].append((rb, s))
-        adj[rb].append((ra, s))
-    color = [0] * len(adj)
+    ends, sign, rot = emb.ends, emb.sign, emb.rot
+    color = [0] * len(rot)
     color[0] = 1
     stack = [0]
     while stack:
         u = stack.pop()
         cu = color[u]
-        for w, s in adj[u]:
-            want = cu * s
+        for e in rot[u]:
+            w = ends[2 * e] ^ ends[2 * e + 1] ^ u
+            want = cu * sign[e]
             if not color[w]:
                 color[w] = want
                 stack.append(w)
@@ -375,8 +419,7 @@ def _faces_meet_once(emb: Embedding, away_from: tuple) -> bool:
     counting only the edges with no end in ``away_from``."""
     lo, hi = _edge_faces(emb)
     if away_from:
-        g = emb.graph
-        skip = {g._edge_id[e] for v in away_from for e in g._incidence[v]}
+        skip = {e for v in away_from for e in emb.rot[emb.labels.index(v)]}
         lo = [f for e, f in enumerate(lo) if e not in skip]
         hi = [f for e, f in enumerate(hi) if e not in skip]
     return not any(map(operator.eq, lo, hi)) and len(set(zip(lo, hi))) == len(lo)
@@ -388,7 +431,7 @@ def is_face_simple(emb: Embedding) -> bool:
 
 def is_nearly_face_simple_except(emb: Embedding, v: Label) -> bool:
     """Face-simplicity may fail only through shared edges incident with v."""
-    if v not in emb.graph.vertices:
+    if v not in emb.labels:
         raise StructuralError(f"unknown vertex {v!r}")
     return _faces_meet_once(emb, (v,))
 
@@ -431,10 +474,11 @@ def _fmt_bool(b: bool) -> str:
 
 
 def certify(emb: Embedding) -> Certificate:
-    g = emb.graph
-    n = len(g.vertices)
-    m = len(g.edges)
+    """The certificate of ``emb``, read from its core and its traced faces."""
+    n = len(emb.labels)
+    m = len(emb.sign)
     t = n * (n - 1) // 2 - m
+    degree = list(map(len, emb.rot))
     quad = is_quadrangular(emb)  # traces the faces, once
     return Certificate(
         n=n,
@@ -444,8 +488,8 @@ def certify(emb: Embedding) -> Certificate:
         orientable=is_orientable(emb),
         quadrangular=quad,
         face_simple=is_face_simple(emb),
-        universal=tuple(sorted(universal_vertices(g), key=vkey)),
-        min_degree=min_degree(g),
+        universal=tuple([v for v, d in zip(emb.labels, degree) if d == n - 1]),
+        min_degree=min(degree),
         minimal=quad and t <= n - 4,
     )
 

@@ -296,7 +296,7 @@ def execute(plan: tuple) -> Embedding:
 
 def _base(node: PlanNode) -> Embedding:
     out = catalog.get_witness(node.record)
-    _check_size(node, len(out.graph.vertices), len(out.graph.edges))
+    _check_size(node, len(out.labels), len(out.sign))
     return out
 
 

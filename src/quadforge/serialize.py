@@ -4,7 +4,8 @@ The emap format is line-oriented and canonical: edges are numbered in sorted
 order, rotations are listed per vertex in label order, and each rotation
 cycle starts at its smallest edge id.  Writing the same embedding twice
 yields byte-identical text, and ``parse_emap(write_emap(e))`` structurally
-equals ``e``.
+equals ``e``.  Both work on the embedding's integer core (see ``emap``):
+the writer reads it, and the reader fills it, with no label-level graph.
 
     emap 1
     V <vertex count>
@@ -17,9 +18,7 @@ equals ``e``.
 
 from __future__ import annotations
 
-import itertools
-
-from .emap import Embedding, Graph, parse_label, vkey
+from .emap import Embedding, parse_label, vkey
 from .errors import FormatError
 
 _SIGNS = {"+": 1, "-": -1}
@@ -51,29 +50,26 @@ def _label_token(v) -> str:
     return s
 
 
-def _label_tokens(g: Graph) -> dict:
-    """Each vertex -> its token, each label checked once."""
+def _label_tokens(labels: tuple, ends: list) -> list:
+    """Each rank's token, each label checked once."""
     try:
-        return {v: _label_token(v) for v in g._order}
+        return [_label_token(v) for v in labels]
     except FormatError:
         # refuse the first label the file would have written
-        for e in g._edge_order:
-            _label_token(e[0])
-            _label_token(e[1])
+        for r in ends:
+            _label_token(labels[r])
         raise
 
 
 def write_emap(emb: Embedding) -> str:
-    g = emb.graph
-    edges, eid = g._edge_order, g._edge_id
-    tok = _label_tokens(g)
-    sig = emb.signature
-    lines = ["emap 1", f"V {len(g.vertices)}", f"E {len(edges)}"]
-    lines += [f"e {i} {tok[e[0]]} {tok[e[1]]} {'+' if sig[e] == 1 else '-'}"
-              for i, e in enumerate(edges)]
+    """The emap text of ``emb``, written from its core."""
+    ends, sign = emb.ends, emb.sign
+    tok = _label_tokens(emb.labels, ends)
+    lines = ["emap 1", f"V {len(tok)}", f"E {len(sign)}"]
+    lines += [f"e {i} {tok[a]} {tok[b]} {'+' if s == 1 else '-'}"
+              for i, (a, b, s) in enumerate(zip(ends[0::2], ends[1::2], sign))]
     # each rotation already starts at its smallest edge (see Embedding)
-    lines += [f"r {tok[v]} : " + " ".join(map(str, map(eid.__getitem__, emb.rotation[v])))
-              for v in g._order]
+    lines += [f"r {t} : " + " ".join(map(str, cyc)) for t, cyc in zip(tok, emb.rot)]
     return "\n".join(lines) + "\n"
 
 
@@ -83,8 +79,7 @@ def parse_emap(text: str) -> Embedding:
         raise FormatError("line 1: expected header 'emap 1'")
     declared = {}  # "V" and "E" -> the count the file declares
     labels = _Labels()
-    edges_by_id = {}
-    signature = {}
+    edges_by_id = {}  # file id -> (u, v, sign), u before v in vkey order
     rotations = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
@@ -107,11 +102,9 @@ def parse_emap(text: str) -> Embedding:
                 if u == v:
                     raise FormatError(f"line {lineno}: loop edge {u!r}")
                 if type(u) is int and type(v) is int:
-                    e = (u, v) if u < v else (v, u)
+                    edges_by_id[eid] = (u, v, sign) if u < v else (v, u, sign)
                 else:
-                    e = (u, v) if vkey(u) < vkey(v) else (v, u)
-                edges_by_id[eid] = e
-                signature[e] = sign
+                    edges_by_id[eid] = (u, v, sign) if vkey(u) < vkey(v) else (v, u, sign)
             elif tag == "r":
                 if parts[2] != ":":
                     raise FormatError(f"line {lineno}: expected ':' after vertex")
@@ -129,31 +122,45 @@ def parse_emap(text: str) -> Embedding:
             raise
         except (IndexError, ValueError) as exc:
             raise FormatError(f"line {lineno}: malformed record: {exc}") from exc
-    if declared.get("E", len(edges_by_id)) != len(edges_by_id):
-        raise FormatError(f"E declares {declared['E']} edges, file lists {len(edges_by_id)}")
-    edges = frozenset(edges_by_id.values())
-    if len(edges) != len(edges_by_id):
+    m = len(edges_by_id)
+    if declared.get("E", m) != m:
+        raise FormatError(f"E declares {declared['E']} edges, file lists {m}")
+    order = tuple(sorted({u for u, v, _ in edges_by_id.values()}
+                         | {v for u, v, _ in edges_by_id.values()}, key=vkey))
+    n = len(order)
+    rank = {u: i for i, u in enumerate(order)}
+    # file id -> the edge's key, rank a * n + rank b, which sorts as the edge ids do
+    keyed = {i: rank[u] * n + rank[v] for i, (u, v, _) in edges_by_id.items()}
+    keys = sorted(keyed.values())
+    if len(set(keys)) != m:
         raise FormatError("the same edge appears under two ids")
-    graph = Graph(frozenset(itertools.chain.from_iterable(edges)), edges)
-    if declared.get("V", len(graph.vertices)) != len(graph.vertices):
-        raise FormatError(f"V declares {declared['V']} vertices, edges mention {len(graph.vertices)}")
-    order, cid = graph._edge_order, graph._edge_id
-    canon = {i: cid[e] for i, e in edges_by_id.items()}  # file id -> edge id
-    cycles = {}
+    if declared.get("V", n) != n:
+        raise FormatError(f"V declares {declared['V']} vertices, edges mention {n}")
+    cid = {key: e for e, key in enumerate(keys)}
+    canon = {i: cid[key] for i, key in keyed.items()}  # file id -> edge id
+    ends = []
+    for key in keys:
+        ends += divmod(key, n)
+    sign = [0] * m
+    for i, (_, _, s) in edges_by_id.items():
+        sign[canon[i]] = s
+    incident = [[] for _ in order]  # each rank's edge ids, ascending
+    for e, r in enumerate(ends):
+        incident[r].append(e >> 1)
+    rot = [None] * n
     for v, ids in rotations.items():
-        if v not in graph.vertices:
+        r = rank.get(v)
+        if r is None:
             raise FormatError(f"rotation given for unknown vertex {v!r}")
         try:
             cyc = [canon[i] for i in ids]
         except KeyError as exc:
             raise FormatError(f"rotation at {v!r} references unknown edge id {exc.args[0]}") from None
-        expected = [cid[e] for e in graph._incidence[v]]  # ascending
-        if sorted(cyc) != expected:
+        if sorted(cyc) != incident[r]:
             raise FormatError(f"rotation at {v!r} is not a permutation of its incident edges")
-        k = cyc.index(expected[0])  # start at the smallest edge, as Embedding does
-        cyc = cyc[k:] + cyc[:k]
-        cycles[v] = tuple([order[i] for i in cyc])
-    missing = set(graph.vertices) - set(cycles)
+        k = cyc.index(incident[r][0])  # start at the smallest edge, as Embedding does
+        rot[r] = cyc[k:] + cyc[:k]
+    missing = [u for u, cyc in zip(order, rot) if cyc is None]
     if missing:
-        raise FormatError(f"no rotation for vertices {sorted(missing, key=vkey)}")
-    return Embedding._of_checked(graph, {v: cycles[v] for v in graph._order}, signature)
+        raise FormatError(f"no rotation for vertices {missing}")
+    return Embedding._of_core(order, ends, rot, sign)

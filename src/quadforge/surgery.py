@@ -9,12 +9,15 @@ Every predicate a table answers is computed from its faces: face-simplicity
 from counters it keeps up to date, orientability by one orientation pass over
 the faces.
 
-An ``Embedding`` appears only at the edges.  A table is loaded from an
-embedding's traced faces (``FaceTable.from_embedding``), and
-``FaceTable.embedding`` builds the signed rotation system from the table,
-once, when it is wanted: each vertex's rotation is its rim, and the signs come
-from the same orientation pass.  ``diamond_sum`` is that pattern for two
-embeddings: load both, splice, rebuild.
+An ``Embedding`` appears only at the edges, and there only as its integer
+core.  A table is loaded from an embedding's traced faces
+(``FaceTable.from_embedding``), and ``FaceTable.embedding`` builds the signed
+rotation system from the table, once, when it is wanted: each vertex's
+rotation is its rim, and the signs come from the same orientation pass.  It
+fills the core (ranked labels, edge end ranks, rotations as edge ids, signs)
+with no label-level graph, and checks on ints that the core traces back to
+the table's faces.  ``diamond_sum`` is that pattern for two embeddings: load
+both, splice, rebuild.
 """
 
 from __future__ import annotations
@@ -130,7 +133,8 @@ class FaceTable:
 
     @classmethod
     def from_embedding(cls, emb: Embedding) -> FaceTable:
-        return cls(w.vertices for w in emb.faces())
+        labels, ends = emb.labels, emb.ends  # state s leaves ends[s >> 1]
+        return cls([labels[ends[s >> 1]] for s in orbit] for orbit in emb._traced())
 
     def copy(self) -> FaceTable:
         """An independent table over the same faces, with the same ids."""
@@ -229,36 +233,45 @@ class FaceTable:
         -1 otherwise; each edge's sign is the product of the turns at its two
         ends in either face along it, which is what ``emap``'s tracer needs to
         walk that face.  So the signs are all +1 exactly when the faces are
-        orientable, and the result does not depend on face or edge ids.  Its
-        traced faces must be these faces, or ``StructuralError`` is raised.
+        orientable, and the result does not depend on face or edge ids.
+
+        The embedding's integer core is made here: the labels are ranked once
+        and the edges numbered in order of their end ranks, so no label-level
+        graph is built.  Its traced faces must be these faces, or
+        ``StructuralError`` is raised.
         """
         w, fe, side = self._w, self._fe, self._side
 
         def span(c):  # a corner's two neighbours, least first, and its opposite corner
             return (*sorted((vkey(w[_prev(c)]), vkey(w[_next(c)]))), vkey(w[c ^ 2]))
 
-        v = min(self._degree, key=vkey)
-        c = min((c for c, _ in self._walk(self._anchor[v], True)), key=span)
+        labels = tuple(sorted(self._degree, key=vkey))
+        n = len(labels)
+        c = min((c for c, _ in self._walk(self._anchor[labels[0]], True)), key=span)
         direction, first, _ = self._orientation(c >> 2, 1 if span(c)[0] == vkey(w[_prev(c)]) else -1)
+        rank = {u: i for i, u in enumerate(labels)}
+        # a key lists its ends in vkey order, so rank a < rank b
+        key = {e: rank[a] * n + rank[b] for (a, b), e in self._eid.items()}
+        order = sorted(key, key=key.__getitem__)  # the table's edge ids, by end ranks
+        new_id = [0] * (len(side) >> 1)
+        ends = []
+        for i, e in enumerate(order):
+            new_id[e] = i
+            ends += divmod(key[e], n)
         turn = [0] * len(w)  # +1 where a corner turns with its vertex's rotation
-        rotation = {}
+        rot = [None] * n
         for v, c in first.items():
-            edges = rotation[v] = []
+            cyc = []
             for s, forward in self._walk(c, direction[c >> 2] == 1):
                 turn[s] = 1 if forward else -1
-                edges.append(fe[_prev(s)] if forward else fe[s])
-        keys = [None] * (len(side) >> 1)
-        signature = {}
-        for key, e in self._eid.items():
-            keys[e] = key
-            s = side[2 * e]
-            signature[key] = turn[s] * turn[_next(s)]
-        # each rotation is made as a list first: a tuple grown from a generator
-        # leaves one more tuple of its odd size on the interpreter's free lists
-        emb = Embedding(Graph(frozenset(self._degree), frozenset(self._eid)),
-                        {v: tuple([keys[e] for e in es]) for v, es in rotation.items()},
-                        signature)
-        self._check_traced(emb)
+                # the edge it is entered by; (s - 1 if s & 3 else s + 3) is _prev(s), inlined
+                cyc.append(new_id[fe[s - 1 if s & 3 else s + 3] if forward else fe[s]])
+            k = cyc.index(min(cyc))
+            rot[rank[v]] = cyc[k:] + cyc[:k]
+        sign = [turn[s] * turn[s + 1 if ~s & 3 else s - 3]  # the turns at s and _next(s)
+                for s in [side[2 * e] for e in order]]
+        emb = Embedding._of_core(labels, ends, rot, sign)
+        self._check_traced(emb, order)
         return emb
 
     def splice(self, v: Label, summand: FaceTable, v2: Label, offset: int = 0,
@@ -511,21 +524,20 @@ class FaceTable:
                         orientable = False
         return direction, first, orientable
 
-    def _check_traced(self, emb: Embedding) -> None:
+    def _check_traced(self, emb: Embedding, order: list) -> None:
         """Raise unless ``emb``'s traced faces are exactly these faces.
 
-        Each traced face, an orbit of ``emb``'s tracing states (traced here
-        once, and kept for ``emap.certify``), is matched with one of the two
-        faces along its first edge, read from that edge in either direction,
-        and no face twice.
+        ``order[e]`` is the table's id of ``emb``'s edge ``e``.  Each traced
+        face, an orbit of ``emb``'s tracing states (traced here once, and kept
+        for ``emap.certify``), is matched with one of the two faces along its
+        first edge, read from that edge in either direction, and no face twice.
         """
-        w, side, eid = self._w, self._side, self._eid
-        edges = emb.graph._edge_order
-        ends = list(itertools.chain.from_iterable(edges))  # state s leaves ends[s >> 1]
+        w, side = self._w, self._side
+        labels, ends = emb.labels, emb.ends  # state s leaves ends[s >> 1]
         matched = set()
         for orbit in emb._traced():
-            vs = [ends[s >> 1] for s in orbit]
-            e = eid[edges[orbit[0] >> 2]]
+            vs = [labels[ends[s >> 1]] for s in orbit]
+            e = order[orbit[0] >> 2]
             for s in (side[2 * e], side[2 * e + 1]):
                 b = s & -4
                 cyc = w[s:b + 4] + w[b:s]  # the face, from slot s

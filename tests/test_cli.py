@@ -460,14 +460,26 @@ def test_a_file_that_is_not_utf8_is_refused(catalog_copy, tmp_path, capsys, argv
     assert stderr.startswith(message) and "can't decode byte 0xff" in stderr
 
 
-def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+def _fresh_python(script: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """``script`` run with ``args`` in a new interpreter, with ``env`` added to its environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", script, *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+@pytest.mark.parametrize("argv", [
+    # an orientable chain: its blocks carry the string labels x and z
+    ("gen", "--n", "21", "--t", "4", "--kind", "orientable"),
+    ("verify", str(Path(catalog.__file__).parent / "data" / "catalog" / "phi_7_2_plus.emap")),
+])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    script = "import sys\nfrom quadforge import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    outputs = [_fresh_python(script, *argv, PYTHONHASHSEED=seed).stdout for seed in ("0", "1")]
+    assert "quadrangular=true" in outputs[0] and outputs[0] == outputs[1]
 
 
 def test_every_subcommand_runs_without_networkx(tmp_path):

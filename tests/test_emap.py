@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quadforge import catalog, emap, graphalg, serialize, surgery
+from quadforge import catalog, emap, graphalg, planner, serialize, surgery
 from quadforge.emap import Embedding, Graph
 from quadforge.errors import StructuralError
 
@@ -251,3 +251,31 @@ def test_pinched_face_set_rejected():
 def test_edge_used_three_times_rejected():
     with pytest.raises(StructuralError, match="used 3 times"):
         emap.embedding_from_faces([(0, 1, 2), (0, 1, 2), (0, 1, 2)])
+
+
+def test_label_views_rebuild_the_integer_core():
+    embs = [catalog.get_witness(rec.name) for rec in catalog.record_table()]
+    w = catalog.get_witness("phi_11_4_plus_star")
+    # ranks permuted: ints reversed, and every label made a string
+    embs += [surgery.relabel_embedding(w, {v: 99 - v if type(v) is int else v for v in w.labels}),
+             surgery.relabel_embedding(w, {v: f"v{v}" for v in w.labels})]
+    for n, kind in ((50, "nonorientable"), (49, "orientable")):
+        for t in range(n - 3):
+            req = planner.ParamRequest(n=n, t=t, kind=kind)
+            if planner.admissible(req):
+                emb, cert, _ = planner.generate(req)
+                assert emap.certify(emb) == cert and serialize.write_emap(emb)
+                # the output path runs on the core: no label-level view was built
+                assert not {"graph", "rotation", "signature"} & set(vars(emb))
+                embs.append(emb)
+    for emb in embs:
+        again = Embedding(emb.graph, emb.rotation, emb.signature)
+        assert again == emb
+        assert serialize.write_emap(again) == serialize.write_emap(emb)
+
+
+def test_an_edgeless_one_vertex_embedding_certifies():
+    emb = Embedding(Graph.from_edges([], [0]), {0: ()}, {})
+    cert = emap.certify(emb)
+    assert (cert.n, cert.edges, cert.chi, cert.min_degree) == (1, 0, 1, 0)
+    assert serialize.write_emap(emb) == "emap 1\nV 1\nE 0\nr 0 : \n"
