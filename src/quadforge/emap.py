@@ -131,11 +131,6 @@ class Graph:
         return tuple(sorted(self.edges, key=lambda e: rank[e[0]] * n + rank[e[1]]))
 
     @cached_property
-    def _edge_id(self) -> dict:
-        """Edge -> its id: its index in the sorted edge order."""
-        return {e: i for i, e in enumerate(self._edge_order)}
-
-    @cached_property
     def _incidence(self) -> dict:
         """Vertex -> its incident edges, in sorted edge order."""
         inc = {v: [] for v in self._order}
@@ -183,10 +178,6 @@ class Graph:
         return list(self._edge_order)
 
 
-def min_degree(g: Graph) -> int:
-    return min(map(len, g._incidence.values()))
-
-
 def universal_vertices(g: Graph) -> set:
     n = len(g.vertices)
     return {v for v, es in g._incidence.items() if len(es) == n - 1}
@@ -232,7 +223,7 @@ class Embedding:
     def __init__(self, graph: Graph, rotation: Mapping, signature: Mapping):
         if not graph.is_connected():
             raise StructuralError("embedding requires a connected graph")
-        eid = graph._edge_id
+        eid = {e: i for i, e in enumerate(graph._edge_order)}
         rot, cycles = {}, []
         for v, incident in graph._incidence.items():
             if v not in rotation:
@@ -300,6 +291,7 @@ class Embedding:
 
     @cached_property
     def graph(self) -> Graph:
+        """The labelled graph, its edges numbered as the core numbers them."""
         labels, ends = self.labels, self.ends
         return Graph(frozenset(labels),
                      frozenset([(labels[a], labels[b]) for a, b in zip(ends[0::2], ends[1::2])]))

@@ -125,26 +125,23 @@ def parse_emap(text: str) -> Embedding:
     m = len(edges_by_id)
     if declared.get("E", m) != m:
         raise FormatError(f"E declares {declared['E']} edges, file lists {m}")
-    order = tuple(sorted({u for u, v, _ in edges_by_id.values()}
-                         | {v for u, v, _ in edges_by_id.values()}, key=vkey))
-    n = len(order)
-    rank = {u: i for i, u in enumerate(order)}
+    vertices = tuple(sorted({u for u, v, _ in edges_by_id.values()}
+                            | {v for u, v, _ in edges_by_id.values()}, key=vkey))
+    n = len(vertices)
+    rank = {u: i for i, u in enumerate(vertices)}
     # file id -> the edge's key, rank a * n + rank b, which sorts as the edge ids do
-    keyed = {i: rank[u] * n + rank[v] for i, (u, v, _) in edges_by_id.items()}
-    keys = sorted(keyed.values())
-    if len(set(keys)) != m:
+    key = {i: rank[u] * n + rank[v] for i, (u, v, _) in edges_by_id.items()}
+    if len(set(key.values())) != m:
         raise FormatError("the same edge appears under two ids")
     if declared.get("V", n) != n:
         raise FormatError(f"V declares {declared['V']} vertices, edges mention {n}")
-    cid = {key: e for e, key in enumerate(keys)}
-    canon = {i: cid[key] for i, key in keyed.items()}  # file id -> edge id
+    order = sorted(key, key=key.__getitem__)  # the file's edge ids, by end ranks
+    canon = {i: e for e, i in enumerate(order)}  # file id -> edge id
     ends = []
-    for key in keys:
-        ends += divmod(key, n)
-    sign = [0] * m
-    for i, (_, _, s) in edges_by_id.items():
-        sign[canon[i]] = s
-    incident = [[] for _ in order]  # each rank's edge ids, ascending
+    for i in order:
+        ends += divmod(key[i], n)
+    sign = [edges_by_id[i][2] for i in order]
+    incident = [[] for _ in vertices]  # each rank's edge ids, ascending
     for e, r in enumerate(ends):
         incident[r].append(e >> 1)
     rot = [None] * n
@@ -160,7 +157,7 @@ def parse_emap(text: str) -> Embedding:
             raise FormatError(f"rotation at {v!r} is not a permutation of its incident edges")
         k = cyc.index(incident[r][0])  # start at the smallest edge, as Embedding does
         rot[r] = cyc[k:] + cyc[:k]
-    missing = [u for u, cyc in zip(order, rot) if cyc is None]
+    missing = [u for u, cyc in zip(vertices, rot) if cyc is None]
     if missing:
         raise FormatError(f"no rotation for vertices {missing}")
-    return Embedding._of_core(order, ends, rot, sign)
+    return Embedding._of_core(vertices, ends, rot, sign)

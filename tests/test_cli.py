@@ -471,15 +471,20 @@ def _fresh_python(script: str, *args: str, **env: str) -> subprocess.CompletedPr
     return proc
 
 
-@pytest.mark.parametrize("argv", [
+SHIPPED = Path(catalog.__file__).parent / "data" / "catalog"
+
+
+@pytest.mark.parametrize("argv, expect", [
     # an orientable chain: its blocks carry the string labels x and z
-    ("gen", "--n", "21", "--t", "4", "--kind", "orientable"),
-    ("verify", str(Path(catalog.__file__).parent / "data" / "catalog" / "phi_7_2_plus.emap")),
+    (("gen", "--n", "21", "--t", "4", "--kind", "orientable"), "quadrangular=true"),
+    (("verify", str(SHIPPED / "phi_7_2_plus.emap")), "quadrangular=true"),
+    # the faces are numbered in the order the ranks trace them
+    (("dual", str(SHIPPED / "phi_11_4_plus_star.emap")), "via 0-x"),
 ])
-def test_output_does_not_depend_on_the_hash_seed(argv):
+def test_output_does_not_depend_on_the_hash_seed(argv, expect):
     script = "import sys\nfrom quadforge import cli\nsys.exit(cli.main(sys.argv[1:]))"
     outputs = [_fresh_python(script, *argv, PYTHONHASHSEED=seed).stdout for seed in ("0", "1")]
-    assert "quadrangular=true" in outputs[0] and outputs[0] == outputs[1]
+    assert expect in outputs[0] and outputs[0] == outputs[1]
 
 
 def test_every_subcommand_runs_without_networkx(tmp_path):
