@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nx_oracle import vf2_isomorphic
-from quadforge import graphalg
+from quadforge import graphalg, search
 from quadforge.emap import Graph
 from quadforge.errors import StructuralError
 
@@ -110,6 +111,25 @@ def test_canonical_form_separates_what_refinement_cannot():
     assert graphalg.canonical_form(graphalg.empty_graph(3)) == (3, ())
     assert graphalg.canonical_form(graphalg.complete(8))[1] == tuple(
         itertools.combinations(range(8), 2))
+
+
+# The forms themselves, pinned: every sweep candidate class for n <= 7 and
+# chi in {0, 1, 2} (63 classes), then the graphs of the test above.  A change
+# to the refinement must keep every form, not only which graphs they merge.
+CANONICAL_FORMS_DIGEST = "cff14d7042b48466099851b317346db030054e958a0ff2f5f34bfa63b390706c"
+
+
+def test_canonical_forms_are_pinned():
+    graphs = [g for n in range(4, 8) for chi in (0, 1, 2) for g in search.candidate_graphs(n, chi)]
+    assert len(graphs) == 63
+    graphs += [graphalg.complete(8), graphalg.empty_graph(3)]
+    for a, b in [((6,), (3, 3)), ((8,), (4, 4)), ((8,), (5, 3))]:
+        graphs += [cycles(*a), cycles(*b)]
+    graphs += [graphalg.complement(cycles(6)), graphalg.complement(cycles(3, 3))]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(repr(graphalg.canonical_form(g)).encode())
+    assert digest.hexdigest() == CANONICAL_FORMS_DIGEST
 
 
 @st.composite
