@@ -237,9 +237,10 @@ def canonical_form(g: Graph) -> tuple:
     def refine(colour: list) -> list:
         count = len(set(colour))
         while True:
-            sig = [(colour[v], tuple(sorted(colour[w] for w in adj[v]))) for v in range(n)]
+            at = colour.__getitem__
+            sig = [(c, tuple(sorted(map(at, a)))) for c, a in zip(colour, adj)]
             rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-            colour = [rank[s] for s in sig]
+            colour = list(map(rank.__getitem__, sig))
             if len(rank) == count:
                 return colour
             count = len(rank)
