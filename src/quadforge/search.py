@@ -2,11 +2,20 @@
 
 One engine, ``_QuadSearcher``: depth-first search over signed rotation
 systems that builds quadrangular faces one at a time, always extending the
-face of the lexicographically smallest open tracing state.  Partial walks
-that cannot close at length 4 are pruned immediately.  Symmetry is broken by
-fixing every spanning-tree edge sign to +1 (each switching class has exactly
-one such representative) and by orienting one high-degree vertex's rotation
-(quotienting the global reflection).
+face of the lexicographically smallest open tracing state.  Symmetry is
+broken by fixing every spanning-tree edge sign to +1 (each switching class
+has exactly one such representative) and by orienting one high-degree
+vertex's rotation (quotienting the global reflection).
+
+The search is a driver loop over a stack of per-face generators.  Each
+generator builds one face, at most four states deep, and hands it back to
+the driver when it closes; the driver pushes a generator for the next open
+face, or yields the complete system when no face is left open, and resumes
+the top generator to undo the face and try its next branch.  So the nesting
+is at most four generators deep, whatever the edge count.  A node is one
+state tried as the next state of a face, and a budget counts nodes.  A
+state that would end a face's fourth step at a vertex other than the face's
+start is a dead end: it counts as a node but gets no generator frame.
 
 The engine works in ``emap``'s one encoding of a face-tracing state: edges
 numbered in ``Graph.sorted_edges()`` order, vertices ranked by ``vkey``, the
@@ -46,6 +55,8 @@ class WitnessSpec(NamedTuple):
     def validate(self) -> None:
         n = len(self.graph.vertices)
         m = len(self.graph.edges)
+        if m == 0:
+            raise SearchError("the target graph has no edge, so its embedding has no face")
         if m % 2 != 0:
             raise SearchError(f"quadrangular embedding needs an even edge count, got {m}")
         if self.chi != n - m // 2:
@@ -154,15 +165,29 @@ class _QuadSearcher:
     the closed faces, each with its reverse ``s ^ 3`` or ``s ^ 2``.  Every
     move is undone by the frame that made it.
 
-    Every corner is linked through ``_can_link``, never found linked.  A
-    dart's link is made only by the step turning its corner.  A second turn
-    would come from the same state, which is done or held once by the path,
-    or from its reverse.  A reverse on a closed face had the state marked
-    done by ``_close``.  One on the open path would make the stretch between
-    them read the same reversed: that needs a state that is its own reverse,
-    or a step from a state to its reverse, which turns a degree-1 corner and
-    so keeps the orientation bit that the reverse flips.  Neither exists.
-    A corner found linked would be pruned by ``_can_link``, not built wrong.
+    ``search`` keeps a stack of ``_extend`` generators, one per face: the
+    closed faces, then the one being built.  ``_extend`` makes one frame
+    per state of its face, so at most four; when ``_close`` marks the face
+    done it yields the face's first state to ``search``, which pushes a
+    generator for the next open state (``done.find``) or yields
+    ``_build()`` when none is left, then resumes the face to unmark it.
+    Each state tried is a node, counted against the budget on entry.  A
+    state whose head would end the fourth step away from the face's start
+    would be refused for every sign, so its parent counts it and, when its
+    edge sign is open, draws the sign shuffle its frame would have drawn,
+    without making the frame: the node count and the randomized branch
+    order are as if the frame were made.
+
+    Every corner is linked through the link check in ``_extend``, never
+    found linked.  A dart's link is made only by the step turning its
+    corner.  A second turn would come from the same state, which is done or
+    held once by the path, or from its reverse.  A reverse on a closed face
+    had the state marked done by ``_close``.  One on the open path would
+    make the stretch between them read the same reversed: that needs a
+    state that is its own reverse, or a step from a state to its reverse,
+    which turns a degree-1 corner and so keeps the orientation bit that the
+    reverse flips.  Neither exists.
+    A corner found linked would be pruned by the link check, not built wrong.
     """
 
     def __init__(self, graph: Graph, orientable: bool | None, rng: random.Random | None = None):
@@ -198,68 +223,95 @@ class _QuadSearcher:
                     order.append(w)
         return sign
 
-    def _can_link(self, a: int, b: int) -> bool:
-        """Whether the rotation at a's vertex may step from dart a to dart b:
-        both are free, and a cycle closes only through every dart there."""
-        nxt = self.nxt
-        if nxt[a] >= 0 or self.prv[b] >= 0:
-            return False
-        cur, k = b, 1
-        while nxt[cur] >= 0:
-            cur = nxt[cur]
-            k += 1
-        return cur != a or k == len(self.darts[self.vertex[a]])
-
     def search(self, budget: int | None) -> Iterator[Embedding]:
+        """Every complete system, in branch order.  A stack of face
+        generators, each ``_extend`` at the first open state when it was
+        pushed: a face that closes is handed back here, which pushes the next
+        open face or yields the system when none is left, then resumes the
+        top face to undo its marks and take its next branch."""
         self.budget = budget
-        yield from self._next_face(0)
-
-    def _next_face(self, start: int):
-        # the states below the first state of the face just closed are all done
-        start = self.done.find(0, start)
-        if start < 0:
-            yield self._build()
-        else:
-            yield from self._extend([start])
+        done, faces, start = self.done, [], 0
+        while True:
+            # the states below the first state of the face just closed are all done
+            start = done.find(0, start)
+            if start < 0:
+                yield self._build()
+            else:
+                faces.append(self._extend([start]))
+            while faces:
+                start = next(faces[-1], None)
+                if start is not None:
+                    break
+                faces.pop()
+            else:
+                return
 
     def _extend(self, path: list):
+        """Extend the face whose states so far are ``path`` by each state
+        that may follow the last one, one frame per state, so at most four
+        deep; yield ``path[0]`` each time the face closes, with its states
+        marked done until resumed.  A state that would end the fourth step at
+        a vertex other than the face's start is refused for every sign, so
+        it is counted as a node here, with the sign shuffle its frame would
+        have drawn, and gets no frame."""
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise _Budget()
         sign, nxt, prv, done, rng = self.sign, self.nxt, self.prv, self.done, self.rng
-        s = path[-1]
+        vertex, refl = self.vertex, self.refl
+        s, first, depth = path[-1], path[0], len(path)
         e, hd = s >> 2, (s >> 1) ^ 1  # the edge and its dart at the head
-        closing = len(path) == 4
-        signs = [sign[e]] if sign[e] else [1, -1]
-        if rng is not None and len(signs) > 1:
+        closing, last = depth == 4, depth == 3  # ``last``: a child ends the fourth step
+        start = vertex[first >> 1]
+        darts = self.darts[vertex[hd]]
+        degree = len(darts)
+        signs = (sign[e],) if sign[e] else [1, -1]
+        if rng is not None and not sign[e]:
             rng.shuffle(signs)
         for sg in signs:
             o = (s & 1) ^ (sg < 0)  # orientation bit after crossing e
-            if closing and (o != path[0] & 1 or self.vertex[path[0] >> 1] != self.vertex[hd]):
-                continue
+            if closing and o != first & 1:
+                continue  # (the head is at the start's vertex: see the dead ends below)
             # corner at the head: o = +1 links d to hd, o = -1 links hd to d
-            choices = (path[0] >> 1,) if closing else self.darts[self.vertex[hd]]
+            choices = (first >> 1,) if closing else darts
             if rng is not None and len(choices) > 1:
                 choices = list(choices)
                 rng.shuffle(choices)
             for d in choices:
                 a, b = (d, hd) if o else (hd, d)
-                if not self._can_link(a, b):
+                # the rotation may step from a to b: both are free, and a
+                # cycle closes only through every dart at the vertex
+                if nxt[a] >= 0 or prv[b] >= 0:
+                    continue
+                cur, k = b, 1
+                while nxt[cur] >= 0:
+                    cur = nxt[cur]
+                    k += 1
+                if cur == a and k != degree:
                     continue
                 fresh = not sign[e]
                 sign[e] = sg  # sg is the sign already set on an edge that is not fresh
                 nxt[a], prv[b] = b, a
-                if self.refl in (a, b) and nxt[self.refl] > prv[self.refl] >= 0:
+                if refl in (a, b) and nxt[refl] > prv[refl] >= 0:
                     pass  # the mirror image of this branch is searched instead
                 elif closing:
                     marked = self._close(path)
                     if marked:
-                        yield from self._next_face(path[0])
+                        yield first
                         for t in marked:
                             done[t] = 0
                 else:
                     t = 2 * d + o
-                    if not done[t] and t not in path:
+                    if done[t] or t in path:
+                        pass
+                    elif last and vertex[d ^ 1] != start:
+                        # a dead end: its frame would refuse every sign
+                        self.nodes += 1
+                        if self.budget is not None and self.nodes > self.budget:
+                            raise _Budget()
+                        if rng is not None and not sign[d >> 1]:
+                            rng.shuffle([1, -1])
+                    else:
                         path.append(t)
                         yield from self._extend(path)
                         path.pop()

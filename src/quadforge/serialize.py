@@ -62,8 +62,12 @@ def _label_tokens(labels: tuple, ends: list) -> list:
 
 
 def write_emap(emb: Embedding) -> str:
-    """The emap text of ``emb``, written from its core."""
+    """The emap text of ``emb``, written from its core.  A vertex on no
+    edge is refused: the reader takes the vertices from the edge lines."""
     ends, sign = emb.ends, emb.sign
+    if not all(emb.rot):
+        v = next(v for v, cyc in zip(emb.labels, emb.rot) if not cyc)
+        raise FormatError(f"vertex {v!r} is on no edge and cannot be read back")
     tok = _label_tokens(emb.labels, ends)
     lines = ["emap 1", f"V {len(tok)}", f"E {len(sign)}"]
     lines += [f"e {i} {tok[a]} {tok[b]} {'+' if s == 1 else '-'}"

@@ -170,6 +170,24 @@ def test_search_unsatisfiable(tmp_path, capsys):
     assert "no witness" in stderr
 
 
+def test_search_refuses_an_edgeless_graph_and_writes_nothing(tmp_path, capsys):
+    spec, out = tmp_path / "k1.spec", tmp_path / "k1.emap"
+    spec.write_text("graph K(1)\nchi 1\n")
+    code, _, stderr = run(capsys, "search", "--spec", str(spec), "--out", str(out))
+    assert (code, "error: the target graph has no edge" in stderr) == (1, True)
+    assert not out.exists()
+
+
+def test_search_of_a_large_planar_quadrangulation_is_verified(tmp_path, capsys):
+    # 520 edges: the search's depth does not grow with the edge count
+    spec, out = tmp_path / "k2.spec", tmp_path / "k2.emap"
+    spec.write_text("graph Kmn(2, 260)\nchi 2\norientable true\n")
+    assert run(capsys, "search", "--spec", str(spec), "--out", str(out))[0] == 0
+    code, stdout, _ = run(capsys, "verify", str(out), "--expect", "edges=520",
+                          "--expect", "chi=2", "--expect", "quadrangular=true")
+    assert (code, "orientable=true" in stdout) == (0, True)
+
+
 BAD_SPEC_FILES = [
     ("graph K(4)\n", "needs both a graph and a chi line"),
     ("graph K(4)\nchi x\n", "line 2"),

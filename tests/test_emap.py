@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quadforge import catalog, emap, graphalg, planner, serialize, surgery
 from quadforge.emap import Embedding, Graph
-from quadforge.errors import StructuralError
+from quadforge.errors import FormatError, StructuralError
 
 
 def square_sphere() -> Embedding:
@@ -278,4 +278,6 @@ def test_an_edgeless_one_vertex_embedding_certifies():
     emb = Embedding(Graph.from_edges([], [0]), {0: ()}, {})
     cert = emap.certify(emb)
     assert (cert.n, cert.edges, cert.chi, cert.min_degree) == (1, 0, 1, 0)
-    assert serialize.write_emap(emb) == "emap 1\nV 1\nE 0\nr 0 : \n"
+    # the reader takes the vertices from the edge lines, so the writer refuses
+    with pytest.raises(FormatError, match="vertex 0 is on no edge"):
+        serialize.write_emap(emb)

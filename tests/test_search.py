@@ -104,6 +104,33 @@ def test_exhaustive_none_is_pinned(k, chi, predicates, nodes):
     assert (res.status, res.nodes) == ("none", nodes)
 
 
+def test_exact_search_depth_does_not_grow_with_the_edge_count():
+    # 520 edges, so 2,080 tracing states: one frame per state would pass
+    # Python's recursion limit
+    res = search.search_exact(search.WitnessSpec(graphalg.complete_bipartite(2, 260), 2, True))
+    assert res.status == "found"
+    assert emap.is_quadrangular(res.embedding) and emap.is_orientable(res.embedding)
+
+
+@pytest.mark.parametrize("name", ["phi_7_0_plus", "phi_7_2_plus"])
+def test_dead_end_states_get_no_frame(monkeypatch, name):
+    # a state that would end a face's fourth step away from its start is a
+    # node but not an ``_extend`` frame; those were most of the nodes
+    frames = []
+    extend = search._QuadSearcher._extend
+
+    def counted(self, path):
+        frames.append(len(path))
+        return extend(self, path)
+
+    monkeypatch.setattr(search._QuadSearcher, "_extend", counted)
+    rec = _record(name)
+    res = search.search_exact(rec.spec_for(rec.graphs()[0]))
+    assert res.nodes == EXACT_NODES[name]
+    assert 2 * len(frames) <= res.nodes
+    assert max(frames) == 4
+
+
 def _record(name: str) -> catalog.CatalogRecord:
     return next(rec for rec in catalog.record_table() if rec.name == name)
 
