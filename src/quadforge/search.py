@@ -186,8 +186,8 @@ class _QuadSearcher:
     make the stretch between them read the same reversed: that needs a
     state that is its own reverse, or a step from a state to its reverse,
     which turns a degree-1 corner and so keeps the orientation bit that the
-    reverse flips.  Neither exists.
-    A corner found linked would be pruned by the link check, not built wrong.
+    reverse flips.  Neither exists.  A corner found linked would be pruned
+    by the link check, not built wrong.
     """
 
     def __init__(self, graph: Graph, orientable: bool | None, rng: random.Random | None = None):
@@ -224,11 +224,8 @@ class _QuadSearcher:
         return sign
 
     def search(self, budget: int | None) -> Iterator[Embedding]:
-        """Every complete system, in branch order.  A stack of face
-        generators, each ``_extend`` at the first open state when it was
-        pushed: a face that closes is handed back here, which pushes the next
-        open face or yields the system when none is left, then resumes the
-        top face to undo its marks and take its next branch."""
+        """Every complete system, in branch order, from the stack of face
+        generators described above."""
         self.budget = budget
         done, faces, start = self.done, [], 0
         while True:
@@ -248,12 +245,8 @@ class _QuadSearcher:
 
     def _extend(self, path: list):
         """Extend the face whose states so far are ``path`` by each state
-        that may follow the last one, one frame per state, so at most four
-        deep; yield ``path[0]`` each time the face closes, with its states
-        marked done until resumed.  A state that would end the fourth step at
-        a vertex other than the face's start is refused for every sign, so
-        it is counted as a node here, with the sign shuffle its frame would
-        have drawn, and gets no frame."""
+        that may follow the last one; yield ``path[0]`` each time the face
+        closes, with its states marked done until resumed."""
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise _Budget()
