@@ -211,61 +211,147 @@ def canonical_form(g: Graph) -> tuple:
     """``(n, edges)`` of a relabelling onto 0..n-1 that depends only on the
     isomorphism class of g: two graphs are isomorphic iff their forms are equal.
 
-    Colour refinement splits the vertices by degree, then by the colours of
-    their neighbours, until the partition is stable.  While a cell has more
-    than one vertex, each of its vertices is individualised in turn and the
-    partition refined again; every discrete partition reached is a
-    relabelling, and the least sorted edge list over all of them is the
-    form.  Every choice depends only on the colours, so isomorphic graphs
-    reach the same set of edge lists.  Of two twins in the target cell
-    (vertices with the same neighbours apart from each other) only the first
-    is tried: swapping them is an automorphism that fixes the current
-    colouring, so their subtrees reach the same edge lists.  This keeps
-    complete and empty graphs linear instead of factorial.
+    g's vertices are ranked by ``vkey`` and the form is ``_canonical_form``'s
+    on the ranks.
     """
-    verts = g.sorted_vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [[] for _ in verts]
-    for u, v in g.edges:
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
-    n = len(adj)
-    nbrs = [frozenset(a) for a in adj]
-    edges = [(index[u], index[v]) for u, v in g.edges]
+    index = {v: i for i, v in enumerate(g.sorted_vertices())}
+    return _canonical_form(len(index), [(index[u], index[v]) for u, v in g.edges])
+
+
+def _canonical_form(n: int, edges) -> tuple:
+    """``canonical_form`` of the graph on range(n) with the given edge pairs.
+
+    Colour refinement splits the vertices by degree, then by the colours of
+    their neighbours, until the partition is stable or discrete.  While a
+    cell has more than one vertex, each of its vertices is individualised in
+    turn and the partition refined again; every discrete partition reached
+    (a leaf) is a relabelling, and the least sorted edge list over all of
+    them is the form.  Every choice depends only on the colours, so
+    isomorphic graphs reach the same set of edge lists.
+
+    The tree is pruned by automorphisms, which keeps the minimum (McKay &
+    Piperno, "Practical graph isomorphism, II", 2014).  Two leaves with the
+    same edge list give one: the map between their labellings.  So do twins
+    (vertices with the same neighbours apart from each other), swapped.  An
+    automorphism that fixes a node's individualised vertices maps the
+    subtree of each of its children onto the subtree of the child's image,
+    with the same edge lists.  So a child in the orbit of a child already
+    explored, under the automorphisms known to fix the node, is skipped, and
+    when a new automorphism puts the child being explored in such an orbit,
+    the search returns to that node.
+    """
+    adj = [[] for _ in range(n)]
+    heads, tails = [u for u, _ in edges], [v for _, v in edges]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    # Twins have equal open neighbourhoods if apart, equal closed ones if
+    # adjacent.  A vertex has twins of one kind only, and no open
+    # neighbourhood equals a closed one, so one dict keyed by both names each
+    # class by its first vertex.
+    twin, first = [], {}
+    for v, a in enumerate(adj):
+        nbrs = frozenset(a)
+        twin.append(first.setdefault(nbrs, first.setdefault(nbrs | {v}, v)))
+    autos: list = []  # each automorphism found at a leaf, as the list of images
+    leaves: dict = {}  # edge list -> the colouring of the first leaf with it
+    path: list = []  # per node on the path: [fixed vertices, orbit forest, tried, child]
     best = None
+
+    # A round ranks the vertices by colour, then by the sorted colours of
+    # their neighbours.  Vertices of one colour have one degree, so two such
+    # lists compare as their counts of colour 0, 1, ..., the larger count
+    # first: as the sums of weight[c] = n**(2n-1-c) over the neighbours, the
+    # larger sum first.  A count is below n and a colour below 2n, so a sum
+    # is below top.
+    weight = [n ** (2 * n - 1 - c) for c in range(2 * n)]
+    top = n ** (2 * n)
 
     def refine(colour: list) -> list:
         count = len(set(colour))
         while True:
-            at = colour.__getitem__
-            sig = [(c, tuple(sorted(map(at, a)))) for c, a in zip(colour, adj)]
+            at = [weight[c] for c in colour].__getitem__
+            sig = [c * top - sum(map(at, a)) for c, a in zip(colour, adj)]
             rank = {s: i for i, s in enumerate(sorted(set(sig)))}
             colour = list(map(rank.__getitem__, sig))
-            if len(rank) == count:
+            # stable, or discrete: a further round, sorting by the old colours
+            # first, would change nothing
+            if len(rank) == count or len(rank) == n:
                 return colour
             count = len(rank)
 
-    def descend(colour: list) -> None:
-        nonlocal best
-        cells: dict = {}
-        for v, c in enumerate(colour):
-            cells.setdefault(c, []).append(v)
-        if len(cells) == n:
-            form = tuple(sorted((min(colour[u], colour[v]), max(colour[u], colour[v]))
-                                for u, v in edges))
-            if best is None or form < best:
-                best = form
-            return
-        target = min((len(vs), c) for c, vs in cells.items() if len(vs) > 1)[1]
-        tried: list = []
-        for v in cells[target]:
-            if any(nbrs[v] - {u} == nbrs[u] - {v} for u in tried):
-                continue
-            tried.append(v)
-            descend(refine([2 * c + (c == target and w != v) for w, c in enumerate(colour)]))
+    def root(forest: list, v: int) -> int:
+        while forest[v] != v:
+            v = forest[v]
+        return v
 
-    descend(refine([0] * n))
-    return n, best
+    def merge(forest: list, gamma: list) -> None:
+        for v, w in enumerate(gamma):
+            v, w = root(forest, v), root(forest, w)
+            if v != w:
+                forest[max(v, w)] = min(v, w)
+
+    def leaf(colour: list) -> int | None:
+        """Take the leaf's edge list; the depth to return to, if it shows the
+        child being explored there repeats one already explored."""
+        nonlocal best
+        # edge (a, b), a < b, as a * n + b: the same order as the pairs
+        form = tuple(sorted([a * n + b if a < b else b * n + a
+                             for a, b in zip(map(colour.__getitem__, heads),
+                                             map(colour.__getitem__, tails))]))
+        if best is None or form < best:
+            best = form
+        earlier = leaves.setdefault(form, colour)
+        if earlier is colour:
+            return None
+        vertex = [0] * n
+        for v, c in enumerate(colour):
+            vertex[c] = v
+        gamma = [vertex[c] for c in earlier]
+        autos.append(gamma)
+        for depth, (fixed, forest, tried, child) in enumerate(path):
+            if any(gamma[v] != v for v in fixed):
+                return None  # nor does it fix the deeper nodes' vertices
+            merge(forest, gamma)
+            r = root(forest, child)
+            if any(root(forest, u) == r for u in tried):
+                return depth
+        return None
+
+    def descend(colour: list, fixed: list) -> int | None:
+        """Explore the node that individualised ``fixed``; the depth to
+        return to, or None."""
+        count = max(colour, default=-1) + 1  # refined colours are 0..count-1
+        if count == n:
+            return leaf(colour)
+        cells = [[] for _ in range(count)]
+        for v, c in enumerate(colour):
+            cells[c].append(v)
+        target = min((len(vs), c) for c, vs in enumerate(cells) if len(vs) > 1)[1]
+        forest = twin[:]
+        for gamma in autos:
+            if all(gamma[v] == v for v in fixed):
+                merge(forest, gamma)
+        depth, tried = len(path), []
+        node = [fixed, forest, tried, None]
+        path.append(node)
+        for v in cells[target]:
+            r = root(forest, v)
+            if any(root(forest, u) == r for u in tried):
+                continue
+            node[3] = v
+            back = descend(refine([2 * c + (c == target and w != v)
+                                   for w, c in enumerate(colour)]), fixed + [v])
+            if back is not None and back < depth:
+                path.pop()
+                return back
+            tried.append(v)
+        path.pop()
+        return None
+
+    degrees = sorted({len(a) for a in adj})  # one round from a single colour ranks these
+    descend(refine([degrees.index(len(a)) for a in adj]), [])
+    return n, tuple([divmod(e, n) for e in best])
 
 
 # ---------------------------------------------------------------------------

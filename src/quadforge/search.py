@@ -388,10 +388,12 @@ ENUMERATION_VERTEX_CAP = 8
 
 def enumerate_embeddings(g: Graph, predicates=(), chi: int | None = None,
                          orientable: bool | None = None) -> Iterator[Embedding]:
-    """All quadrangular embeddings of g up to switching and reflection, filtered."""
+    """All quadrangular embeddings of g up to switching and reflection,
+    filtered.  A graph with no edge, an odd edge count or more than one
+    component has none."""
     if len(g.vertices) > ENUMERATION_VERTEX_CAP:
         raise SearchError(f"enumeration is capped at {ENUMERATION_VERTEX_CAP} vertices")
-    if len(g.edges) % 2 != 0 or not g.is_connected():
+    if not g.edges or len(g.edges) % 2 != 0 or not g.is_connected():
         return
     spec = WitnessSpec(g, chi, orientable, predicates)
     for emb in _QuadSearcher(g, None).search(None):
@@ -424,9 +426,10 @@ def candidate_graphs(n: int, chi: int) -> Iterator[Graph]:
     that cannot end in such a labeling: a vertex above degree d or above its
     predecessor in its block (whose degree is final once its row of pairs is
     decided), below degree 3 with too few undecided pairs left, or too few
-    pairs left for the edges still missing.  The labelings of one class that
-    remain are merged by ``graphalg.canonical_form``; the first one found is
-    yielded.
+    pairs left for the edges still missing.  The labelings that remain are
+    tested for connectivity and merged by ``graphalg._canonical_form`` on
+    their own edge lists; only the first labeling of each class is built
+    into a ``Graph`` and yielded.
     """
     from . import graphalg
 
@@ -436,13 +439,27 @@ def candidate_graphs(n: int, chi: int) -> Iterator[Graph]:
     seen = set()
     for d in range(-(-2 * m // n), n):  # n vertices of degree <= d carry 2m ends
         for edges in _rooted_labelings(n, m, d):
-            g = Graph.from_edges(edges, vertices=range(n))
-            if not g.is_connected():
+            if not _connected(n, edges):
                 continue
-            form = graphalg.canonical_form(g)
+            form = graphalg._canonical_form(n, edges)
             if form not in seen:
                 seen.add(form)
-                yield g
+                yield Graph.from_edges(edges, vertices=range(n))
+
+
+def _connected(n: int, edges: list) -> bool:
+    """Whether the graph on range(n) with these edges is connected."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
 
 
 def _rooted_labelings(n: int, m: int, d: int) -> Iterator[list]:
@@ -450,6 +467,8 @@ def _rooted_labelings(n: int, m: int, d: int) -> Iterator[list]:
     N(0) = {1..d} and degrees nonincreasing along 1..d and along d+1..n-1.
     The pairs (0, j) are fixed; the others are decided in lexicographic
     order, so every vertex below a pair's first end has its final degree.
+    The vertices are already 0..n-1, so ``graphalg._canonical_form`` reads
+    a list as it is.  Some lists are of disconnected graphs.
     """
     pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
     deg = [d] + [1] * d + [0] * (n - 1 - d)

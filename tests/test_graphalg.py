@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import canonical_reference
 from nx_oracle import vf2_isomorphic
 from quadforge import graphalg, search
 from quadforge.emap import Graph
@@ -171,6 +172,36 @@ def regular_graphs(draw):
     for _ in range(draw(st.integers(1, 4))):
         g = _two_switch(g, draw)
     return g
+
+
+def _connected_labelings(n: int, chi: int):
+    """Each connected rooted labeling ``candidate_graphs(n, chi)`` merges."""
+    m = 2 * (n - chi)
+    for d in range(3, n):
+        for edges in search._rooted_labelings(n, m, d):
+            g = Graph.from_edges(edges, vertices=range(n))
+            if g.is_connected():
+                yield edges, g
+
+
+@pytest.mark.parametrize("n, chi", [(n, chi) for n in range(4, 8) for chi in (0, 1, 2)]
+                         + [(8, 2)])
+def test_canonical_form_equals_the_reference_on_every_labeling(n, chi):
+    count = 0
+    for edges, g in _connected_labelings(n, chi):
+        form = canonical_reference.canonical_form(g)
+        assert graphalg.canonical_form(g) == form, edges
+        assert graphalg._canonical_form(n, edges) == form, edges
+        count += 1
+    assert count == {(6, 1): 22, (7, 1): 248, (8, 2): 552}.get((n, chi), count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.one_of(small_graphs(), regular_graphs()), data=st.data())
+def test_canonical_form_equals_the_reference(g, data):
+    h = _relabelled(g, data)
+    assert graphalg.canonical_form(g) == canonical_reference.canonical_form(g)
+    assert graphalg.canonical_form(h) == canonical_reference.canonical_form(h)
 
 
 @settings(max_examples=150, deadline=None)

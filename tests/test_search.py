@@ -170,6 +170,12 @@ def test_enumeration_counts_small_graphs():
     assert len(list(search.enumerate_embeddings(cycle_graph(6), chi=2))) == 0
 
 
+def test_enumeration_of_an_edgeless_graph_is_empty():
+    # no edge, no face: as for an odd edge count or a disconnected graph
+    assert list(search.enumerate_embeddings(graphalg.complete(1))) == []
+    assert list(search.enumerate_embeddings(graphalg.complete(1), chi=1)) == []
+
+
 def test_enumeration_respects_predicates():
     embs = list(search.enumerate_embeddings(
         graphalg.complete(4), (("face_simple",),), chi=1))
@@ -210,6 +216,11 @@ def test_candidate_graphs_degree_floor():
 def test_sweep_projective_small():
     res = search.sweep_minimal("projective", 5)
     assert res[4] == [] and res[5] == []
+
+
+def test_sweep_projective_at_the_cap_is_pinned():
+    res = search.sweep_minimal("projective", search.ENUMERATION_VERTEX_CAP)
+    assert {n: len(hits) for n, hits in res.items()} == {4: 0, 5: 0, 6: 1, 7: 2, 8: 3}
 
 
 def test_sweep_unknown_surface():
@@ -331,3 +342,18 @@ def test_candidate_graphs_are_rooted_and_deterministic():
         assert d == max(g.degree(v) for v in g.vertices)
         assert g.neighbors(0) == set(range(1, d + 1))
     assert got == list(search.candidate_graphs(7, 1))
+
+
+def test_candidate_graphs_build_a_graph_only_for_each_class(monkeypatch):
+    # the 248 rooted labelings at (7, 1) are tested and merged on their edge
+    # lists; only the 18 classes become a Graph
+    calls = []
+    from_edges = Graph.from_edges
+
+    def counted(edges, vertices=()):
+        calls.append(1)
+        return from_edges(edges, vertices)
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(counted))
+    assert len(list(search.candidate_graphs(7, 1))) == 18
+    assert len(calls) == 18
