@@ -173,7 +173,6 @@ def test_enumeration_counts_small_graphs():
 def test_enumeration_of_an_edgeless_graph_is_empty():
     # no edge, no face: as for an odd edge count or a disconnected graph
     assert list(search.enumerate_embeddings(graphalg.complete(1))) == []
-    assert list(search.enumerate_embeddings(graphalg.complete(1), chi=1)) == []
 
 
 def test_enumeration_respects_predicates():
