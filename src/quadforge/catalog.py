@@ -2,8 +2,7 @@
 complete-bipartite quadrangulation builder.
 
 Records come in two flavors.  *Searched* records are acquired once by the
-search module (exhaustive backtracking for small graphs, randomized restarts
-of the same backtracking for large ones), persisted as emap files, and
+search module's exhaustive backtracking, persisted as emap files, and
 re-verified against their property bundle on every load.  *Derived* records
 are rebuilt deterministically from their parents by a named surgery, so they
 regenerate byte-for-byte.  Each record states its own ``op``, ``parent`` and
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 import os
 import threading
-import zlib
 from collections import defaultdict
 from pathlib import Path
 from typing import NamedTuple
@@ -63,11 +61,10 @@ class CatalogRecord(NamedTuple):
     """Specification bundle for one named embedding, and how it is made.
 
     ``op`` says where the witness comes from: ``"searched"`` (exhaustive
-    search), ``"randomized"`` (randomized-restart search), or the surgery
-    that derives it from the witness of ``parent``, with ``args`` as its
-    operands: ``"delete_degree2"`` deletes ``z``, ``"insert_degree2"`` splits
-    the first face at its least corner, and ``"handle"`` adds a handle along
-    each 4-cycle in ``args``.
+    search) or the surgery that derives it from the witness of ``parent``,
+    with ``args`` as its operands: ``"delete_degree2"`` deletes ``z``,
+    ``"insert_degree2"`` splits the first face at its least corner, and
+    ``"handle"`` adds a handle along each 4-cycle in ``args``.
     """
 
     name: str
@@ -129,24 +126,18 @@ def record_table() -> tuple:
                        ("delete_degree2_face_simple", "z"))),
         CatalogRecord("phi_7_4_plus", -1, False,
                       (("nearly_face_simple_except", "x"),)),
-        # Randomized records: their graphs carry 20-48 edges, beyond comfortable
-        # exhaustive backtracking.
         CatalogRecord("phi_7_2_plus_star", -2, True,
-                      (("nearly_face_simple_except", "x"),),
-                      op="randomized"),
+                      (("nearly_face_simple_except", "x"),)),
         CatalogRecord("phi_8_4_star", -4, True,
                       (("face_simple",), ("universal_vertex",),
-                       ("has_handle_site", (4, 5, 6, 7))),
-                      op="randomized"),
+                       ("has_handle_site", (4, 5, 6, 7)))),
         CatalogRecord("phi_10_1_star", -12, True,
-                      (("face_simple",), ("universal_vertex",)),
-                      op="randomized"),
+                      (("face_simple",), ("universal_vertex",))),
         CatalogRecord("phi_11_8_plus_star", -12, True,
                       (("nearly_face_simple_except", "x"),
                        ("has_handle_site", (1, 2, 3, 4)),
                        ("has_handle_site", (5, 6, 7, 8)),
-                       ("double_handle", (1, 2, 3, 4), (5, 6, 7, 8))),
-                      op="randomized"),
+                       ("double_handle", (1, 2, 3, 4), (5, 6, 7, 8)))),
         CatalogRecord("k_6_3", 0, True, (("face_simple",),)),
         CatalogRecord("c4_sphere", 2, True, ()),
         CatalogRecord("klein_6_3", 0, False,
@@ -270,17 +261,10 @@ def _persist(rec: CatalogRecord, emb: Embedding) -> None:
 
 
 def _acquire_searched(rec: CatalogRecord) -> Embedding:
-    spec = rec.spec_for(*rec.graphs())
-    if rec.op == "randomized":
-        result = search.search_randomized(spec, seed=zlib.crc32(rec.name.encode()),
-                                          restarts=search.RANDOMIZED_RESTARTS)
-        budget = f"randomized x{search.RANDOMIZED_RESTARTS}"
-    else:
-        result = search.search_exact(spec, _EXACT_BUDGET)
-        budget = _EXACT_BUDGET
+    result = search.search_exact(rec.spec_for(*rec.graphs()), _EXACT_BUDGET)
     if result.status != "found":
         raise CatalogError(f"{rec.name}: witness search failed "
-                           f"(status={result.status}, budget={budget})")
+                           f"(status={result.status}, budget={_EXACT_BUDGET})")
     return result.embedding
 
 

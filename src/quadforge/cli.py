@@ -61,9 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search for an embedding matching a spec file")
     p.add_argument("--spec", required=True)
-    p.add_argument("--method", choices=("exact", "random"), default="exact")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=_positive_int, default=search.RANDOMIZED_RESTARTS)
     p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
@@ -255,10 +252,7 @@ def _parse_spec_file(text: str) -> search.WitnessSpec:
 def _cmd_search(args) -> int:
     with open(args.spec) as fh:
         spec = _parse_spec_file(fh.read())
-    if args.method == "exact":
-        result = search.search_exact(spec, args.budget)
-    else:
-        result = search.search_randomized(spec, seed=args.seed, restarts=args.restarts)
+    result = search.search_exact(spec, args.budget)
     if result.status == "found":
         _emit(args, result.embedding)
         return 0

@@ -25,18 +25,13 @@ what a partial rotation system needs: per-dart rotation links, the open
 edge signs and the marks of the states already on a closed face.  Each
 complete system becomes an ``Embedding``, which traces its faces into
 orbits of the same states (``Embedding._traced``) the first time a predicate
-reads them.  It is driven two ways:
-
-* ``search_exact`` - one exhaustive run.  With an unlimited budget, "none"
-  is therefore a proof of nonexistence for the labeled graph.
-
-* ``search_randomized`` - many short runs, each with its branch order
-  shuffled, for targets too large to backtrack exhaustively.
+reads them.  ``search_exact`` runs it once, exhaustively, so with an
+unlimited budget "none" is a proof of nonexistence for the labeled graph;
+``enumerate_embeddings`` runs it to the end and filters what it yields.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Iterator, NamedTuple
 
 from . import emap, surgery
@@ -173,10 +168,8 @@ class _QuadSearcher:
     ``_build()`` when none is left, then resumes the face to unmark it.
     Each state tried is a node, counted against the budget on entry.  A
     state whose head would end the fourth step away from the face's start
-    would be refused for every sign, so its parent counts it and, when its
-    edge sign is open, draws the sign shuffle its frame would have drawn,
-    without making the frame: the node count and the randomized branch
-    order are as if the frame were made.
+    would be refused for every sign, so its parent counts it without making
+    the frame: the node count is as if the frame were made.
 
     Every corner is linked through the link check in ``_extend``, never
     found linked.  A dart's link is made only by the step turning its
@@ -190,9 +183,8 @@ class _QuadSearcher:
     by the link check, not built wrong.
     """
 
-    def __init__(self, graph: Graph, orientable: bool | None, rng: random.Random | None = None):
+    def __init__(self, graph: Graph, orientable: bool | None):
         self.graph = graph
-        self.rng = rng  # when set, branch order is shuffled (search stays exhaustive)
         self.edges = graph.sorted_edges()
         rank = {v: i for i, v in enumerate(graph.sorted_vertices())}
         self.vertex = [rank[v] for e in self.edges for v in e]  # dart -> vertex rank
@@ -250,7 +242,7 @@ class _QuadSearcher:
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise _Budget()
-        sign, nxt, prv, done, rng = self.sign, self.nxt, self.prv, self.done, self.rng
+        sign, nxt, prv, done = self.sign, self.nxt, self.prv, self.done
         vertex, refl = self.vertex, self.refl
         s, first, depth = path[-1], path[0], len(path)
         e, hd = s >> 2, (s >> 1) ^ 1  # the edge and its dart at the head
@@ -258,19 +250,12 @@ class _QuadSearcher:
         start = vertex[first >> 1]
         darts = self.darts[vertex[hd]]
         degree = len(darts)
-        signs = (sign[e],) if sign[e] else [1, -1]
-        if rng is not None and not sign[e]:
-            rng.shuffle(signs)
-        for sg in signs:
+        for sg in (sign[e],) if sign[e] else (1, -1):
             o = (s & 1) ^ (sg < 0)  # orientation bit after crossing e
             if closing and o != first & 1:
                 continue  # (the head is at the start's vertex: see the dead ends below)
             # corner at the head: o = +1 links d to hd, o = -1 links hd to d
-            choices = (first >> 1,) if closing else darts
-            if rng is not None and len(choices) > 1:
-                choices = list(choices)
-                rng.shuffle(choices)
-            for d in choices:
+            for d in (first >> 1,) if closing else darts:
                 a, b = (d, hd) if o else (hd, d)
                 # the rotation may step from a to b: both are free, and a
                 # cycle closes only through every dart at the vertex
@@ -302,8 +287,6 @@ class _QuadSearcher:
                         self.nodes += 1
                         if self.budget is not None and self.nodes > self.budget:
                             raise _Budget()
-                        if rng is not None and not sign[d >> 1]:
-                            rng.shuffle([1, -1])
                     else:
                         path.append(t)
                         yield from self._extend(path)
@@ -347,32 +330,6 @@ def search_exact(spec: WitnessSpec, budget: int | None = None) -> SearchResult:
     except _Budget:
         return SearchResult("exhausted", None, searcher.nodes)
     return SearchResult("none", None, searcher.nodes)
-
-
-RANDOMIZED_RESTARTS = 512
-CANDIDATES_PER_RESTART = 4
-
-
-def search_randomized(spec: WitnessSpec, seed: int = 0,
-                      restarts: int = RANDOMIZED_RESTARTS) -> SearchResult:
-    """Random-restart exact backtracking: each restart shuffles branch order
-    and tests the first ``CANDIDATES_PER_RESTART`` quadrangular candidates
-    against the predicates.
-
-    Deterministic for fixed (spec, seed, restarts); no completeness claim —
-    use search_exact for nonexistence proofs.
-    """
-    spec.validate()
-    total = 0
-    for r in range(restarts):
-        searcher = _QuadSearcher(spec.graph, spec.orientable, random.Random(1_000_003 * seed + r))
-        for produced, emb in enumerate(searcher.search(None), start=1):
-            if _matches(emb, spec):
-                return SearchResult("found", emb, total + searcher.nodes)
-            if produced >= CANDIDATES_PER_RESTART:
-                break
-        total += searcher.nodes
-    return SearchResult("none", None, total)
 
 
 def _matches(emb: Embedding, spec: WitnessSpec) -> bool:

@@ -6,11 +6,14 @@ import inspect
 import os
 import shutil
 import sys
+from pathlib import Path
 
 import pytest
 
 from quadforge import catalog, emap, graphalg, search, serialize
 from quadforge.errors import CatalogError, SurgeryError
+
+SHIPPED_CATALOG = Path(catalog.__file__).parent / "data" / "catalog"
 
 
 def test_record_table_names_unique():
@@ -284,6 +287,22 @@ def test_build_kmn_certified_through_k30(m):
         assert emap.is_face_simple(emb) == (n >= 3)
 
 
+def test_catalog_rebuilds_to_the_shipped_bytes(tmp_path, monkeypatch):
+    # the record table alone fixes every witness file and the manifest
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(tmp_path))
+    catalog.clear_cache()
+    try:
+        catalog.build_all()
+    finally:
+        monkeypatch.delenv(catalog.CATALOG_ENV)
+        catalog.clear_cache()
+    shipped = sorted(path.name for path in SHIPPED_CATALOG.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == shipped
+    assert len(shipped) == len(catalog.record_table()) + 1
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() == (SHIPPED_CATALOG / name).read_bytes(), name
+
+
 @pytest.fixture
 def catalog_copy(tmp_path, monkeypatch):
     """A private copy of the shipped catalog, selected through QUADFORGE_CATALOG."""
@@ -296,29 +315,30 @@ def catalog_copy(tmp_path, monkeypatch):
     catalog.clear_cache()
 
 
-def test_failed_anneal_reports_the_budgets_it_ran(catalog_copy, monkeypatch):
+def test_failed_search_reports_the_budget_it_ran(catalog_copy, monkeypatch):
     (catalog_copy / "phi_8_4_star.emap").unlink()
     runs = []
 
-    def miss(spec, **kwargs):
-        runs.append(kwargs.get("restarts"))
-        return search.SearchResult("none", None, 0)
+    def miss(spec, budget=None):
+        runs.append(budget)
+        return search.SearchResult("exhausted", None, 0)
 
-    monkeypatch.setattr(search, "search_randomized", miss)
+    monkeypatch.setattr(search, "search_exact", miss)
     with pytest.raises(CatalogError) as err:
         catalog.get_witness("phi_8_4_star")
-    assert runs == [512]
-    assert "status=none" in str(err.value)
-    assert "budget=randomized x512" in str(err.value)
+    assert runs == [catalog._EXACT_BUDGET]
+    assert "status=exhausted" in str(err.value)
+    assert "budget=50000000" in str(err.value)
     assert not (catalog_copy / "phi_8_4_star.emap").exists()
 
 
-def test_missing_randomized_witness_is_searched_again(catalog_copy):
+def test_missing_searched_witness_is_searched_again(catalog_copy):
     path = catalog_copy / "phi_8_4_star.emap"
     path.unlink()
     emb = catalog.get_witness("phi_8_4_star")
     catalog._verify(catalog.get_record("phi_8_4_star"), emb)
     assert serialize.parse_emap(path.read_text()) == emb
+    assert path.read_bytes() == (SHIPPED_CATALOG / "phi_8_4_star.emap").read_bytes()
     manifest = (catalog_copy / "manifest.txt").read_text()
     assert manifest.count("phi_8_4_star ") == 1
     report = catalog.verify_all()

@@ -255,11 +255,20 @@ def test_search_spec_graph_exit_codes(tmp_path, capsys, expr, code):
     assert (got, ("format error: line 1" if code == 2 else "error:") in stderr) == (code, True)
 
 
-def test_search_method_is_exact_or_random(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value", [("--method", "exact"), ("--seed", "0"),
+                                         ("--restarts", "8")])
+def test_search_has_one_method(tmp_path, capsys, monkeypatch, flag, value):
+    # exhaustive search is the only method, so its options are gone
+    calls = []
+    monkeypatch.setattr(search, "search_exact", lambda *a: calls.append(a))
+    spec = tmp_path / "k4.spec"
+    spec.write_text("graph K(4)\nchi 1\n")
     with pytest.raises(SystemExit) as exc:
-        cli.main(["search", "--spec", str(tmp_path / "any.spec"), "--method", "anneal"])
+        cli.main(["search", "--spec", str(spec), flag, value])
+    captured = capsys.readouterr()
     assert exc.value.code == 2
-    assert "invalid choice: 'anneal'" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert captured.out == "" and calls == []
 
 
 def test_surgery_diamond_via_files(tmp_path, capsys):
@@ -321,7 +330,10 @@ def test_surgery_handle_and_degree2_moves_via_files(tmp_path, capsys):
     assert certificate(stdout)["n"] == "8"
     code, _, stderr = run(capsys, "surgery", "delete2", str(src), "0")
     assert code == 1 and "expected 2" in stderr
-    code, _, stderr = run(capsys, "surgery", "insert2", str(src), "0", "1", "2", "3", "0")
+    walk = (0, 1, 3, 2)
+    faces = catalog.get_witness("phi_8_4_star").faces()
+    assert emap.normalize_walk(walk) not in {emap.normalize_walk(w.vertices) for w in faces}
+    code, _, stderr = run(capsys, "surgery", "insert2", str(src), *map(str, walk), "0")
     assert code == 1 and "no face matches" in stderr
     code, _, _ = run(capsys, "surgery", "delete2", str(tmp_path / "missing.emap"), "0")
     assert code == 2
@@ -603,33 +615,16 @@ def test_forced_sweep_past_the_cap_fails_at_once(capsys, monkeypatch):
 def test_search_has_no_workers_option(tmp_path, capsys):
     # `--workers` no longer exists: the parser rejects it before any search.
     with pytest.raises(SystemExit) as exc:
-        cli.main(["search", "--spec", str(tmp_path / "any.spec"), "--method", "random",
-                  "--workers", "2"])
+        cli.main(["search", "--spec", str(tmp_path / "any.spec"), "--workers", "2"])
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers" in captured.err
     assert captured.out == ""
 
 
-def test_random_search_prints_the_same_witness_every_run(tmp_path, capsys):
-    text = ("graph phi(phi_7_2_plus_star)\nchi -2\norientable true\n"
-            "predicate nearly_face_simple_except x\n")
-    spec = tmp_path / "phi.spec"
-    spec.write_text(text)
-    argv = ["search", "--spec", str(spec), "--method", "random",
-            "--seed", "0", "--restarts", "8"]
-    first, second = run(capsys, *argv), run(capsys, *argv)
-    assert first == second
-    res = search.search_randomized(cli._parse_spec_file(text), seed=0, restarts=8)
-    assert res.status == "found"
-    witness = res.embedding
-    assert first == (0, serialize.write_emap(witness) + emap.certify(witness).to_text(), "")
-
-
-@pytest.mark.parametrize("flag", ["--restarts", "--budget"])
+@pytest.mark.parametrize("flag", ["--budget"])
 def test_search_restarts_and_workers_are_at_least_one(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["search", "--spec", str(tmp_path / "any.spec"), "--method", "random",
-                  flag, "0"])
+        cli.main(["search", "--spec", str(tmp_path / "any.spec"), flag, "0"])
     assert exc.value.code == 2
     assert "must be at least 1, got 0" in capsys.readouterr().err

@@ -407,7 +407,7 @@ def test_gen_output_bytes_are_pinned():
         digest.update(cert.to_text().encode())
         count += 1
     assert count == 260
-    assert digest.hexdigest() == "c069398d1ff9e5a9391922690e047c3fd6aa35311e6b9b3cd29fe150e68d8c93"
+    assert digest.hexdigest() == "099f7e002a9e12f142acb4f1437cce82ab78dc3914fdebccbdc111fae158de61"
 
 
 def test_planner_tables_agree_with_the_catalog():
