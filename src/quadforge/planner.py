@@ -23,9 +23,11 @@ their labels.  The complete-bipartite summand is a copy from
 ``catalog.kmn_table``, summed at its first n-side vertex; each block's table
 is built once per catalog directory, and only read.  The sum hypotheses
 are checked before every sum and face-simplicity after it, each answered from
-the tables' indices — the construction is refused rather than allowed to
-drift from its contract.  No orientability is carried along the chain: the
-certificate of the finished embedding decides it.
+the tables' indices (independence and the parallel-edge check of a gluing
+from the edge index, so a step walks round no rim vertex) — the construction
+is refused rather than allowed to drift from its contract.  No orientability
+is carried along the chain: the certificate of the finished embedding
+decides it.
 
 Each plan starts at a base node naming the catalog record that holds its
 ``(n, t)``.  Whether that record is searched or derived from another, and by
@@ -37,10 +39,12 @@ the faces of every plan node it builds until the catalog directory changes:
 each node is built, and its per-step guards run, once per catalog, and a
 request resumes from the last node of its plan that is built.  A node's
 fields decide its whole chain, so the memo is keyed by the flat node.  The
-memo keeps no embedding: a requested node's table is put on 0..n-1 and its
-rotation system built from it (``FaceTable.embedding``) on every request,
-which splices nothing when the node is already built.  ``generate``
-certifies its embedding against the request on every call.
+memo keeps no embedding, only each node's faces packed as ints: a request
+loads its resume node's table from them in bulk (``FaceTable.thaw``), and
+its requested node's table is put on 0..n-1 and its rotation system built
+from it (``FaceTable.embedding``) on every request, which splices nothing
+when the node is already built.  ``generate`` certifies its embedding
+against the request on every call.
 """
 
 from __future__ import annotations
@@ -302,12 +306,13 @@ def _base(node: PlanNode) -> Embedding:
 
 def _chain(plan: tuple) -> surgery.FaceTable:
     """A table of ``plan``'s chain on ints: spliced up to its last node from the last
-    built node's frozen faces or from its base, each spliced node frozen into the memo."""
+    built node's frozen faces, thawed, or from its base, each spliced node frozen
+    into the memo."""
     k = len(plan) - 1
     while k and plan[k] not in _GEN_CACHE:
         k -= 1
     if k:
-        chain = surgery.FaceTable(surgery.thawed(_GEN_CACHE[plan[k]]))
+        chain = surgery.FaceTable.thaw(_GEN_CACHE[plan[k]])
     else:
         chain = surgery.FaceTable.from_embedding(_base(plan[0])).ranked()
     for node in plan[k + 1:]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import Counter
+from operator import eq, ne
 from typing import NamedTuple
 
 from . import emap
@@ -113,23 +114,57 @@ class FaceTable:
     edges (``_walk``).  ``_multi`` is the number of pairs of distinct faces
     that share more than one edge, and ``_loops`` the number of edges with
     one face on both sides; the faces are face-simple exactly when both are 0.
-    ``copy`` copies the lists and dicts, and re-adds no face.
+    An edit keeps both counts up to date as it removes and adds faces
+    (``_meet``).
+
+    A new table is loaded in bulk from the flat list of its corners
+    (``_load``), in a few passes over whole lists: face ``f`` of the list
+    gets id ``f``, each edge the next id where it first appears, each edge's
+    sides its two slots in order, and each vertex the anchor of its last
+    corner, as if the faces were added one at a time.  ``_loops`` and
+    ``_multi`` are then counted from their definitions, over the two faces
+    along each edge.  ``thaw`` loads the corners that ``frozen`` packed, as
+    they lie.  Faces that cannot be loaded are refused with the error that
+    adding them one at a time would meet first (``_refuse``).  ``copy``
+    copies the lists and dicts, and re-adds no face.
     """
 
     def __init__(self, faces):
-        self._w = []
-        self._fe = []
-        self._side = []
-        self._eid = {}
-        self._degree = {}
-        self._anchor = {}
+        faces = [tuple(w) for w in faces]
+        if any(len(w) != 4 for w in faces):
+            _refuse(faces)
+        self._load(list(itertools.chain.from_iterable(faces)))
+
+    @classmethod
+    def thaw(cls, frozen: bytes) -> FaceTable:
+        """The table of the faces that ``frozen`` packed, in order."""
+        out = cls.__new__(cls)
+        out._load(memoryview(frozen).cast("i").tolist())
+        return out
+
+    def _load(self, w: list) -> None:
+        """Fill the table from ``w``, four corners per face; it must be empty."""
+        n = len(w)
+        eid, fe = _index_edges(w)
+        side = sorted(range(n), key=fe.__getitem__)  # each edge's slots, in order
+        paired = list(map(fe.__getitem__, side))
+        if 2 * len(eid) != n or paired[0::2] != paired[1::2]:
+            # some edge lies on one face, or on more than two
+            _refuse(_quads(w))
+        along = [s >> 2 for s in side]
+        f, g = along[0::2], along[1::2]  # the two faces along each edge
+        self._w = w
+        self._fe = fe
+        self._side = side
+        self._eid = eid
+        self._degree = dict(Counter(w))
+        self._anchor = dict(zip(w, range(n)))  # the last corner of each
         self._free_faces = []
         self._free_edges = []
+        self._loops = sum(map(eq, f, g))
         self._multi = 0
-        self._loops = 0
-        for w in faces:
-            self._add(tuple(w))
-        self._check_closed(range(len(self._w) >> 2))
+        if len(set(zip(f, g))) < len(f):  # some pair of faces shares two edges
+            self._multi = sum(c >= 2 for (a, b), c in Counter(zip(f, g)).items() if a != b)
 
     @classmethod
     def from_embedding(cls, emb: Embedding) -> FaceTable:
@@ -148,7 +183,8 @@ class FaceTable:
         rank = {u: i for i, u in enumerate(sorted(self._degree, key=key))}
         out = self.copy()
         out._w = [None if u is None else rank[u] for u in self._w]
-        out._eid = {_ekey(rank[a], rank[b]): e for (a, b), e in self._eid.items()}
+        out._eid = {(ra, rb) if (ra := rank[a]) < (rb := rank[b]) else (rb, ra): e
+                    for (a, b), e in self._eid.items()}
         out._degree = {rank[u]: d for u, d in self._degree.items()}
         out._anchor = {rank[u]: s for u, s in self._anchor.items()}
         return out
@@ -210,9 +246,17 @@ class FaceTable:
         return not loops and self._multi == rescued
 
     def is_independent(self, v: Label) -> bool:
-        """No edge joins two neighbours of ``v``."""
-        nbrs = self.neighbors(v)
-        return not any(u in nbrs for a in nbrs for u in self.neighbors(a))
+        """No edge joins two neighbours of ``v``: the one walk is round ``v``."""
+        return not self._edges_among(self.neighbors(v))
+
+    def _edges_among(self, vs) -> list:
+        """The edges with both ends in ``vs``, read from the edge index: each
+        pair of ``vs`` looked up, or every edge scanned, whichever is fewer."""
+        vs, eid = set(vs), self._eid
+        if len(vs) * (len(vs) - 1) // 2 < len(eid):
+            # taken from vs in vkey order, each pair is ordered as its key would be
+            return [e for e in itertools.combinations(sorted(vs, key=vkey), 2) if e in eid]
+        return [e for e in eid if e[0] in vs and e[1] in vs]
 
     def is_orientable(self) -> bool:
         """``emap.is_orientable`` of these faces: whether the orientation pass
@@ -241,31 +285,55 @@ class FaceTable:
         ``StructuralError`` is raised.
         """
         w, fe, side = self._w, self._fe, self._side
-
-        def span(c):  # a corner's two neighbours, least first, and its opposite corner
-            return (*sorted((vkey(w[_prev(c)]), vkey(w[_next(c)]))), vkey(w[c ^ 2]))
-
         labels = tuple(sorted(self._degree, key=vkey))
         n = len(labels)
-        c = min((c for c, _ in self._walk(self._anchor[labels[0]], True)), key=span)
-        direction, first, _ = self._orientation(c >> 2, 1 if span(c)[0] == vkey(w[_prev(c)]) else -1)
         rank = {u: i for i, u in enumerate(labels)}
-        # a key lists its ends in vkey order, so rank a < rank b
-        key = {e: rank[a] * n + rank[b] for (a, b), e in self._eid.items()}
-        order = sorted(key, key=key.__getitem__)  # the table's edge ids, by end ranks
-        new_id = [0] * (len(side) >> 1)
-        ends = []
+
+        def span(c):  # a corner's two neighbours, least first, and its opposite corner
+            a, b = rank[w[_prev(c)]], rank[w[_next(c)]]
+            return (a, b, rank[w[c ^ 2]]) if a < b else (b, a, rank[w[c ^ 2]])
+
+        c = min((c for c, _ in self._walk(self._anchor[labels[0]], True)), key=span)
+        direction, first, _ = self._orientation(c >> 2, 1 if span(c)[0] == rank[w[_prev(c)]] else -1)
+        # sorted, the ints (rank a * n + rank b) * m + e number the edges in
+        # order of their end ranks (a key lists its ends in vkey order, so
+        # rank a < rank b), and each keeps its table id e < m
+        m = len(side) >> 1
+        keyed = sorted([(rank[a] * n + rank[b]) * m + e for (a, b), e in self._eid.items()])
+        order = [k % m for k in keyed]  # the table's edge ids, by end ranks
+        ends = [r for k in keyed for r in divmod(k // m, n)]
+        new_id = [0] * m
         for i, e in enumerate(order):
             new_id[e] = i
-            ends += divmod(key[e], n)
         turn = [0] * len(w)  # +1 where a corner turns with its vertex's rotation
         rot = [None] * n
+        degree = self._degree
         for v, c in first.items():
+            # _walk(c, forward), inlined: each corner's turn, and the edge it
+            # is left by, which is the edge the next corner is entered by
+            forward = direction[c >> 2] == 1
+            s, fwd = c, forward
             cyc = []
-            for s, forward in self._walk(c, direction[c >> 2] == 1):
-                turn[s] = 1 if forward else -1
-                # the edge it is entered by; (s - 1 if s & 3 else s + 3) is _prev(s), inlined
-                cyc.append(new_id[fe[s - 1 if s & 3 else s + 3] if forward else fe[s]])
+            for _ in range(degree[v]):
+                if fwd:
+                    turn[s] = 1
+                    q = s
+                else:
+                    turn[s] = -1
+                    q = s - 1 if s & 3 else s + 3  # _prev(s)
+                e = fe[q]
+                cyc.append(new_id[e])
+                t = side[2 * e]
+                if t == q:
+                    t = side[2 * e + 1]
+                if w[t] == v:
+                    s, fwd = t, False
+                else:
+                    s, fwd = (t + 1 if ~t & 3 else t - 3), True  # _next(t)
+                if s == c and fwd == forward:
+                    break
+            if len(cyc) != degree[v] or s != c or fwd != forward:
+                raise SurgeryError(f"vertex {v!r} is pinched: its corners form more than one cycle")
             k = cyc.index(min(cyc))
             rot[rank[v]] = cyc[k:] + cyc[:k]
         sign = [turn[s] * turn[s + 1 if ~s & 3 else s - 3]  # the turns at s and _next(s)
@@ -298,8 +366,7 @@ class FaceTable:
             raise SurgeryError(f"diamond sum site needs degree >= 3, got {d}")
         rim, opposite, at_v = self._rim(v)
         rim2, opposite2, at_v2 = summand._rim(v2)
-        on_rim2 = set(rim2)
-        rim_edges = [(a, b) for a in rim2 for b in summand.neighbors(a) if b in on_rim2]
+        rim_edges = summand._edges_among(rim2)
         for flip in (False, True) if reflect is None else (reflect,):
             mu = [(offset + j if flip else offset - j) % d for j in range(d + 1)]
             glue = {rim2[mu[j]]: rim[j] for j in range(d)}
@@ -313,12 +380,12 @@ class FaceTable:
         base = max((u for u in self._degree if type(u) is int and u != v), default=-1) + 1
         for c in at_v:
             self._remove(c >> 2)
-        inner = sorted(summand._degree.keys() - on_rim2 - {v2}, key=vkey)
+        inner = sorted(summand._degree.keys() - set(rim2) - {v2}, key=vkey)
         labels = {u: base + i for i, u in enumerate(inner)}
         labels.update(glue)
         w2, skip = summand._w, {c >> 2 for c in at_v2}
-        added = [self._add([labels[u] for u in w2[s:s + 4]]) for s in range(0, len(w2), 4)
-                 if w2[s] is not None and s >> 2 not in skip]
+        added = [self._add(list(map(labels.__getitem__, w2[s:s + 4])))
+                 for s in range(0, len(w2), 4) if w2[s] is not None and s >> 2 not in skip]
         for j in range(d):
             # the summand's face between rim2[mu[j]] and rim2[mu[j + 1]]
             m2 = opposite2[mu[j] if flip else mu[j + 1]]
@@ -509,14 +576,17 @@ class FaceTable:
             stack = [root]
             while stack:
                 f = stack.pop()
+                d = direction[f]
                 for s in range(4 * f, 4 * f + 4):
-                    first.setdefault(w[s], s)
-                    e = fe[s]
-                    t = side[2 * e]
+                    u = w[s]
+                    if u not in first:
+                        first[u] = s
+                    e = 2 * fe[s]
+                    t = side[e]
                     if t == s:
-                        t = side[2 * e + 1]
+                        t = side[e + 1]
                     g = t >> 2
-                    want = -direction[f] if w[t] == w[s] else direction[f]
+                    want = -d if w[t] == u else d
                     if not direction[g]:
                         direction[g] = want
                         stack.append(g)
@@ -534,20 +604,22 @@ class FaceTable:
         """
         w, side = self._w, self._side
         labels, ends = emb.labels, emb.ends  # state s leaves ends[s >> 1]
-        matched = set()
-        for orbit in emb._traced():
-            vs = [labels[ends[s >> 1]] for s in orbit]
-            e = order[orbit[0] >> 2]
+        orbits = emb._traced()
+        if len(orbits) != (len(w) >> 2) - len(self._free_faces) or any(len(o) != 4 for o in orbits):
+            raise StructuralError("rebuilt embedding does not reproduce the table's faces")
+        matched = bytearray(len(w) >> 2)
+        for s0, s1, s2, s3 in orbits:
+            v0, v1, v2, v3 = (labels[ends[s0 >> 1]], labels[ends[s1 >> 1]],
+                              labels[ends[s2 >> 1]], labels[ends[s3 >> 1]])
+            e = order[s0 >> 2]
             for s in (side[2 * e], side[2 * e + 1]):
                 b = s & -4
                 cyc = w[s:b + 4] + w[b:s]  # the face, from slot s
-                if b not in matched and (cyc == vs or cyc == [vs[1], vs[0], *vs[:1:-1]]):
-                    matched.add(b)
+                if not matched[s >> 2] and (cyc == [v0, v1, v2, v3] or cyc == [v1, v0, v3, v2]):
+                    matched[s >> 2] = 1
                     break
             else:
                 raise StructuralError("rebuilt embedding does not reproduce the table's faces")
-        if len(matched) != (len(w) >> 2) - len(self._free_faces):
-            raise StructuralError("rebuilt embedding does not reproduce the table's faces")
 
     def _mates(self, f: int) -> list:
         """The face across each edge of face ``f`` (``f`` across a loop, -1 across none)."""
@@ -561,9 +633,8 @@ class FaceTable:
 
     def _meet(self, f: int, mates: list, step: int) -> None:
         """Count (``step`` = 1) or uncount (-1) the edges face ``f`` shares with
-        ``mates``, the faces across those of its edges that have two sides."""
-        if len(set(mates)) == len(mates) and f not in mates:
-            return
+        ``mates``, the faces across those of its edges that have two sides; the
+        caller skips it when ``mates`` holds no face twice and not ``f``."""
         self._loops += step * mates.count(f)
         for g in set(mates) - {f}:
             if mates.count(g) >= 2:
@@ -584,8 +655,9 @@ class FaceTable:
         degree, anchor = self._degree, self._anchor
         mates = []
         for i in range(4):
-            u = w[i]
-            key = _ekey(u, w[(i + 1) & 3])
+            u, x = w[i], w[(i + 1) & 3]
+            key = (((u, x) if u < x else (x, u)) if type(u) is type(x) is int and u != x
+                   else edge_between(u, x))  # _ekey(u, x), inlined
             e = eid.get(key)
             if e is None:
                 if self._free_edges:
@@ -603,7 +675,8 @@ class FaceTable:
             fe[b + i] = e
             degree[u] = degree.get(u, 0) + 1
             anchor[u] = b + i
-        self._meet(f, mates, 1)
+        if mates and (f in mates or len(set(mates)) < len(mates)):
+            self._meet(f, mates, 1)
         return f
 
     def _remove(self, f: int) -> None:
@@ -623,11 +696,14 @@ class FaceTable:
                 side[2 * e] = side[2 * e + 1]
             side[2 * e + 1] = -1
             if side[2 * e] < 0:
-                del self._eid[_ekey(u, labels[4 * f + ((i + 1) & 3)])]
+                x = labels[4 * f + ((i + 1) & 3)]  # a present edge is no loop, so u != x
+                del self._eid[((u, x) if u < x else (x, u)) if type(u) is type(x) is int
+                              else edge_between(u, x)]  # _ekey(u, x), inlined
                 self._free_edges.append(e)
             else:
                 mates.append(side[2 * e] >> 2)
-        self._meet(f, mates, -1)
+        if mates and (f in mates or len(set(mates)) < len(mates)):
+            self._meet(f, mates, -1)
         labels[4 * f:4 * f + 4] = (None,) * 4
         self._free_faces.append(f)
 
@@ -640,10 +716,46 @@ class FaceTable:
                     raise SurgeryError(f"edge {_ekey(w[s], w[_next(s)])} lies on only one face")
 
 
-def thawed(frozen: bytes) -> list:
-    """The faces that ``FaceTable.frozen`` packed, in order."""
-    it = iter(memoryview(frozen).cast("i"))
-    return list(zip(it, it, it, it))
+def _index_edges(w: list) -> tuple:
+    """``(eid, fe)`` of the flat corner list ``w``: each edge's id, numbered
+    where it first appears, and the id of the edge from each corner to the
+    next round its face.  The key made at an edge's second side is freed on
+    return, before the caller's passes over the sides."""
+    ahead = w[1:] + w[:1]  # the corner after each, round its face
+    ahead[3::4] = w[0::4]
+    if set(map(type, w)) <= {int} and all(map(ne, w, ahead)):
+        keys = [(u, x) if u < x else (x, u) for u, x in zip(w, ahead)]  # _ekey, inlined
+    else:
+        try:
+            keys = list(map(_ekey, w, ahead))
+        except StructuralError:
+            _refuse(_quads(w))
+    eid = {}
+    return eid, [eid.setdefault(key, len(eid)) for key in keys]
+
+
+def _quads(w: list) -> list:
+    """The faces of the flat corner list ``w``, as 4-tuples."""
+    return list(zip(*[iter(w)] * 4))
+
+
+def _refuse(faces: list) -> None:
+    """Raise the error that loading ``faces`` one at a time meets first: a
+    face not of length 4, a loop or bad label, an edge on a third face, or,
+    once all are in, an edge on only one face."""
+    sides = Counter()
+    for w in faces:
+        if len(w) != 4:
+            raise SurgeryError(f"face {w} has length {len(w)}, expected 4")
+        for i in range(4):
+            key = _ekey(w[i], w[(i + 1) & 3])
+            sides[key] += 1
+            if sides[key] > 2:
+                raise SurgeryError(f"edge {key} lies on more than two faces")
+    for w in faces:
+        for i in range(4):
+            if sides[key := _ekey(w[i], w[(i + 1) & 3])] < 2:
+                raise SurgeryError(f"edge {key} lies on only one face")
 
 
 class HandleSite(NamedTuple):

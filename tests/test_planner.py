@@ -288,6 +288,25 @@ def test_each_plan_node_is_built_once(monkeypatch):
     assert len(calls) == len(distinct)
 
 
+def test_a_step_walks_no_rim_vertex(monkeypatch):
+    # the guards read the edge index: a step walks round only the two
+    # vertices whose neighbours its hypotheses check for independence
+    req = ParamRequest(n=26, t=3, kind="nonorientable")
+    catalog.clear_cache()
+    steps = count_induction_steps(monkeypatch)
+    walked = []
+    real = surgery.FaceTable.neighbors
+
+    def counting(table, v):
+        walked.append(v)
+        return real(table, v)
+
+    monkeypatch.setattr(surgery.FaceTable, "neighbors", counting)
+    planner.generate(req)
+    assert len(steps) == len(planner.plan(req)) - 1 == 5
+    assert len(walked) <= 2 * len(steps)
+
+
 def count_splices(monkeypatch) -> list:
     calls = []
     real = surgery.FaceTable.splice

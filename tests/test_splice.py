@@ -575,3 +575,91 @@ def test_broken_summands_raise_the_plan_errors(monkeypatch):
     with pytest.raises(PlanError, match="^child embedding has no universal vertex with the "
                                         "nearly-face-simple property$"):
         planner._induct_step(no_universal, "phi_7_2_plus", 6)
+
+
+# ---------------------------------------------------------------------------
+# The bulk load against the faces added one at a time
+# ---------------------------------------------------------------------------
+
+
+def added_one_at_a_time(faces) -> surgery.FaceTable:
+    """The table of ``faces`` built as an edit builds its faces: each by
+    ``_add``, then every edge checked to lie on two."""
+    table = surgery.FaceTable([])
+    for w in faces:
+        table._add(tuple(w))
+    table._check_closed(range(len(table._w) >> 2))
+    return table
+
+
+def assert_loads_alike(faces) -> surgery.FaceTable:
+    bulk, added = surgery.FaceTable(faces), added_one_at_a_time(faces)
+    assert list(bulk.edges()) == list(added.edges())
+    assert list(bulk._degree.items()) == list(added._degree.items())
+    assert (bulk._loops, bulk._multi) == (added._loops, added._multi)
+    assert bulk.is_face_simple() == added.is_face_simple()
+    assert vars(bulk) == vars(added)  # ids, sides and anchors too
+    return bulk
+
+
+def refusal(build, faces) -> tuple:
+    with pytest.raises((SurgeryError, StructuralError)) as info:
+        build(faces)
+    return type(info.value), str(info.value)
+
+
+def test_bulk_load_equals_adding_one_face_at_a_time():
+    # one face along both sides of two edges: a loop count of 2, from one face
+    table = assert_loads_alike([(1, 0, 2, 0)])
+    assert (table._loops, table._multi) == (2, 0)
+    # c4_sphere: two faces along the same four edges
+    table = assert_loads_alike([w.vertices for w in catalog.get_witness("c4_sphere").faces()])
+    assert (table._loops, table._multi) == (0, 1)
+    # K_{6,2}: each face shares two edges with each of its two neighbours
+    table = assert_loads_alike([w.vertices for w in catalog.build_kmn(6, 2).faces()])
+    assert (table._loops, table._multi) == (0, 6)
+    rng = random.Random(25)
+    for emb in summand_pool():
+        faces = [w.vertices for w in emb.faces()]
+        rng.shuffle(faces)
+        faces = [w[k:] + w[:k] if rng.random() < 0.5 else (w[k:] + w[:k])[::-1]
+                 for w in faces for k in [rng.randrange(4)]]
+        assert assert_loads_alike(faces).is_face_simple() == emap.is_face_simple(emb)
+
+
+REFUSED_FACES = [
+    [(0, 1, 2)],
+    [(0, 1, 2, 3), (0, 3, 2, 1, 4)],
+    [(0, 0, 1, 2)],
+    [(0, 1.5, 2, 3)],
+    [(0, True, 2, 3)],
+    [(0, None, 2, 3)],
+    [([1], 2, 3, 4)],
+    [(0, 1, 2, 3)],
+    [(0, 1, 2, 3), (0, 3, 2, 4)],
+    [(0, 1, 2, 3)] * 3,
+    [("a", 1, "b", 2), ("a", 2, "b", 1), ("a", 1, "c", 2)],
+    # of two faults, the one a face-by-face load meets first
+    [(0, 1, 2, 3)] * 3 + [(0, 1, 2)],
+    [(0, 1, 2)] + [(0, 1, 2, 3)] * 3,
+    [(0, 1, 2, 3)] * 3 + [(4, 4, 5, 6)],
+    [(4, 4, 5, 6)] + [(0, 1, 2, 3)] * 3,
+    [(0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 6, 7), (8, 8, 9, 9)],
+]
+
+
+@pytest.mark.parametrize("faces", REFUSED_FACES)
+def test_bulk_load_refuses_as_adding_one_face_at_a_time(faces):
+    assert refusal(surgery.FaceTable, faces) == refusal(added_one_at_a_time, faces)
+
+
+def test_thaw_gives_the_frozen_faces():
+    chain = planner._chain(planner.plan(ParamRequest(n=26, t=3, kind="nonorientable")))
+    merged = catalog.kmn_table(6, 9)
+    face = merged.faces()[0]
+    merged.delete_degree2(merged.insert_degree2(face, face[0]))
+    assert len(merged._free_faces) == 1  # a removed face's id, which the thaw packs out
+    for table in (chain, chain.ranked(), merged, catalog.kmn_table(10, 3)):
+        thawed = surgery.FaceTable.thaw(table.frozen())
+        assert thawed.faces() == table.faces()
+        assert vars(thawed) == vars(surgery.FaceTable(table.faces()))
