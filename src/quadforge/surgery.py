@@ -246,7 +246,8 @@ class FaceTable:
         return not loops and self._multi == rescued
 
     def is_independent(self, v: Label) -> bool:
-        """No edge joins two neighbours of ``v``: the one walk is round ``v``."""
+        """No edge joins two neighbours of ``v``, as the edge index tells after one
+        walk round ``v``."""
         return not self._edges_among(self.neighbors(v))
 
     def _edges_among(self, vs) -> list:
