@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from . import emap, graphalg, search, serialize, surgery
 from .emap import Embedding, Graph, vkey
-from .errors import CatalogError, QuadforgeError, SurgeryError
+from .errors import CatalogError, QuadforgeError
 from .search import WitnessSpec
 
 CATALOG_ENV = "QUADFORGE_CATALOG"
@@ -272,14 +272,8 @@ def _first_chain_site(parent: Embedding, cycle: tuple, predicates: tuple) -> Emb
     """``parent`` with a handle at the first site for ``cycle`` whose result
     passes ``predicates``: the derived record's own bundle, so a site that
     leaves a later handle without a site is passed over."""
-    table = surgery.FaceTable.from_embedding(parent)
-    for site in table.handle_sites(cycle):
-        out = table.copy()
-        try:
-            out.handle(site)
-        except SurgeryError:
-            continue
-        emb = out.embedding()
+    for table in surgery.FaceTable.from_embedding(parent).handled(cycle):
+        emb = table.embedding()
         if search.check_predicates(emb, predicates):
             return emb
     raise CatalogError(f"no usable handle site for cycle {cycle}")
@@ -419,9 +413,9 @@ def _kmn(m: int, n: int) -> surgery.FaceTable:
         if n == 2 or (m, n) == (6, 3):
             # the planar double wheel (both degree-m vertices see the m-cycle
             # 0..m-1), or the catalog's K_{6,3}
-            base = ([(m, i, m + 1, (i + 1) % m) for i in range(m)] if n == 2
-                    else [w.vertices for w in get_witness("k_6_3").faces()])
-            _cache_kmn(_canonical(surgery.FaceTable(base), n), m, n)
+            base = (surgery.FaceTable([(m, i, m + 1, (i + 1) % m) for i in range(m)]) if n == 2
+                    else surgery.FaceTable.from_embedding(get_witness("k_6_3")))
+            _cache_kmn(_canonical(base, n), m, n)
             break
         path.append((m, n))
         m, n = (m - 4, 3) if n == 3 else (m, n - (m - 2 if n > m else 1))

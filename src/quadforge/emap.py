@@ -31,7 +31,8 @@ are built only when a caller asks for them (search, surgery on labels,
 
 This is the repo's one encoding of a tracing state: the backtracking
 searcher (``search._QuadSearcher``) builds its faces over the same edge
-numbering, vertex ranks, states and reverse rule.
+numbering, vertex ranks, states and reverse rule, and hands each complete
+system over as a core (``Embedding._of_core``).
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ def parse_label(token: str) -> Label:
 
 
 def edge_between(u: Label, v: Label) -> Edge:
+    if type(u) is int and type(v) is int and u != v:  # no vkey calls for two ints
+        return (u, v) if u < v else (v, u)
     if u == v:
         raise StructuralError(f"loop at {u!r} not allowed")
     return (u, v) if vkey(u) < vkey(v) else (v, u)

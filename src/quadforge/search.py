@@ -23,9 +23,10 @@ state ``s = 4*e + 2*side + (o == -1)`` and its reverse ``s ^ 3`` across a
 positive edge or ``s ^ 2`` across a negative one.  Of its own it keeps only
 what a partial rotation system needs: per-dart rotation links, the open
 edge signs and the marks of the states already on a closed face.  Each
-complete system becomes an ``Embedding``, which traces its faces into
-orbits of the same states (``Embedding._traced``) the first time a predicate
-reads them.  ``search_exact`` runs it once, exhaustively, so with an
+complete system is passed to ``Embedding._of_core`` as its integer core, with
+no label-level graph or rotation dicts in between; the embedding traces its
+faces into orbits of the same states (``Embedding._traced``) the first time a
+predicate reads them.  ``search_exact`` runs it once, exhaustively, so with an
 unlimited budget "none" is a proof of nonexistence for the labeled graph;
 ``enumerate_embeddings`` runs it to the end and filters what it yields.
 """
@@ -80,15 +81,7 @@ def _delete_degree2_ok(table: surgery.FaceTable, z) -> bool:
 
 def _double_handle_ok(table: surgery.FaceTable, cycle1, cycle2) -> bool:
     """Some site for cycle1 leaves a usable site for cycle2 after augmenting."""
-    for site in table.handle_sites(tuple(cycle1)):
-        mid = table.copy()
-        try:
-            mid.handle(site)
-        except SurgeryError:
-            continue
-        if mid.handle_sites(tuple(cycle2)):
-            return True
-    return False
+    return any(mid.handle_sites(tuple(cycle2)) for mid in table.handled(tuple(cycle1)))
 
 
 # Every witness predicate, by name: the number of vertex labels its spec line
@@ -158,7 +151,9 @@ class _QuadSearcher:
     ``(s >> 1) ^ 1``.  The partial rotation at a vertex is kept as per-dart
     links ``nxt``/``prv`` (-1 while open), and ``done`` marks the states of
     the closed faces, each with its reverse ``s ^ 3`` or ``s ^ 2``.  Every
-    move is undone by the frame that made it.
+    move is undone by the frame that made it.  The dart ranks ``vertex`` are
+    the core's ``ends``, so ``_build`` passes a complete system to
+    ``Embedding._of_core`` with the rotations as edge ids and a copy of the signs.
 
     ``search`` keeps a stack of ``_extend`` generators, one per face: the
     closed faces, then the one being built.  ``_extend`` makes one frame
@@ -184,27 +179,27 @@ class _QuadSearcher:
     """
 
     def __init__(self, graph: Graph, orientable: bool | None):
-        self.graph = graph
-        self.edges = graph.sorted_edges()
-        rank = {v: i for i, v in enumerate(graph.sorted_vertices())}
-        self.vertex = [rank[v] for e in self.edges for v in e]  # dart -> vertex rank
+        self.labels = tuple(graph.sorted_vertices())
+        rank = {v: i for i, v in enumerate(self.labels)}
+        # dart -> vertex rank, which is the core's ``ends``: never changed
+        self.vertex = [rank[v] for e in graph.sorted_edges() for v in e]
         self.darts = [[] for _ in rank]  # vertex rank -> its darts, in edge order
         for d, v in enumerate(self.vertex):
             self.darts[v].append(d)
         self.nxt = [-1] * len(self.vertex)
         self.prv = [-1] * len(self.vertex)
-        self.sign = [1] * len(self.edges) if orientable is True else self._tree_signs()
+        self.sign = [1] * len(graph.edges) if orientable is True else self._tree_signs()
         # Quotient the global reflection: at the first vertex of degree >= 3,
         # its first dart's successor is a smaller dart than its predecessor.
         self.refl = next((ds[0] for ds in self.darts if len(ds) >= 3), -1)
-        self.done = bytearray(4 * len(self.edges))
+        self.done = bytearray(4 * len(graph.edges))
         self.nodes = 0
         self.budget = None
 
     def _tree_signs(self) -> list:
         """+1 on a BFS spanning tree and 0 (open) elsewhere: each switching
         class has exactly one such representative."""
-        sign = [0] * len(self.edges)
+        sign = [0] * (len(self.vertex) >> 1)
         order, seen = [0], {0}
         for v in order:
             for d in self.darts[v]:
@@ -310,13 +305,14 @@ class _QuadSearcher:
         return marked
 
     def _build(self) -> Embedding:
-        rotation = {}
-        for v, ds in zip(self.graph.sorted_vertices(), self.darts):
+        """The complete system; each rotation starts at its least edge, the first dart's."""
+        nxt, rot = self.nxt, []
+        for ds in self.darts:
             cyc = ds[:1]
-            while cyc and self.nxt[cyc[-1]] != cyc[0]:
-                cyc.append(self.nxt[cyc[-1]])
-            rotation[v] = tuple([self.edges[d >> 1] for d in cyc])
-        return Embedding(self.graph, rotation, dict(zip(self.edges, self.sign)))
+            while cyc and nxt[cyc[-1]] != cyc[0]:
+                cyc.append(nxt[cyc[-1]])
+            rot.append([d >> 1 for d in cyc])
+        return Embedding._of_core(self.labels, self.vertex, rot, self.sign.copy())
 
 
 def search_exact(spec: WitnessSpec, budget: int | None = None) -> SearchResult:

@@ -26,7 +26,7 @@ import itertools
 from array import array
 from collections import Counter
 from operator import eq, ne
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import emap
 from .emap import Embedding, Graph, Label, edge_between, vkey
@@ -83,13 +83,6 @@ def diamond_sum(
     return relabel_embedding(table.embedding(), back)
 
 
-def _ekey(u: Label, v: Label) -> tuple:
-    """``edge_between(u, v)``, without its ``vkey`` calls when both labels are ints."""
-    if type(u) is int and type(v) is int and u != v:
-        return (u, v) if u < v else (v, u)
-    return edge_between(u, v)
-
-
 def _next(s: int) -> int:
     """The slot after ``s`` round its face."""
     return (s & -4) | ((s + 1) & 3)
@@ -124,9 +117,10 @@ class FaceTable:
     corner, as if the faces were added one at a time.  ``_loops`` and
     ``_multi`` are then counted from their definitions, over the two faces
     along each edge.  ``thaw`` loads the corners that ``frozen`` packed, as
-    they lie.  Faces that cannot be loaded are refused with the error that
-    adding them one at a time would meet first (``_refuse``).  ``copy``
-    copies the lists and dicts, and re-adds no face.
+    they lie.  Faces that cannot be loaded are refused by replay: ``_refuse``
+    adds them one at a time to an empty table, as an edit adds its faces,
+    and raises the first error that meets.  ``copy`` copies the lists and
+    dicts, and re-adds no face.
     """
 
     def __init__(self, faces):
@@ -150,7 +144,7 @@ class FaceTable:
         paired = list(map(fe.__getitem__, side))
         if 2 * len(eid) != n or paired[0::2] != paired[1::2]:
             # some edge lies on one face, or on more than two
-            _refuse(_quads(w))
+            _refuse(zip(*[iter(w)] * 4))
         along = [s >> 2 for s in side]
         f, g = along[0::2], along[1::2]  # the two faces along each edge
         self._w = w
@@ -272,13 +266,14 @@ class FaceTable:
         its least neighbour a and the lesser b of a's two neighbours round it
         (of two such faces, the one with the lesser corner opposite v),
         directed a -> v -> b.  Each vertex's rotation is its rim, walked round
-        from the first of its corners the pass reaches, the way that corner's
-        directed face turns.  A corner turns +1 when its face runs from its
-        previous edge to its next one the way its vertex's rotation does, and
-        -1 otherwise; each edge's sign is the product of the turns at its two
-        ends in either face along it, which is what ``emap``'s tracer needs to
-        walk that face.  So the signs are all +1 exactly when the faces are
-        orientable, and the result does not depend on face or edge ids.
+        (``_walk``) from its first corner in the faces in the order the pass
+        reaches them, the way that corner's directed face turns.  A corner
+        turns +1 when its face runs from its previous edge to its next one the
+        way its vertex's rotation does, and -1 otherwise; each edge's sign is
+        the product of the turns at its two ends in either face along it, which
+        is what ``emap``'s tracer needs to walk that face.  So the signs are all
+        +1 exactly when the faces are orientable, and the result does not
+        depend on face or edge ids.
 
         The embedding's integer core is made here: the labels are ranked once
         and the edges numbered in order of their end ranks, so no label-level
@@ -295,7 +290,8 @@ class FaceTable:
             return (a, b, rank[w[c ^ 2]]) if a < b else (b, a, rank[w[c ^ 2]])
 
         c = min((c for c, _ in self._walk(self._anchor[labels[0]], True)), key=span)
-        direction, first, _ = self._orientation(c >> 2, 1 if span(c)[0] == rank[w[_prev(c)]] else -1)
+        direction, reached, _ = self._orientation(c >> 2,
+                                                  1 if span(c)[0] == rank[w[_prev(c)]] else -1)
         # sorted, the ints (rank a * n + rank b) * m + e number the edges in
         # order of their end ranks (a key lists its ends in vkey order, so
         # rank a < rank b), and each keeps its table id e < m
@@ -308,35 +304,17 @@ class FaceTable:
             new_id[e] = i
         turn = [0] * len(w)  # +1 where a corner turns with its vertex's rotation
         rot = [None] * n
-        degree = self._degree
-        for v, c in first.items():
-            # _walk(c, forward), inlined: each corner's turn, and the edge it
-            # is left by, which is the edge the next corner is entered by
-            forward = direction[c >> 2] == 1
-            s, fwd = c, forward
-            cyc = []
-            for _ in range(degree[v]):
-                if fwd:
-                    turn[s] = 1
-                    q = s
-                else:
-                    turn[s] = -1
-                    q = s - 1 if s & 3 else s + 3  # _prev(s)
-                e = fe[q]
-                cyc.append(new_id[e])
-                t = side[2 * e]
-                if t == q:
-                    t = side[2 * e + 1]
-                if w[t] == v:
-                    s, fwd = t, False
-                else:
-                    s, fwd = (t + 1 if ~t & 3 else t - 3), True  # _next(t)
-                if s == c and fwd == forward:
-                    break
-            if len(cyc) != degree[v] or s != c or fwd != forward:
-                raise SurgeryError(f"vertex {v!r} is pinched: its corners form more than one cycle")
-            k = cyc.index(min(cyc))
-            rot[rank[v]] = cyc[k:] + cyc[:k]
+        for f in reached:
+            for c in range(4 * f, 4 * f + 4):
+                if turn[c]:
+                    continue  # its vertex was walked round from a corner reached earlier
+                cyc = []
+                for s, fwd in self._walk(c, direction[f] == 1):
+                    turn[s] = 1 if fwd else -1
+                    # the edge s is left by, which the next corner is entered by
+                    cyc.append(new_id[fe[s if fwd else (s - 1 if s & 3 else s + 3)]])  # _prev(s)
+                k = cyc.index(min(cyc))
+                rot[rank[w[c]]] = cyc[k:] + cyc[:k]
         sign = [turn[s] * turn[s + 1 if ~s & 3 else s - 3]  # the turns at s and _next(s)
                 for s in [side[2 * e] for e in order]]
         emb = Embedding._of_core(labels, ends, rot, sign)
@@ -371,7 +349,8 @@ class FaceTable:
         for flip in (False, True) if reflect is None else (reflect,):
             mu = [(offset + j if flip else offset - j) % d for j in range(d + 1)]
             glue = {rim2[mu[j]]: rim[j] for j in range(d)}
-            clashes = [e for a, b in rim_edges if (e := _ekey(glue[a], glue[b])) in self._eid]
+            clashes = [e for a, b in rim_edges
+                       if (e := edge_between(glue[a], glue[b])) in self._eid]
             if not clashes:
                 break
         else:
@@ -405,10 +384,22 @@ class FaceTable:
             if u not in self._degree:
                 raise SurgeryError(f"unknown vertex {u!r} in handle cycle")
         a, b, c, d = cycle
-        if any(_ekey(u, x) in self._eid for u, x in ((a, b), (b, c), (c, d), (d, a))):
+        if any(edge_between(u, x) in self._eid for u, x in ((a, b), (b, c), (c, d), (d, a))):
             return []
         return [HandleSite(alpha, beta) for f, alpha in self._spans(a, c)
                 for g, beta in self._spans(b, d) if f != g]
+
+    def handled(self, cycle: tuple) -> Iterator[FaceTable]:
+        """For each site of ``handle_sites(cycle)``, in order, a copy of the
+        table with a handle added there; a site ``handle`` refuses is passed
+        over.  The table itself is only read."""
+        for site in self.handle_sites(cycle):
+            out = self.copy()
+            try:
+                out.handle(site)
+            except SurgeryError:
+                continue
+            yield out
 
     def handle(self, site: HandleSite) -> None:
         """Add a handle through the site's two faces, creating the 4-cycle's edges.
@@ -422,8 +413,8 @@ class FaceTable:
         if len({a, b, c, d}) != 4:
             raise SurgeryError("handle cycle corners are not pairwise distinct")
         for u, x in ((a, b), (b, c), (c, d), (d, a)):
-            if _ekey(u, x) in self._eid:
-                raise SurgeryError(f"edge {_ekey(u, x)} already present")
+            if edge_between(u, x) in self._eid:
+                raise SurgeryError(f"edge {edge_between(u, x)} already present")
         f = self._find(site.alpha)
         g = self._find(site.beta, skip=f)
         orientable = self.is_orientable()
@@ -554,7 +545,7 @@ class FaceTable:
         return rim[k:] + rim[:k], opposite[k:] + opposite[:k], corners[k:] + corners[:k]
 
     def _orientation(self, root: int = 0, root_direction: int = 1) -> tuple:
-        """The orientation pass: (direction, first, orientable).
+        """The orientation pass: (direction, reached, orientable).
 
         Faces are reached depth first from ``root``, then from each face not
         yet reached, and each of a face's edges is crossed in the order of its
@@ -562,13 +553,14 @@ class FaceTable:
         its walk and -1 when it is reversed: ``root`` takes
         ``root_direction``, and each face reached takes the direction in which
         it walks the edge it was reached by the other way from the face it was
-        reached from.  ``first`` maps each vertex to the first of its corners
-        reached, and ``orientable`` says whether every edge ends with its two
-        faces walking it opposite ways.
+        reached from.  ``reached`` lists the faces in the order they are
+        walked, so each vertex's first corner reached is its first slot in
+        those faces, and ``orientable`` says whether every edge ends with its
+        two faces walking it opposite ways.
         """
         w, fe, side = self._w, self._fe, self._side
         direction = [0] * (len(w) >> 2)
-        first = {}
+        reached = []
         orientable = True
         for root in (root, *range(len(direction))) if direction else ():
             if direction[root] or w[4 * root] is None:
@@ -577,23 +569,21 @@ class FaceTable:
             stack = [root]
             while stack:
                 f = stack.pop()
+                reached.append(f)
                 d = direction[f]
                 for s in range(4 * f, 4 * f + 4):
-                    u = w[s]
-                    if u not in first:
-                        first[u] = s
                     e = 2 * fe[s]
                     t = side[e]
                     if t == s:
                         t = side[e + 1]
                     g = t >> 2
-                    want = -d if w[t] == u else d
+                    want = -d if w[t] == w[s] else d
                     if not direction[g]:
                         direction[g] = want
                         stack.append(g)
                     elif direction[g] != want:
                         orientable = False
-        return direction, first, orientable
+        return direction, reached, orientable
 
     def _check_traced(self, emb: Embedding, order: list) -> None:
         """Raise unless ``emb``'s traced faces are exactly these faces.
@@ -658,7 +648,7 @@ class FaceTable:
         for i in range(4):
             u, x = w[i], w[(i + 1) & 3]
             key = (((u, x) if u < x else (x, u)) if type(u) is type(x) is int and u != x
-                   else edge_between(u, x))  # _ekey(u, x), inlined
+                   else edge_between(u, x))  # edge_between's int path, inlined
             e = eid.get(key)
             if e is None:
                 if self._free_edges:
@@ -699,7 +689,7 @@ class FaceTable:
             if side[2 * e] < 0:
                 x = labels[4 * f + ((i + 1) & 3)]  # a present edge is no loop, so u != x
                 del self._eid[((u, x) if u < x else (x, u)) if type(u) is type(x) is int
-                              else edge_between(u, x)]  # _ekey(u, x), inlined
+                              else edge_between(u, x)]  # edge_between's int path, inlined
                 self._free_edges.append(e)
             else:
                 mates.append(side[2 * e] >> 2)
@@ -714,7 +704,8 @@ class FaceTable:
         for f in faces:
             for s in range(4 * f, 4 * f + 4):
                 if side[2 * fe[s] + 1] < 0:
-                    raise SurgeryError(f"edge {_ekey(w[s], w[_next(s)])} lies on only one face")
+                    edge = edge_between(w[s], w[_next(s)])
+                    raise SurgeryError(f"edge {edge} lies on only one face")
 
 
 def _index_edges(w: list) -> tuple:
@@ -725,38 +716,24 @@ def _index_edges(w: list) -> tuple:
     ahead = w[1:] + w[:1]  # the corner after each, round its face
     ahead[3::4] = w[0::4]
     if set(map(type, w)) <= {int} and all(map(ne, w, ahead)):
-        keys = [(u, x) if u < x else (x, u) for u, x in zip(w, ahead)]  # _ekey, inlined
+        keys = [(u, x) if u < x else (x, u) for u, x in zip(w, ahead)]  # edge_between's int path
     else:
         try:
-            keys = list(map(_ekey, w, ahead))
+            keys = list(map(edge_between, w, ahead))
         except StructuralError:
-            _refuse(_quads(w))
+            _refuse(zip(*[iter(w)] * 4))
     eid = {}
     return eid, [eid.setdefault(key, len(eid)) for key in keys]
 
 
-def _quads(w: list) -> list:
-    """The faces of the flat corner list ``w``, as 4-tuples."""
-    return list(zip(*[iter(w)] * 4))
-
-
-def _refuse(faces: list) -> None:
-    """Raise the error that loading ``faces`` one at a time meets first: a
-    face not of length 4, a loop or bad label, an edge on a third face, or,
-    once all are in, an edge on only one face."""
-    sides = Counter()
+def _refuse(faces) -> None:
+    """Raise the error that loading ``faces`` one at a time meets first, by
+    adding them to an empty table (``_add``) and then checking that every
+    edge lies on two faces (``_check_closed``)."""
+    table = FaceTable([])
     for w in faces:
-        if len(w) != 4:
-            raise SurgeryError(f"face {w} has length {len(w)}, expected 4")
-        for i in range(4):
-            key = _ekey(w[i], w[(i + 1) & 3])
-            sides[key] += 1
-            if sides[key] > 2:
-                raise SurgeryError(f"edge {key} lies on more than two faces")
-    for w in faces:
-        for i in range(4):
-            if sides[key := _ekey(w[i], w[(i + 1) & 3])] < 2:
-                raise SurgeryError(f"edge {key} lies on only one face")
+        table._add(w)
+    table._check_closed(range(len(table._w) >> 2))
 
 
 class HandleSite(NamedTuple):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quadforge import catalog, emap, graphalg, planner, serialize, surgery
+from quadforge import catalog, emap, graphalg, planner, search, serialize, surgery
 from quadforge.emap import Embedding, Graph
 from quadforge.errors import FormatError, StructuralError
+from test_search import ENUMERATED
 
 
 def square_sphere() -> Embedding:
@@ -147,6 +148,21 @@ def test_mixed_labels_sort_consistently():
     assert g.sorted_edges() == [(0, 1), (0, "x"), (1, "x")]
 
 
+@pytest.mark.parametrize("u, v, edge", [(3, -1, (-1, 3)), (-1, 3, (-1, 3)), (2, "a", (2, "a")),
+                                        ("a", 2, (2, "a")), ("b", "a", ("a", "b"))])
+def test_edge_between_orders_ints_before_strings(u, v, edge):
+    assert emap.edge_between(u, v) == edge
+
+
+@pytest.mark.parametrize("u, v, message", [(0, 0, "loop at 0 "), ("a", "a", "loop at 'a' "),
+                                           (True, 2, "bad vertex label True"),
+                                           (2, True, "bad vertex label True"),
+                                           (2, 3.0, "bad vertex label 3.0")])
+def test_edge_between_refuses_a_loop_and_a_bad_label(u, v, message):
+    with pytest.raises(StructuralError, match=message):
+        emap.edge_between(u, v)
+
+
 def test_universal_vertices():
     assert emap.universal_vertices(graphalg.complete(5)) == {0, 1, 2, 3, 4}
     g = Graph.from_edges([(0, 1), (1, 2)])
@@ -268,6 +284,18 @@ def test_label_views_rebuild_the_integer_core():
                 # the output path runs on the core: no label-level view was built
                 assert not {"graph", "rotation", "signature"} & set(vars(emb))
                 embs.append(emb)
+    # the search hands its systems over as cores too
+    for n, chi in ENUMERATED:
+        for g in search.candidate_graphs(n, chi):
+            for emb in search.enumerate_embeddings(g):
+                assert emb.graph == g
+                embs.append(emb)
+    for rec in catalog.record_table():
+        if rec.op == "searched":
+            spec = rec.spec_for(rec.graphs()[0])
+            found = search.search_exact(spec).embedding
+            assert found.graph == spec.graph
+            embs.append(found)
     for emb in embs:
         again = Embedding(emb.graph, emb.rotation, emb.signature)
         assert again == emb

@@ -483,6 +483,46 @@ def test_handle_refuses_a_present_edge_and_a_missing_face():
     assert face_multiset(table.faces()) == face_multiset(walks(emb))
 
 
+@pytest.mark.parametrize("name", ["phi_8_4_star", "phi_11_8_plus_star"])
+def test_handled_yields_a_table_for_each_site_handle_takes(name):
+    rec = catalog.get_record(name)
+    cycles = sorted({c for _, *args in rec.predicates for c in args if isinstance(c, tuple)})
+    table = surgery.FaceTable.from_embedding(catalog.get_witness(name))
+    before = table.faces()
+    for cycle in cycles:
+        want = []  # the handle-trial loop that ``handled`` replaced
+        for site in table.handle_sites(cycle):
+            out = table.copy()
+            try:
+                out.handle(site)
+            except SurgeryError:
+                continue
+            want.append(out.faces())
+        assert want, cycle
+        assert [out.faces() for out in table.handled(cycle)] == want
+    assert cycles and table.faces() == before
+
+
+def test_handled_passes_over_a_site_handle_refuses(monkeypatch):
+    table = catalog.kmn_table(6, 4)
+    sites = table.handle_sites((0, 1, 2, 4))
+    kept = []
+    for site in sites[1::2]:
+        out = table.copy()
+        out.handle(site)
+        kept.append(out.faces())
+    handle = surgery.FaceTable.handle
+
+    def refusing(self, site):
+        if sites.index(site) % 2 == 0:
+            raise SurgeryError("refused")
+        handle(self, site)
+
+    monkeypatch.setattr(surgery.FaceTable, "handle", refusing)
+    assert len(sites) == 4
+    assert [out.faces() for out in table.handled((0, 1, 2, 4))] == kept
+
+
 def acceptance_requests():
     """The admissible pairs of acceptance criteria 1 and 2."""
     for kind, lo, hi in (("nonorientable", 6, 26), ("orientable", 5, 29)):
