@@ -6,8 +6,10 @@ search module's exhaustive backtracking, persisted as emap files, and
 re-verified against their property bundle on every load.  *Derived* records
 are rebuilt deterministically from their parents by a named surgery, so they
 regenerate byte-for-byte.  Each record states its own ``op``, ``parent`` and
-``args``, and ``record_table`` is the only place they are written:
-``_derive``, ``graphalg.phi_target`` and the planner read them, and the
+``args``, and ``record_table`` is the only place they are written: a
+searched record's ``args`` build its target graph, and a derived record's
+surgery makes both its witness (``_derive``) and its target graph
+(``target_graph``) from its parent's.  The planner reads them too, and the
 manifest's provenance is generated from them.
 
 The catalog directory defaults to the ``data/catalog`` tree shipped with the
@@ -42,9 +44,11 @@ from collections import defaultdict
 from pathlib import Path
 from typing import NamedTuple
 
-from . import emap, graphalg, search, serialize, surgery
-from .emap import Embedding, Graph, vkey
+from . import emap, search, serialize, surgery
+from .emap import Embedding, Graph, edge_between, vkey
 from .errors import CatalogError, QuadforgeError
+from .graphalg import (complete, complete_bipartite, delete_edges, delete_vertex, h_graph,
+                       j_graph, join, subdivide_edge)
 from .search import WitnessSpec
 
 CATALOG_ENV = "QUADFORGE_CATALOG"
@@ -58,13 +62,16 @@ def catalog_dir() -> Path:
 
 
 class CatalogRecord(NamedTuple):
-    """Specification bundle for one named embedding, and how it is made.
+    """Specification bundle for one named embedding: the graph it lies on,
+    and how it is made.
 
-    ``op`` says where the witness comes from: ``"searched"`` (exhaustive
-    search) or the surgery that derives it from the witness of ``parent``,
-    with ``args`` as its operands: ``"delete_degree2"`` deletes ``z``,
-    ``"insert_degree2"`` splits the first face at its least corner, and
-    ``"handle"`` adds a handle along each 4-cycle in ``args``.
+    ``op`` says where the witness comes from, and ``args`` are its operands.
+    A ``"searched"`` witness is found by exhaustive search on the graph that
+    ``args[0]()`` builds.  Any other ``op`` is a surgery, applied with the
+    same operands to the witness of ``parent`` and to its graph
+    (``target_graph``): ``"delete_degree2"`` deletes the vertex ``args[0]``,
+    ``"insert_degree2"`` splits the face ``args[0]`` at its corner
+    ``args[1]``, and ``"handle"`` adds a handle along each 4-cycle in ``args``.
     """
 
     name: str
@@ -74,21 +81,13 @@ class CatalogRecord(NamedTuple):
     op: str = "searched"
     parent: str | None = None
     args: tuple = ()
-    counts: tuple | None = None  # (vertices, edges), checked in place of a target graph
-
-    @property
-    def target(self) -> str:
-        """The phi_target name of the record's graph; empty when counts are checked."""
-        return "" if self.counts else self.name
 
     @property
     def provenance(self) -> str:
         return f"derived({self.op},{self.parent})" if self.parent else self.op
 
     def graphs(self) -> tuple:
-        if not self.target:
-            return ()
-        return (graphalg.phi_target(self.target),)
+        return (target_graph(self.name),)
 
     def spec_for(self, g: Graph) -> WitnessSpec:
         return WitnessSpec(g, self.chi, self.orientable, self.predicates)
@@ -99,7 +98,7 @@ class CatalogRecord(NamedTuple):
         text = "|".join(
             [
                 self.name,
-                self.target,
+                self.name,  # the name of the target graph, which is the record's
                 str(self.chi),
                 str(self.orientable),
                 repr(self.predicates),
@@ -109,39 +108,53 @@ class CatalogRecord(NamedTuple):
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _apex(block: Graph) -> Graph:
+    """The apex block over ``block``: a hub 0 joined to it, x and y joined to
+    both, and z subdividing the edge x-y."""
+    return subdivide_edge(join(join(complete(1), block), Graph.from_edges([("x", "y")])),
+                          "x", "y", "z")
+
+
 def record_table() -> tuple:
     """Every record, each derived one after its parent."""
     recs = [
         CatalogRecord("phi_4_0", 1, False,
-                      (("nearly_face_simple_except_some_universal",),)),
+                      (("nearly_face_simple_except_some_universal",),),
+                      args=(lambda: complete(4),)),
         CatalogRecord("phi_5_0_star", 0, True,
-                      (("face_simple",), ("universal_vertex",))),
+                      (("face_simple",), ("universal_vertex",)), args=(lambda: complete(5),)),
         CatalogRecord("phi_6_1", -1, False,
-                      (("face_simple",), ("universal_vertex",))),
+                      (("face_simple",), ("universal_vertex",)),
+                      args=(lambda: delete_edges(complete(6), [(4, 5)]),)),
         CatalogRecord("phi_7_0_plus", -3, False,
                       (("nearly_face_simple_except", "x"),
-                       ("delete_degree2_face_simple", "z"))),
+                       ("delete_degree2_face_simple", "z")), args=(lambda: _apex(h_graph(0)),)),
         CatalogRecord("phi_7_2_plus", -2, False,
                       (("nearly_face_simple_except", "x"),
-                       ("delete_degree2_face_simple", "z"))),
+                       ("delete_degree2_face_simple", "z")), args=(lambda: _apex(h_graph(2)),)),
         CatalogRecord("phi_7_4_plus", -1, False,
-                      (("nearly_face_simple_except", "x"),)),
+                      (("nearly_face_simple_except", "x"),), args=(lambda: _apex(h_graph(4)),)),
         CatalogRecord("phi_7_2_plus_star", -2, True,
-                      (("nearly_face_simple_except", "x"),)),
+                      (("nearly_face_simple_except", "x"),), args=(lambda: _apex(h_graph(2)),)),
         CatalogRecord("phi_8_4_star", -4, True,
                       (("face_simple",), ("universal_vertex",),
-                       ("has_handle_site", (4, 5, 6, 7)))),
+                       ("has_handle_site", (4, 5, 6, 7))),
+                      args=(lambda: delete_edges(complete(8), [(4, 5), (5, 6), (6, 7), (7, 4)]),)),
         CatalogRecord("phi_10_1_star", -12, True,
-                      (("face_simple",), ("universal_vertex",))),
+                      (("face_simple",), ("universal_vertex",)),
+                      args=(lambda: delete_edges(complete(10), [(8, 9)]),)),
         CatalogRecord("phi_11_8_plus_star", -12, True,
                       (("nearly_face_simple_except", "x"),
                        ("has_handle_site", (1, 2, 3, 4)),
                        ("has_handle_site", (5, 6, 7, 8)),
-                       ("double_handle", (1, 2, 3, 4), (5, 6, 7, 8)))),
-        CatalogRecord("k_6_3", 0, True, (("face_simple",),)),
-        CatalogRecord("c4_sphere", 2, True, ()),
-        CatalogRecord("klein_6_3", 0, False,
-                      (("face_simple",),)),
+                       ("double_handle", (1, 2, 3, 4), (5, 6, 7, 8))),
+                      args=(lambda: _apex(j_graph(8)),)),
+        CatalogRecord("k_6_3", 0, True, (("face_simple",),), args=(lambda: complete_bipartite(6, 3),)),
+        CatalogRecord("c4_sphere", 2, True, (),
+                      args=(lambda: Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)]),)),
+        CatalogRecord("klein_6_3", 0, False,  # the octahedron: K6 minus a perfect matching
+                      (("face_simple",),),
+                      args=(lambda: delete_edges(complete(6), [(0, 3), (1, 4), (2, 5)]),)),
         # Derived records: rebuilt from parents, never searched.
         CatalogRecord("phi_11_4_plus_star", -14, True,
                       (("nearly_face_simple_except", "x"),
@@ -152,27 +165,26 @@ def record_table() -> tuple:
                       op="handle", parent="phi_11_4_plus_star", args=((5, 6, 7, 8),)),
         CatalogRecord("q7_1", -3, False,
                       (("face_simple",), ("universal_vertex",)),
-                      op="delete_degree2", parent="phi_7_0_plus"),
+                      op="delete_degree2", parent="phi_7_0_plus", args=("z",)),
         CatalogRecord("q7_3", -2, False,
                       (("face_simple",), ("universal_vertex",)),
-                      op="delete_degree2", parent="phi_7_2_plus"),
+                      op="delete_degree2", parent="phi_7_2_plus", args=("z",)),
         CatalogRecord("q7_3_orientable", -2, True,
                       (("face_simple",), ("universal_vertex",)),
-                      op="delete_degree2", parent="phi_7_2_plus_star"),
+                      op="delete_degree2", parent="phi_7_2_plus_star", args=("z",)),
         CatalogRecord("q11_5", -14, True,
                       (("face_simple",), ("universal_vertex",)),
-                      op="delete_degree2", parent="phi_11_4_plus_star"),
+                      op="delete_degree2", parent="phi_11_4_plus_star", args=("z",)),
         CatalogRecord("q11_1", -16, True,
                       (("face_simple",), ("universal_vertex",)),
-                      op="delete_degree2", parent="phi_11_0_plus_star"),
+                      op="delete_degree2", parent="phi_11_0_plus_star", args=("z",)),
         CatalogRecord("q8_0", -6, True,
                       (("face_simple",), ("universal_vertex",)),
                       op="handle", parent="phi_8_4_star", args=((4, 5, 6, 7),)),
-        # Target graph depends on which K5-face hosts the new degree-2 vertex,
-        # so this record is verified by counts and predicates, not exact labels.
+        # phi_5_0_star's first face, split at its least corner
         CatalogRecord("q6_3_orientable", 0, True,
                       (("universal_vertex",),),
-                      op="insert_degree2", parent="phi_5_0_star", counts=(6, 12)),
+                      op="insert_degree2", parent="phi_5_0_star", args=((0, 1, 2, 3), 0)),
     ]
     return tuple(recs)
 
@@ -197,24 +209,37 @@ def _witness_path(name: str) -> Path:
     return catalog_dir() / f"{name}.emap"
 
 
+def target_graph(name: str) -> Graph:
+    """The labelled graph the record's witness lies on: a searched record's
+    is built by its ``args``, and a derived record's is its parent's with the
+    record's ``op`` applied, with the operands ``_derive`` gives the surgery."""
+    rec = get_record(name)
+    if rec.parent is None:
+        return rec.args[0]()
+    g = target_graph(rec.parent)
+    if rec.op == "delete_degree2":
+        return delete_vertex(g, *rec.args)
+    if rec.op == "insert_degree2":  # the new vertex is joined to the corner and its opposite
+        face, corner = rec.args
+        z = surgery._fresh_label(g.vertices)
+        ends = (corner, face[(face.index(corner) + 2) % 4])
+        return Graph(g.vertices | {z}, g.edges | {edge_between(z, v) for v in ends})
+    if rec.op == "handle":  # the edges of each 4-cycle
+        return Graph(g.vertices, g.edges | {edge_between(u, v) for c in rec.args
+                                            for u, v in zip(c, c[1:] + c[:1])})
+    raise CatalogError(f"{name}: no derivation rule for op {rec.op!r}")
+
+
 def _verify(rec: CatalogRecord, emb: Embedding) -> None:
-    graphs = rec.graphs()
-    if graphs and emb.graph != graphs[0]:
+    """Refuse ``emb`` unless it is a quadrangulation of the record's target
+    graph that the search would take for the record's spec."""
+    spec = rec.spec_for(target_graph(rec.name))
+    if emb.graph != spec.graph:
         raise CatalogError(f"{rec.name}: stored witness is not on the record's target graph")
-    if rec.counts is not None:
-        got = (len(emb.graph.vertices), len(emb.graph.edges))
-        if got != rec.counts:
-            raise CatalogError(f"{rec.name}: witness has counts {got}, record requires {rec.counts}")
     if not emap.is_quadrangular(emb):
         raise CatalogError(f"{rec.name}: witness is not quadrangular")
-    if emap.euler_characteristic(emb) != rec.chi:
-        raise CatalogError(
-            f"{rec.name}: chi={emap.euler_characteristic(emb)}, record requires {rec.chi}"
-        )
-    if rec.orientable is not None and emap.is_orientable(emb) != rec.orientable:
-        raise CatalogError(f"{rec.name}: orientability mismatch")
-    if not search.check_predicates(emb, rec.predicates):
-        raise CatalogError(f"{rec.name}: witness fails its predicate bundle")
+    if not search._matches(emb, spec):
+        raise CatalogError(f"{rec.name}: witness fails its chi, orientability or predicate bundle")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -261,7 +286,7 @@ def _persist(rec: CatalogRecord, emb: Embedding) -> None:
 
 
 def _acquire_searched(rec: CatalogRecord) -> Embedding:
-    result = search.search_exact(rec.spec_for(*rec.graphs()), _EXACT_BUDGET)
+    result = search.search_exact(rec.spec_for(target_graph(rec.name)), _EXACT_BUDGET)
     if result.status != "found":
         raise CatalogError(f"{rec.name}: witness search failed "
                            f"(status={result.status}, budget={_EXACT_BUDGET})")
@@ -287,13 +312,7 @@ def _derive(rec: CatalogRecord) -> Embedding:
             out = _first_chain_site(out, cycle, rec.predicates)
         return out
     table = surgery.FaceTable.from_embedding(out)
-    if rec.op == "delete_degree2":
-        table.delete_degree2("z")
-    elif rec.op == "insert_degree2":
-        face = table.faces()[0]
-        table.insert_degree2(face, min(face, key=vkey))
-    else:
-        raise CatalogError(f"{rec.name}: no derivation rule for op {rec.op!r}")
+    getattr(table, rec.op)(*rec.args)  # delete_degree2 or insert_degree2, in place
     return table.embedding()
 
 

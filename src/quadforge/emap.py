@@ -69,9 +69,10 @@ def parse_label(token: str) -> Label:
 def edge_between(u: Label, v: Label) -> Edge:
     if type(u) is int and type(v) is int and u != v:  # no vkey calls for two ints
         return (u, v) if u < v else (v, u)
-    if u == v:
+    ku, kv = vkey(u), vkey(v)  # the labels first: True == 1, but it is no label
+    if ku == kv:
         raise StructuralError(f"loop at {u!r} not allowed")
-    return (u, v) if vkey(u) < vkey(v) else (v, u)
+    return (u, v) if ku < kv else (v, u)
 
 
 def other_end(e: Edge, v: Label) -> Label:
@@ -179,11 +180,6 @@ class Graph:
 
     def sorted_edges(self) -> list:
         return list(self._edge_order)
-
-
-def universal_vertices(g: Graph) -> set:
-    n = len(g.vertices)
-    return {v for v, es in g._incidence.items() if len(es) == n - 1}
 
 
 class FaceWalk(NamedTuple):
@@ -395,6 +391,12 @@ def is_orientable(emb: Embedding) -> bool:
     return True
 
 
+def universal_vertices(emb: Embedding) -> list:
+    """The vertices joined to every other one, in ``vkey`` order."""
+    n = len(emb.labels)
+    return [v for v, cyc in zip(emb.labels, emb.rot) if len(cyc) == n - 1]
+
+
 def _edge_faces(emb: Embedding) -> tuple:
     """Two lists over the edge ids: the lesser and the greater index in
     ``emb.faces()`` of the two faces along each edge (one index twice when a
@@ -483,7 +485,7 @@ def certify(emb: Embedding) -> Certificate:
         orientable=is_orientable(emb),
         quadrangular=quad,
         face_simple=is_face_simple(emb),
-        universal=tuple([v for v, d in zip(emb.labels, degree) if d == n - 1]),
+        universal=tuple(universal_vertices(emb)),
         min_degree=min(degree),
         minimal=quad and t <= n - 4,
     )

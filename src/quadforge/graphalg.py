@@ -1,7 +1,10 @@
 """Construction algebra for the labeled target graphs.
 
-Vertex naming follows the proofs: the join blocks use labels x, y, z for
-the special vertices and small integers for the core, so derivations can be
+Each catalog record builds its own target graph from these constructors
+(``catalog.target_graph``); this module names no record, and the ``phi``
+operator of a graph expression looks a record's graph up there.  Vertex
+naming follows the proofs: the apex blocks use labels x, y, z for the
+special vertices and small integers for the core, so derivations can be
 audited by eye.  Generic expression evaluation keeps the left operand's
 labels; colliding integer labels on the right are remapped to fresh
 consecutive integers starting just above the largest integer label in
@@ -15,7 +18,7 @@ import itertools
 from typing import NamedTuple
 
 from .emap import Graph, Label, edge_between, vkey
-from .errors import CatalogError, StructuralError
+from .errors import StructuralError
 
 ISO_VERTEX_CAP = 16
 
@@ -134,71 +137,11 @@ def j_graph(i: int) -> Graph:
     return delete_edges(base, missing[i])
 
 
-def _plus_target(core: Graph) -> Graph:
-    """x and y joined to the core plus a degree-2 vertex z adjacent to {x, y}."""
-    edges = set(core.edges)
-    for v in core.vertices:
-        edges.add(edge_between("x", v))
-        edges.add(edge_between("y", v))
-    edges.add(edge_between("x", "z"))
-    edges.add(edge_between("y", "z"))
-    return Graph(core.vertices | {"x", "y", "z"}, frozenset(edges))
-
-
-def _core_with_hub(block: Graph) -> Graph:
-    """K1 (vertex 0) joined to a deleted-complete block on {1..k}."""
-    edges = set(block.edges)
-    for v in block.vertices:
-        edges.add(edge_between(0, v))
-    return Graph(block.vertices | {0}, frozenset(edges))
-
-
 def phi_target(name: str) -> Graph:
-    """Labeled target graph of a named catalog record.
-
-    Searched records' graphs are written here.  A derived record's graph is its
-    parent's with the record's ``op`` applied, as the catalog's record table
-    states them.
-    """
-    if name in ("phi_7_0_plus", "phi_7_2_plus", "phi_7_4_plus", "phi_7_2_plus_star"):
-        i = int(name.split("_")[2])
-        return _plus_target(_core_with_hub(h_graph(i)))
-    if name == "phi_11_8_plus_star":
-        return _plus_target(_core_with_hub(j_graph(8)))
-    if name == "phi_4_0":
-        return complete(4)
-    if name == "phi_5_0_star":
-        return complete(5)
-    if name == "phi_6_1":
-        return delete_edges(complete(6), [(4, 5)])
-    if name == "phi_8_4_star":
-        return delete_edges(complete(8), [(4, 5), (5, 6), (6, 7), (7, 4)])
-    if name == "phi_10_1_star":
-        return delete_edges(complete(10), [(8, 9)])
-    if name == "k_6_3":
-        return complete_bipartite(6, 3)
-    if name == "c4_sphere":
-        return Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
-    if name == "klein_6_3":
-        # Octahedron: K6 minus a perfect matching.
-        return delete_edges(complete(6), [(0, 3), (1, 4), (2, 5)])
+    """The target graph of the named catalog record (``catalog.target_graph``)."""
     from . import catalog  # here, not at module load: catalog imports this module
 
-    try:
-        rec = catalog.get_record(name)
-    except CatalogError:
-        rec = None
-    if rec is None or rec.parent is None:
-        raise StructuralError(f"unknown catalog target {name!r}")
-    g = phi_target(rec.parent)
-    if rec.op == "delete_degree2":
-        return delete_vertex(g, "z")
-    if rec.op == "handle":
-        edges = set(g.edges)
-        for c in rec.args:
-            edges.update(edge_between(u, v) for u, v in zip(c, c[1:] + c[:1]))
-        return Graph(g.vertices, frozenset(edges))
-    raise StructuralError(f"{name}: {rec.op} does not fix a target graph")
+    return catalog.target_graph(name)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

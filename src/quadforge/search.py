@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from . import emap, surgery
-from .emap import Embedding, Graph, vkey
+from .emap import Embedding, Graph
 from .errors import FormatError, SearchError, SurgeryError
 
 
@@ -67,7 +67,7 @@ class WitnessSpec(NamedTuple):
 
 def _some_universal_ok(emb: Embedding) -> bool:
     return any(emap.is_nearly_face_simple_except(emb, v)
-               for v in sorted(emap.universal_vertices(emb.graph), key=vkey))
+               for v in emap.universal_vertices(emb))
 
 
 def _delete_degree2_ok(table: surgery.FaceTable, z) -> bool:
@@ -92,7 +92,7 @@ def _double_handle_ok(table: surgery.FaceTable, cycle1, cycle2) -> bool:
 PREDICATES = {
     "face_simple": (0, "no arguments", False, emap.is_face_simple),
     "universal_vertex":
-        (0, "no arguments", False, lambda emb: bool(emap.universal_vertices(emb.graph))),
+        (0, "no arguments", False, lambda emb: bool(emap.universal_vertices(emb))),
     "nearly_face_simple_except_some_universal": (0, "no arguments", False, _some_universal_ok),
     "nearly_face_simple_except": (1, "one vertex", False, emap.is_nearly_face_simple_except),
     "delete_degree2_face_simple": (1, "one vertex", True, _delete_degree2_ok),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import os
 import shutil
@@ -79,6 +80,53 @@ def test_double_handle_derivation_lands_on_target_graph():
     assert final.graph == graphalg.phi_target("phi_11_0_plus_star")
     assert emap.euler_characteristic(final) == -16
     assert emap.is_orientable(final)
+
+
+# Each record's target graph: the sha256 of its sorted vertex reprs and its
+# sorted edge reprs.  q6_3_orientable's is its shipped witness's graph.
+TARGET_DIGESTS = {
+    "phi_4_0": "fe516ecdcb797906",
+    "phi_5_0_star": "88c77b483ebb00ed",
+    "phi_6_1": "6fecfb45bbe87cbc",
+    "phi_7_0_plus": "e11008dbf14f8712",
+    "phi_7_2_plus": "464d7120d55f701e",
+    "phi_7_4_plus": "2af065fb3c008dbd",
+    "phi_7_2_plus_star": "464d7120d55f701e",
+    "phi_8_4_star": "3711c32de9dfce3e",
+    "phi_10_1_star": "bffa7b32eae03feb",
+    "phi_11_8_plus_star": "b21ed6b1245028b3",
+    "k_6_3": "33151e800213b6ab",
+    "c4_sphere": "6279b98e835ee974",
+    "klein_6_3": "aa539f89b6935f61",
+    "phi_11_4_plus_star": "67174caa6e222793",
+    "phi_11_0_plus_star": "0a2b3c30b95f678c",
+    "q7_1": "50a2210b8ace1326",
+    "q7_3": "5c121c9a9fc05cf9",
+    "q7_3_orientable": "5c121c9a9fc05cf9",
+    "q11_5": "987091575fbaf110",
+    "q11_1": "e00d20b953e8ee8e",
+    "q8_0": "84b696f825fb35c3",
+    "q6_3_orientable": "6eac2e12ab9fce87",
+}
+
+
+def graph_digest(g) -> str:
+    text = repr((sorted(map(repr, g.vertices)), sorted(map(repr, g.edges))))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_each_record_states_its_pinned_target_graph():
+    got = {rec.name: graph_digest(catalog.target_graph(rec.name))
+           for rec in catalog.record_table()}
+    assert got == TARGET_DIGESTS
+
+
+def test_inserted_degree2_target_is_exact():
+    # K5 and a vertex 5 joined to the corner 0 of the face (0, 1, 2, 3) and to its opposite
+    k5_plus = emap.Graph.from_edges([*graphalg.complete(5).edges, (5, 0), (5, 2)])
+    assert catalog.target_graph("q6_3_orientable") == k5_plus
+    assert graphalg.parse_expr("phi(q6_3_orientable)").eval() == k5_plus
+    assert catalog.get_witness("q6_3_orientable").graph == k5_plus
 
 
 def test_unknown_record():

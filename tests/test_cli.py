@@ -234,7 +234,7 @@ def spec_line(pred: tuple) -> str:
 
 def test_catalog_predicates_read_back_from_spec_lines():
     for rec in catalog.record_table():
-        lines = [f"graph phi({rec.target})" if rec.target else "graph K(4)",
+        lines = [f"graph phi({rec.name})",
                  f"chi {rec.chi}", *map(spec_line, rec.predicates)]
         spec = cli._parse_spec_file("".join(line + "\n" for line in lines))
         # spec_hash reads the repr, so equal tuples are not enough

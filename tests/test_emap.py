@@ -157,16 +157,30 @@ def test_edge_between_orders_ints_before_strings(u, v, edge):
 @pytest.mark.parametrize("u, v, message", [(0, 0, "loop at 0 "), ("a", "a", "loop at 'a' "),
                                            (True, 2, "bad vertex label True"),
                                            (2, True, "bad vertex label True"),
-                                           (2, 3.0, "bad vertex label 3.0")])
+                                           (2, 3.0, "bad vertex label 3.0"),
+                                           # True == 1 and False == 0, but neither is a label
+                                           (1, True, "bad vertex label True"),
+                                           (True, 1, "bad vertex label True"),
+                                           (0, False, "bad vertex label False")])
 def test_edge_between_refuses_a_loop_and_a_bad_label(u, v, message):
     with pytest.raises(StructuralError, match=message):
         emap.edge_between(u, v)
 
 
+@pytest.mark.parametrize("build", [lambda: Graph.from_edges([(1, True)]),
+                                   lambda: surgery.FaceTable([(0, 1, True, 3)])],
+                         ids=["graph", "face_table"])
+def test_a_bool_next_to_its_int_is_refused_as_a_label(build):
+    with pytest.raises(StructuralError, match="bad vertex label True"):
+        build()
+
+
 def test_universal_vertices():
-    assert emap.universal_vertices(graphalg.complete(5)) == {0, 1, 2, 3, 4}
+    assert emap.universal_vertices(catalog.get_witness("phi_5_0_star")) == [0, 1, 2, 3, 4]
+    assert emap.universal_vertices(catalog.get_witness("q6_3_orientable")) == [0, 2]
     g = Graph.from_edges([(0, 1), (1, 2)])
-    assert emap.universal_vertices(g) == {1}
+    path = Embedding(g, {0: [(0, 1)], 1: [(0, 1), (1, 2)], 2: [(1, 2)]}, dict.fromkeys(g.edges, 1))
+    assert emap.universal_vertices(path) == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import canonical_reference
 from nx_oracle import vf2_isomorphic
-from quadforge import graphalg, search
+from quadforge import catalog, graphalg, search
 from quadforge.emap import Graph
 from quadforge.errors import StructuralError
 
@@ -244,8 +244,8 @@ def test_parse_expr_rejects_garbage():
         graphalg.parse_expr("K(4")
 
 
-# A few records' targets, among them ones labelled x, y and z.
-PHI_NAMES = ["phi_6_1", "k_6_3", "klein_6_3", "c4_sphere", "phi_7_2_plus", "q7_1"]
+# Every record's target, among them ones labelled x, y and z.
+PHI_NAMES = [rec.name for rec in catalog.record_table()]
 FRESH_LABELS = ["x", "y", "z", -1, -7, 40]
 
 

@@ -68,8 +68,8 @@ def test_records_are_immutable(record, field):
 def test_record_defaults():
     rec = catalog.CatalogRecord("x", 1, False)
     assert rec == catalog.CatalogRecord(name="x", chi=1, orientable=False, predicates=(),
-                                        op="searched", parent=None, args=(), counts=None)
-    assert (rec.target, rec.provenance) == ("x", "searched")
+                                        op="searched", parent=None, args=())
+    assert rec.provenance == "searched"
     assert search.SearchResult("none") == search.SearchResult(status="none", embedding=None,
                                                               nodes=0)
     assert search.WitnessSpec(graphalg.complete(4), 1, None).predicates == ()
