@@ -93,19 +93,16 @@ class CatalogRecord(NamedTuple):
         return WitnessSpec(g, self.chi, self.orientable, self.predicates)
 
     def spec_hash(self) -> str:
-        import hashlib  # on use: a gen or verify process never hashes
+        # the name twice: the second is the target graph's, which is the record's
+        return _digest("|".join([self.name, self.name, str(self.chi), str(self.orientable),
+                                 repr(self.predicates), self.provenance]))
 
-        text = "|".join(
-            [
-                self.name,
-                self.name,  # the name of the target graph, which is the record's
-                str(self.chi),
-                str(self.orientable),
-                repr(self.predicates),
-                self.provenance,
-            ]
-        )
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+def _digest(text: str) -> str:
+    """A manifest hash: the first 16 hex digits of the sha256 of ``text``."""
+    import hashlib  # on use: a gen or verify process never hashes
+
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _apex(block: Graph) -> Graph:
@@ -271,13 +268,10 @@ def _read_manifest() -> dict:
 def _persist(rec: CatalogRecord, emb: Embedding) -> None:
     """Write the witness file and its manifest line; the manifest is read
     first, so a manifest that cannot be read leaves no file behind."""
-    import hashlib
-
     entries = _read_manifest()
     text = serialize.write_emap(emb)
     _atomic_write(_witness_path(rec.name), text)
-    file_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
-    entries[rec.name] = (rec.spec_hash(), file_hash, rec.provenance)
+    entries[rec.name] = (rec.spec_hash(), _digest(text), rec.provenance)
     lines = [
         f"{name} {sh} {fh} {prov}"
         for name, (sh, fh, prov) in sorted(entries.items())
@@ -298,9 +292,8 @@ def _first_chain_site(parent: Embedding, cycle: tuple, predicates: tuple) -> Emb
     passes ``predicates``: the derived record's own bundle, so a site that
     leaves a later handle without a site is passed over."""
     for table in surgery.FaceTable.from_embedding(parent).handled(cycle):
-        emb = table.embedding()
-        if search.check_predicates(emb, predicates):
-            return emb
+        if search.check_predicates(table, predicates):
+            return table.embedding()
     raise CatalogError(f"no usable handle site for cycle {cycle}")
 
 
@@ -341,29 +334,29 @@ def get_witness(name: str) -> Embedding:
 
 
 def verify_all() -> list:
-    """Re-certify every record; returns (name, ok, message) triples."""
-    import hashlib
-
+    """Re-certify every record; returns (name, ok, message) triples, each
+    refusal's message starting with the record's name, as a ``CatalogError``'s does."""
     report = []
     manifest = _read_manifest()
     for rec in record_table():
         try:
             path = _witness_path(rec.name)
             if not path.exists():
-                raise CatalogError("witness file missing")
+                raise CatalogError(f"{rec.name}: witness file missing")
             text = path.read_text()
             entry = manifest.get(rec.name)
             if entry is None:
-                raise CatalogError("no well-formed manifest line for the witness file")
-            if entry[1] != hashlib.sha256(text.encode()).hexdigest()[:16]:
-                raise CatalogError("witness file does not match manifest hash")
+                raise CatalogError(f"{rec.name}: no well-formed manifest line for the witness file")
+            if entry[1] != _digest(text):
+                raise CatalogError(f"{rec.name}: witness file does not match manifest hash")
             if entry[0] != rec.spec_hash():
-                raise CatalogError("record spec changed since witness was stored")
-            emb = serialize.parse_emap(text)
-            _verify(rec, emb)
+                raise CatalogError(f"{rec.name}: record spec changed since witness was stored")
+            _verify(rec, serialize.parse_emap(text))
             report.append((rec.name, True, "ok"))
-        except (QuadforgeError, OSError, UnicodeDecodeError) as exc:
+        except CatalogError as exc:
             report.append((rec.name, False, str(exc)))
+        except (QuadforgeError, OSError, UnicodeDecodeError) as exc:
+            report.append((rec.name, False, f"{rec.name}: {exc}"))
     return report
 
 

@@ -23,10 +23,12 @@ the orbits of a flat successor list over these states, taken in increasing
 order of their first state.  An embedding traces them once and keeps them;
 the Euler characteristic, quadrangularity and face-simplicity (the two faces
 along edge e are those of states 4e and 4e + 1) are read from the states,
-and the degrees and orientability from the core.  The label-level views, a
-``Graph`` and the ``rotation`` and ``signature`` dicts over its edge tuples,
-are built only when a caller asks for them (search, surgery on labels,
-``dual``), and ``FaceWalk`` objects only when ``faces()`` is asked for.
+and the degrees from the core; connectivity and orientability are decided
+once, by the constructor's switching search (``Embedding._adopt``).  The
+label-level views, a ``Graph`` and the ``rotation`` and ``signature`` dicts
+over its edge tuples, are built only when a caller asks for them (search,
+surgery on labels, ``dual``), and ``FaceWalk`` objects only when ``faces()``
+is asked for.
 ``certify``, ``serialize`` and ``FaceTable.embedding`` use the core alone.
 
 This is the repo's one encoding of a tracing state: the backtracking
@@ -81,6 +83,24 @@ def other_end(e: Edge, v: Label) -> Label:
     if e[1] == v:
         return e[0]
     raise StructuralError(f"vertex {v!r} not an endpoint of {e}")
+
+
+def connected(n: int, edges) -> bool:
+    """Whether the graph on range(n) with these edges is connected; the
+    graph with no vertex is not."""
+    if not n:
+        return False
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
 
 
 class Graph:
@@ -160,20 +180,8 @@ class Graph:
         return u != v and edge_between(u, v) in self.edges
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        inc = self._incidence
-        start = self._order[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for e in inc[v]:
-                w = e[0] if e[1] == v else e[1]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        rank = self._rank
+        return connected(len(rank), [(rank[a], rank[b]) for a, b in self.edges])
 
     def sorted_vertices(self) -> list:
         return list(self._order)
@@ -220,8 +228,6 @@ class Embedding:
     """
 
     def __init__(self, graph: Graph, rotation: Mapping, signature: Mapping):
-        if not graph.is_connected():
-            raise StructuralError("embedding requires a connected graph")
         eid = {e: i for i, e in enumerate(graph._edge_order)}
         rot, cycles = {}, []
         for v, incident in graph._incidence.items():
@@ -253,30 +259,40 @@ class Embedding:
     @classmethod
     def _of_core(cls, labels: tuple, ends: list, rot: list, sign: list) -> "Embedding":
         """The embedding of a core already checked as the class docstring
-        describes it; only connectivity is checked here."""
-        seen = bytearray(len(labels))
-        stack = []
-        if labels:
-            seen[0] = 1
-            stack.append(0)
-        while stack:
-            v = stack.pop()
-            for e in rot[v]:
-                w = ends[2 * e] ^ ends[2 * e + 1] ^ v  # the other end
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-        if not labels or not all(seen):
-            raise StructuralError("embedding requires a connected graph")
+        describes it; only connectivity is checked here (by ``_adopt``)."""
         emb = cls.__new__(cls)
         emb._adopt(labels, ends, rot, sign)
         return emb
 
     def _adopt(self, labels: tuple, ends: list, rot: list, sign: list) -> None:
+        """Take the core after one switching search over it from rank 0, which
+        gives each rank it reaches a side, +1 or -1, kept across a positive edge
+        and flipped across a negative one.  A rank left unreached is refused; the
+        signs are switching-equivalent to all-positive (every cycle has positive
+        sign product) when no edge joins two sides against its sign."""
+        side = [0] * len(labels)
+        orientable = True
+        if labels:
+            side[0] = 1
+            stack = [0]
+            while stack:
+                u = stack.pop()
+                su = side[u]
+                for e in rot[u]:
+                    w = ends[2 * e] ^ ends[2 * e + 1] ^ u  # the other end
+                    want = su * sign[e]
+                    if not side[w]:
+                        side[w] = want
+                        stack.append(w)
+                    elif side[w] != want:
+                        orientable = False
+        if not labels or not all(side):
+            raise StructuralError("embedding requires a connected graph")
         self.labels = labels
         self.ends = ends
         self.rot = rot
         self.sign = sign
+        self._orientable = orientable
         self._orbits = self._face_of = self._faces = None
 
     def __eq__(self, o) -> bool:
@@ -368,27 +384,9 @@ def euler_characteristic(emb: Embedding) -> int:
 
 
 def is_orientable(emb: Embedding) -> bool:
-    """True iff the signature is switching-equivalent to all-positive.
-
-    Equivalent to every cycle having positive sign product, decided by a
-    BFS two-coloring of the vertex ranks.
-    """
-    ends, sign, rot = emb.ends, emb.sign, emb.rot
-    color = [0] * len(rot)
-    color[0] = 1
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        cu = color[u]
-        for e in rot[u]:
-            w = ends[2 * e] ^ ends[2 * e + 1] ^ u
-            want = cu * sign[e]
-            if not color[w]:
-                color[w] = want
-                stack.append(w)
-            elif color[w] != want:
-                return False
-    return True
+    """True iff the signature is switching-equivalent to all-positive, as
+    the constructor's switching search (``Embedding._adopt``) found."""
+    return emb._orientable
 
 
 def universal_vertices(emb: Embedding) -> list:
@@ -451,23 +449,16 @@ class Certificate(NamedTuple):
             "face_simple", "universal", "min_degree", "minimal")
 
     def to_text(self) -> str:
-        vals = {
-            "n": self.n,
-            "edges": self.edges,
-            "t": self.t,
-            "chi": self.chi,
-            "orientable": _fmt_bool(self.orientable),
-            "quadrangular": _fmt_bool(self.quadrangular),
-            "face_simple": _fmt_bool(self.face_simple),
-            "universal": ",".join(str(v) for v in self.universal),
-            "min_degree": self.min_degree,
-            "minimal": _fmt_bool(self.minimal),
-        }
-        return "".join(f"{k}={vals[k]}\n" for k in self.KEYS)
+        return "".join(f"{k}={_fmt(v)}\n" for k, v in zip(self.KEYS, self))
 
 
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
+def _fmt(value) -> str:
+    """A certificate value as text: a bool as true or false, a tuple comma-joined."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
 
 
 def certify(emb: Embedding) -> Certificate:

@@ -52,7 +52,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import catalog, emap, surgery
-from .emap import Certificate, Embedding, vkey
+from .emap import Certificate, Embedding
 from .errors import PlanError
 
 
@@ -224,11 +224,11 @@ def plan_text(plan: tuple) -> str:
 
 def _choose_universal(chain: surgery.FaceTable):
     """Smallest universal vertex at which the chain is nearly face-simple."""
-    for v in sorted(chain.universal_vertices(), key=vkey):
-        if chain.is_nearly_face_simple_except(v):
-            return v
-    raise PlanError("child embedding has no universal vertex with the "
-                    "nearly-face-simple property")
+    v = chain.nearly_face_simple_universal()
+    if v is None:
+        raise PlanError("child embedding has no universal vertex with the "
+                        "nearly-face-simple property")
+    return v
 
 
 def _check_sum_hypotheses(face_simple_side: surgery.FaceTable, v,

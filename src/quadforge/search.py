@@ -25,10 +25,12 @@ what a partial rotation system needs: per-dart rotation links, the open
 edge signs and the marks of the states already on a closed face.  Each
 complete system is passed to ``Embedding._of_core`` as its integer core, with
 no label-level graph or rotation dicts in between; the embedding traces its
-faces into orbits of the same states (``Embedding._traced``) the first time a
-predicate reads them.  ``search_exact`` runs it once, exhaustively, so with an
-unlimited budget "none" is a proof of nonexistence for the labeled graph;
-``enumerate_embeddings`` runs it to the end and filters what it yields.
+faces into orbits of the same states (``Embedding._traced``) the first time
+they are read: for chi, or to load the ``surgery.FaceTable`` that every
+witness predicate's check reads.  ``search_exact`` runs it once,
+exhaustively, so with an unlimited budget "none" is a proof of nonexistence
+for the labeled graph; ``enumerate_embeddings`` runs it to the end and
+filters what it yields.
 """
 
 from __future__ import annotations
@@ -65,11 +67,6 @@ class WitnessSpec(NamedTuple):
             raise SearchError("target graph must be connected")
 
 
-def _some_universal_ok(emb: Embedding) -> bool:
-    return any(emap.is_nearly_face_simple_except(emb, v)
-               for v in emap.universal_vertices(emb))
-
-
 def _delete_degree2_ok(table: surgery.FaceTable, z) -> bool:
     out = table.copy()
     try:
@@ -86,19 +83,19 @@ def _double_handle_ok(table: surgery.FaceTable, cycle1, cycle2) -> bool:
 
 # Every witness predicate, by name: the number of vertex labels its spec line
 # gives (0, 1, 4 for a 4-cycle or 8 for two), the words a refusal of another
-# number uses, whether its check reads the face table rather than the
-# embedding, and the check, called with that and the predicate's arguments.
-# The spec reader and ``check_predicates`` read only this table.
+# number uses, and the check, called with the candidate's face table and the
+# predicate's arguments.  The spec reader and ``check_predicates`` read only
+# this table.
 PREDICATES = {
-    "face_simple": (0, "no arguments", False, emap.is_face_simple),
-    "universal_vertex":
-        (0, "no arguments", False, lambda emb: bool(emap.universal_vertices(emb))),
-    "nearly_face_simple_except_some_universal": (0, "no arguments", False, _some_universal_ok),
-    "nearly_face_simple_except": (1, "one vertex", False, emap.is_nearly_face_simple_except),
-    "delete_degree2_face_simple": (1, "one vertex", True, _delete_degree2_ok),
+    "face_simple": (0, "no arguments", surgery.FaceTable.is_face_simple),
+    "universal_vertex": (0, "no arguments", lambda table: bool(table.universal_vertices())),
+    "nearly_face_simple_except_some_universal":
+        (0, "no arguments", lambda table: table.nearly_face_simple_universal() is not None),
+    "nearly_face_simple_except": (1, "one vertex", surgery.FaceTable.is_nearly_face_simple_except),
+    "delete_degree2_face_simple": (1, "one vertex", _delete_degree2_ok),
     "has_handle_site":
-        (4, "a 4-cycle", True, lambda table, cycle: bool(table.handle_sites(tuple(cycle)))),
-    "double_handle": (8, "two 4-cycles", True, _double_handle_ok),
+        (4, "a 4-cycle", lambda table, cycle: bool(table.handle_sites(tuple(cycle)))),
+    "double_handle": (8, "two 4-cycles", _double_handle_ok),
 }
 
 
@@ -107,7 +104,7 @@ def spec_predicate(name: str, labels: tuple) -> tuple:
     name, then the one vertex or each 4-cycle of labels."""
     if name not in PREDICATES:
         raise FormatError(f"unknown predicate {name!r}")
-    count, takes, _, _ = PREDICATES[name]
+    count, takes, _ = PREDICATES[name]
     if len(labels) != count:
         raise FormatError(f"{name} takes {takes}")
     if count == 1:
@@ -115,18 +112,13 @@ def spec_predicate(name: str, labels: tuple) -> tuple:
     return (name, *(labels[i:i + 4] for i in range(0, count, 4)))
 
 
-def check_predicates(emb: Embedding, predicates) -> bool:
-    """Whether ``emb`` passes every predicate.  Those that read the face
-    table are answered from one table, built at the first of them; the
-    surgery predicates make their edits on copies."""
-    table = None
+def check_predicates(table: surgery.FaceTable, predicates) -> bool:
+    """Whether the faces of ``table`` pass every predicate; the surgery
+    predicates make their edits on copies, so ``table`` is only read."""
     for name, *args in predicates:
         if name not in PREDICATES:
             raise SearchError(f"unknown predicate {name!r}")
-        _, _, on_table, check = PREDICATES[name]
-        if on_table:
-            table = table or surgery.FaceTable.from_embedding(emb)
-        if not check(table if on_table else emb, *args):
+        if not PREDICATES[name][2](table, *args):
             return False
     return True
 
@@ -333,7 +325,9 @@ def _matches(emb: Embedding, spec: WitnessSpec) -> bool:
         return False
     if spec.orientable is not None and emap.is_orientable(emb) != spec.orientable:
         return False
-    return check_predicates(emb, spec.predicates)
+    # emb is quadrangular, so its faces load into a table
+    return not spec.predicates or check_predicates(surgery.FaceTable.from_embedding(emb),
+                                                   spec.predicates)
 
 
 ENUMERATION_VERTEX_CAP = 8
@@ -392,27 +386,12 @@ def candidate_graphs(n: int, chi: int) -> Iterator[Graph]:
     seen = set()
     for d in range(-(-2 * m // n), n):  # n vertices of degree <= d carry 2m ends
         for edges in _rooted_labelings(n, m, d):
-            if not _connected(n, edges):
+            if not emap.connected(n, edges):
                 continue
             form = graphalg._canonical_form(n, edges)
             if form not in seen:
                 seen.add(form)
                 yield Graph.from_edges(edges, vertices=range(n))
-
-
-def _connected(n: int, edges: list) -> bool:
-    """Whether the graph on range(n) with these edges is connected."""
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen, stack = {0}, [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
 
 
 def _rooted_labelings(n: int, m: int, d: int) -> Iterator[list]:

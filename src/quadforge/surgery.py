@@ -7,7 +7,8 @@ faces it removes and adds: ``splice`` (the diamond sum), ``handle`` (handle
 augmentation along a 4-cycle), ``delete_degree2`` and ``insert_degree2``.
 Every predicate a table answers is computed from its faces: face-simplicity
 from counters it keeps up to date, orientability by one orientation pass over
-the faces.
+the faces.  The search's witness predicates (``search.PREDICATES``) are
+answered on a table.
 
 An ``Embedding`` appears only at the edges, and there only as its integer
 core.  A table is loaded from an embedding's traced faces
@@ -216,11 +217,14 @@ class FaceTable:
         return {v for v, d in self._degree.items() if d == n - 1}
 
     def is_face_simple(self) -> bool:
-        """``emap.is_face_simple`` of these faces."""
+        """Whether no face runs along an edge twice and no two faces share two
+        edges, from the counters; ``emap.is_face_simple`` is the tests' reference."""
         return not self._multi and not self._loops
 
     def is_nearly_face_simple_except(self, v: Label) -> bool:
-        """``emap.is_nearly_face_simple_except`` of these faces, from ``v``'s edges only."""
+        """Whether face-simplicity fails only through shared edges at ``v``,
+        read from ``v``'s edges only; ``emap.is_nearly_face_simple_except`` is
+        the tests' reference."""
         if v not in self._degree:
             raise StructuralError(f"unknown vertex {v!r}")
         fe, side = self._fe, self._side
@@ -238,6 +242,12 @@ class FaceTable:
             shared = self._mates(f).count(g)
             rescued += shared >= 2 > shared - c
         return not loops and self._multi == rescued
+
+    def nearly_face_simple_universal(self):
+        """The least universal vertex, in ``vkey`` order, at which these faces
+        are nearly face-simple (``is_nearly_face_simple_except``), or None."""
+        return next((v for v in sorted(self.universal_vertices(), key=vkey)
+                     if self.is_nearly_face_simple_except(v)), None)
 
     def is_independent(self, v: Label) -> bool:
         """No edge joins two neighbours of ``v``, as the edge index tells after one

@@ -273,7 +273,8 @@ def test_criterion_09_witness_acquisition():
         worst_reload = max(worst_reload, dt)
         assert dt < 1.0, name
         rec = catalog.get_record(name)
-        assert search.check_predicates(emb, rec.predicates), name
+        table = surgery.FaceTable.from_embedding(emb)
+        assert search.check_predicates(table, rec.predicates), name
     print(f"criterion 9: PASS (small records searched, worst {worst:.1f}s; "
           f"large records re-verified from disk, worst {worst_reload:.3f}s)")
 

@@ -13,6 +13,7 @@ import pytest
 
 import nx_oracle
 from quadforge import catalog, cli, emap, planner, search, serialize, surgery
+from test_emap import two_squares_text
 
 
 def run(capsys, *argv):
@@ -136,6 +137,13 @@ def test_verify_does_not_rewrite_input(tmp_path, capsys):
     before = out.read_bytes()
     run(capsys, "verify", str(out))
     assert out.read_bytes() == before
+
+
+def test_verify_refuses_a_disconnected_graph(tmp_path, capsys):
+    path = tmp_path / "two_squares.emap"
+    path.write_text(two_squares_text())
+    code, stdout, stderr = run(capsys, "verify", str(path))
+    assert (code, stdout, stderr) == (1, "", "error: embedding requires a connected graph\n")
 
 
 def test_malformed_emap_reports_line(tmp_path, capsys):
@@ -438,6 +446,20 @@ def test_catalog_verify_fails_on_altered_witness(catalog_copy, capsys):
     assert code == 1
     assert "phi_5_0_star" in stderr
     assert "catalog verified" not in stdout
+
+
+def test_catalog_verify_names_each_refused_record_once(catalog_copy, capsys):
+    # phi_4_0's file is phi_5_0_star's, with the manifest line's file hash to match
+    shutil.copyfile(catalog_copy / "phi_5_0_star.emap", catalog_copy / "phi_4_0.emap")
+    manifest = catalog_copy / "manifest.txt"
+    lines = {line.split()[0]: line.split() for line in manifest.read_text().splitlines()}
+    lines["phi_4_0"][2] = lines["phi_5_0_star"][2]
+    manifest.write_text("".join(" ".join(fields) + "\n" for fields in lines.values()))
+    (catalog_copy / "q7_1.emap").unlink()
+    code, stdout, stderr = run(capsys, "catalog", "verify")
+    assert (code, stdout) == (1, "")
+    assert stderr == ("error: phi_4_0: stored witness is not on the record's target graph\n"
+                      "error: q7_1: witness file missing\n")
 
 
 @pytest.mark.parametrize("name, edit", [

@@ -132,6 +132,31 @@ def test_bad_signature_rejected():
         Embedding(g, rot, {(0, 1): 0})
 
 
+# Two disjoint squares on 0..7, their edges in edge order, each rotation in
+# that order and every sign +: a core each way of making an embedding refuses.
+TWO_SQUARES = [(0, 1), (0, 3), (1, 2), (2, 3), (4, 5), (4, 7), (5, 6), (6, 7)]
+TWO_SQUARES_ROT = [[i for i, e in enumerate(TWO_SQUARES) if v in e] for v in range(8)]
+
+
+def two_squares_text() -> str:
+    lines = ["emap 1"] + [f"e {i} {u} {v} +" for i, (u, v) in enumerate(TWO_SQUARES)]
+    lines += [f"r {v} : " + " ".join(map(str, ids)) for v, ids in enumerate(TWO_SQUARES_ROT)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Embedding(Graph.from_edges(TWO_SQUARES),
+                      {v: [TWO_SQUARES[i] for i in ids] for v, ids in enumerate(TWO_SQUARES_ROT)},
+                      dict.fromkeys(TWO_SQUARES, 1)),
+    lambda: Embedding._of_core(tuple(range(8)), [v for e in TWO_SQUARES for v in e],
+                               TWO_SQUARES_ROT, [1] * 8),
+    lambda: serialize.parse_emap(two_squares_text()),
+], ids=["graph", "core", "emap"])
+def test_a_disconnected_graph_is_refused(build):
+    with pytest.raises(StructuralError, match="embedding requires a connected graph"):
+        build()
+
+
 def test_embedding_from_faces_rebuilds_k4():
     emb = k4_projective()
     walks = [w.vertices for w in emb.faces()]

@@ -170,7 +170,7 @@ def test_enumeration_respects_predicates():
 def test_check_predicates_unknown_name():
     emb = next(iter(search.enumerate_embeddings(cycle_graph(4), chi=2)))
     with pytest.raises(SearchError):
-        search.check_predicates(emb, (("made_up",),))
+        search.check_predicates(surgery.FaceTable.from_embedding(emb), (("made_up",),))
 
 
 def test_candidate_graphs_degree_floor():
@@ -201,27 +201,27 @@ def _raise_key_error(*args, **kwargs):
 
 
 def test_handle_augment_bug_is_not_read_as_unusable_site(monkeypatch):
-    emb = catalog.get_witness("phi_11_8_plus_star")
+    table = surgery.FaceTable.from_embedding(catalog.get_witness("phi_11_8_plus_star"))
     monkeypatch.setattr(surgery.FaceTable, "handle", _raise_key_error)
     with pytest.raises(KeyError):
-        search._double_handle_ok(surgery.FaceTable.from_embedding(emb), (1, 2, 3, 4), (5, 6, 7, 8))
+        search._double_handle_ok(table, (1, 2, 3, 4), (5, 6, 7, 8))
     with pytest.raises(KeyError):
-        search.check_predicates(emb, (("double_handle", (1, 2, 3, 4), (5, 6, 7, 8)),))
+        search.check_predicates(table, (("double_handle", (1, 2, 3, 4), (5, 6, 7, 8)),))
 
 
 def test_delete_degree2_bug_is_not_read_as_failed_predicate(monkeypatch):
-    emb = catalog.get_witness("phi_7_0_plus")
+    table = surgery.FaceTable.from_embedding(catalog.get_witness("phi_7_0_plus"))
     monkeypatch.setattr(surgery.FaceTable, "delete_degree2", _raise_key_error)
     with pytest.raises(KeyError):
-        search.check_predicates(emb, (("delete_degree2_face_simple", "z"),))
+        search.check_predicates(table, (("delete_degree2_face_simple", "z"),))
 
 
 def test_refused_surgery_is_read_as_a_failed_predicate(monkeypatch):
-    emb = catalog.get_witness("phi_11_8_plus_star")
+    table = surgery.FaceTable.from_embedding(catalog.get_witness("phi_11_8_plus_star"))
     predicates = (("delete_degree2_face_simple", "z"),
                   ("double_handle", (1, 2, 3, 4), (5, 6, 7, 8)))
-    assert search.check_predicates(emb, predicates)
-    assert not search.check_predicates(emb, (("delete_degree2_face_simple", "x"),))
+    assert search.check_predicates(table, predicates)
+    assert not search.check_predicates(table, (("delete_degree2_face_simple", "x"),))
 
     def refused(*args, **kwargs):
         raise SurgeryError("refused")
@@ -229,7 +229,7 @@ def test_refused_surgery_is_read_as_a_failed_predicate(monkeypatch):
     for name in ("handle", "delete_degree2"):
         with monkeypatch.context() as m:
             m.setattr(surgery.FaceTable, name, refused)
-            assert not search.check_predicates(emb, predicates)
+            assert not search.check_predicates(table, predicates)
 
 
 

@@ -249,6 +249,37 @@ def test_table_predicates_match_emap():
         surgery.FaceTable.from_embedding(catalog.build_kmn(6, 3)).is_nearly_face_simple_except(99)
 
 
+def reference_universal(emb: emap.Embedding):
+    """The least universal vertex at which ``emb`` is nearly face-simple, or None."""
+    return next((v for v in emap.universal_vertices(emb)
+                 if emap.is_nearly_face_simple_except(emb, v)), None)
+
+
+def test_nearly_face_simple_universal_matches_emap():
+    answers = set()
+    for rec in catalog.record_table():
+        emb = catalog.get_witness(rec.name)
+        got = surgery.FaceTable.from_embedding(emb).nearly_face_simple_universal()
+        assert got == reference_universal(emb), rec.name
+        answers.add(got)
+    # K_7 minus a triangle: on some of its quadrangulations vertex 0 is not the answer
+    for emb in search.enumerate_embeddings(graphalg.delete_edges(graphalg.complete(7),
+                                                                 [(4, 5), (5, 6), (4, 6)])):
+        got = surgery.FaceTable.from_embedding(emb).nearly_face_simple_universal()
+        assert got == reference_universal(emb)
+        answers.add(got)
+    assert answers == {None, 0, 1, 2, 3}
+    # the chain table after each step of a few plans of each kind
+    for req in (ParamRequest(n=18, t=11, kind="nonorientable"),
+                ParamRequest(n=19, t=1, kind="nonorientable"),
+                ParamRequest(n=25, t=10, kind="orientable"),
+                ParamRequest(n=30, t=23, kind="orientable")):
+        nodes = planner.plan(req)
+        for k in range(2, len(nodes) + 1):
+            table = planner._chain(nodes[:k])
+            assert table.nearly_face_simple_universal() == reference_universal(rebuilt(table))
+
+
 def test_orientability_does_not_depend_on_how_a_face_is_walked():
     pool = summand_pool()
     assert sum(not emap.is_orientable(emb) for emb in pool) == 8
