@@ -10,13 +10,15 @@ regenerate byte-for-byte.  Each record states its own ``op``, ``parent`` and
 searched record's ``args`` build its target graph, and a derived record's
 surgery makes both its witness (``_derive``) and its target graph
 (``target_graph``) from its parent's.  The planner reads them too, and the
-manifest's provenance is generated from them.
+manifest's provenance is generated from them.  Each witness is cached with
+the ``surgery.FaceTable`` that ``_verify`` loaded it into (``witness_table``):
+the planner, ``_kmn`` and ``_derive`` build from that table, and only read it.
 
 The catalog directory defaults to the ``data/catalog`` tree shipped with the
 package and can be overridden with the ``QUADFORGE_CATALOG`` environment
-variable.  The witness and ``K_{m,n}`` caches follow it: they are emptied when
-the directory changes, together with every cache registered by
-``register_cache`` (the planner's memo of built plan nodes).
+variable.  The witness (with its table) and ``K_{m,n}`` caches follow it: they
+are emptied when the directory changes, together with every cache registered
+by ``register_cache`` (the planner's memo of built plan nodes).
 
 The ``K_{m,n}`` (m = 2 mod 4, m >= 6) are summed in a ``surgery.FaceTable``,
 as the planner's chain is: ``K_{m,k} <> K_{m,j} = K_{m,k+j-2}`` (Bouchet, JCTB
@@ -71,7 +73,8 @@ class CatalogRecord(NamedTuple):
     same operands to the witness of ``parent`` and to its graph
     (``target_graph``): ``"delete_degree2"`` deletes the vertex ``args[0]``,
     ``"insert_degree2"`` splits the face ``args[0]`` at its corner
-    ``args[1]``, and ``"handle"`` adds a handle along each 4-cycle in ``args``.
+    ``args[1]``, and ``"handle"`` adds a handle along the one 4-cycle in
+    ``args`` (a second would find its sites in the handled table's face order).
     """
 
     name: str
@@ -187,7 +190,7 @@ def record_table() -> tuple:
 
 
 _RECORDS = {r.name: r for r in record_table()}
-_witness_cache: dict = {}
+_witness_cache: dict = {}  # name -> (its verified embedding, the table it was verified on)
 _cache_dir: Path | None = None  # the catalog directory the caches were filled from
 _cache_env: str | None = None  # the raw QUADFORGE_CATALOG value _cache_dir came from
 _registered_caches: list = []  # caches elsewhere of results built from witnesses
@@ -221,22 +224,24 @@ def target_graph(name: str) -> Graph:
         z = surgery._fresh_label(g.vertices)
         ends = (corner, face[(face.index(corner) + 2) % 4])
         return Graph(g.vertices | {z}, g.edges | {edge_between(z, v) for v in ends})
-    if rec.op == "handle":  # the edges of each 4-cycle
-        return Graph(g.vertices, g.edges | {edge_between(u, v) for c in rec.args
-                                            for u, v in zip(c, c[1:] + c[:1])})
+    if rec.op == "handle":  # the edges of the 4-cycle
+        (c,) = rec.args
+        return Graph(g.vertices, g.edges | {edge_between(u, v) for u, v in zip(c, c[1:] + c[:1])})
     raise CatalogError(f"{name}: no derivation rule for op {rec.op!r}")
 
 
-def _verify(rec: CatalogRecord, emb: Embedding) -> None:
-    """Refuse ``emb`` unless it is a quadrangulation of the record's target
-    graph that the search would take for the record's spec."""
+def _verify(rec: CatalogRecord, emb: Embedding) -> surgery.FaceTable:
+    """The face table of ``emb``, refusing ``emb`` unless it is a quadrangulation
+    of the record's target graph that the search would take for the record's spec."""
     spec = rec.spec_for(target_graph(rec.name))
     if emb.graph != spec.graph:
         raise CatalogError(f"{rec.name}: stored witness is not on the record's target graph")
     if not emap.is_quadrangular(emb):
         raise CatalogError(f"{rec.name}: witness is not quadrangular")
-    if not search._matches(emb, spec):
+    table = surgery.FaceTable.from_embedding(emb)
+    if not search._matches(emb, spec, table):
         raise CatalogError(f"{rec.name}: witness fails its chi, orientability or predicate bundle")
+    return table
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -287,30 +292,38 @@ def _acquire_searched(rec: CatalogRecord) -> Embedding:
     return result.embedding
 
 
-def _first_chain_site(parent: Embedding, cycle: tuple, predicates: tuple) -> Embedding:
+def _first_chain_site(parent: surgery.FaceTable, cycle: tuple, predicates: tuple) -> Embedding:
     """``parent`` with a handle at the first site for ``cycle`` whose result
     passes ``predicates``: the derived record's own bundle, so a site that
     leaves a later handle without a site is passed over."""
-    for table in surgery.FaceTable.from_embedding(parent).handled(cycle):
+    for table in parent.handled(cycle):
         if search.check_predicates(table, predicates):
             return table.embedding()
     raise CatalogError(f"no usable handle site for cycle {cycle}")
 
 
 def _derive(rec: CatalogRecord) -> Embedding:
-    """The witness of a derived record: its ``op`` applied to its parent's."""
-    out = get_witness(rec.parent)
+    """The witness of a derived record: its ``op`` applied to its parent's table."""
+    parent = witness_table(rec.parent)
     if rec.op == "handle":
-        for cycle in rec.args:
-            out = _first_chain_site(out, cycle, rec.predicates)
-        return out
-    table = surgery.FaceTable.from_embedding(out)
+        (cycle,) = rec.args
+        return _first_chain_site(parent, cycle, rec.predicates)
+    table = parent.copy()
     getattr(table, rec.op)(*rec.args)  # delete_degree2 or insert_degree2, in place
     return table.embedding()
 
 
 def get_witness(name: str) -> Embedding:
     """The verified embedding for a record; searched/derived and persisted on first use."""
+    return _witness(name)[0]
+
+
+def witness_table(name: str) -> surgery.FaceTable:
+    """The face table the record's witness was verified on; callers only read it."""
+    return _witness(name)[1]
+
+
+def _witness(name: str) -> tuple:
     rec = get_record(name)
     follow_catalog_dir()
     if name in _witness_cache:
@@ -324,13 +337,13 @@ def get_witness(name: str) -> Embedding:
                 emb = serialize.parse_emap(path.read_text())
             except (QuadforgeError, UnicodeDecodeError) as exc:
                 raise CatalogError(f"{name}: witness file corrupt: {exc}") from exc
-            _verify(rec, emb)
+            table = _verify(rec, emb)
         else:
             emb = _derive(rec) if rec.parent else _acquire_searched(rec)
-            _verify(rec, emb)
+            table = _verify(rec, emb)
             _persist(rec, emb)
-        _witness_cache[name] = emb
-        return emb
+        _witness_cache[name] = emb, table
+        return emb, table
 
 
 def verify_all() -> list:
@@ -426,7 +439,7 @@ def _kmn(m: int, n: int) -> surgery.FaceTable:
             # the planar double wheel (both degree-m vertices see the m-cycle
             # 0..m-1), or the catalog's K_{6,3}
             base = (surgery.FaceTable([(m, i, m + 1, (i + 1) % m) for i in range(m)]) if n == 2
-                    else surgery.FaceTable.from_embedding(get_witness("k_6_3")))
+                    else witness_table("k_6_3"))
             _cache_kmn(_canonical(base, n), m, n)
             break
         path.append((m, n))

@@ -21,13 +21,13 @@ step, ``phi_11_{i}_plus_star`` for an orientable one and
 replaces the faces around the summed vertex, and the chain's vertices keep
 their labels.  The complete-bipartite summand is a copy from
 ``catalog.kmn_table``, summed at its first n-side vertex; each block's table
-is built once per catalog directory, and only read.  The sum hypotheses
-are checked before every sum and face-simplicity after it, each answered from
-the tables' indices (independence and the parallel-edge check of a gluing
-from the edge index, so a step walks round no rim vertex) — the construction
-is refused rather than allowed to drift from its contract.  No orientability
-is carried along the chain: the certificate of the finished embedding
-decides it.
+is the one the catalog verified its witness on (``catalog.witness_table``),
+and is only read.  The sum hypotheses are checked before every sum and
+face-simplicity after it, each answered from the tables' indices
+(independence and the parallel-edge check of a gluing from the edge index,
+so a step walks round no rim vertex) — the construction is refused rather
+than allowed to drift from its contract.  No orientability is carried along
+the chain: the certificate of the finished embedding decides it.
 
 Each plan starts at a base node naming the catalog record that holds its
 ``(n, t)``.  Whether that record is searched or derived from another, and by
@@ -242,23 +242,10 @@ def _check_sum_hypotheses(face_simple_side: surgery.FaceTable, v,
     )
 
 
-# The face table of each block witness, built once per catalog directory; a
-# step only reads it.
-_BLOCKS: dict = catalog.register_cache({})
-
-
-def _block_table(record: str) -> surgery.FaceTable:
-    catalog.follow_catalog_dir()
-    table = _BLOCKS.get(record)
-    if table is None:
-        table = _BLOCKS[record] = surgery.FaceTable.from_embedding(catalog.get_witness(record))
-    return table
-
-
 def _induct_step(chain: surgery.FaceTable, block_record: str, m: int) -> None:
     """Splice one step into ``chain``: the block at x with K_{m,n'-1}, then that at z."""
     n_chain = len(chain.vertices())
-    block = _block_table(block_record)
+    block = catalog.witness_table(block_record)  # only read
     mid = catalog.kmn_table(m, n_chain - 1)
     u = m  # the first vertex of the n-side, whose vertices have degree m
     if not _check_sum_hypotheses(mid, u, block, "x"):
@@ -275,8 +262,9 @@ def _induct_step(chain: surgery.FaceTable, block_record: str, m: int) -> None:
         raise PlanError("derivation output is not face-simple")
 
 
-def _check_size(node: PlanNode, n: int, edges: int) -> None:
-    t = n * (n - 1) // 2 - edges
+def _check_size(node: PlanNode, table: surgery.FaceTable) -> None:
+    n = len(table.vertices())
+    t = n * (n - 1) // 2 - len(table.edges())
     if (n, t) != (node.n, node.t):
         raise PlanError(f"step produced ({n},{t}), plan requires ({node.n},{node.t})")
 
@@ -292,32 +280,26 @@ _GEN_CACHE: dict = catalog.register_cache({})
 def execute(plan: tuple) -> Embedding:
     """The embedding ``plan`` describes; each node is built at most once per catalog directory."""
     catalog.follow_catalog_dir()
-    if len(plan) == 1:
-        return _base(plan[0])
+    if len(plan) == 1:  # the base's witness, on its own labels
+        _check_size(plan[0], catalog.witness_table(plan[0].record))
+        return catalog.get_witness(plan[0].record)
     # one expression, so that the chain is freed once its ranked copy is made
     return _chain(plan).ranked().embedding()
 
 
-def _base(node: PlanNode) -> Embedding:
-    out = catalog.get_witness(node.record)
-    _check_size(node, len(out.labels), len(out.sign))
-    return out
-
-
 def _chain(plan: tuple) -> surgery.FaceTable:
     """A table of ``plan``'s chain on ints: spliced up to its last node from the last
-    built node's frozen faces, thawed, or from its base, each spliced node frozen
-    into the memo."""
+    built node's frozen faces, thawed, or from a ranked copy of its base's witness
+    table, each spliced node frozen into the memo."""
     k = len(plan) - 1
     while k and plan[k] not in _GEN_CACHE:
         k -= 1
-    if k:
-        chain = surgery.FaceTable.thaw(_GEN_CACHE[plan[k]])
-    else:
-        chain = surgery.FaceTable.from_embedding(_base(plan[0])).ranked()
+    chain = (surgery.FaceTable.thaw(_GEN_CACHE[plan[k]]) if k
+             else catalog.witness_table(plan[0].record).ranked())
+    _check_size(plan[k], chain)
     for node in plan[k + 1:]:
         _induct_step(chain, node.record, _STEP_VERTICES[node.step] + 2)
-        _check_size(node, len(chain.vertices()), len(chain.edges()))
+        _check_size(node, chain)
         _GEN_CACHE[node] = chain.frozen()
     return chain
 

@@ -101,7 +101,7 @@ PREDICATES = {
 
 def spec_predicate(name: str, labels: tuple) -> tuple:
     """The predicate tuple of a spec line ``predicate NAME LABEL...``: the
-    name, then the one vertex or each 4-cycle of labels."""
+    name, then the one vertex or each 4-cycle, of four distinct labels."""
     if name not in PREDICATES:
         raise FormatError(f"unknown predicate {name!r}")
     count, takes, _ = PREDICATES[name]
@@ -109,7 +109,10 @@ def spec_predicate(name: str, labels: tuple) -> tuple:
         raise FormatError(f"{name} takes {takes}")
     if count == 1:
         return (name, labels[0])
-    return (name, *(labels[i:i + 4] for i in range(0, count, 4)))
+    cycles = [labels[i:i + 4] for i in range(0, count, 4)]
+    if any(len(set(cycle)) < 4 for cycle in cycles):
+        raise FormatError(f"{name} takes {takes} of distinct vertices")
+    return (name, *cycles)
 
 
 def check_predicates(table: surgery.FaceTable, predicates) -> bool:
@@ -320,14 +323,15 @@ def search_exact(spec: WitnessSpec, budget: int | None = None) -> SearchResult:
     return SearchResult("none", None, searcher.nodes)
 
 
-def _matches(emb: Embedding, spec: WitnessSpec) -> bool:
+def _matches(emb: Embedding, spec: WitnessSpec, table: surgery.FaceTable | None = None) -> bool:
+    """Whether ``emb`` passes ``spec``; the predicates read ``table``, ``emb``'s faces."""
     if spec.chi is not None and emap.euler_characteristic(emb) != spec.chi:
         return False
     if spec.orientable is not None and emap.is_orientable(emb) != spec.orientable:
         return False
     # emb is quadrangular, so its faces load into a table
-    return not spec.predicates or check_predicates(surgery.FaceTable.from_embedding(emb),
-                                                   spec.predicates)
+    return not spec.predicates or check_predicates(
+        table or surgery.FaceTable.from_embedding(emb), spec.predicates)
 
 
 ENUMERATION_VERTEX_CAP = 8

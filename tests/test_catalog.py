@@ -176,7 +176,7 @@ def test_kmn_has_full_degree_vertices():
 
 
 def test_handle_augment_bug_propagates_from_chain_site(monkeypatch):
-    parent = catalog.get_witness("phi_11_8_plus_star")
+    parent = catalog.witness_table("phi_11_8_plus_star")
 
     def broken(*args, **kwargs):
         raise KeyError("kernel bug")
@@ -187,7 +187,7 @@ def test_handle_augment_bug_propagates_from_chain_site(monkeypatch):
 
 
 def test_refused_handle_is_read_as_an_unusable_site(monkeypatch):
-    parent = catalog.get_witness("phi_11_8_plus_star")
+    parent = catalog.witness_table("phi_11_8_plus_star")
 
     def refused(*args, **kwargs):
         raise SurgeryError("refused")
@@ -239,6 +239,22 @@ def test_witness_cache_follows_catalog_dir(tmp_path, monkeypatch):
             catalog.get_witness("phi_4_0")
         with pytest.raises(CatalogError, match="k_6_3"):
             catalog.build_kmn(6, 3)
+    finally:
+        monkeypatch.delenv(catalog.CATALOG_ENV)
+        catalog.clear_cache()
+
+
+def test_witness_tables_follow_catalog_dir(tmp_path, monkeypatch):
+    shutil.copytree(catalog.catalog_dir(), tmp_path, dirs_exist_ok=True)
+    (tmp_path / "k_6_3.emap").write_text("not an emap file\n")
+    catalog.witness_table("phi_4_0")
+    catalog.witness_table("k_6_3")
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(tmp_path))
+    try:
+        catalog.follow_catalog_dir()
+        assert catalog._witness_cache == {}
+        with pytest.raises(CatalogError, match="k_6_3"):
+            catalog.witness_table("k_6_3")
     finally:
         monkeypatch.delenv(catalog.CATALOG_ENV)
         catalog.clear_cache()

@@ -222,6 +222,13 @@ BAD_SPEC_FILES = [
     ("graph K(4)\nchi 1\npredicate double_handle 0 1 2 3\n",
      "line 3: double_handle takes two 4-cycles"),
     ("graph K(4)\nchi 1\npredicate made_up\n", "line 3: unknown predicate 'made_up'"),
+    # a 4-cycle that repeats a vertex is refused before any search
+    ("graph K(4)\nchi 1\npredicate has_handle_site 0 0 0 0\n",
+     "line 3: has_handle_site takes a 4-cycle of distinct vertices"),
+    ("graph K(5)\nchi 0\norientable false\npredicate has_handle_site 0 1 2 2\n",
+     "line 4: has_handle_site takes a 4-cycle of distinct vertices"),
+    ("graph K(4)\nchi 1\npredicate double_handle 0 1 2 3 0 1 1 3\n",
+     "line 3: double_handle takes two 4-cycles of distinct vertices"),
 ]
 
 

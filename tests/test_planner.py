@@ -276,6 +276,59 @@ def count_induction_steps(monkeypatch) -> list:
     return calls
 
 
+def count_table_loads(monkeypatch) -> list:
+    """The embeddings that ``FaceTable.from_embedding`` loads from now on."""
+    loads = []
+    real = surgery.FaceTable.from_embedding
+
+    def counting(emb):
+        loads.append(emb)
+        return real(emb)
+
+    monkeypatch.setattr(surgery.FaceTable, "from_embedding", staticmethod(counting))
+    return loads
+
+
+def assert_loads_are_the_cached_witnesses(loads: list) -> None:
+    """One load per cached witness, of the cached embedding itself, in load order."""
+    assert list(map(id, loads)) == [id(emb) for emb, _ in catalog._witness_cache.values()]
+
+
+def assert_witness_tables_unedited() -> None:
+    """Every cached witness table still holds its witness's faces, in trace order."""
+    assert catalog._witness_cache
+    for name in catalog._witness_cache:
+        want = surgery.FaceTable.from_embedding(catalog.get_witness(name)).faces()
+        assert catalog.witness_table(name).faces() == want, name
+
+
+def test_cold_generation_loads_each_witness_table_once(monkeypatch):
+    catalog.clear_cache()
+    loads = count_table_loads(monkeypatch)
+    planner.generate(ParamRequest(n=50, t=3, kind="nonorientable"))
+    # the base, the two blocks and the K_{6,3} seed, each loaded by its verification
+    assert sorted(catalog._witness_cache) == ["k_6_3", "phi_6_1", "phi_7_0_plus", "phi_7_2_plus"]
+    assert_loads_are_the_cached_witnesses(loads)
+
+
+def test_witness_tables_are_loaded_once_and_only_read(tmp_path, monkeypatch):
+    catalog.clear_cache()
+    loads = count_table_loads(monkeypatch)
+    for req in acceptance_requests():
+        planner.generate(req)
+    assert_loads_are_the_cached_witnesses(loads)
+    monkeypatch.undo()
+    assert_witness_tables_unedited()
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(tmp_path))
+    try:
+        catalog.build_all()
+        assert len(catalog._witness_cache) == len(catalog.record_table())
+        assert_witness_tables_unedited()
+    finally:
+        monkeypatch.delenv(catalog.CATALOG_ENV)
+        catalog.clear_cache()
+
+
 def test_each_plan_node_is_built_once(monkeypatch):
     requests = list(acceptance_requests())
     assert len(requests) == 224
