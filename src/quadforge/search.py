@@ -161,16 +161,27 @@ class _QuadSearcher:
     would be refused for every sign, so its parent counts it without making
     the frame: the node count is as if the frame were made.
 
-    Every corner is linked through the link check in ``_extend``, never
-    found linked.  A dart's link is made only by the step turning its
-    corner.  A second turn would come from the same state, which is done or
-    held once by the path, or from its reverse.  A reverse on a closed face
-    had the state marked done by ``_close``.  One on the open path would
-    make the stretch between them read the same reversed: that needs a
-    state that is its own reverse, or a step from a state to its reverse,
-    which turns a degree-1 corner and so keeps the orientation bit that the
-    reverse flips.  Neither exists.  A corner found linked would be pruned
-    by the link check, not built wrong.
+    The link check in ``_extend`` turns the corner at the head dart hd: with
+    o = +1 the rotation steps from hd to the next dart d, with o = -1 from d
+    to hd.  Both ends must be free, and a link may close a cycle only through
+    every dart at the vertex.  Every d links to the same side of hd, so the
+    end of hd's path on that side (its head along ``prv`` for o = +1, its
+    tail along ``nxt`` for o = -1) is walked once per sign, and d closes a
+    cycle exactly when it is that end.  ``nxt`` and ``prv`` are linked only
+    for a state that closes the face (``_close`` reads the link) or recurses
+    (the next frame does); the mirror check reads the link a state would
+    make, and a state refused as done or as a dead end never needs it.
+
+    Every corner is linked through this check, never found linked.  A
+    dart's link is made only by the step turning its corner.  A second turn
+    would come from the same state, which is done or held once by the path,
+    or from its reverse.  A reverse on a closed face had the state marked
+    done by ``_close``.  One on the open path would make the stretch between
+    them read the same reversed: that needs a state that is its own reverse,
+    or a step from a state to its reverse, which turns a degree-1 corner and
+    so keeps the orientation bit that the reverse flips.  Neither exists.  A
+    corner found linked would be pruned by the check on hd's side, not built
+    wrong.
     """
 
     def __init__(self, graph: Graph, orientable: bool | None):
@@ -244,46 +255,53 @@ class _QuadSearcher:
             o = (s & 1) ^ (sg < 0)  # orientation bit after crossing e
             if closing and o != first & 1:
                 continue  # (the head is at the start's vertex: see the dead ends below)
-            # corner at the head: o = +1 links d to hd, o = -1 links hd to d
+            # the corner at the head: o = +1 (bit 0) links hd to d, o = -1
+            # links d to hd.  Every d takes the link on the side walked from
+            # hd to the end of its path; linking that end closes a cycle.
+            d_side, hd_side = (nxt, prv) if o else (prv, nxt)
+            if hd_side[hd] >= 0:
+                continue
+            end, k = hd, 1
+            while d_side[end] >= 0:
+                end = d_side[end]
+                k += 1
+            shut = end if k != degree else -1  # a cycle must pass every dart
+            fresh = not sign[e]
+            sign[e] = sg  # sg is the sign already set on an edge that is not fresh
             for d in (first >> 1,) if closing else darts:
+                if d_side[d] >= 0 or d == shut:
+                    continue
+                # a later state of the path has its corner linked, refused above
+                t = 2 * d + o
+                if not closing and (done[t] or t == first):
+                    continue
                 a, b = (d, hd) if o else (hd, d)
-                # the rotation may step from a to b: both are free, and a
-                # cycle closes only through every dart at the vertex
-                if nxt[a] >= 0 or prv[b] >= 0:
+                # the mirror image of this branch is searched instead: the
+                # check reads nxt[refl] > prv[refl] >= 0 as a to b would leave it
+                if refl == a and b > prv[a] >= 0 or refl == b and nxt[b] > a:
                     continue
-                cur, k = b, 1
-                while nxt[cur] >= 0:
-                    cur = nxt[cur]
-                    k += 1
-                if cur == a and k != degree:
+                if last and vertex[d ^ 1] != start:
+                    # a dead end: its frame would refuse every sign
+                    self.nodes += 1
+                    if self.budget is not None and self.nodes > self.budget:
+                        raise _Budget()
                     continue
-                fresh = not sign[e]
-                sign[e] = sg  # sg is the sign already set on an edge that is not fresh
+                # link only a state that closes the face or recurses: only
+                # _close and the next frame read the link
                 nxt[a], prv[b] = b, a
-                if refl in (a, b) and nxt[refl] > prv[refl] >= 0:
-                    pass  # the mirror image of this branch is searched instead
-                elif closing:
+                if closing:
                     marked = self._close(path)
                     if marked:
                         yield first
                         for t in marked:
                             done[t] = 0
                 else:
-                    t = 2 * d + o
-                    if done[t] or t in path:
-                        pass
-                    elif last and vertex[d ^ 1] != start:
-                        # a dead end: its frame would refuse every sign
-                        self.nodes += 1
-                        if self.budget is not None and self.nodes > self.budget:
-                            raise _Budget()
-                    else:
-                        path.append(t)
-                        yield from self._extend(path)
-                        path.pop()
+                    path.append(t)
+                    yield from self._extend(path)
+                    path.pop()
                 nxt[a] = prv[b] = -1
-                if fresh:
-                    sign[e] = 0
+            if fresh:
+                sign[e] = 0
 
     def _close(self, path: list) -> list:
         """Mark the face's states and their reverses done; [] if one already is."""

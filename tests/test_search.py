@@ -96,6 +96,50 @@ def test_exhaustive_none_is_pinned(k, chi, predicates, nodes):
     assert (res.status, res.nodes) == ("none", nodes)
 
 
+# Full traversals, pinned: the nodes, the systems and a digest of their cores
+# in yield order, when the search is resumed after every yield to its end.
+TRAVERSALS = [
+    (graphalg.complete(5), None, 1139, 6,
+     "653dd9f13dba3a8f349b6701ff4f5cbb5833ec8dd9a958807f0f7683859992cf"),
+    (graphalg.complete_bipartite(2, 6), None, 1181, 60,
+     "fa6f387cf61d8958ce5ea4e980a687a4c040c7a2b93d2995037195c90e040eee"),
+    (graphalg.complete_bipartite(4, 4), True, 2167, 54,
+     "5a1af0f5e2b8e5dd08a3ea8749fb06fb994b99fd3b45196a4f00cbef56e2a5cf"),
+    (graphalg.delete_edges(graphalg.complete(6), [(0, 1)]), None, 11807, 12,
+     "459491a8addc6b82b7a9288276feed5425e88f5f64eea14fb2507e9faab83a51"),
+    (graphalg.complete_bipartite(3, 4), None, 497, 6,
+     "511bfbcce45f7575bed4761cfe8ae593536a6aabe0d4ad669b843c2e64f6b519"),
+]
+
+
+@pytest.mark.parametrize("g, orientable, nodes, systems, digest", TRAVERSALS)
+def test_full_traversal_is_pinned(g, orientable, nodes, systems, digest):
+    searcher = search._QuadSearcher(g, orientable)
+    cores = hashlib.sha256()
+    count = 0
+    for emb in searcher.search(None):
+        cores.update(repr((emb.rot, emb.sign)).encode())
+        count += 1
+    assert (searcher.nodes, count, cores.hexdigest()) == (nodes, systems, digest)
+
+
+# A budget of exactly the nodes a search takes lets it finish; one less stops
+# it at the node that trips the budget.  Most nodes of the two records are
+# dead ends, so this pins where they are counted.
+@pytest.mark.parametrize("name, status", [
+    ("phi_7_0_plus", "found"), ("phi_7_2_plus", "found"), (None, "none")])
+def test_budget_boundary(name, status):
+    if name is None:  # K(5) on N2, with no witness
+        spec, nodes = search.WitnessSpec(graphalg.complete(5), 0, False), 1139
+    else:
+        rec = _record(name)
+        spec, nodes = rec.spec_for(rec.graphs()[0]), EXACT_NODES[name]
+    full = search.search_exact(spec, budget=nodes)
+    short = search.search_exact(spec, budget=nodes - 1)
+    assert (full.status, full.nodes) == (status, nodes)
+    assert (short.status, short.nodes) == ("exhausted", nodes)
+
+
 def test_exact_search_depth_does_not_grow_with_the_edge_count():
     # 520 edges, so 2,080 tracing states: one frame per state would pass
     # Python's recursion limit
