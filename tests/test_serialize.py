@@ -121,6 +121,8 @@ REFUSALS = {
                                         "line 2: extra field '7'"),
     "extra field on the edge count": (GOOD_TEXT.replace("E 1", "E 1 1"),
                                       "line 3: extra field '1'"),
+    "repeated vertex count": (GOOD_TEXT.replace("V 2", "V 9\nV 2"), "line 3: duplicate V line"),
+    "repeated edge count": (GOOD_TEXT.replace("E 1", "E 7\nE 1"), "line 4: duplicate E line"),
     "edge count": (GOOD_TEXT.replace("E 1", "E 2"), "E declares 2 edges, file lists 1"),
     "edge under two ids": (GOOD_TEXT.replace("e 0 0 1 +", "e 0 0 1 +\ne 1 1 0 -")
                            .replace("E 1", "E 2"),
