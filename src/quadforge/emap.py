@@ -21,14 +21,16 @@ The state that crosses edge e the other way on the other side of the surface
 is ``s ^ 3`` for a positive edge and ``s ^ 2`` for a negative one.  Faces are
 the orbits of a flat successor list over these states, taken in increasing
 order of their first state.  An embedding traces them once and keeps them;
-the Euler characteristic, quadrangularity and face-simplicity (the two faces
-along edge e are those of states 4e and 4e + 1) are read from the states,
-and the degrees from the core; connectivity and orientability are decided
-once, by the constructor's switching search (``Embedding._adopt``).  The
-label-level views, a ``Graph`` and the ``rotation`` and ``signature`` dicts
-over its edge tuples, are built only when a caller asks for them (search,
-surgery on labels, ``dual``), and ``FaceWalk`` objects only when ``faces()``
-is asked for.
+the Euler characteristic, quadrangularity and face-simplicity are read from
+the states (the two faces along edge e are those of states 4e and 4e + 1:
+the faces are simple when those two differ on every edge and no two edges
+have the same two), and the degrees from the core.  Connectivity and
+orientability are decided once, by the constructor (``Embedding._adopt``):
+a switching search that stops once it has reached every vertex, then one
+comparison over the whole edge list.  The label-level views, a ``Graph``
+and the ``rotation`` and ``signature`` dicts over its edge tuples, are built
+only when a caller asks for them (search, surgery on labels, ``dual``), and
+``FaceWalk`` objects only when ``faces()`` is asked for.
 ``certify``, ``serialize`` and ``FaceTable.embedding`` use the core alone.
 
 This is the repo's one encoding of a tracing state: the backtracking
@@ -75,14 +77,6 @@ def edge_between(u: Label, v: Label) -> Edge:
     if ku == kv:
         raise StructuralError(f"loop at {u!r} not allowed")
     return (u, v) if ku < kv else (v, u)
-
-
-def other_end(e: Edge, v: Label) -> Label:
-    if e[0] == v:
-        return e[1]
-    if e[1] == v:
-        return e[0]
-    raise StructuralError(f"vertex {v!r} not an endpoint of {e}")
 
 
 def connected(n: int, edges) -> bool:
@@ -173,12 +167,6 @@ class Graph:
             raise StructuralError(f"unknown vertex {v!r}")
         return len(self._incidence[v])
 
-    def incident_edges(self, v: Label) -> list:
-        return list(self._incidence.get(v, ()))
-
-    def has_edge(self, u: Label, v: Label) -> bool:
-        return u != v and edge_between(u, v) in self.edges
-
     def is_connected(self) -> bool:
         rank = self._rank
         return connected(len(rank), [(rank[a], rank[b]) for a, b in self.edges])
@@ -265,34 +253,36 @@ class Embedding:
         return emb
 
     def _adopt(self, labels: tuple, ends: list, rot: list, sign: list) -> None:
-        """Take the core after one switching search over it from rank 0, which
-        gives each rank it reaches a side, +1 or -1, kept across a positive edge
-        and flipped across a negative one.  A rank left unreached is refused; the
-        signs are switching-equivalent to all-positive (every cycle has positive
-        sign product) when no edge joins two sides against its sign."""
-        side = [0] * len(labels)
-        orientable = True
-        if labels:
+        """Take the core after a switching search from rank 0, which gives
+        each rank it reaches a side, +1 or -1, kept across a positive edge and
+        flipped across a negative one, and stops once every rank has one.  A
+        rank left without a side is refused.  The signs are
+        switching-equivalent to all-positive (every cycle has positive sign
+        product) exactly when every edge ``e`` joins ranks ``a`` and ``b`` with
+        ``side[a] * side[b] == sign[e]``: one comparison over the edge list,
+        which needs ``sign`` to be a list, as the core's is."""
+        n = len(labels)
+        side = [0] * n
+        left = n - 1  # ranks without a side; -1 when there is no rank
+        if n:
             side[0] = 1
             stack = [0]
-            while stack:
+            while left and stack:
                 u = stack.pop()
                 su = side[u]
                 for e in rot[u]:
                     w = ends[2 * e] ^ ends[2 * e + 1] ^ u  # the other end
-                    want = su * sign[e]
                     if not side[w]:
-                        side[w] = want
+                        side[w] = su * sign[e]
                         stack.append(w)
-                    elif side[w] != want:
-                        orientable = False
-        if not labels or not all(side):
+                        left -= 1
+        if left:
             raise StructuralError("embedding requires a connected graph")
         self.labels = labels
         self.ends = ends
         self.rot = rot
         self.sign = sign
-        self._orientable = orientable
+        self._orientable = [side[a] * side[b] for a, b in zip(ends[0::2], ends[1::2])] == sign
         self._orbits = self._face_of = self._faces = None
 
     def __eq__(self, o) -> bool:
@@ -411,13 +401,20 @@ def is_quadrangular(emb: Embedding) -> bool:
 
 def _faces_meet_once(emb: Embedding, away_from: tuple) -> bool:
     """No face runs along an edge twice and no two faces share two edges,
-    counting only the edges with no end in ``away_from``."""
-    lo, hi = _edge_faces(emb)
+    counting only the edges with no end in ``away_from``.  The faces along
+    edge ``e`` are those of states ``4e`` and ``4e + 1``: a face runs along
+    ``e`` twice when the two are equal, and two faces ``a < b`` share ``e``
+    as the one key ``a * nf + b``, with ``nf`` the face count."""
+    emb._traced()
+    fa, fb = emb._face_of[0::4], emb._face_of[1::4]
     if away_from:
         skip = {e for v in away_from for e in emb.rot[emb.labels.index(v)]}
-        lo = [f for e, f in enumerate(lo) if e not in skip]
-        hi = [f for e, f in enumerate(hi) if e not in skip]
-    return not any(map(operator.eq, lo, hi)) and len(set(zip(lo, hi))) == len(lo)
+        fa = [f for e, f in enumerate(fa) if e not in skip]
+        fb = [f for e, f in enumerate(fb) if e not in skip]
+    if any(map(operator.eq, fa, fb)):
+        return False
+    nf = len(emb._orbits)
+    return len({a * nf + b if a < b else b * nf + a for a, b in zip(fa, fb)}) == len(fa)
 
 
 def is_face_simple(emb: Embedding) -> bool:

@@ -17,7 +17,7 @@ from test_search import ENUMERATED
 def square_sphere() -> Embedding:
     # C4 embedded in the sphere: two square faces.
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
-    rot = {v: tuple(g.incident_edges(v)) for v in g.vertices}
+    rot = {v: g._incidence[v] for v in g.vertices}
     sig = {e: 1 for e in g.edges}
     return Embedding(g, rot, sig)
 
@@ -235,8 +235,8 @@ def switching_equivalent(a: Embedding, b: Embedding) -> bool:
         stack = [root]
         while stack:
             u = stack.pop()
-            for e in g.incident_edges(u):
-                w = emap.other_end(e, u)
+            for e in g._incidence[u]:
+                w = e[0] if e[1] == u else e[1]
                 if w not in lam:
                     lam[w] = lam[u] * a.signature[e] * b.signature[e]
                     stack.append(w)

@@ -24,7 +24,7 @@ def brute_force_exists(g: Graph, chi: int, orientable) -> bool:
     edges = g.sorted_edges()
     rot_choices = []
     for v in verts:
-        inc = g.incident_edges(v)
+        inc = g._incidence[v]
         first, rest = inc[0], inc[1:]
         rot_choices.append([(first,) + p for p in itertools.permutations(rest)])
     for rots in itertools.product(*rot_choices):

@@ -20,7 +20,7 @@ from collections import Counter
 import pytest
 
 from quadforge import catalog, emap, graphalg, planner, search, surgery
-from quadforge.emap import Embedding, Label, edge_between, other_end, vkey
+from quadforge.emap import Embedding, Label, edge_between, vkey
 from quadforge.errors import PlanError, StructuralError, SurgeryError
 from quadforge.planner import ParamRequest
 
@@ -48,7 +48,7 @@ def _faces_at_vertex(emb: Embedding, v: Label):
 
 def _rim(emb: Embedding, v: Label):
     """Neighbor cycle of v plus the map {a_j, a_j+1} -> opposite corner."""
-    cyc = tuple(other_end(e, v) for e in emb.rotation[v])
+    cyc = tuple(a if b == v else b for a, b in emb.rotation[v])
     pair_to_m = {}
     removed = set()
     for idx, walk, pos in _faces_at_vertex(emb, v):
@@ -181,8 +181,8 @@ def reference_splice(a, v, b, v2, labels) -> emap.Embedding:
     ints = [u for u in [*a.graph.vertices, *labels.values()] if isinstance(u, int)]
     spare = max(ints, default=-1) + 1
     b = surgery.relabel_embedding(b, {**labels, v2: spare})
-    rim_a = [other_end(e, v) for e in a.rotation[v]]
-    rim_b = [other_end(e, spare) for e in b.rotation[spare]]
+    rim_a = [x if y == v else y for x, y in a.rotation[v]]
+    rim_b = [x if y == spare else y for x, y in b.rotation[spare]]
     d = len(rim_a)
     gluings = [(offset, reflect) for reflect in (False, True) for offset in range(d)
                if all(rim_b[(offset + j if reflect else offset - j) % d] == rim_a[j]
@@ -194,7 +194,7 @@ def reference_splice(a, v, b, v2, labels) -> emap.Embedding:
 def canonical_rim(emb: emap.Embedding, v) -> list:
     """``v``'s neighbours round it, from the least, towards the lesser of its
     two neighbours on the rim."""
-    rim = [other_end(e, v) for e in emb.rotation[v]]
+    rim = [a if b == v else b for a, b in emb.rotation[v]]
     k = rim.index(min(rim, key=vkey))
     rim = rim[k:] + rim[:k]
     return rim if vkey(rim[1]) < vkey(rim[-1]) else rim[:1] + rim[:0:-1]
@@ -205,7 +205,7 @@ def reference_hypotheses(side: emap.Embedding, v, other: emap.Embedding, v2) -> 
     nbrs = g.neighbors(v)
     return (emap.is_face_simple(side)
             and min(map(g.degree, g.vertices)) >= 3
-            and not any(g.has_edge(p, q) for p in nbrs for q in nbrs)
+            and not any(g.neighbors(p) & nbrs for p in nbrs)
             and emap.is_nearly_face_simple_except(other, v2))
 
 
@@ -222,7 +222,7 @@ def assert_predicates_match(table: surgery.FaceTable, emb: emap.Embedding) -> No
         assert table.is_nearly_face_simple_except(v) == emap.is_nearly_face_simple_except(emb, v)
         nbrs = g.neighbors(v)
         assert table.is_independent(v) == (
-            not any(g.has_edge(p, q) for p in nbrs for q in nbrs))
+            not any(g.neighbors(p) & nbrs for p in nbrs))
 
 
 def assert_embedding_matches(table: surgery.FaceTable) -> None:
@@ -444,7 +444,7 @@ def reference_sites(emb: emap.Embedding, cycle: tuple) -> list:
     """(alpha, beta) of every handle site, in the order the faces are traced;
     none when an edge of the cycle is present."""
     a, b, c, d = cycle
-    if any(emb.graph.has_edge(u, x) for u, x in ((a, b), (b, c), (c, d), (d, a))):
+    if any(edge_between(u, x) in emb.graph.edges for u, x in ((a, b), (b, c), (c, d), (d, a))):
         return []
     faces = walks(emb)
 
