@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -324,6 +325,32 @@ def test_surgery_diamond_of_two_tori(tmp_path, capsys):
     code, _, stderr = run(capsys, "surgery", "diamond", str(a), "0", str(a), "0")
     assert code == 1
     assert "label collision" in stderr
+
+
+def test_diamond_relabel_and_rebuild_bytes_are_pinned(tmp_path, capsys):
+    # a change that alters these bytes on purpose updates this digest and says so
+    digest = hashlib.sha256()
+    a, b = tmp_path / "a.emap", tmp_path / "b.emap"
+    k63 = catalog.build_kmn(6, 3)
+    a.write_text(serialize.write_emap(k63))
+    b.write_text(serialize.write_emap(
+        surgery.relabel_embedding(k63, {v: v + 100 for v in k63.graph.vertices})))
+    for extra in ((), ("--offset", "1", "--reflect"), ("--offset", "2")):
+        code, stdout, _ = run(capsys, "surgery", "diamond", str(a), "0", str(b), "100", *extra)
+        assert code == 0, extra
+        digest.update(stdout.encode())
+    names = [rec.name for rec in catalog.record_table()]
+    assert len(names) == 22
+    for name in names:
+        w = catalog.get_witness(name)
+        digest.update(serialize.write_emap(
+            surgery.relabel_embedding(w, {v: f"v{v}" for v in w.labels})).encode())
+        # the labels reversed onto themselves: every edge is renumbered
+        digest.update(serialize.write_emap(
+            surgery.relabel_embedding(w, dict(zip(w.labels, w.labels[::-1])))).encode())
+        digest.update(serialize.write_emap(
+            emap.embedding_from_faces([f.vertices for f in w.faces()])).encode())
+    assert digest.hexdigest() == "a7f06baccfcbf74f8229ece682dd0228becb1b6b864e71979afb0ad0544d1877"
 
 
 def test_surgery_handle_and_degree2_moves_via_files(tmp_path, capsys):
