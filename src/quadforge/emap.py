@@ -25,18 +25,22 @@ the Euler characteristic, quadrangularity and face-simplicity are read from
 the states (the two faces along edge e are those of states 4e and 4e + 1:
 the faces are simple when those two differ on every edge and no two edges
 have the same two), and the degrees from the core.  Connectivity and
-orientability are decided once, by the constructor (``Embedding._adopt``):
-a switching search that stops once it has reached every vertex, then one
-comparison over the whole edge list.  The label-level views, a ``Graph``
-and the ``rotation`` and ``signature`` dicts over its edge tuples, are built
-only when a caller asks for them (search, surgery on labels, ``dual``), and
-``FaceWalk`` objects only when ``faces()`` is asked for.
-``certify``, ``serialize`` and ``FaceTable.embedding`` use the core alone.
+orientability are decided once, by the one constructor
+(``Embedding.__init__``), which takes the core as its caller built it: a
+switching search that stops once it has reached every vertex, then one
+comparison over the whole edge list.  Every builder fills the core itself:
+``serialize.parse_emap``, ``surgery.FaceTable.embedding``,
+``surgery.relabel_embedding``, ``embedding_from_faces`` and the searcher;
+the face table and the relabelling number the edges with ``number_edges``.
+The one label-level view, a ``Graph``, is built only when a caller asks for
+it (the catalog's target check, ``dual`` and ``surgery.diamond_sum``), and
+``FaceWalk`` objects only when ``faces()`` is asked for.  ``certify`` and
+``serialize`` use the core alone.
 
 This is the repo's one encoding of a tracing state: the backtracking
 searcher (``search._QuadSearcher``) builds its faces over the same edge
 numbering, vertex ranks, states and reverse rule, and hands each complete
-system over as a core (``Embedding._of_core``).
+system over as a core.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import itertools
 import operator
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import StructuralError
 
@@ -95,6 +99,20 @@ def connected(n: int, edges) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == n
+
+
+def number_edges(n: int, m: int, edges: Iterable) -> tuple:
+    """Number edges as a core does, in order of their end ranks.  ``edges``
+    gives each as ``(e, a, b)``: its id ``e < m`` and its two end ranks, below
+    ``n``, in either order.  Returns ``order``, the ids in the new order;
+    ``new_id``, each id's new number; and the core's ``ends``."""
+    # sorted, the ints (lesser rank * n + greater rank) * m + e keep their ids
+    keyed = sorted([(a * n + b if a < b else b * n + a) * m + e for e, a, b in edges])
+    order = [k % m for k in keyed]
+    new_id = [0] * m
+    for i, e in enumerate(order):
+        new_id[e] = i
+    return order, new_id, [r for k in keyed for r in divmod(k // m, n)]
 
 
 class Graph:
@@ -200,63 +218,28 @@ class Embedding:
 
     The core is four lists:
 
-    - ``labels``: the vertex labels in ``vkey`` order; a vertex's rank is its index;
+    - ``labels``: a tuple of the vertex labels in ``vkey`` order; a vertex's
+      rank is its index;
     - ``ends``: edge ``e``'s end ranks, the lesser at ``ends[2e]`` and the greater
       at ``ends[2e + 1]``, with the edges numbered in order of those pairs;
     - ``rot``: each rank's rotation as edge ids, started at the least id;
     - ``sign``: each edge id's sign, +1 or -1.
 
-    Two embeddings are equal when their cores are.  ``graph``, ``rotation`` and
-    ``signature`` are the label-level views (a ``Graph``, and dicts over its
-    edge tuples), built on first use.  Treat instances as immutable: every
-    operation returns a new embedding.  The faces are traced once, on first
-    use, into ``_orbits``: each face the list of its tracing states, in the
-    order the face is walked.  A state that is not on any orbit lies on the
-    reverse of one, and ``_face_of`` maps every state to the index of its face.
+    Two embeddings are equal when their cores are.  ``graph`` is the
+    label-level view, a ``Graph``, built on first use.  Treat instances as
+    immutable: every operation returns a new embedding.  The faces are traced
+    once, on first use, into ``_orbits``: each face the list of its tracing
+    states, in the order the face is walked.  A state that is not on any orbit
+    lies on the reverse of one, and ``_face_of`` maps every state to the index
+    of its face.
     """
 
-    def __init__(self, graph: Graph, rotation: Mapping, signature: Mapping):
-        eid = {e: i for i, e in enumerate(graph._edge_order)}
-        rot, cycles = {}, []
-        for v, incident in graph._incidence.items():
-            if v not in rotation:
-                raise StructuralError(f"no rotation given for vertex {v!r}")
-            cyc = tuple(rotation[v])
-            if len(cyc) != len(incident) or set(cyc) != set(incident):
-                raise StructuralError(f"rotation at {v!r} is not a permutation of its incident edges")
-            if cyc:
-                # canonical phase: start each cycle at its smallest edge, so
-                # structural equality and serialization are representation-free
-                k = cyc.index(incident[0])
-                cyc = cyc[k:] + cyc[:k]
-            rot[v] = cyc
-            cycles.append([eid[e] for e in cyc])
-        sig = {}
-        for e in graph._edge_order:
-            if e not in signature:
-                raise StructuralError(f"no signature entry for edge {e}")
-            s = signature[e]
-            if s not in (1, -1):
-                raise StructuralError(f"signature of {e} must be +1 or -1, got {s!r}")
-            sig[e] = s
-        rank = graph._rank
-        ends = [rank[v] for v in itertools.chain.from_iterable(graph._edge_order)]
-        self._adopt(graph._order, ends, cycles, list(sig.values()))
-        self.__dict__.update(graph=graph, rotation=rot, signature=sig)
-
-    @classmethod
-    def _of_core(cls, labels: tuple, ends: list, rot: list, sign: list) -> "Embedding":
-        """The embedding of a core already checked as the class docstring
-        describes it; only connectivity is checked here (by ``_adopt``)."""
-        emb = cls.__new__(cls)
-        emb._adopt(labels, ends, rot, sign)
-        return emb
-
-    def _adopt(self, labels: tuple, ends: list, rot: list, sign: list) -> None:
-        """Take the core after a switching search from rank 0, which gives
-        each rank it reaches a side, +1 or -1, kept across a positive edge and
-        flipped across a negative one, and stops once every rank has one.  A
-        rank left without a side is refused.  The signs are
+    def __init__(self, labels: tuple, ends: list, rot: list, sign: list):
+        """Take a core laid out as above; the caller builds it so.  Only
+        connectivity is checked here, by a switching search from rank 0, which
+        gives each rank it reaches a side, +1 or -1, kept across a positive
+        edge and flipped across a negative one, and stops once every rank has
+        one.  A rank left without a side is refused.  The signs are
         switching-equivalent to all-positive (every cycle has positive sign
         product) exactly when every edge ``e`` joins ranks ``a`` and ``b`` with
         ``side[a] * side[b] == sign[e]``: one comparison over the edge list,
@@ -301,21 +284,10 @@ class Embedding:
         return Graph(frozenset(labels),
                      frozenset([(labels[a], labels[b]) for a, b in zip(ends[0::2], ends[1::2])]))
 
-    @cached_property
-    def rotation(self) -> dict:
-        """Vertex -> its incident edges in rotation order, from its least edge."""
-        edges = self.graph._edge_order
-        return {v: tuple([edges[e] for e in cyc]) for v, cyc in zip(self.labels, self.rot)}
-
-    @cached_property
-    def signature(self) -> dict:
-        """Edge -> its sign."""
-        return dict(zip(self.graph._edge_order, self.sign))
-
     def faces(self) -> tuple:
         if self._faces is None:
             labels, ends = self.labels, self.ends  # state s leaves ends[s >> 1]
-            edges = self.graph._edge_order
+            edges = [(labels[a], labels[b]) for a, b in zip(ends[0::2], ends[1::2])]
             self._faces = tuple(FaceWalk(tuple((labels[ends[s >> 1]], edges[s >> 2]) for s in orbit))
                                 for orbit in self._traced())
         return self._faces
@@ -375,7 +347,7 @@ def euler_characteristic(emb: Embedding) -> int:
 
 def is_orientable(emb: Embedding) -> bool:
     """True iff the signature is switching-equivalent to all-positive, as
-    the constructor's switching search (``Embedding._adopt``) found."""
+    the constructor's switching search found."""
     return emb._orientable
 
 
@@ -531,7 +503,7 @@ def embedding_from_faces(face_walks: Sequence[Sequence[Label]]) -> Embedding:
     for w in walks:
         if len(w) < 2:
             raise StructuralError(f"face walk {w} is too short")
-    labels = sorted({v for w in walks for v in w}, key=vkey)
+    labels = tuple(sorted({v for w in walks for v in w}, key=vkey))
     rank = {v: i for i, v in enumerate(labels)}
     n = len(labels)
     ranked = [tuple(rank[v] for v in w) for w in walks]
@@ -551,17 +523,16 @@ def embedding_from_faces(face_walks: Sequence[Sequence[Label]]) -> Embedding:
         if a == b:
             raise StructuralError(f"loop at {labels[a]!r} not allowed")
         uses.setdefault(a * n + b if a < b else b * n + a, []).append(g)
-    keys = sorted(uses)
-    edges = [(labels[key // n], labels[key % n]) for key in keys]
+    keys = sorted(uses)  # the core's edge order: by end ranks
     sedge = [0] * slots  # edge id of each slot
     mate = [0] * slots  # the other slot on the same edge
     for i, key in enumerate(keys):
         if len(uses[key]) != 2:
-            raise StructuralError(f"edge {edges[i]} is used {len(uses[key])} times, expected 2")
+            edge = (labels[key // n], labels[key % n])
+            raise StructuralError(f"edge {edge} is used {len(uses[key])} times, expected 2")
         g1, g2 = uses[key]
         sedge[g1] = sedge[g2] = i
         mate[g1], mate[g2] = g2, g1
-    graph = Graph(frozenset(labels), frozenset(edges))
 
     # Umbrella walk at each vertex from its smallest side-end: cross the edge
     # to the mate slot's end at the same vertex, then turn the face corner.
@@ -569,8 +540,8 @@ def embedding_from_faces(face_walks: Sequence[Sequence[Label]]) -> Embedding:
     for g, v in enumerate(tail):
         if v not in first:
             first[v] = g
-    ends = Counter(tail)  # half the side-ends at each vertex: its degree
-    rot = {}
+    degree = Counter(tail)  # half the side-ends at each vertex
+    rot = [None] * n
     pos = [0] * (2 * slots)  # each side-end's index in its vertex's rotation
     for v, g0 in first.items():
         start = 2 * g0 - 1 if prv[g0] == g0 - 1 else 2 * g0
@@ -583,13 +554,14 @@ def embedding_from_faces(face_walks: Sequence[Sequence[Label]]) -> Embedding:
             pos[cur] = pos[glued] = len(cyc)
             cyc.append(sedge[g])
             cur = 2 * nxt[m] if glued & 1 else 2 * prv[m] + 1
-        if len(cyc) != ends[v]:
+        if len(cyc) != degree[v]:
             raise StructuralError(f"vertex {labels[v]!r} is pinched: umbrella misses some corners")
-        rot[v] = cyc
+        k = cyc.index(min(cyc))
+        rot[v] = cyc[k:] + cyc[:k]
 
     o = [0] * slots
     for g, v in enumerate(tail):
-        d = ends[v]
+        d = degree[v]
         if d >= 3:
             o[g] = 1 if pos[2 * g] == (pos[2 * prv[g] + 1] + 1) % d else -1
         elif first[v] == g:
@@ -620,10 +592,10 @@ def embedding_from_faces(face_walks: Sequence[Sequence[Label]]) -> Embedding:
             o[g] = 1
             settle([g, prv[g]])
 
-    emb = Embedding(graph,
-                    {labels[v]: tuple(edges[e] for e in cyc) for v, cyc in rot.items()},
-                    dict(zip(edges, sign)))
-    got = sorted(_walk_key(tuple(rank[v] for v in w.vertices)) for w in emb.faces())
+    ends = [r for key in keys for r in divmod(key, n)]
+    emb = Embedding(labels, ends, rot, sign)
+    # the traced walks of ranks: state s leaves ends[s >> 1]
+    got = sorted(_walk_key(tuple([ends[s >> 1] for s in orbit])) for orbit in emb._traced())
     if got != sorted(_walk_key(w) for w in ranked):
         raise StructuralError("rebuilt embedding does not reproduce the requested faces")
     return emb

@@ -23,7 +23,7 @@ state ``s = 4*e + 2*side + (o == -1)`` and its reverse ``s ^ 3`` across a
 positive edge or ``s ^ 2`` across a negative one.  Of its own it keeps only
 what a partial rotation system needs: per-dart rotation links, the open
 edge signs and the marks of the states already on a closed face.  Each
-complete system is passed to ``Embedding._of_core`` as its integer core, with
+complete system is passed to ``Embedding`` as its integer core, with
 no label-level graph or rotation dicts in between; the embedding traces its
 faces into orbits of the same states (``Embedding._traced``) the first time
 they are read: for chi, or to load the ``surgery.FaceTable`` that every
@@ -148,7 +148,7 @@ class _QuadSearcher:
     the closed faces, each with its reverse ``s ^ 3`` or ``s ^ 2``.  Every
     move is undone by the frame that made it.  The dart ranks ``vertex`` are
     the core's ``ends``, so ``_build`` passes a complete system to
-    ``Embedding._of_core`` with the rotations as edge ids and a copy of the signs.
+    ``Embedding`` with the rotations as edge ids and a copy of the signs.
 
     ``search`` keeps a stack of ``_extend`` generators, one per face: the
     closed faces, then the one being built.  ``_extend`` makes one frame
@@ -325,7 +325,7 @@ class _QuadSearcher:
             while cyc and nxt[cyc[-1]] != cyc[0]:
                 cyc.append(nxt[cyc[-1]])
             rot.append([d >> 1 for d in cyc])
-        return Embedding._of_core(self.labels, self.vertex, rot, self.sign.copy())
+        return Embedding(self.labels, self.vertex, rot, self.sign.copy())
 
 
 def search_exact(spec: WitnessSpec, budget: int | None = None) -> SearchResult:

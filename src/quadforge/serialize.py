@@ -168,4 +168,4 @@ def parse_emap(text: str) -> Embedding:
     missing = [u for u, cyc in zip(vertices, rot) if cyc is None]
     if missing:
         raise FormatError(f"no rotation for vertices {missing}")
-    return Embedding._of_core(vertices, ends, rot, sign)
+    return Embedding(vertices, ends, rot, sign)

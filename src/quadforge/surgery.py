@@ -17,8 +17,9 @@ rotation system from the table, once, when it is wanted: each vertex's
 rotation is its rim, and the signs come from the same orientation pass.  It
 fills the core (ranked labels, edge end ranks, rotations as edge ids, signs)
 with no label-level graph, and checks on ints that the core traces back to
-the table's faces.  ``diamond_sum`` is that pattern for two embeddings: load
-both, splice, rebuild.
+the table's faces; ``relabel_embedding`` renames a core.  Both number the
+edges with ``emap.number_edges``.  ``diamond_sum`` is that pattern for two
+embeddings: load both, splice, rebuild, relabel.
 """
 
 from __future__ import annotations
@@ -30,27 +31,31 @@ from operator import eq, ne
 from typing import Iterator, NamedTuple
 
 from . import emap
-from .emap import Embedding, Graph, Label, edge_between, vkey
+from .emap import Embedding, Label, edge_between, vkey
 from .errors import StructuralError, SurgeryError
 
 
 def relabel_embedding(emb: Embedding, mapping: dict) -> Embedding:
     """Rename vertices; rotation and signature carry over, so the faces are
-    the input's, renamed."""
-    if set(mapping) != set(emb.graph.vertices):
+    the input's, renamed.  The new labels are ranked, the edges renumbered by
+    their new end ranks (``emap.number_edges``), each rotation mapped and
+    started at its least id, and the signs permuted."""
+    if set(mapping) != set(emb.labels):
         raise SurgeryError("relabel mapping must cover every vertex exactly")
     if len(set(mapping.values())) != len(mapping):
         raise SurgeryError("relabel mapping is not injective")
-
-    key = {v: vkey(w) for v, w in mapping.items()}
-    me = {
-        (a, b): (mapping[a], mapping[b]) if key[a] < key[b] else (mapping[b], mapping[a])
-        for a, b in emb.graph.edges
-    }
-    graph = Graph(frozenset(mapping.values()), frozenset(me.values()))
-    rotation = {mapping[v]: tuple([me[e] for e in cyc]) for v, cyc in emb.rotation.items()}
-    signature = {me[e]: s for e, s in emb.signature.items()}
-    return Embedding(graph, rotation, signature)
+    labels = tuple(sorted(mapping.values(), key=vkey))
+    n, m = len(labels), len(emb.sign)
+    rank = {u: i for i, u in enumerate(labels)}
+    moved = [rank[mapping[v]] for v in emb.labels]  # each rank's new rank
+    pairs = [moved[r] for r in emb.ends]  # each edge's new end ranks, by its old id
+    order, new_id, ends = emap.number_edges(n, m, zip(range(m), pairs[0::2], pairs[1::2]))
+    rot = [None] * n
+    for r, cyc in zip(moved, emb.rot):
+        cyc = [new_id[e] for e in cyc]
+        k = cyc.index(min(cyc)) if cyc else 0
+        rot[r] = cyc[k:] + cyc[:k]
+    return Embedding(labels, ends, rot, [emb.sign[e] for e in order])
 
 
 def diamond_sum(
@@ -285,9 +290,8 @@ class FaceTable:
         +1 exactly when the faces are orientable, and the result does not
         depend on face or edge ids.
 
-        The embedding's integer core is made here: the labels are ranked once
-        and the edges numbered in order of their end ranks, so no label-level
-        graph is built.  Its traced faces must be these faces, or
+        The labels are ranked once and the edges numbered by their end ranks
+        (``emap.number_edges``).  Its traced faces must be these faces, or
         ``StructuralError`` is raised.
         """
         w, fe, side = self._w, self._fe, self._side
@@ -302,16 +306,8 @@ class FaceTable:
         c = min((c for c, _ in self._walk(self._anchor[labels[0]], True)), key=span)
         direction, reached, _ = self._orientation(c >> 2,
                                                   1 if span(c)[0] == rank[w[_prev(c)]] else -1)
-        # sorted, the ints (rank a * n + rank b) * m + e number the edges in
-        # order of their end ranks (a key lists its ends in vkey order, so
-        # rank a < rank b), and each keeps its table id e < m
-        m = len(side) >> 1
-        keyed = sorted([(rank[a] * n + rank[b]) * m + e for (a, b), e in self._eid.items()])
-        order = [k % m for k in keyed]  # the table's edge ids, by end ranks
-        ends = [r for k in keyed for r in divmod(k // m, n)]
-        new_id = [0] * m
-        for i, e in enumerate(order):
-            new_id[e] = i
+        order, new_id, ends = emap.number_edges(  # order: the table's edge ids, by end ranks
+            n, len(side) >> 1, ((e, rank[a], rank[b]) for (a, b), e in self._eid.items()))
         turn = [0] * len(w)  # +1 where a corner turns with its vertex's rotation
         rot = [None] * n
         for f in reached:
@@ -327,7 +323,7 @@ class FaceTable:
                 rot[rank[w[c]]] = cyc[k:] + cyc[:k]
         sign = [turn[s] * turn[s + 1 if ~s & 3 else s - 3]  # the turns at s and _next(s)
                 for s in [side[2 * e] for e in order]]
-        emb = Embedding._of_core(labels, ends, rot, sign)
+        emb = Embedding(labels, ends, rot, sign)
         self._check_traced(emb, order)
         return emb
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from labelled import embedding, rotation, signature
 from quadforge import catalog, emap, planner, serialize, surgery
 from quadforge.emap import Certificate, Embedding, FaceWalk, vkey
 from quadforge.errors import StructuralError
@@ -26,9 +27,9 @@ from quadforge.errors import StructuralError
 def reference_faces(emb: Embedding) -> tuple:
     edges = emb.graph.sorted_edges()
     eid = {e: i for i, e in enumerate(edges)}
-    sig = emb.signature
+    sig = signature(emb)
     succ = [0] * (4 * len(edges))
-    for v, cyc in emb.rotation.items():
+    for v, cyc in rotation(emb).items():
         # out[p]: the state leaving v along cyc[p] with o = +1
         out = [4 * eid[e] + (0 if e[0] == v else 2) for e in cyc]
         d = len(out)
@@ -88,13 +89,13 @@ def _faces_meet_once(faces: tuple, away_from: tuple) -> bool:
 
 
 def _orientable(emb: Embedding) -> bool:
-    g = emb.graph
+    g, sig = emb.graph, signature(emb)
     color = {g.sorted_vertices()[0]: 1}
     queue = list(color)
     adj = {v: [] for v in g.vertices}
     for e in g.edges:
-        adj[e[0]].append((e[1], emb.signature[e]))
-        adj[e[1]].append((e[0], emb.signature[e]))
+        adj[e[0]].append((e[1], sig[e]))
+        adj[e[1]].append((e[0], sig[e]))
     while queue:
         u = queue.pop()
         for w, s in adj[u]:
@@ -146,9 +147,9 @@ def outcome(fn, emb: Embedding):
 
 
 def assert_matches_reference(emb: Embedding) -> None:
-    fresh = Embedding(emb.graph, emb.rotation, emb.signature)
+    fresh = embedding(emb.graph, rotation(emb), signature(emb))
     assert outcome(lambda e: e.faces(), fresh) == outcome(reference_faces, emb)
-    fresh = Embedding(emb.graph, emb.rotation, emb.signature)
+    fresh = embedding(emb.graph, rotation(emb), signature(emb))
     got = outcome(emap.certify, fresh)
     assert got == outcome(reference_certify, emb)
     if isinstance(got, Certificate):
@@ -203,15 +204,16 @@ def test_generated_output_matches_reference(n, t, kind):
 
 def mutants(emb: Embedding):
     """``emb`` with one edge sign flipped, and with two entries of one rotation swapped."""
+    rot, sig = rotation(emb), signature(emb)
     for e in emb.graph.sorted_edges():
-        yield Embedding(emb.graph, emb.rotation, {**emb.signature, e: -emb.signature[e]})
+        yield embedding(emb.graph, rot, {**sig, e: -sig[e]})
     for v in emb.graph.sorted_vertices():
-        cyc = list(emb.rotation[v])
+        cyc = list(rot[v])
         for i, j in ((0, 1), (0, 2)):
             if j < len(cyc):
                 swapped = cyc.copy()
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                yield Embedding(emb.graph, {**emb.rotation, v: tuple(swapped)}, emb.signature)
+                yield embedding(emb.graph, {**rot, v: tuple(swapped)}, sig)
 
 
 @pytest.mark.parametrize("name", WITNESS_NAMES)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import nx_oracle
+from labelled import embedding
 from quadforge import catalog, cli, emap, planner, search, serialize, surgery
 from test_emap import two_squares_text
 
@@ -397,7 +398,7 @@ def test_dual_matches_the_networkx_rendering(tmp_path, capsys):
     assert run(capsys, "--quiet", "gen", "--n", "30", "--t", "3",
                "--kind", "nonorientable", "--out", str(out))[0] == 0
     g = emap.Graph.from_edges([(0, 1), (0, 2), (0, 10)])
-    star.write_text(serialize.write_emap(emap.Embedding(
+    star.write_text(serialize.write_emap(embedding(
         g, {v: g._incidence[v] for v in g.vertices}, {e: 1 for e in g.edges})))
     files = sorted(catalog.catalog_dir().glob("*.emap")) + [out, star]
     assert len(files) == 24

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from labelled import embedding, rotation, signature
 from quadforge import catalog, emap, graphalg, planner, search, serialize, surgery
 from quadforge.emap import Embedding, Graph
 from quadforge.errors import FormatError, StructuralError
@@ -19,7 +20,7 @@ def square_sphere() -> Embedding:
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
     rot = {v: g._incidence[v] for v in g.vertices}
     sig = {e: 1 for e in g.edges}
-    return Embedding(g, rot, sig)
+    return embedding(g, rot, sig)
 
 
 def k4_projective() -> Embedding:
@@ -32,7 +33,7 @@ def k4_projective() -> Embedding:
         3: ((0, 3), (1, 3), (2, 3)),
     }
     sig = {(0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 2): -1, (1, 3): -1, (2, 3): -1}
-    return Embedding(g, rot, sig)
+    return embedding(g, rot, sig)
 
 
 def test_sphere_square_faces():
@@ -122,14 +123,14 @@ def test_bad_rotation_rejected():
     g = Graph.from_edges([(0, 1), (1, 2)])
     rot = {0: ((0, 1),), 1: ((0, 1),), 2: ((1, 2),)}  # (1,2) missing at 1
     with pytest.raises(StructuralError):
-        Embedding(g, rot, {(0, 1): 1, (1, 2): 1})
+        embedding(g, rot, {(0, 1): 1, (1, 2): 1})
 
 
 def test_bad_signature_rejected():
     g = Graph.from_edges([(0, 1)])
     rot = {0: ((0, 1),), 1: ((0, 1),)}
     with pytest.raises(StructuralError):
-        Embedding(g, rot, {(0, 1): 0})
+        embedding(g, rot, {(0, 1): 0})
 
 
 # Two disjoint squares on 0..7, their edges in edge order, each rotation in
@@ -145,11 +146,11 @@ def two_squares_text() -> str:
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Embedding(Graph.from_edges(TWO_SQUARES),
+    lambda: embedding(Graph.from_edges(TWO_SQUARES),
                       {v: [TWO_SQUARES[i] for i in ids] for v, ids in enumerate(TWO_SQUARES_ROT)},
                       dict.fromkeys(TWO_SQUARES, 1)),
-    lambda: Embedding._of_core(tuple(range(8)), [v for e in TWO_SQUARES for v in e],
-                               TWO_SQUARES_ROT, [1] * 8),
+    lambda: Embedding(tuple(range(8)), [v for e in TWO_SQUARES for v in e], TWO_SQUARES_ROT,
+                      [1] * 8),
     lambda: serialize.parse_emap(two_squares_text()),
 ], ids=["graph", "core", "emap"])
 def test_a_disconnected_graph_is_refused(build):
@@ -204,7 +205,7 @@ def test_universal_vertices():
     assert emap.universal_vertices(catalog.get_witness("phi_5_0_star")) == [0, 1, 2, 3, 4]
     assert emap.universal_vertices(catalog.get_witness("q6_3_orientable")) == [0, 2]
     g = Graph.from_edges([(0, 1), (1, 2)])
-    path = Embedding(g, {0: [(0, 1)], 1: [(0, 1), (1, 2)], 2: [(1, 2)]}, dict.fromkeys(g.edges, 1))
+    path = embedding(g, {0: [(0, 1)], 1: [(0, 1), (1, 2)], 2: [(1, 2)]}, dict.fromkeys(g.edges, 1))
     assert emap.universal_vertices(path) == [1]
 
 
@@ -230,6 +231,7 @@ def switching_equivalent(a: Embedding, b: Embedding) -> bool:
         return False
     g = a.graph
     root = g.sorted_vertices()[0]
+    rot_a, rot_b, sig_a, sig_b = rotation(a), rotation(b), signature(a), signature(b)
     for lam_root in (1, -1):
         lam = {root: lam_root}
         stack = [root]
@@ -238,11 +240,11 @@ def switching_equivalent(a: Embedding, b: Embedding) -> bool:
             for e in g._incidence[u]:
                 w = e[0] if e[1] == u else e[1]
                 if w not in lam:
-                    lam[w] = lam[u] * a.signature[e] * b.signature[e]
+                    lam[w] = lam[u] * sig_a[e] * sig_b[e]
                     stack.append(w)
-        if any(a.signature[e] * lam[e[0]] * lam[e[1]] != b.signature[e] for e in g.edges):
+        if any(sig_a[e] * lam[e[0]] * lam[e[1]] != sig_b[e] for e in g.edges):
             continue
-        if all(len(a.rotation[v]) < 3 or b.rotation[v] in cyclic_shifts(a.rotation[v], lam[v])
+        if all(len(rot_a[v]) < 3 or rot_b[v] in cyclic_shifts(rot_a[v], lam[v])
                for v in g.vertices):
             return True
     return False
@@ -284,7 +286,7 @@ def test_relabel_carries_traced_faces(name, ordered, data):
     if ordered:
         labels.sort(key=emap.vkey)
     moved = surgery.relabel_embedding(emb, dict(zip(vertices, labels)))
-    assert moved.faces() == Embedding(moved.graph, moved.rotation, moved.signature).faces()
+    assert moved.faces() == embedding(moved.graph, rotation(moved), signature(moved)).faces()
 
 
 def test_insert_degree2_output_rebuilds_to_itself():
@@ -336,13 +338,13 @@ def test_label_views_rebuild_the_integer_core():
             assert found.graph == spec.graph
             embs.append(found)
     for emb in embs:
-        again = Embedding(emb.graph, emb.rotation, emb.signature)
+        again = embedding(emb.graph, rotation(emb), signature(emb))
         assert again == emb
         assert serialize.write_emap(again) == serialize.write_emap(emb)
 
 
 def test_an_edgeless_one_vertex_embedding_certifies():
-    emb = Embedding(Graph.from_edges([], [0]), {0: ()}, {})
+    emb = embedding(Graph.from_edges([], [0]), {0: ()}, {})
     cert = emap.certify(emb)
     assert (cert.n, cert.edges, cert.chi, cert.min_degree) == (1, 0, 1, 0)
     # the reader takes the vertices from the edge lines, so the writer refuses

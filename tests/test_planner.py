@@ -210,7 +210,8 @@ def test_cold_generation_calls_each_embedding_kernel_once(monkeypatch):
     for rec in catalog.record_table():
         catalog.get_witness(rec.name)
     kernels = ((surgery, "diamond_sum"), (emap, "embedding_from_faces"),
-               (surgery.FaceTable, "embedding"), (emap, "is_orientable"))
+               (surgery.FaceTable, "embedding"), (emap, "is_orientable"),
+               (emap.Embedding, "__init__"))
     calls = {name: 0 for _, name in kernels}
 
     def counting(name, real):
@@ -223,9 +224,10 @@ def test_cold_generation_calls_each_embedding_kernel_once(monkeypatch):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     planner.generate(ParamRequest(n=50, t=3, kind="nonorientable"))
     # the K_{m,n} are summed in face tables, the output's rotation system is
-    # built from the chain's table once, and it is certified once
+    # built from the chain's table once, and it is certified once: the one
+    # embedding constructed is the output
     assert calls == {"diamond_sum": 0, "embedding_from_faces": 0, "embedding": 1,
-                     "is_orientable": 1}
+                     "is_orientable": 1, "__init__": 1}
 
 
 def test_generated_output_is_traced_once(monkeypatch):

@@ -130,7 +130,7 @@ def reference_parse_emap(text: str) -> Embedding:
     missing = [u for u, cyc in zip(vertices, rot) if cyc is None]
     if missing:
         raise FormatError(f"no rotation for vertices {missing}")
-    return Embedding._of_core(vertices, ends, rot, sign)
+    return Embedding(vertices, ends, rot, sign)
 
 
 # ---------------------------------------------------------------------------

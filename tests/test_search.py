@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from labelled import embedding
 from nx_oracle import vf2_isomorphic
 from quadforge import catalog, emap, graphalg, search, serialize, surgery
-from quadforge.emap import Embedding, Graph
+from quadforge.emap import Graph
 from quadforge.errors import SearchError, SurgeryError
 
 
@@ -30,7 +31,7 @@ def brute_force_exists(g: Graph, chi: int, orientable) -> bool:
     for rots in itertools.product(*rot_choices):
         rotation = dict(zip(verts, rots))
         for signs in itertools.product((1, -1), repeat=len(edges)):
-            emb = Embedding(g, rotation, dict(zip(edges, signs)))
+            emb = embedding(g, rotation, dict(zip(edges, signs)))
             if not emap.is_quadrangular(emb):
                 continue
             if emap.euler_characteristic(emb) != chi:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from labelled import embedding
 from quadforge import cli, emap, graphalg, search, serialize
 from quadforge.errors import FormatError
 
@@ -17,7 +18,7 @@ def sample_embedding() -> emap.Embedding:
         3: ((0, 3), (1, 3), (2, 3)),
     }
     sig = {(0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 2): -1, (1, 3): -1, (2, 3): -1}
-    return emap.Embedding(g, rot, sig)
+    return embedding(g, rot, sig)
 
 
 def test_round_trip_identity():

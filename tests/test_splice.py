@@ -19,6 +19,7 @@ from collections import Counter
 
 import pytest
 
+from labelled import rotation
 from quadforge import catalog, emap, graphalg, planner, search, surgery
 from quadforge.emap import Embedding, Label, edge_between, vkey
 from quadforge.errors import PlanError, StructuralError, SurgeryError
@@ -48,7 +49,7 @@ def _faces_at_vertex(emb: Embedding, v: Label):
 
 def _rim(emb: Embedding, v: Label):
     """Neighbor cycle of v plus the map {a_j, a_j+1} -> opposite corner."""
-    cyc = tuple(a if b == v else b for a, b in emb.rotation[v])
+    cyc = tuple(a if b == v else b for a, b in rotation(emb)[v])
     pair_to_m = {}
     removed = set()
     for idx, walk, pos in _faces_at_vertex(emb, v):
@@ -181,8 +182,8 @@ def reference_splice(a, v, b, v2, labels) -> emap.Embedding:
     ints = [u for u in [*a.graph.vertices, *labels.values()] if isinstance(u, int)]
     spare = max(ints, default=-1) + 1
     b = surgery.relabel_embedding(b, {**labels, v2: spare})
-    rim_a = [x if y == v else y for x, y in a.rotation[v]]
-    rim_b = [x if y == spare else y for x, y in b.rotation[spare]]
+    rim_a = [x if y == v else y for x, y in rotation(a)[v]]
+    rim_b = [x if y == spare else y for x, y in rotation(b)[spare]]
     d = len(rim_a)
     gluings = [(offset, reflect) for reflect in (False, True) for offset in range(d)
                if all(rim_b[(offset + j if reflect else offset - j) % d] == rim_a[j]
@@ -194,7 +195,7 @@ def reference_splice(a, v, b, v2, labels) -> emap.Embedding:
 def canonical_rim(emb: emap.Embedding, v) -> list:
     """``v``'s neighbours round it, from the least, towards the lesser of its
     two neighbours on the rim."""
-    rim = [a if b == v else b for a, b in emb.rotation[v]]
+    rim = [a if b == v else b for a, b in rotation(emb)[v]]
     k = rim.index(min(rim, key=vkey))
     rim = rim[k:] + rim[:k]
     return rim if vkey(rim[1]) < vkey(rim[-1]) else rim[:1] + rim[:0:-1]

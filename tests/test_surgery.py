@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from labelled import embedding, rotation, signature
 from nx_oracle import vf2_isomorphic
 from quadforge import catalog, emap, graphalg, search, surgery
 from quadforge.errors import SurgeryError
@@ -145,7 +146,7 @@ def test_fresh_relabel_carries_traced_faces(name):
     assert len(mapping) > 10
     assert min(mapping.values()) == 41
     assert [mapping[v] for v in emb.graph.sorted_vertices()] == moved.graph.sorted_vertices()
-    assert moved.faces() == emap.Embedding(moved.graph, moved.rotation, moved.signature).faces()
+    assert moved.faces() == embedding(moved.graph, rotation(moved), signature(moved)).faces()
 
 
 @functools.cache
