@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quadforge import catalog, emap, graphalg, search, serialize
+from quadforge import catalog, emap, graphalg, search, serialize, surgery
 from quadforge.errors import CatalogError, SurgeryError
 
 SHIPPED_CATALOG = Path(catalog.__file__).parent / "data" / "catalog"
@@ -419,6 +419,30 @@ def test_parse_bug_propagates_from_witness_loads(catalog_copy, monkeypatch):
         catalog.get_witness("phi_4_0")
     with pytest.raises(KeyError):
         catalog.verify_all()
+
+
+def test_a_witness_on_other_edges_of_the_target_vertices_is_refused(catalog_copy):
+    # phi_6_1 lies on K6 minus 4-5; swapping labels 3 and 5 puts it on K6 minus 3-4
+    emb = catalog.get_witness("phi_6_1")
+    moved = surgery.relabel_embedding(emb, {v: {3: 5, 5: 3}.get(v, v) for v in emb.labels})
+    assert set(moved.labels) == set(emb.labels) and moved.ends != emb.ends
+    message = "phi_6_1: stored witness is not on the record's target graph"
+    with pytest.raises(CatalogError, match=message):
+        catalog._verify(catalog.get_record("phi_6_1"), moved)
+    text = serialize.write_emap(moved)
+    (catalog_copy / "phi_6_1.emap").write_text(text)
+    catalog.clear_cache()
+    with pytest.raises(CatalogError, match=message):
+        catalog.get_witness("phi_6_1")
+    manifest = catalog_copy / "manifest.txt"
+    lines = [line.split() for line in manifest.read_text().splitlines()]
+    for fields in lines:
+        if fields[0] == "phi_6_1":
+            fields[2] = catalog._digest(text)
+    manifest.write_text("".join(" ".join(fields) + "\n" for fields in lines))
+    report = {name: (ok, msg) for name, ok, msg in catalog.verify_all()}
+    assert report["phi_6_1"] == (False, message)
+    assert all(ok for name, (ok, _) in report.items() if name != "phi_6_1")
 
 
 def test_truncated_witness_is_reported_corrupt(catalog_copy):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import re
 from collections import Counter
 
 import pytest
@@ -82,7 +83,7 @@ def test_diamond_sum_rejects_label_collisions():
     a = k4_projective()
     b = k23_sphere()
     # interior vertex 1 of the second summand clashes with the first's
-    with pytest.raises(SurgeryError):
+    with pytest.raises(SurgeryError, match=re.escape("label collision between summands: [1]")):
         surgery.diamond_sum(a, 0, b, 0)
 
 
