@@ -234,7 +234,7 @@ def _verify(rec: CatalogRecord, emb: Embedding) -> surgery.FaceTable:
     """The face table of ``emb``, refusing ``emb`` unless it is a quadrangulation
     of the record's target graph that the search would take for the record's spec."""
     spec = rec.spec_for(target_graph(rec.name))
-    if emb.graph != spec.graph:
+    if emb.labels != spec.graph.labels or emb.ends != spec.graph.ends:
         raise CatalogError(f"{rec.name}: stored witness is not on the record's target graph")
     if not emap.is_quadrangular(emb):
         raise CatalogError(f"{rec.name}: witness is not quadrangular")

@@ -323,9 +323,10 @@ def _cmd_dual(args) -> int:
     emb = _load(args.file)
     lo, hi = emap._edge_faces(emb)
     print(f"faces {len(emb.faces())}")
+    labels, ends = emb.labels, emb.ends
+    edges = [(labels[a], labels[b]) for a, b in zip(ends[0::2], ends[1::2])]
     # one dual edge per primal edge; parallel ones ordered by the primal edge's repr
-    for fa, fb, (u, v) in sorted(zip(lo, hi, emb.graph._edge_order),
-                                 key=lambda d: (d[0], d[1], repr(d[2]))):
+    for fa, fb, (u, v) in sorted(zip(lo, hi, edges), key=lambda d: (d[0], d[1], repr(d[2]))):
         print(f"{fa} {fb} via {u}-{v}")
     return 0
 

@@ -31,11 +31,12 @@ switching search that stops once it has reached every vertex, then one
 comparison over the whole edge list.  Every builder fills the core itself:
 ``serialize.parse_emap``, ``surgery.FaceTable.embedding``,
 ``surgery.relabel_embedding``, ``embedding_from_faces`` and the searcher;
-the face table and the relabelling number the edges with ``number_edges``.
-The one label-level view, a ``Graph``, is built only when a caller asks for
-it (the catalog's target check, ``dual`` and ``surgery.diamond_sum``), and
-``FaceWalk`` objects only when ``faces()`` is asked for.  ``certify`` and
-``serialize`` use the core alone.
+the face table, the relabelling and a ``Graph`` number the edges with
+``number_edges``.  A target ``Graph`` is held as the first half of that core,
+its ``labels`` and ``ends``, which the searcher, the canonical form and the
+catalog's target check read.  ``Embedding.graph``, the label-level view, is
+read by no module here, and ``FaceWalk`` objects are built only when
+``faces()`` is asked for.  ``certify`` and ``serialize`` use the core alone.
 
 This is the repo's one encoding of a tracing state: the backtracking
 searcher (``search._QuadSearcher``) builds its faces over the same edge
@@ -118,26 +119,29 @@ def number_edges(n: int, m: int, edges: Iterable) -> tuple:
 class Graph:
     """Labeled simple graph: loop-free, no parallel edges.
 
-    Construction ranks the vertices by ``vkey``; the sorted edge list and the
-    incidence index are built from the ranks on first use.  A graph is
-    immutable, and equal only to a graph with the same vertices and edges.
+    It is held as the first half of an ``Embedding``'s core: ``labels``, the
+    vertices in ``vkey`` order, so that a vertex is its rank, and ``ends``,
+    built on first use by ``number_edges``: edge ``e``'s end ranks at
+    ``ends[2e]`` and ``ends[2e + 1]``, with the edges numbered in order of
+    those pairs.  A graph is immutable, and equal only to a graph with the
+    same vertices and edges.
     """
 
     def __init__(self, vertices: frozenset, edges: frozenset):
-        order = tuple(sorted(vertices, key=vkey))
-        rank = {v: i for i, v in enumerate(order)}
+        labels = tuple(sorted(vertices, key=vkey))
+        rank = {v: i for i, v in enumerate(labels)}
         for e in edges:
             if not (isinstance(e, tuple) and len(e) == 2):
                 raise StructuralError(f"edge {e!r} is not a pair")
             ra, rb = rank.get(e[0]), rank.get(e[1])
-            if (ra is None or rb is None or ra >= rb or type(e[0]) is not type(order[ra])
-                    or type(e[1]) is not type(order[rb])):
+            if (ra is None or rb is None or ra >= rb or type(e[0]) is not type(labels[ra])
+                    or type(e[1]) is not type(labels[rb])):
                 # not plainly two ranked labels in order: the full checks name the fault
                 if edge_between(*e) != e:
                     raise StructuralError(f"edge {e!r} is not normalized")
                 if e[0] not in vertices or e[1] not in vertices:
                     raise StructuralError(f"edge {e!r} has an endpoint outside the vertex set")
-        self.__dict__.update(vertices=vertices, edges=edges, _order=order, _rank=rank)
+        self.__dict__.update(vertices=vertices, edges=edges, labels=labels)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot change {name!r}: a Graph is immutable")
@@ -162,38 +166,18 @@ class Graph:
         return Graph(vs, es)
 
     @cached_property
-    def _edge_order(self) -> tuple:
-        rank, n = self._rank, len(self._order)
-        return tuple(sorted(self.edges, key=lambda e: rank[e[0]] * n + rank[e[1]]))
-
-    @cached_property
-    def _incidence(self) -> dict:
-        """Vertex -> its incident edges, in sorted edge order."""
-        inc = {v: [] for v in self._order}
-        for e in self._edge_order:
-            inc[e[0]].append(e)
-            inc[e[1]].append(e)
-        return {v: tuple(es) for v, es in inc.items()}
-
-    def neighbors(self, v: Label) -> set:
-        if v not in self.vertices:
-            raise StructuralError(f"unknown vertex {v!r}")
-        return {e[0] if e[1] == v else e[1] for e in self._incidence[v]}
-
-    def degree(self, v: Label) -> int:
-        if v not in self.vertices:
-            raise StructuralError(f"unknown vertex {v!r}")
-        return len(self._incidence[v])
+    def ends(self) -> list:
+        rank = {v: i for i, v in enumerate(self.labels)}
+        return number_edges(len(rank), len(self.edges),
+                            [(e, rank[a], rank[b]) for e, (a, b) in enumerate(self.edges)])[2]
 
     def is_connected(self) -> bool:
-        rank = self._rank
-        return connected(len(rank), [(rank[a], rank[b]) for a, b in self.edges])
-
-    def sorted_vertices(self) -> list:
-        return list(self._order)
+        ends = self.ends
+        return connected(len(self.labels), zip(ends[0::2], ends[1::2]))
 
     def sorted_edges(self) -> list:
-        return list(self._edge_order)
+        labels, ends = self.labels, self.ends
+        return [(labels[a], labels[b]) for a, b in zip(ends[0::2], ends[1::2])]
 
 
 class FaceWalk(NamedTuple):
@@ -226,7 +210,8 @@ class Embedding:
     - ``sign``: each edge id's sign, +1 or -1.
 
     Two embeddings are equal when their cores are.  ``graph`` is the
-    label-level view, a ``Graph``, built on first use.  Treat instances as
+    label-level view, a ``Graph``, built on first use; the package itself
+    reads ``labels`` and ``ends`` instead.  Treat instances as
     immutable: every operation returns a new embedding.  The faces are traced
     once, on first use, into ``_orbits``: each face the list of its tracing
     states, in the order the face is walked.  A state that is not on any orbit

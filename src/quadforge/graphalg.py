@@ -154,11 +154,11 @@ def canonical_form(g: Graph) -> tuple:
     """``(n, edges)`` of a relabelling onto 0..n-1 that depends only on the
     isomorphism class of g: two graphs are isomorphic iff their forms are equal.
 
-    g's vertices are ranked by ``vkey`` and the form is ``_canonical_form``'s
-    on the ranks.
+    The form is ``_canonical_form``'s on g's core: its ranks and the end
+    ranks of its edges.
     """
-    index = {v: i for i, v in enumerate(g.sorted_vertices())}
-    return _canonical_form(len(index), [(index[u], index[v]) for u, v in g.edges])
+    ends = g.ends
+    return _canonical_form(len(g.labels), list(zip(ends[0::2], ends[1::2])))
 
 
 def _canonical_form(n: int, edges) -> tuple:

@@ -17,9 +17,10 @@ state tried as the next state of a face, and a budget counts nodes.  A
 state that would end a face's fourth step at a vertex other than the face's
 start is a dead end: it counts as a node but gets no generator frame.
 
-The engine works in ``emap``'s one encoding of a face-tracing state: edges
-numbered in ``Graph.sorted_edges()`` order, vertices ranked by ``vkey``, the
-state ``s = 4*e + 2*side + (o == -1)`` and its reverse ``s ^ 3`` across a
+The engine works in ``emap``'s one encoding of a face-tracing state: the
+target ``Graph``'s core, ``Graph.labels`` and ``Graph.ends`` (vertices
+ranked by ``vkey``, edges numbered by their end ranks), the state
+``s = 4*e + 2*side + (o == -1)`` and its reverse ``s ^ 3`` across a
 positive edge or ``s ^ 2`` across a negative one.  Of its own it keeps only
 what a partial rotation system needs: per-dart rotation links, the open
 edge signs and the marks of the states already on a closed face.  Each
@@ -139,15 +140,15 @@ class _Budget(Exception):
 class _QuadSearcher:
     """Backtracking search for quadrangular signed rotation systems.
 
-    It runs on ``emap``'s tracing states.  Edge e is the e-th edge of
-    ``graph.sorted_edges()``, and dart ``d = 2*e + end`` is e at its smaller
-    (end 0) or larger (end 1) endpoint.  The state leaving along dart d with
-    orientation o is ``s = 2*d + (o == -1)``, and its head is dart
-    ``(s >> 1) ^ 1``.  The partial rotation at a vertex is kept as per-dart
+    It runs on ``emap``'s tracing states over the graph's core.  Edge e is
+    the e-th pair of ``graph.ends``, and dart ``d = 2*e + end`` is e at its
+    smaller (end 0) or larger (end 1) endpoint.  The state leaving along
+    dart d with orientation o is ``s = 2*d + (o == -1)``, and its head is
+    dart ``(s >> 1) ^ 1``.  The partial rotation at a vertex is kept as per-dart
     links ``nxt``/``prv`` (-1 while open), and ``done`` marks the states of
     the closed faces, each with its reverse ``s ^ 3`` or ``s ^ 2``.  Every
     move is undone by the frame that made it.  The dart ranks ``vertex`` are
-    the core's ``ends``, so ``_build`` passes a complete system to
+    the graph's ``ends``, shared as the core's, so ``_build`` passes a complete system to
     ``Embedding`` with the rotations as edge ids and a copy of the signs.
 
     ``search`` keeps a stack of ``_extend`` generators, one per face: the
@@ -185,11 +186,9 @@ class _QuadSearcher:
     """
 
     def __init__(self, graph: Graph, orientable: bool | None):
-        self.labels = tuple(graph.sorted_vertices())
-        rank = {v: i for i, v in enumerate(self.labels)}
-        # dart -> vertex rank, which is the core's ``ends``: never changed
-        self.vertex = [rank[v] for e in graph.sorted_edges() for v in e]
-        self.darts = [[] for _ in rank]  # vertex rank -> its darts, in edge order
+        self.labels = graph.labels
+        self.vertex = graph.ends  # dart -> vertex rank: the core's ``ends``, never changed
+        self.darts = [[] for _ in self.labels]  # vertex rank -> its darts, in edge order
         for d, v in enumerate(self.vertex):
             self.darts[v].append(d)
         self.nxt = [-1] * len(self.vertex)

@@ -71,15 +71,17 @@ def diamond_sum(
     ``FaceTable.splice`` of the two embeddings' tables, with ``offset`` and
     ``reflect`` as it takes them.  The output keeps the labels of both inputs,
     so the summand's vertices off the rim of v2 must not be labels of ``a``
-    other than v.  Either gluing keeps the contract that the result is
-    orientable exactly when both inputs are (two surfaces glued along a
-    boundary circle give an orientable surface exactly when both are); it is
-    checked on the output.
+    other than v.  The rim is read from the summand's table after the splice,
+    which only reads that table, and the labels from the two cores, so a
+    splice refusal comes first.  Either gluing keeps the contract that the
+    result is orientable exactly when both inputs are (two surfaces glued
+    along a boundary circle give an orientable surface exactly when both
+    are); it is checked on the output.
     """
-    table = FaceTable.from_embedding(a)
-    labels = table.splice(v, FaceTable.from_embedding(b), v2, offset, reflect)
-    rim = b.graph.neighbors(v2)
-    clash = (b.graph.vertices - rim - {v2}) & (a.graph.vertices - {v})
+    table, summand = FaceTable.from_embedding(a), FaceTable.from_embedding(b)
+    labels = table.splice(v, summand, v2, offset, reflect)
+    rim = summand.neighbors(v2)
+    clash = (set(b.labels) - rim - {v2}) & (set(a.labels) - {v})
     if clash:
         raise SurgeryError(f"label collision between summands: {sorted(clash, key=vkey)}")
     if table.is_orientable() != (emap.is_orientable(a) and emap.is_orientable(b)):

@@ -25,7 +25,7 @@ def canonical_form(g: Graph) -> tuple:
     colouring, so their subtrees reach the same edge lists.  This keeps
     complete and empty graphs linear instead of factorial.
     """
-    verts = g.sorted_vertices()
+    verts = g.labels
     index = {v: i for i, v in enumerate(verts)}
     adj = [[] for _ in verts]
     for u, v in g.edges:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 
+from labelled import degree
 from nx_oracle import vf2_isomorphic
 from quadforge import catalog, emap, graphalg, planner, search, serialize, surgery
 from quadforge.errors import SurgeryError
@@ -102,21 +103,21 @@ def test_criterion_04_diamond_sum_laws():
         b = rng.choice(pool)
         sites = [
             (va, vb)
-            for va in a.graph.sorted_vertices()
-            for vb in b.graph.sorted_vertices()
-            if a.graph.degree(va) == b.graph.degree(vb) >= 3
+            for va in a.labels
+            for vb in b.labels
+            if degree(a.graph, va) == degree(b.graph, vb) >= 3
         ]
         if not sites:
             continue
         va, vb = rng.choice(sites)
         b2 = surgery.relabel_embedding(
-            b, {v: f"w{i}" for i, v in enumerate(b.graph.sorted_vertices())})
-        vb2 = f"w{b.graph.sorted_vertices().index(vb)}"
+            b, {v: f"w{i}" for i, v in enumerate(b.labels)})
+        vb2 = f"w{b.labels.index(vb)}"
         try:
             out = surgery.diamond_sum(a, va, b2, vb2)
         except SurgeryError:
             continue  # e.g. the identification would create a parallel edge
-        d = a.graph.degree(va)
+        d = degree(a.graph, va)
         assert emap.euler_characteristic(out) == (
             emap.euler_characteristic(a) + emap.euler_characteristic(b) - 2)
         assert emap.is_quadrangular(out)

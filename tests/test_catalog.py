@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from labelled import degree
 from quadforge import catalog, emap, graphalg, search, serialize, surgery
 from quadforge.errors import CatalogError, SurgeryError
 
@@ -171,7 +172,7 @@ def test_build_kmn_rejects_bad_m():
 
 def test_kmn_has_full_degree_vertices():
     emb = catalog.build_kmn(6, 5)
-    degs = sorted(emb.graph.degree(v) for v in emb.graph.vertices)
+    degs = sorted(degree(emb.graph, v) for v in emb.graph.vertices)
     assert degs == [5] * 6 + [6] * 5
 
 

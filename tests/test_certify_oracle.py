@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from labelled import embedding, rotation, signature
+from labelled import degree, embedding, rotation, signature
 from quadforge import catalog, emap, planner, serialize, surgery
 from quadforge.emap import Certificate, Embedding, FaceWalk, vkey
 from quadforge.errors import StructuralError
@@ -90,7 +90,7 @@ def _faces_meet_once(faces: tuple, away_from: tuple) -> bool:
 
 def _orientable(emb: Embedding) -> bool:
     g, sig = emb.graph, signature(emb)
-    color = {g.sorted_vertices()[0]: 1}
+    color = {g.labels[0]: 1}
     queue = list(color)
     adj = {v: [] for v in g.vertices}
     for e in g.edges:
@@ -123,8 +123,8 @@ def reference_certify(emb: Embedding) -> Certificate:
         orientable=_orientable(emb),
         quadrangular=quad,
         face_simple=_faces_meet_once(faces, ()),
-        universal=tuple(sorted((v for v in g.vertices if g.degree(v) == n - 1), key=vkey)),
-        min_degree=min(g.degree(v) for v in g.vertices),
+        universal=tuple(sorted((v for v in g.vertices if degree(g, v) == n - 1), key=vkey)),
+        min_degree=min(degree(g, v) for v in g.vertices),
         minimal=quad and t <= n - 4,
     )
 
@@ -153,7 +153,7 @@ def assert_matches_reference(emb: Embedding) -> None:
     got = outcome(emap.certify, fresh)
     assert got == outcome(reference_certify, emb)
     if isinstance(got, Certificate):
-        for v in emb.graph.sorted_vertices()[:3]:
+        for v in emb.labels[:3]:
             assert (emap.is_nearly_face_simple_except(fresh, v)
                     == reference_nearly_face_simple(emb, v))
 
@@ -186,7 +186,7 @@ def test_witness_matches_reference(name):
 @given(data=st.data())
 def test_relabelled_witness_matches_reference(name, data):
     emb = catalog.get_witness(name)
-    vertices = emb.graph.sorted_vertices()
+    vertices = emb.labels
     labels = data.draw(st.lists(LABELS, min_size=len(vertices), max_size=len(vertices),
                                 unique=True))
     moved = surgery.relabel_embedding(emb, dict(zip(vertices, labels)))
@@ -207,7 +207,7 @@ def mutants(emb: Embedding):
     rot, sig = rotation(emb), signature(emb)
     for e in emb.graph.sorted_edges():
         yield embedding(emb.graph, rot, {**sig, e: -sig[e]})
-    for v in emb.graph.sorted_vertices():
+    for v in emb.labels:
         cyc = list(rot[v])
         for i, j in ((0, 1), (0, 2)):
             if j < len(cyc):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nx_oracle
-from labelled import embedding
+from labelled import embedding, incidence
 from quadforge import catalog, cli, emap, planner, search, serialize, surgery
 from test_emap import two_squares_text
 
@@ -399,7 +399,7 @@ def test_dual_matches_the_networkx_rendering(tmp_path, capsys):
                "--kind", "nonorientable", "--out", str(out))[0] == 0
     g = emap.Graph.from_edges([(0, 1), (0, 2), (0, 10)])
     star.write_text(serialize.write_emap(embedding(
-        g, {v: g._incidence[v] for v in g.vertices}, {e: 1 for e in g.edges})))
+        g, incidence(g), {e: 1 for e in g.edges})))
     files = sorted(catalog.catalog_dir().glob("*.emap")) + [out, star]
     assert len(files) == 24
     for path in files:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from labelled import embedding, rotation, signature
+from labelled import degree, embedding, incidence, rotation, signature
 from quadforge import catalog, emap, graphalg, planner, search, serialize, surgery
 from quadforge.emap import Embedding, Graph
 from quadforge.errors import FormatError, StructuralError
@@ -18,7 +18,7 @@ from test_search import ENUMERATED
 def square_sphere() -> Embedding:
     # C4 embedded in the sphere: two square faces.
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
-    rot = {v: g._incidence[v] for v in g.vertices}
+    rot = incidence(g)
     sig = {e: 1 for e in g.edges}
     return embedding(g, rot, sig)
 
@@ -93,7 +93,11 @@ def test_graph_is_a_value_of_its_vertices_and_edges():
     h = Graph.from_edges([(2, 1), (1, 0)])
     assert g == h and hash(g) == hash(h) and g != Graph.from_edges([(0, 1)])
     assert g != (g.vertices, g.edges) and (g.vertices, g.edges) != g
-    assert g._incidence is g._incidence and g._incidence[1] == ((0, 1), (1, 2))
+    assert g.ends is g.ends and g.ends == [0, 1, 1, 2]
+    # the reader numbers the edges itself, from the written file
+    emb = embedding(g, incidence(g), {e: 1 for e in g.edges})
+    assert serialize.parse_emap(serialize.write_emap(emb)).ends == g.ends
+    assert incidence(g)[1] == ((0, 1), (1, 2))
     assert repr(g) == f"Graph(vertices={g.vertices!r}, edges={g.edges!r})"
 
 
@@ -170,7 +174,7 @@ def test_embedding_from_faces_rebuilds_k4():
 
 def test_mixed_labels_sort_consistently():
     g = Graph.from_edges([(0, "x"), (0, 1), (1, "x")])
-    assert g.sorted_vertices() == [0, 1, "x"]
+    assert g.labels == (0, 1, "x")
     assert g.sorted_edges() == [(0, 1), (0, "x"), (1, "x")]
 
 
@@ -230,14 +234,14 @@ def switching_equivalent(a: Embedding, b: Embedding) -> bool:
     if a.graph != b.graph:
         return False
     g = a.graph
-    root = g.sorted_vertices()[0]
+    root, inc = g.labels[0], incidence(g)
     rot_a, rot_b, sig_a, sig_b = rotation(a), rotation(b), signature(a), signature(b)
     for lam_root in (1, -1):
         lam = {root: lam_root}
         stack = [root]
         while stack:
             u = stack.pop()
-            for e in g._incidence[u]:
+            for e in inc[u]:
                 w = e[0] if e[1] == u else e[1]
                 if w not in lam:
                     lam[w] = lam[u] * sig_a[e] * sig_b[e]
@@ -260,7 +264,7 @@ def cyclic_shifts(cyc: tuple, direction: int):
 @given(data=st.data())
 def test_relabelled_witness_properties(name, data):
     emb = catalog.get_witness(name)
-    vertices = emb.graph.sorted_vertices()
+    vertices = emb.labels
     labels = data.draw(st.lists(LABELS, min_size=len(vertices), max_size=len(vertices),
                                 unique=True))
     mapping = dict(zip(vertices, labels))
@@ -280,7 +284,7 @@ def test_relabelled_witness_properties(name, data):
 def test_relabel_carries_traced_faces(name, ordered, data):
     emb = catalog.get_witness(name)
     emb.faces()
-    vertices = emb.graph.sorted_vertices()
+    vertices = emb.labels
     labels = data.draw(st.lists(LABELS, min_size=len(vertices), max_size=len(vertices),
                                 unique=True))
     if ordered:
@@ -294,7 +298,7 @@ def test_insert_degree2_output_rebuilds_to_itself():
     face = table.faces()[0]
     z = table.insert_degree2(face, min(face))
     out = emap.embedding_from_faces(table.faces())
-    assert out.graph.degree(z) == 2
+    assert degree(out.graph, z) == 2
     assert emap.embedding_from_faces([w.vertices for w in out.faces()]) == out
 
 

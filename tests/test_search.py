@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from labelled import embedding
+from labelled import degree, embedding, incidence, neighbors
 from nx_oracle import vf2_isomorphic
 from quadforge import catalog, emap, graphalg, search, serialize, surgery
 from quadforge.emap import Graph
@@ -21,11 +21,11 @@ def cycle_graph(k: int) -> Graph:
 
 def brute_force_exists(g: Graph, chi: int, orientable) -> bool:
     """Try every rotation system and sign vector; ground truth for tiny graphs."""
-    verts = g.sorted_vertices()
+    verts = g.labels
     edges = g.sorted_edges()
     rot_choices = []
     for v in verts:
-        inc = g._incidence[v]
+        inc = incidence(g)[v]
         first, rest = inc[0], inc[1:]
         rot_choices.append([(first,) + p for p in itertools.permutations(rest)])
     for rots in itertools.product(*rot_choices):
@@ -222,7 +222,7 @@ def test_candidate_graphs_degree_floor():
     # quadrangular + face-simple forces min degree 3 and |E| = 2(n - chi)
     for g in search.candidate_graphs(6, 1):
         assert len(g.edges) == 10
-        assert min(g.degree(v) for v in g.vertices) >= 3
+        assert min(degree(g, v) for v in g.vertices) >= 3
         assert g.is_connected()
 
 
@@ -351,9 +351,9 @@ def test_candidate_graphs_are_rooted_and_deterministic():
     got = list(search.candidate_graphs(7, 1))
     assert len(got) == 18
     for g in got:
-        d = g.degree(0)
-        assert d == max(g.degree(v) for v in g.vertices)
-        assert g.neighbors(0) == set(range(1, d + 1))
+        d = degree(g, 0)
+        assert d == max(degree(g, v) for v in g.vertices)
+        assert neighbors(g, 0) == set(range(1, d + 1))
     assert got == list(search.candidate_graphs(7, 1))
 
 

@@ -19,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from labelled import rotation
+from labelled import degree, neighbors, rotation
 from quadforge import catalog, emap, graphalg, planner, search, surgery
 from quadforge.emap import Embedding, Label, edge_between, vkey
 from quadforge.errors import PlanError, StructuralError, SurgeryError
@@ -89,8 +89,8 @@ def diamond_sum(
         raise SurgeryError("diamond sum requires quadrangular embeddings")
     if v not in a.graph.vertices or v2 not in b.graph.vertices:
         raise SurgeryError(f"unknown summing vertex {v!r} or {v2!r}")
-    d = a.graph.degree(v)
-    d2 = b.graph.degree(v2)
+    d = degree(a.graph, v)
+    d2 = degree(b.graph, v2)
     if d != d2:
         raise SurgeryError(f"degree mismatch at ({v!r}, {v2!r}): {d} != {d2}")
     if d < 3:
@@ -203,10 +203,10 @@ def canonical_rim(emb: emap.Embedding, v) -> list:
 
 def reference_hypotheses(side: emap.Embedding, v, other: emap.Embedding, v2) -> bool:
     g = side.graph
-    nbrs = g.neighbors(v)
+    nbrs = neighbors(g, v)
     return (emap.is_face_simple(side)
-            and min(map(g.degree, g.vertices)) >= 3
-            and not any(g.neighbors(p) & nbrs for p in nbrs)
+            and min(degree(g, v) for v in g.vertices) >= 3
+            and not any(neighbors(g, p) & nbrs for p in nbrs)
             and emap.is_nearly_face_simple_except(other, v2))
 
 
@@ -216,14 +216,14 @@ def assert_predicates_match(table: surgery.FaceTable, emb: emap.Embedding) -> No
     assert set(table.edges()) == set(g.edges)
     assert table.is_face_simple() == emap.is_face_simple(emb)
     assert table.is_orientable() == emap.is_orientable(emb)
-    assert table.min_degree() == min(map(g.degree, g.vertices))
+    assert table.min_degree() == min(degree(g, v) for v in g.vertices)
     assert table.universal_vertices() == set(emap.universal_vertices(emb))
-    for v in g.sorted_vertices():
-        assert table.neighbors(v) == g.neighbors(v)
+    for v in g.labels:
+        assert table.neighbors(v) == neighbors(g, v)
         assert table.is_nearly_face_simple_except(v) == emap.is_nearly_face_simple_except(emb, v)
-        nbrs = g.neighbors(v)
+        nbrs = neighbors(g, v)
         assert table.is_independent(v) == (
-            not any(g.neighbors(p) & nbrs for p in nbrs))
+            not any(neighbors(g, p) & nbrs for p in nbrs))
 
 
 def assert_embedding_matches(table: surgery.FaceTable) -> None:
@@ -340,12 +340,12 @@ def test_splice_matches_diamond_sum():
     done = refused = 0
     while done < 60:
         a, b = rng.choice(pool), rng.choice(pool)
-        sites = [(va, vb) for va in a.graph.sorted_vertices() for vb in b.graph.sorted_vertices()
-                 if a.graph.degree(va) == b.graph.degree(vb) >= 3]
+        sites = [(va, vb) for va in a.labels for vb in b.labels
+                 if degree(a.graph, va) == degree(b.graph, vb) >= 3]
         if not sites:
             continue
         va, vb = rng.choice(sites)
-        d = a.graph.degree(va)
+        d = degree(a.graph, va)
         offset, reflect = rng.randrange(d), rng.choice((None, False, True))
         table = surgery.FaceTable.from_embedding(a)
         try:
@@ -405,9 +405,9 @@ def assert_edit_matches(table: surgery.FaceTable, faces: list) -> None:
 def test_delete_degree2_matches_the_rebuild():
     deleted = 0
     for emb in summand_pool():
-        for z in emb.graph.sorted_vertices():
+        for z in emb.labels:
             table = surgery.FaceTable.from_embedding(emb)
-            if emb.graph.degree(z) != 2:
+            if degree(emb.graph, z) != 2:
                 with pytest.raises(SurgeryError, match="expected 2"):
                     table.delete_degree2(z)
                 continue

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from labelled import embedding, rotation, signature
+from labelled import degree, embedding, rotation, signature
 from nx_oracle import vf2_isomorphic
 from quadforge import catalog, emap, graphalg, search, surgery
 from quadforge.errors import SurgeryError
@@ -94,7 +94,7 @@ def test_delete_insert_degree2_round_trip():
     face = table.faces()[0]
     z = table.insert_degree2(face, face[0])
     bigger = table.embedding()
-    assert bigger.graph.degree(z) == 2
+    assert degree(bigger.graph, z) == 2
     assert emap.euler_characteristic(bigger) == 2
     assert emap.is_quadrangular(bigger)
     table.delete_degree2(z)
@@ -133,7 +133,7 @@ def fresh_relabel(emb: emap.Embedding, taken) -> tuple:
     """``(relabelled, mapping)``: ``emb`` on ints above every int in ``taken``,
     numbered in ``vkey`` order, so the mapping keeps that order."""
     base = max((v for v in taken if isinstance(v, int)), default=-1) + 1
-    mapping = {v: base + i for i, v in enumerate(emb.graph.sorted_vertices())}
+    mapping = {v: base + i for i, v in enumerate(emb.labels)}
     return surgery.relabel_embedding(emb, mapping), mapping
 
 
@@ -146,7 +146,7 @@ def test_fresh_relabel_carries_traced_faces(name):
     moved, mapping = fresh_relabel(emb, taken)
     assert len(mapping) > 10
     assert min(mapping.values()) == 41
-    assert [mapping[v] for v in emb.graph.sorted_vertices()] == moved.graph.sorted_vertices()
+    assert tuple(mapping[v] for v in emb.labels) == moved.labels
     assert moved.faces() == embedding(moved.graph, rotation(moved), signature(moved)).faces()
 
 
@@ -163,9 +163,9 @@ def summable_pairs() -> tuple:
     pairs = []
     for a in pool:
         for b in pool:
-            sites = tuple((va, vb) for va in a.graph.sorted_vertices()
-                          for vb in b.graph.sorted_vertices()
-                          if a.graph.degree(va) == b.graph.degree(vb) >= 3)
+            sites = tuple((va, vb) for va in a.labels
+                          for vb in b.labels
+                          if degree(a.graph, va) == degree(b.graph, vb) >= 3)
             if sites:
                 pairs.append((a, fresh_relabel(b, a.graph.vertices), sites))
     return tuple(pairs)
@@ -182,7 +182,7 @@ def test_diamond_sum_laws(data):
     a, (b, bmap), sites = data.draw(st.sampled_from(summable_pairs()))
     va, vb = data.draw(st.sampled_from(sites))
     vb = bmap[vb]
-    d = a.graph.degree(va)
+    d = degree(a.graph, va)
     offset = data.draw(st.integers(0, d - 1))
     reflect = data.draw(st.sampled_from([None, False, True]))
     try:
@@ -199,8 +199,8 @@ def test_diamond_sum_laws(data):
 
     # order-keeping relabels of the summands give the relabelled sum's faces
     low = data.draw(st.integers(-20, 20))
-    fa = dict(zip(a.graph.sorted_vertices(), ordered_ints(data, len(a.graph.vertices), low)))
-    fb = dict(zip(b.graph.sorted_vertices(),
+    fa = dict(zip(a.labels, ordered_ints(data, len(a.graph.vertices), low)))
+    fb = dict(zip(b.labels,
                   ordered_ints(data, len(b.graph.vertices), max(fa.values()) + 1)))
     moved = surgery.diamond_sum(surgery.relabel_embedding(a, fa), fa[va],
                                 surgery.relabel_embedding(b, fb), fb[vb],
