@@ -120,11 +120,9 @@ class Graph:
     """Labeled simple graph: loop-free, no parallel edges.
 
     It is held as the first half of an ``Embedding``'s core: ``labels``, the
-    vertices in ``vkey`` order, so that a vertex is its rank, and ``ends``,
-    built on first use by ``number_edges``: edge ``e``'s end ranks at
-    ``ends[2e]`` and ``ends[2e + 1]``, with the edges numbered in order of
-    those pairs.  A graph is immutable, and equal only to a graph with the
-    same vertices and edges.
+    vertices in ``vkey`` order, and ``ends``, the edges' end ranks, numbered
+    by ``number_edges`` on first use.  A graph is immutable, and equal only
+    to a graph with the same vertices and edges.
     """
 
     def __init__(self, vertices: frozenset, edges: frozenset):
@@ -210,13 +208,12 @@ class Embedding:
     - ``sign``: each edge id's sign, +1 or -1.
 
     Two embeddings are equal when their cores are.  ``graph`` is the
-    label-level view, a ``Graph``, built on first use; the package itself
-    reads ``labels`` and ``ends`` instead.  Treat instances as
-    immutable: every operation returns a new embedding.  The faces are traced
-    once, on first use, into ``_orbits``: each face the list of its tracing
-    states, in the order the face is walked.  A state that is not on any orbit
-    lies on the reverse of one, and ``_face_of`` maps every state to the index
-    of its face.
+    label-level view, a ``Graph``, built on first use; no module here reads
+    it.  Treat instances as immutable: every operation returns a new
+    embedding.  The faces are traced once, on first use, into ``_orbits``:
+    each face the list of its tracing states, in the order the face is
+    walked.  A state that is not on any orbit lies on the reverse of one, and
+    ``_face_of`` maps every state to the index of its face.
     """
 
     def __init__(self, labels: tuple, ends: list, rot: list, sign: list):

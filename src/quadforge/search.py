@@ -18,8 +18,7 @@ state that would end a face's fourth step at a vertex other than the face's
 start is a dead end: it counts as a node but gets no generator frame.
 
 The engine works in ``emap``'s one encoding of a face-tracing state: the
-target ``Graph``'s core, ``Graph.labels`` and ``Graph.ends`` (vertices
-ranked by ``vkey``, edges numbered by their end ranks), the state
+target graph's core (``Graph.labels`` and ``Graph.ends``), the state
 ``s = 4*e + 2*side + (o == -1)`` and its reverse ``s ^ 3`` across a
 positive edge or ``s ^ 2`` across a negative one.  Of its own it keeps only
 what a partial rotation system needs: per-dart rotation links, the open
@@ -140,15 +139,15 @@ class _Budget(Exception):
 class _QuadSearcher:
     """Backtracking search for quadrangular signed rotation systems.
 
-    It runs on ``emap``'s tracing states over the graph's core.  Edge e is
-    the e-th pair of ``graph.ends``, and dart ``d = 2*e + end`` is e at its
-    smaller (end 0) or larger (end 1) endpoint.  The state leaving along
-    dart d with orientation o is ``s = 2*d + (o == -1)``, and its head is
-    dart ``(s >> 1) ^ 1``.  The partial rotation at a vertex is kept as per-dart
+    It runs on ``emap``'s tracing states.  Edge e is the e-th pair of
+    ``graph.ends``, and dart ``d = 2*e + end`` is e at its smaller
+    (end 0) or larger (end 1) endpoint.  The state leaving along dart d with
+    orientation o is ``s = 2*d + (o == -1)``, and its head is dart
+    ``(s >> 1) ^ 1``.  The partial rotation at a vertex is kept as per-dart
     links ``nxt``/``prv`` (-1 while open), and ``done`` marks the states of
     the closed faces, each with its reverse ``s ^ 3`` or ``s ^ 2``.  Every
     move is undone by the frame that made it.  The dart ranks ``vertex`` are
-    the graph's ``ends``, shared as the core's, so ``_build`` passes a complete system to
+    the graph's ``ends``, so ``_build`` passes a complete system to
     ``Embedding`` with the rotations as edge ids and a copy of the signs.
 
     ``search`` keeps a stack of ``_extend`` generators, one per face: the

@@ -71,12 +71,11 @@ def diamond_sum(
     ``FaceTable.splice`` of the two embeddings' tables, with ``offset`` and
     ``reflect`` as it takes them.  The output keeps the labels of both inputs,
     so the summand's vertices off the rim of v2 must not be labels of ``a``
-    other than v.  The rim is read from the summand's table after the splice,
-    which only reads that table, and the labels from the two cores, so a
-    splice refusal comes first.  Either gluing keeps the contract that the
-    result is orientable exactly when both inputs are (two surfaces glued
-    along a boundary circle give an orientable surface exactly when both
-    are); it is checked on the output.
+    other than v: after the splice, so that its refusals come first, the rim
+    is read from the summand's table and the labels from the two cores.
+    Either gluing keeps the contract that the result is orientable exactly
+    when both inputs are (two surfaces glued along a boundary circle give an
+    orientable surface exactly when both are); it is checked on the output.
     """
     table, summand = FaceTable.from_embedding(a), FaceTable.from_embedding(b)
     labels = table.splice(v, summand, v2, offset, reflect)
