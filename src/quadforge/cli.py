@@ -322,7 +322,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_dual(args) -> int:
     emb = _load(args.file)
     lo, hi = emap._edge_faces(emb)
-    print(f"faces {len(emb.faces())}")
+    print(f"faces {len(emb._traced())}")  # the faces _edge_faces traced, as a count
     labels, ends = emb.labels, emb.ends
     edges = [(labels[a], labels[b]) for a, b in zip(ends[0::2], ends[1::2])]
     # one dual edge per primal edge; parallel ones ordered by the primal edge's repr

@@ -13,7 +13,6 @@ either operand (sorted order, so evaluation is deterministic).
 
 from __future__ import annotations
 
-import ast
 import itertools
 from typing import NamedTuple
 
@@ -338,6 +337,8 @@ class GraphExpr(NamedTuple):
 def parse_expr(text: str) -> GraphExpr:
     if not text.isascii():  # so that no identifier is NFKC-folded into another
         raise StructuralError("expression must be ASCII")
+    import ast  # on use: only spec files hold graph expressions, not gen or verify
+
     text = text.strip()
     try:
         tree = ast.parse(text, mode="eval")
@@ -349,6 +350,7 @@ def parse_expr(text: str) -> GraphExpr:
 
 def _read(node: ast.AST, kind: str, text: str):
     """The value of one argument of the given kind."""
+    import ast
     if kind == "expr" and isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         op = node.func.id
         if op not in _OPERATORS:

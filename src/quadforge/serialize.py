@@ -14,14 +14,26 @@ the writer reads it, and the reader fills it, with no label-level graph.
     ...
     r <vertex> : <edge ids in rotation order>
     ...
+
+The reader takes more than the writer makes: records in any order, any
+distinct ids, either end first, any rotation start, runs of white space,
+blank lines and ``#`` comments.  A file in exactly the written layout (the
+e lines by id in sorted edge order, each with its lesser end first; the r
+lines in label order, each started at its least id; single spaces and a
+final newline), which every file quadforge writes has, is read as whole
+columns.  Every other file is read line by line to the same core, and a
+refusal names its first faulty line.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .emap import Embedding, parse_label, vkey
 from .errors import FormatError
 
 _SIGNS = {"+": 1, "-": -1}
+_ROW_SIGNS = {"+\ne": 1, "-\ne": -1}  # an e line's sign and the next line's tag
 
 
 def _digits(tokens: list) -> list:
@@ -70,6 +82,90 @@ def write_emap(emb: Embedding) -> str:
 
 
 def parse_emap(text: str) -> Embedding:
+    """The embedding ``text`` names.  A file in exactly the layout
+    ``write_emap`` writes is read as whole columns (``_read_columns``); any
+    other file is read line by line (``_read_lines``), which names the first
+    faulty line of a file it refuses.  Both give the same core."""
+    return Embedding(*(_read_columns(text) or _read_lines(text)))
+
+
+def _read_columns(text: str):
+    """The core of ``text`` when it has exactly the written layout: the
+    header; the e lines with ids 0..m-1 in end-rank order, each with its
+    lesser end first; one r line per rank, in rank order, each started at
+    its least id; single spaces and a final newline.  Else None.
+
+    Every token is either compared with the string it must be or is a label
+    token free of whitespace, so the text splits at its spaces and newlines
+    as ``str.split`` and ``str.splitlines`` split it, and the line loop
+    would read the same core."""
+    if not text.startswith("emap 1\nV "):
+        return None
+    i2 = text.find("\n", 9)  # the end of the V line
+    i3 = text.find("\n", i2 + 1) if i2 > 0 else -1  # and of the E line
+    end = text.find("\nr ", i3) if i3 > 0 else -1  # and of the last e line
+    if end < 0 or not text.startswith("e 0 ", i3 + 1):
+        return None
+    # the e lines split at their spaces alone: each row's sign comes joined to
+    # the next row's tag, so a row with too few or too many tokens shows
+    cols = text[i3 + 1:end].split(" ")
+    m = len(cols) >> 2
+    if len(cols) != 4 * m + 1 or text[i2 + 1:i3] != f"E {m}":
+        return None
+    ids = list(map(str, range(m)))
+    if cols[1::4] != ids:
+        return None
+    sign = list(map(_ROW_SIGNS.get, cols[4:-1:4]))
+    sign.append(_SIGNS.get(cols[-1]))
+    if None in sign:
+        return None
+    tokens = set(cols[2::4])
+    tokens.update(cols[3::4])
+    if any(t.split() != [t] for t in tokens):  # empty, or holding whitespace
+        return None
+    labels = {t: parse_label(t) for t in tokens}
+    vertices = tuple(sorted(set(labels.values()), key=vkey))
+    n = len(vertices)
+    if n != len(tokens) or text[7:i2] != f"V {n}":
+        return None
+    rank = {v: r for r, v in enumerate(vertices)}
+    token_rank = {t: rank[v] for t, v in labels.items()}
+    a = list(map(token_rank.__getitem__, cols[2::4]))
+    b = list(map(token_rank.__getitem__, cols[3::4]))
+    del cols  # every token is read: let them go before the r lines are split
+    pairs = list(zip(a, b))
+    # lesser end first, and each pair after the last: no loop, no repeated edge
+    if not (all(map(operator.lt, a, b)) and all(map(operator.lt, pairs, pairs[1:]))):
+        return None
+    ends = [0] * (2 * m)
+    ends[0::2] = a
+    ends[1::2] = b
+    rows = text[end + 1:].split("\n")
+    if len(rows) != n + 1 or rows[-1]:
+        return None
+    incident = [[] for _ in vertices]  # each rank's edge ids, ascending
+    for e, r in enumerate(ends):
+        incident[r].append(e >> 1)
+    eid = dict(zip(ids, range(m)))
+    tok = sorted(token_rank, key=token_rank.__getitem__)  # each rank's token
+    rot = []
+    try:
+        for t, row, inc in zip(tok, rows, incident):
+            head = f"r {t} : "
+            if not row.startswith(head):
+                return None
+            cyc = list(map(eid.__getitem__, row[len(head):].split(" ")))
+            if cyc[0] != inc[0] or sorted(cyc) != inc:
+                return None
+            rot.append(cyc)
+    except KeyError:
+        return None
+    return vertices, ends, rot, sign
+
+
+def _read_lines(text: str) -> tuple:
+    """The core of ``text``, read line by line in any order, or the
+    ``FormatError`` that names its first fault."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "emap 1":
         raise FormatError("line 1: expected header 'emap 1'")
@@ -168,4 +264,4 @@ def parse_emap(text: str) -> Embedding:
     missing = [u for u, cyc in zip(vertices, rot) if cyc is None]
     if missing:
         raise FormatError(f"no rotation for vertices {missing}")
-    return Embedding(vertices, ends, rot, sign)
+    return vertices, ends, rot, sign

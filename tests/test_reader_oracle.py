@@ -1,11 +1,14 @@
 """``serialize.parse_emap`` against the reference reader.
 
 ``reference_parse_emap`` below is the emap reader as it was before its line
-loop was tightened: each distinct label token parsed through a
-``dict.__missing__`` cache, and blank and comment lines skipped before any
-tag is read.  Every mutant of a catalog file or a ``gen`` output must get
-the same core, certificate and written bytes from both readers, or the same
-error text.
+loop was tightened and before it read the written layout as whole columns:
+each distinct label token parsed through a ``dict.__missing__`` cache, and
+blank and comment lines skipped before any tag is read.  Every mutant of a
+catalog file or a ``gen`` output must get the same core, certificate and
+written bytes from both readers, or the same error text.  Half the mutations
+keep the written layout, so that the column path meets valid, refused and
+borderline files too: a label with whitespace glued on, which ``str.split``
+would cut away, must not be read as a label of its own.
 """
 
 from __future__ import annotations
@@ -139,10 +142,14 @@ def reference_parse_emap(text: str) -> Embedding:
 
 SHIPPED_CATALOG = Path(catalog.__file__).parent / "data" / "catalog"
 
+# whitespace that str.split() or str.splitlines() cuts at and a single-space
+# split does not, and a doubled space
+WHITESPACE = ("\t", "\r", "\x85", "\u2028", "\x1c", "  ")
 # tokens a mutation writes in: ids and labels the files use, ints that int()
-# takes but the reader must not, tags, signs, the colon and a comment mark
+# takes but the reader must not, tags, signs, the colon, a comment mark and
+# whitespace
 TOKENS = ("0", "1", "2", "7", "-1", "01", "٠", "0_1", "+0", "#", "#x", "+", "-", ":",
-          "e", "r", "V", "E", "x", "emap")
+          "e", "r", "V", "E", "x", "emap") + WHITESPACE
 
 
 def _mutate_lines(lines: list, rng: random.Random) -> None:
@@ -175,13 +182,75 @@ def _mutate_lines(lines: list, rng: random.Random) -> None:
         lines[i] = " ".join(tokens)
 
 
+def _keep_layout(lines: list, rng: random.Random) -> None:
+    """One mutation that keeps every line's tag, field count and spacing."""
+    rows = {tag: [i for i, line in enumerate(lines) if line.startswith(tag + " ")]
+            for tag in "er"}
+    if not (rows["e"] and rows["r"]):
+        return
+    kind = rng.randrange(5)
+    if kind == 2:  # swap two e lines, ids and all
+        i, j = rng.choice(rows["e"]), rng.choice(rows["e"])
+        lines[i], lines[j] = lines[j], lines[i]
+        return
+    i = rng.choice(rows["r" if kind == 3 else "e"])
+    fields = lines[i].split(" ")
+    if kind == 0 and len(fields) == 5:  # flip a sign
+        fields[4] = {"+": "-", "-": "+"}.get(fields[4], fields[4])
+    elif kind == 1 and len(fields) == 5:  # swap the two ends
+        fields[2], fields[3] = fields[3], fields[2]
+    elif kind == 3 and len(fields) > 4:  # swap two ids, or start at another id
+        ids = fields[3:]
+        if rng.randrange(2):
+            j, k = rng.sample(range(len(ids)), 2)
+            ids[j], ids[k] = ids[k], ids[j]
+        else:
+            k = rng.randrange(1, len(ids))
+            ids = ids[k:] + ids[:k]
+        fields[3:] = ids
+    elif kind == 4 and len(fields) == 5:
+        # put another label's token, this one's other spelling or this one
+        # with whitespace glued on in place of a label token: here alone or
+        # on every line that names it
+        old = fields[rng.choice((2, 3))]
+        other = lines[rng.choice(rows["r"])].split(" ")
+        way = rng.randrange(3)
+        if way == 0 and len(other) > 1:
+            new = other[1]
+        elif way == 1 and old.isdigit():
+            new = "0" + old  # the same int label
+        else:
+            ws, k = rng.choice(WHITESPACE), rng.randrange(len(old) + 1)
+            new = old[:k] + ws + old[k:]
+        if rng.randrange(2):
+            fields[fields.index(old, 2)] = new
+        else:
+            for tag, at in (("e", (2, 3)), ("r", (1,))):
+                for j in rows[tag]:
+                    named = lines[j].split(" ")
+                    for f in at:
+                        if named[f:f + 1] == [old]:
+                            named[f] = new
+                    lines[j] = " ".join(named)
+            return
+    lines[i] = " ".join(fields)
+
+
 def mutant(text: str, rng: random.Random) -> str:
-    """``text`` after one to three line or token mutations."""
+    """``text`` after one to three mutations, each of a line or token or one
+    that keeps the written layout, which may drop the final newline."""
     lines = text.splitlines()
+    end = "\n"
     for _ in range(rng.randint(1, 3)):
-        if lines:
+        if not lines:
+            break
+        if rng.randrange(2):
             _mutate_lines(lines, rng)
-    return "\n".join(lines) + "\n"
+        elif rng.randrange(6):
+            _keep_layout(lines, rng)
+        else:
+            end = ""
+    return "\n".join(lines) + end
 
 
 def outcome(reader, text: str):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from labelled import embedding
-from quadforge import cli, emap, graphalg, search, serialize
+from quadforge import catalog, cli, emap, graphalg, planner, search, serialize
 from quadforge.errors import FormatError
 
 
@@ -139,6 +141,15 @@ def test_parse_refusal_names_its_fault(case):
     assert fragment in str(err.value)
 
 
+def test_a_second_rotation_under_another_token_of_its_label_is_refused():
+    # "1" and "01" name one label, so either r line after the first repeats it,
+    # in whichever order the two tokens come
+    text = "emap 1\nV 3\nE 3\ne 0 0 1 +\ne 1 0 2 +\ne 2 01 2 +\nr 0 : 0 1\n"
+    for rows in ("r 1 : 0 2\nr 01 : 1 2\n", "r 01 : 0 2\nr 1 : 1 2\n"):
+        with pytest.raises(FormatError, match="line 9: duplicate rotation for vertex 1"):
+            serialize.parse_emap(text + rows)
+
+
 def test_refused_file_exits_2_from_verify(tmp_path, capsys):
     bad = tmp_path / "bad.emap"
     for case, (text, fragment) in REFUSALS.items():
@@ -175,3 +186,23 @@ def test_label_that_is_no_ascii_integer_round_trips(label):
     again = serialize.parse_emap(text)
     assert again == emb and label in again.graph.vertices
     assert serialize.write_emap(again) == text
+
+
+def test_written_files_are_read_as_columns(monkeypatch):
+    # every file quadforge writes has the layout the column path reads; with
+    # the line loop gone, the shipped witnesses and gen outputs still read
+    shipped = Path(catalog.__file__).parent / "data" / "catalog"
+    texts = [path.read_text(encoding="utf-8") for path in sorted(shipped.glob("*.emap"))]
+    assert len(texts) == 22
+    for req in (planner.ParamRequest(n=30, t=3, kind="nonorientable"),
+                planner.ParamRequest(n=61, t=4, kind="orientable"),
+                planner.ParamRequest(n=62, t=3, kind="nonorientable")):
+        texts.append(serialize.write_emap(planner.generate(req)[0]))
+    lines = [emap.Embedding(*serialize._read_lines(text)) for text in texts]
+
+    def refuse(text):
+        raise AssertionError("a written file was read line by line")
+
+    monkeypatch.setattr(serialize, "_read_lines", refuse)
+    for text, want in zip(texts, lines):
+        assert serialize.parse_emap(text) == want
