@@ -123,7 +123,10 @@ def _read_columns(text: str):
     tokens.update(cols[3::4])
     if any(t.split() != [t] for t in tokens):  # empty, or holding whitespace
         return None
-    labels = {t: parse_label(t) for t in tokens}
+    try:
+        labels = {t: parse_label(t) for t in tokens}
+    except ValueError:  # an int past int()'s digit limit: the line reader names its line
+        return None
     vertices = tuple(sorted(set(labels.values()), key=vkey))
     n = len(vertices)
     if n != len(tokens) or text[7:i2] != f"V {n}":

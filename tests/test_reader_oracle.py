@@ -5,10 +5,10 @@ loop was tightened and before it read the written layout as whole columns:
 each distinct label token parsed through a ``dict.__missing__`` cache, and
 blank and comment lines skipped before any tag is read.  Every mutant of a
 catalog file or a ``gen`` output must get the same core, certificate and
-written bytes from both readers, or the same error text.  Half the mutations
-keep the written layout, so that the column path meets valid, refused and
-borderline files too: a label with whitespace glued on, which ``str.split``
-would cut away, must not be read as a label of its own.
+written bytes from both readers, or the same error text.  A second set of
+mutants keeps the written layout, so that the column path meets valid,
+refused and borderline files too: a label with whitespace glued on, which
+``str.split`` would cut away, must not be read as a label of its own.
 """
 
 from __future__ import annotations
@@ -214,11 +214,13 @@ def _keep_layout(lines: list, rng: random.Random) -> None:
         # on every line that names it
         old = fields[rng.choice((2, 3))]
         other = lines[rng.choice(rows["r"])].split(" ")
-        way = rng.randrange(3)
+        way = rng.randrange(4)
         if way == 0 and len(other) > 1:
             new = other[1]
         elif way == 1 and old.isdigit():
             new = "0" + old  # the same int label
+        elif way == 2:
+            new = "9" * 4301  # past int()'s default digit limit
         else:
             ws, k = rng.choice(WHITESPACE), rng.randrange(len(old) + 1)
             new = old[:k] + ws + old[k:]
@@ -237,20 +239,26 @@ def _keep_layout(lines: list, rng: random.Random) -> None:
 
 
 def mutant(text: str, rng: random.Random) -> str:
-    """``text`` after one to three mutations, each of a line or token or one
-    that keeps the written layout, which may drop the final newline."""
+    """``text`` after one to three line or token mutations."""
     lines = text.splitlines()
-    end = "\n"
     for _ in range(rng.randint(1, 3)):
-        if not lines:
-            break
-        if rng.randrange(2):
+        if lines:
             _mutate_lines(lines, rng)
-        elif rng.randrange(6):
-            _keep_layout(lines, rng)
-        else:
-            end = ""
-    return "\n".join(lines) + end
+    return "\n".join(lines) + "\n"
+
+
+def layout_mutant(text: str, rng: random.Random) -> str:
+    """``text`` after one to three mutations that keep the written layout.
+    One time in six it loses its final newline, and then half the time one
+    of its lines is repeated after its last."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        _keep_layout(lines, rng)
+    if rng.randrange(6):
+        return "\n".join(lines) + "\n"
+    if rng.randrange(2):
+        lines.append(rng.choice(lines))
+    return "\n".join(lines)
 
 
 def outcome(reader, text: str):
@@ -289,3 +297,17 @@ def test_mutants_read_as_the_reference_reads_them(seed):
         assert outcome(serialize.parse_emap, text) == want, text
         read += isinstance(want, list)
     assert 0 < read < 1500  # both ways out of the reader are taken
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_layout_keeping_mutants_read_as_the_reference_reads_them(seed):
+    rng = random.Random(seed)
+    texts = sources()
+    read = columns = 0
+    for _ in range(1500):
+        text = layout_mutant(rng.choice(texts), rng)
+        want = outcome(reference_parse_emap, text)
+        assert outcome(serialize.parse_emap, text) == want, text
+        read += isinstance(want, list)
+        columns += serialize._read_columns(text) is not None
+    assert 0 < columns <= read < 1500  # the column path is taken, and refuses

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,22 @@ def test_parse_refusal_names_its_fault(case):
     assert fragment in str(err.value)
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this int() has no digit limit")
+def test_label_past_the_int_digit_limit_is_refused_on_its_line(tmp_path, capsys):
+    # int() refuses a token of more digits than its limit (3.10.7 and later),
+    # so a file in the written layout with such a label is malformed on the
+    # line that first names it, and verify exits 2 on it
+    big = "1" * (sys.get_int_max_str_digits() + 1)
+    text = GOOD_TEXT.replace("e 0 0 1 +", f"e 0 0 {big} +").replace("r 1 :", f"r {big} :")
+    with pytest.raises(FormatError, match="line 4: malformed record"):
+        serialize.parse_emap(text)
+    bad = tmp_path / "big.emap"
+    bad.write_text(text, encoding="utf-8")
+    assert cli.main(["verify", str(bad)]) == 2
+    assert "line 4: malformed record" in capsys.readouterr().err
+
+
 def test_a_second_rotation_under_another_token_of_its_label_is_refused():
     # "1" and "01" name one label, so either r line after the first repeats it,
     # in whichever order the two tokens come
@@ -148,6 +165,16 @@ def test_a_second_rotation_under_another_token_of_its_label_is_refused():
     for rows in ("r 1 : 0 2\nr 01 : 1 2\n", "r 01 : 0 2\nr 1 : 1 2\n"):
         with pytest.raises(FormatError, match="line 9: duplicate rotation for vertex 1"):
             serialize.parse_emap(text + rows)
+
+
+def test_a_line_after_the_last_rotation_is_read_without_a_final_newline():
+    # the layout ends at its last r line's newline: a line after it, though
+    # it has no newline of its own, is read as the line reader reads it
+    assert serialize.parse_emap(GOOD_TEXT + "# note") == serialize.parse_emap(GOOD_TEXT)
+    for extra, message in (("r 1 : 0", "line 7: duplicate rotation for vertex 1"),
+                           ("x 1", "line 7: unknown record tag 'x'")):
+        with pytest.raises(FormatError, match=message):
+            serialize.parse_emap(GOOD_TEXT + extra)
 
 
 def test_refused_file_exits_2_from_verify(tmp_path, capsys):
