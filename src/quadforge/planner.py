@@ -41,9 +41,10 @@ request resumes from the last node of its plan that is built.  A node's
 fields decide its whole chain, so the memo is keyed by the flat node.  The
 memo keeps no embedding, only each node's faces packed as ints: a request
 loads its resume node's table from them in bulk (``FaceTable.thaw``), and
-its requested node's table is put on 0..n-1 and its rotation system built
-from it (``FaceTable.embedding``) on every request, which splices nothing
-when the node is already built.  ``generate`` certifies its embedding
+its requested node's rotation system is built from that table on every
+request, which splices nothing when the node is already built.  It is built
+straight onto labels 0..n-1 (``FaceTable.embedding`` with ``on_ranks``),
+with no ranked copy of the table.  ``generate`` certifies its embedding
 against the request on every call.
 """
 
@@ -283,8 +284,8 @@ def execute(plan: tuple) -> Embedding:
     if len(plan) == 1:  # the base's witness, on its own labels
         _check_size(plan[0], catalog.witness_table(plan[0].record))
         return catalog.get_witness(plan[0].record)
-    # one expression, so that the chain is freed once its ranked copy is made
-    return _chain(plan).ranked().embedding()
+    # the chain's core on labels 0..n-1, built from its table with no copy of it
+    return _chain(plan).embedding(on_ranks=True)
 
 
 def _chain(plan: tuple) -> surgery.FaceTable:

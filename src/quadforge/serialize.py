@@ -46,10 +46,18 @@ def _digits(tokens: list) -> list:
 
 
 def _label_token(v) -> str:
-    s = str(v)
-    # a string that looks like an int would be read back as one by parse_label
-    if (not s or any(c.isspace() for c in s) or s == ":"
-            or (isinstance(v, str) and not isinstance(parse_label(s), str))):
+    try:
+        s = str(v)
+    except ValueError:  # an int past str()'s digit limit, which repr() has too
+        raise FormatError(f"vertex label (an int of {v.bit_length()} bits) "
+                          "cannot be serialized") from None
+    try:
+        # a string that looks like an int would be read back as one by
+        # parse_label, or not at all past int()'s digit limit
+        readable = not isinstance(v, str) or isinstance(parse_label(s), str)
+    except ValueError:
+        readable = False
+    if not s or any(c.isspace() for c in s) or s == ":" or not readable:
         raise FormatError(f"vertex label {v!r} cannot be serialized")
     return s
 

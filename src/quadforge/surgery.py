@@ -16,9 +16,12 @@ core.  A table is loaded from an embedding's traced faces
 rotation system from the table, once, when it is wanted: each vertex's
 rotation is its rim, and the signs come from the same orientation pass.  It
 fills the core (ranked labels, edge end ranks, rotations as edge ids, signs)
-with no label-level graph, and checks on ints that the core traces back to
-the table's faces; ``relabel_embedding`` renames a core.  Both number the
-edges with ``emap.number_edges``.  ``diamond_sum`` is that pattern for two
+with no label-level graph, ranking the labels once, and checks on ranks that
+the core traces back to the table's faces.  The core keeps the table's
+labels, or, with ``on_ranks`` (the planner's output), takes the ranks
+0..n-1 as labels, so no renumbered copy of the table is made.
+``relabel_embedding`` renames a core.  Both number the edges with
+``emap.number_edges``.  ``diamond_sum`` is that pattern for two
 embeddings: load both, splice, rebuild, relabel.
 """
 
@@ -275,57 +278,89 @@ class FaceTable:
         along each edge walk it opposite ways."""
         return self._orientation()[2]
 
-    def embedding(self) -> Embedding:
+    def embedding(self, on_ranks: bool = False) -> Embedding:
         """The signed rotation system whose faces these are.
 
         The orientation pass starts from the face at the least vertex v between
         its least neighbour a and the lesser b of a's two neighbours round it
         (of two such faces, the one with the lesser corner opposite v),
         directed a -> v -> b.  Each vertex's rotation is its rim, walked round
-        (``_walk``) from its first corner in the faces in the order the pass
-        reaches them, the way that corner's directed face turns.  A corner
-        turns +1 when its face runs from its previous edge to its next one the
-        way its vertex's rotation does, and -1 otherwise; each edge's sign is
-        the product of the turns at its two ends in either face along it, which
-        is what ``emap``'s tracer needs to walk that face.  So the signs are all
-        +1 exactly when the faces are orientable, and the result does not
-        depend on face or edge ids.
+        (as ``_walk`` walks it) from its first corner in the faces in the order
+        the pass reaches them, the way that corner's directed face turns.  A
+        corner turns +1 when its face runs from its previous edge to its next
+        one the way its vertex's rotation does, and -1 otherwise; each edge's
+        sign is the product of the turns at its two ends in either face along
+        it, which is what ``emap``'s tracer needs to walk that face.  So the
+        signs are all +1 exactly when the faces are orientable, and the result
+        does not depend on face or edge ids.
 
-        The labels are ranked once and the edges numbered by their end ranks
-        (``emap.number_edges``).  Its traced faces must be these faces, or
-        ``StructuralError`` is raised.
+        The labels are ranked once, each slot's rank and each edge's new id
+        are looked up once, and the edges are numbered by their end ranks
+        (``emap.number_edges``).  The core's labels are the table's, or with
+        ``on_ranks`` the ranks ``0..n-1`` themselves: the embedding that
+        ``ranked().embedding()`` gives, with no copy of the table.  Its traced
+        faces must be these faces, compared on ranks, or ``StructuralError``
+        is raised.
         """
         w, fe, side = self._w, self._fe, self._side
         labels = tuple(sorted(self._degree, key=vkey))
         n = len(labels)
         rank = {u: i for i, u in enumerate(labels)}
+        rk = list(map(rank.get, w))  # each slot's rank; None at a removed face's
 
         def span(c):  # a corner's two neighbours, least first, and its opposite corner
-            a, b = rank[w[_prev(c)]], rank[w[_next(c)]]
-            return (a, b, rank[w[c ^ 2]]) if a < b else (b, a, rank[w[c ^ 2]])
+            a, b = rk[_prev(c)], rk[_next(c)]
+            return (a, b, rk[c ^ 2]) if a < b else (b, a, rk[c ^ 2])
 
         c = min((c for c, _ in self._walk(self._anchor[labels[0]], True)), key=span)
-        direction, reached, _ = self._orientation(c >> 2,
-                                                  1 if span(c)[0] == rank[w[_prev(c)]] else -1)
+        direction, reached, _ = self._orientation(c >> 2, 1 if span(c)[0] == rk[_prev(c)] else -1)
         order, new_id, ends = emap.number_edges(  # order: the table's edge ids, by end ranks
             n, len(side) >> 1, ((e, rank[a], rank[b]) for (a, b), e in self._eid.items()))
+        nid = list(map(new_id.__getitem__, fe))  # the new id of the edge from each slot
+        degree = [self._degree[u] for u in labels]
         turn = [0] * len(w)  # +1 where a corner turns with its vertex's rotation
         rot = [None] * n
         for f in reached:
+            forward = direction[f] == 1
             for c in range(4 * f, 4 * f + 4):
                 if turn[c]:
                     continue  # its vertex was walked round from a corner reached earlier
+                # round the vertex as _walk goes, carried by the slot q whose edge
+                # each corner is left by: the corner itself when it is passed
+                # forward, and the slot before it when it is passed backward (a
+                # table has no loop, so no two corners round the vertex share q)
+                r = rk[c]
+                d = degree[r]
+                if forward:
+                    turn[c] = 1
+                    q0 = q = c
+                else:
+                    turn[c] = -1
+                    q0 = q = c - 1 if c & 3 else c + 3  # _prev(c)
                 cyc = []
-                for s, fwd in self._walk(c, direction[f] == 1):
-                    turn[s] = 1 if fwd else -1
-                    # the edge s is left by, which the next corner is entered by
-                    cyc.append(new_id[fe[s if fwd else (s - 1 if s & 3 else s + 3)]])  # _prev(s)
+                for _ in range(d):
+                    cyc.append(nid[q])
+                    e = 2 * fe[q]
+                    t = side[e]  # the slot across q's edge
+                    if t == q:
+                        t = side[e + 1]
+                    if rk[t] == r:  # the next corner is t, passed backward
+                        turn[t] = -1
+                        q = t - 1 if t & 3 else t + 3  # _prev(t)
+                    else:  # the next corner is the one after t, passed forward
+                        q = t + 1 if ~t & 3 else t - 3  # _next(t)
+                        turn[q] = 1
+                    if q == q0:
+                        break
+                if len(cyc) != d or q != q0:
+                    raise SurgeryError(f"vertex {labels[r]!r} is pinched: its corners form "
+                                       "more than one cycle")
                 k = cyc.index(min(cyc))
-                rot[rank[w[c]]] = cyc[k:] + cyc[:k]
+                rot[r] = cyc[k:] + cyc[:k]
         sign = [turn[s] * turn[s + 1 if ~s & 3 else s - 3]  # the turns at s and _next(s)
                 for s in [side[2 * e] for e in order]]
-        emb = Embedding(labels, ends, rot, sign)
-        self._check_traced(emb, order)
+        emb = Embedding(tuple(range(n)) if on_ranks else labels, ends, rot, sign)
+        self._check_traced(emb, order, rk)
         return emb
 
     def splice(self, v: Label, summand: FaceTable, v2: Label, offset: int = 0,
@@ -592,28 +627,36 @@ class FaceTable:
                         orientable = False
         return direction, reached, orientable
 
-    def _check_traced(self, emb: Embedding, order: list) -> None:
+    def _check_traced(self, emb: Embedding, order: list, rk: list) -> None:
         """Raise unless ``emb``'s traced faces are exactly these faces.
 
-        ``order[e]`` is the table's id of ``emb``'s edge ``e``.  Each traced
-        face, an orbit of ``emb``'s tracing states (traced here once, and kept
-        for ``emap.certify``), is matched with one of the two faces along its
-        first edge, read from that edge in either direction, and no face twice.
+        ``order[e]`` is the table's id of ``emb``'s edge ``e``, and ``rk[s]``
+        the rank of slot ``s``'s label.  Each traced face, an orbit of
+        ``emb``'s tracing states (traced here once, and kept for
+        ``emap.certify``), is matched on ranks with one of the two faces along
+        its first edge, read from that edge in either direction, and no face
+        twice.
         """
-        w, side = self._w, self._side
-        labels, ends = emb.labels, emb.ends  # state s leaves ends[s >> 1]
+        side = self._side
+        ends = emb.ends  # state s leaves the rank ends[s >> 1]
         orbits = emb._traced()
-        if len(orbits) != (len(w) >> 2) - len(self._free_faces) or any(len(o) != 4 for o in orbits):
+        if len(orbits) != (len(rk) >> 2) - len(self._free_faces) or any(len(o) != 4 for o in orbits):
             raise StructuralError("rebuilt embedding does not reproduce the table's faces")
-        matched = bytearray(len(w) >> 2)
+        matched = bytearray(len(rk) >> 2)
         for s0, s1, s2, s3 in orbits:
-            v0, v1, v2, v3 = (labels[ends[s0 >> 1]], labels[ends[s1 >> 1]],
-                              labels[ends[s2 >> 1]], labels[ends[s3 >> 1]])
+            v0, v1 = ends[s0 >> 1], ends[s1 >> 1]
             e = order[s0 >> 2]
             for s in (side[2 * e], side[2 * e + 1]):
-                b = s & -4
-                cyc = w[s:b + 4] + w[b:s]  # the face, from slot s
-                if not matched[s >> 2] and (cyc == [v0, v1, v2, v3] or cyc == [v1, v0, v3, v2]):
+                # the face read from slot s (s, the next, opposite and previous
+                # corners) must be v0 v1 v2 v3, or v1 v0 v3 v2: the other way round
+                after, before = (s & -4) | ((s + 1) & 3), (s & -4) | ((s - 1) & 3)
+                if rk[s] == v0:
+                    same = (rk[after] == v1 and rk[s ^ 2] == ends[s2 >> 1]
+                            and rk[before] == ends[s3 >> 1])
+                else:
+                    same = (rk[s] == v1 and rk[after] == v0
+                            and rk[s ^ 2] == ends[s3 >> 1] and rk[before] == ends[s2 >> 1])
+                if same and not matched[s >> 2]:
                     matched[s >> 2] = 1
                     break
             else:

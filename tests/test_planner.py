@@ -222,12 +222,22 @@ def test_cold_generation_calls_each_embedding_kernel_once(monkeypatch):
 
     for module, name in kernels:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    planner.generate(ParamRequest(n=50, t=3, kind="nonorientable"))
+    ranked_on = []
+    ranked = surgery.FaceTable.ranked
+    monkeypatch.setattr(surgery.FaceTable, "ranked",
+                        lambda table, **key: ranked_on.append(table) or ranked(table, **key))
+    req = ParamRequest(n=50, t=3, kind="nonorientable")
+    planner.generate(req)
     # the K_{m,n} are summed in face tables, the output's rotation system is
     # built from the chain's table once, and it is certified once: the one
     # embedding constructed is the output
     assert calls == {"diamond_sum": 0, "embedding_from_faces": 0, "embedding": 1,
                      "is_orientable": 1, "__init__": 1}
+    # the only tables put on ranks are the base's witness table, which the
+    # chain starts from, and the catalog's K_{6,3}, which seeds the K_{6,n}:
+    # the output's core is built on ranks from the chain's own table
+    assert ranked_on == [catalog.witness_table(planner.plan(req)[0].record),
+                         catalog.witness_table("k_6_3")]
 
 
 def test_generated_output_is_traced_once(monkeypatch):

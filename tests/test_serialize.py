@@ -158,6 +158,20 @@ def test_label_past_the_int_digit_limit_is_refused_on_its_line(tmp_path, capsys)
     assert "line 4: malformed record" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this int() has no digit limit")
+@pytest.mark.parametrize("kind", [int, str])
+def test_label_past_the_int_digit_limit_is_refused_when_written(kind):
+    # str() of such an int raises, and so does int() of such a digit string,
+    # which a reader would take for an int: either label is refused as
+    # unwritable, not with the ValueError
+    limit = sys.get_int_max_str_digits()
+    labels = (0, 10 ** limit) if kind is int else ("1" * (limit + 1), "a")
+    emb = emap.Embedding(labels, [0, 1], [[0], [0]], [1])
+    with pytest.raises(FormatError, match="^vertex label .* cannot be serialized$"):
+        serialize.write_emap(emb)
+
+
 def test_a_second_rotation_under_another_token_of_its_label_is_refused():
     # "1" and "01" name one label, so either r line after the first repeats it,
     # in whichever order the two tokens come

@@ -334,6 +334,55 @@ def test_table_embedding_refuses_a_pinched_vertex(shared):
         emap.embedding_from_faces(faces)
 
 
+@pytest.mark.parametrize("on_ranks", [False, True])
+def test_table_embedding_refuses_a_core_that_does_not_trace_back(monkeypatch, on_ranks):
+    # two edges' table ids swapped after the numbering: the core is still a
+    # rotation system, all positive on this orientable table, but the faces
+    # traced along those two edges are not the table's faces there
+    table = catalog.kmn_table(6, 5)
+    number_edges = emap.number_edges
+
+    def swapped(*args):
+        order, new_id, ends = number_edges(*args)
+        order[0], order[-1] = order[-1], order[0]
+        return order, new_id, ends
+
+    monkeypatch.setattr(emap, "number_edges", swapped)
+    with pytest.raises(StructuralError, match="does not reproduce the table's faces"):
+        table.embedding(on_ranks=on_ranks)
+
+
+def gapped_chain(req: ParamRequest) -> surgery.FaceTable:
+    """The chain table of ``req``, whose int labels the splices have left gapped."""
+    table = planner._chain(planner.plan(req))
+    assert set(table.vertices()) != set(range(len(table.vertices())))
+    return table
+
+
+def block_table() -> surgery.FaceTable:
+    """A catalog witness's table, on int labels and the strings x and z."""
+    table = catalog.witness_table("phi_7_2_plus")
+    assert {"x", "z"} <= set(table.vertices())
+    return table
+
+
+@pytest.mark.parametrize("table", [
+    lambda: gapped_chain(ParamRequest(n=26, t=3, kind="nonorientable")),
+    lambda: gapped_chain(ParamRequest(n=29, t=8, kind="orientable")),
+    block_table,
+], ids=["nonorientable-chain", "orientable-chain", "phi_7_2_plus"])
+def test_table_embedding_on_ranks_is_that_of_the_ranked_copy(table):
+    # the planner's output core, with no copy of the table, and the default
+    # call's, which keeps the table's own labels
+    table = table()
+    on_ranks = table.embedding(on_ranks=True)
+    assert on_ranks == table.ranked().embedding()
+    assert on_ranks.labels == tuple(range(len(table.vertices())))
+    own = table.embedding()
+    assert own.labels == tuple(sorted(table.vertices(), key=vkey))
+    assert (own.ends, own.rot, own.sign) == (on_ranks.ends, on_ranks.rot, on_ranks.sign)
+
+
 def test_splice_matches_diamond_sum():
     pool = summand_pool()
     rng = random.Random(20261018)
