@@ -29,6 +29,16 @@ so a step walks round no rim vertex) — the construction is refused rather
 than allowed to drift from its contract.  No orientability is carried along
 the chain: the certificate of the finished embedding decides it.
 
+The first sum, its guards and the face-simple side's half of the second
+sum's hypotheses depend only on ``m``, ``n'`` and the block.  So each such
+summand is made once per catalog, and ``_SITES`` keeps only its gluing site
+at z (``FaceTable.site``: the rim, the opposite corners, the edges among the
+rim, the other vertices and the corners of the faces away from z) with that
+half's verdict.  A step splices the site into the chain, after checking the
+chain's half: that the chain is nearly face-simple at the universal vertex
+chosen, which is how ``_choose_universal`` chooses it.  Each conjunct is
+thus evaluated once for each distinct input.
+
 Each plan starts at a base node naming the catalog record that holds its
 ``(n, t)``.  Whether that record is searched or derived from another, and by
 which surgery, is the record's own ``op`` and ``parent`` in
@@ -235,30 +245,53 @@ def _choose_universal(chain: surgery.FaceTable):
 def _check_sum_hypotheses(face_simple_side: surgery.FaceTable, v,
                           other: surgery.FaceTable, v2) -> bool:
     """Hypotheses under which a diamond sum is guaranteed face-simple."""
-    return (
-        face_simple_side.is_face_simple()
-        and face_simple_side.min_degree() >= 3
-        and face_simple_side.is_independent(v)
-        and other.is_nearly_face_simple_except(v2)
-    )
+    return _face_simple_side(face_simple_side, v) and other.is_nearly_face_simple_except(v2)
+
+
+def _face_simple_side(table: surgery.FaceTable, v) -> bool:
+    """The face-simple side's half of the sum hypotheses, at ``v``; the other
+    side's half is its ``is_nearly_face_simple_except`` at its summed vertex."""
+    return table.is_face_simple() and table.min_degree() >= 3 and table.is_independent(v)
+
+
+# (m, n, block) -> (site, holds): the gluing site at z of K_{m,n} with the
+# block summed into it at x, verified, and whether that sum holds the
+# face-simple side's half of the second sum's hypotheses at z.  A site holds
+# no table, and splicing it only reads it, so each summand is made, and its
+# guards run, once per catalog.
+_SITES: dict = catalog.register_cache({})
+
+
+def _summand(block_record: str, m: int, n_side: int) -> tuple:
+    """``_SITES``'s entry for the block summed into K_{m,n_side}, made on first use."""
+    catalog.follow_catalog_dir()
+    key = (m, n_side, block_record)
+    if key not in _SITES:
+        block = catalog.witness_table(block_record)  # only read
+        mid = catalog.kmn_table(m, n_side)
+        u = m  # the first vertex of the n-side, whose vertices have degree m
+        if not _check_sum_hypotheses(mid, u, block, "x"):
+            raise PlanError(f"{block_record} + K_{{{m},{n_side}}} violates the "
+                            "face-simplicity hypotheses")
+        z = mid.splice(u, block, "x")["z"]
+        if not mid.is_face_simple():
+            raise PlanError("intermediate diamond sum is not face-simple")
+        _SITES[key] = mid.site(z), _face_simple_side(mid, z)
+    return _SITES[key]
 
 
 def _induct_step(chain: surgery.FaceTable, block_record: str, m: int) -> None:
-    """Splice one step into ``chain``: the block at x with K_{m,n'-1}, then that at z."""
-    n_chain = len(chain.vertices())
-    block = catalog.witness_table(block_record)  # only read
-    mid = catalog.kmn_table(m, n_chain - 1)
-    u = m  # the first vertex of the n-side, whose vertices have degree m
-    if not _check_sum_hypotheses(mid, u, block, "x"):
-        raise PlanError(f"{block_record} + K_{{{m},{n_chain - 1}}} violates the "
-                        "face-simplicity hypotheses")
-    z = mid.splice(u, block, "x")["z"]
-    if not mid.is_face_simple():
-        raise PlanError("intermediate diamond sum is not face-simple")
+    """Splice one step into ``chain``: the block at x with K_{m,n'-1}, then that at z.
+
+    The summand comes from ``_SITES`` with its half of the second sum's
+    hypotheses; the chain's half, nearly face-simple at ``v``, is how
+    ``_choose_universal`` picks ``v``, so it is evaluated once.
+    """
+    site, holds = _summand(block_record, m, len(chain.vertices()) - 1)
     v = _choose_universal(chain)
-    if not _check_sum_hypotheses(mid, z, chain, v):
+    if not holds:
         raise PlanError("second diamond sum violates the face-simplicity hypotheses")
-    chain.splice(v, mid, z)
+    chain.splice(v, site)
     if not chain.is_face_simple():
         raise PlanError("derivation output is not face-simple")
 

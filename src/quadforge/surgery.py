@@ -5,6 +5,9 @@ held in flat lists of ints (four corner slots per face, two side slots per
 edge).  Each operation replaces a few faces in place and touches only the
 faces it removes and adds: ``splice`` (the diamond sum), ``handle`` (handle
 augmentation along a 4-cycle), ``delete_degree2`` and ``insert_degree2``.
+A splice reads its summand only through a ``GluingSite``: what ``site``
+reads of a table at its summed vertex, once, as an immutable record that
+can be spliced into any number of tables.
 Every predicate a table answers is computed from its faces: face-simplicity
 from counters it keeps up to date, orientability by one orientation pass over
 the faces.  The search's witness predicates (``search.PREDICATES``) are
@@ -363,35 +366,71 @@ class FaceTable:
         self._check_traced(emb, order, rk)
         return emb
 
-    def splice(self, v: Label, summand: FaceTable, v2: Label, offset: int = 0,
-               reflect: bool | None = None) -> dict:
+    def site(self, v2: Label) -> GluingSite:
+        """Everything ``splice`` reads of this table as a summand at ``v2``, read once.
+
+        The rim and opposite corners are ``_rim``'s, and the edges among the
+        rim come from the edge index.  The corners of the faces away from
+        ``v2`` are taken in one pass over the corner slots, with the slots of
+        ``v2``'s faces and of removed faces masked out.  The site holds no
+        reference to the table, so the table may change afterwards, and one
+        site may be spliced into any number of tables.
+        """
+        if v2 not in self._degree:
+            raise SurgeryError(f"unknown vertex {v2!r}")
+        rim, opposite, at_v2 = self._rim(v2)
+        mask = bytearray(b"\x01") * len(self._w)
+        for f in itertools.chain(self._free_faces, (c >> 2 for c in at_v2)):
+            mask[4 * f:4 * f + 4] = bytes(4)
+        return GluingSite(v2, tuple(rim), tuple(opposite),
+                          tuple(self._edges_among(rim)),
+                          tuple(sorted(self._degree.keys() - set(rim) - {v2}, key=vkey)),
+                          tuple(itertools.compress(self._w, mask)))
+
+    def splice(self, v: Label, summand: FaceTable | GluingSite, v2: Label | None = None,
+               offset: int = 0, reflect: bool | None = None) -> dict:
         """Diamond sum in place: excise ``v`` here and ``v2`` in ``summand``, and glue.
 
-        The vertices here keep their labels.  Each neighbour of ``v2`` takes the
-        label of the neighbour of ``v`` it is glued to; the summand's other
-        vertices take fresh ints above every int here but ``v``, in ``vkey``
-        order.  Offsets count on the label-canonical rims (see ``_rim``): the
-        j-th neighbour of ``v`` is glued to the (offset - j)-th of ``v2``, or
-        to the (offset + j)-th when ``reflect``.  With ``reflect=None`` the
-        first gluing is taken unless it would create a parallel edge, and the
-        second then.  Either gluing keeps the contract that the sum is
-        orientable exactly when both summands are.  ``summand`` is only read.
-        Returns the summand's labels -> their labels here.
+        ``summand`` is a table, summed at ``v2``, or a site that ``site`` read
+        (``v2`` is then the site's vertex); a table's site is read after this
+        table's own checks, so both refuse alike, with the same messages in
+        the same order.  The vertices here keep their labels.  Each neighbour
+        of ``v2`` takes the label of the neighbour of ``v`` it is glued to;
+        the summand's other vertices take fresh ints above every int here but
+        ``v``, in ``vkey`` order.  Offsets count on the label-canonical rims
+        (see ``_rim``): the j-th neighbour of ``v`` is glued to the
+        (offset - j)-th of ``v2``, or to the (offset + j)-th when ``reflect``.
+        With ``reflect=None`` the first gluing is taken unless it would create
+        a parallel edge, and the second then.  Either gluing keeps the
+        contract that the sum is orientable exactly when both summands are.
+        ``summand`` is only read.  Returns the summand's labels -> their labels
+        here.
+
+        A refusal raised before the first face is removed leaves this table
+        as it was: an unknown vertex, a degree mismatch, a degree below 3, a
+        rim that does not close up round ``v`` or ``v2``, or a parallel edge.
+        A refusal from ``_add`` or ``_check_closed`` comes after the edit, so
+        the table must then be discarded.
         """
-        if v not in self._degree or v2 not in summand._degree:
+        if isinstance(summand, GluingSite):
+            site, v2, d2 = summand, summand.vertex, len(summand.rim)
+        else:
+            site, d2 = None, summand._degree.get(v2)
+        if v not in self._degree or d2 is None:
             raise SurgeryError(f"unknown summing vertex {v!r} or {v2!r}")
-        d, d2 = self._degree[v], summand._degree[v2]
+        d = self._degree[v]
         if d != d2:
             raise SurgeryError(f"degree mismatch at ({v!r}, {v2!r}): {d} != {d2}")
         if d < 3:
             raise SurgeryError(f"diamond sum site needs degree >= 3, got {d}")
         rim, opposite, at_v = self._rim(v)
-        rim2, opposite2, at_v2 = summand._rim(v2)
-        rim_edges = summand._edges_among(rim2)
+        if site is None:
+            site = summand.site(v2)
+        rim2 = site.rim
         for flip in (False, True) if reflect is None else (reflect,):
             mu = [(offset + j if flip else offset - j) % d for j in range(d + 1)]
             glue = {rim2[mu[j]]: rim[j] for j in range(d)}
-            clashes = [e for a, b in rim_edges
+            clashes = [e for a, b in site.rim_edges
                        if (e := edge_between(glue[a], glue[b])) in self._eid]
             if not clashes:
                 break
@@ -402,15 +441,13 @@ class FaceTable:
         base = max((u for u in self._degree if type(u) is int and u != v), default=-1) + 1
         for c in at_v:
             self._remove(c >> 2)
-        inner = sorted(summand._degree.keys() - set(rim2) - {v2}, key=vkey)
-        labels = {u: base + i for i, u in enumerate(inner)}
+        labels = {u: base + i for i, u in enumerate(site.inner)}
         labels.update(glue)
-        w2, skip = summand._w, {c >> 2 for c in at_v2}
-        added = [self._add(list(map(labels.__getitem__, w2[s:s + 4])))
-                 for s in range(0, len(w2), 4) if w2[s] is not None and s >> 2 not in skip]
+        corners = list(map(labels.__getitem__, site.corners))
+        added = [self._add(corners[s:s + 4]) for s in range(0, len(corners), 4)]
         for j in range(d):
             # the summand's face between rim2[mu[j]] and rim2[mu[j + 1]]
-            m2 = opposite2[mu[j] if flip else mu[j + 1]]
+            m2 = site.opposite[mu[j] if flip else mu[j + 1]]
             added.append(self._add((rim[j], opposite[j], rim[(j + 1) % d], labels[m2])))
         self._check_closed(added)
         return labels
@@ -784,6 +821,26 @@ def _refuse(faces) -> None:
     for w in faces:
         table._add(w)
     table._check_closed(range(len(table._w) >> 2))
+
+
+class GluingSite(NamedTuple):
+    """What ``FaceTable.splice`` reads of a summand at its summed vertex
+    (``FaceTable.site``).
+
+    ``rim`` and ``opposite`` are ``_rim``'s: the vertex's neighbours round it,
+    label-canonically, one per corner of the vertex, and the corner opposite
+    the vertex in the face after each.  ``rim_edges`` are the edges with both
+    ends on the rim, ``inner`` the vertices off the rim but the summed one in
+    ``vkey`` order, and ``corners`` the corners of every face away from the
+    vertex, four per face, in face-id order.
+    """
+
+    vertex: Label
+    rim: tuple
+    opposite: tuple
+    rim_edges: tuple
+    inner: tuple
+    corners: tuple
 
 
 class HandleSite(NamedTuple):

@@ -136,38 +136,64 @@ def test_criterion_04_diamond_sum_laws():
 def test_criterion_05_face_simple_guarantee_holds_empirically(monkeypatch):
     # Audit this test's own run of the criteria 1-2 sweeps: for each diamond
     # sum of each induction step, the hypothesis verdict and whether the
-    # spliced faces are face-simple.
+    # spliced faces are face-simple.  The first sum's hypotheses are checked
+    # whole where the step's summand is made; the second's are split between
+    # the summand (the face-simple side's half, at z) and the step (the
+    # chain's half, which holds at the universal vertex chosen).  The summand
+    # cache is emptied before each request, so every step makes its own
+    # summand and both of its sums are audited.
     steps = []
     real_step = planner._induct_step
     real_check = planner._check_sum_hypotheses
+    real_side = planner._face_simple_side
+    real_universal = planner._choose_universal
     real_splice = surgery.FaceTable.splice
 
     def step(*args):
-        steps.append([])
+        steps.append({"verdicts": [], "outputs": [], "universal": 0})
         return real_step(*args)
 
-    def check(*args):
+    def check(*args):  # the first sum's hypotheses, both halves
         ok = real_check(*args)
-        steps[-1].append([ok, None])
+        steps[-1]["verdicts"].append(ok)
         return ok
+
+    def side(*args):  # once the first sum is spliced: the second sum's summand half
+        ok = real_side(*args)
+        if steps[-1]["outputs"]:
+            steps[-1]["verdicts"].append(ok)
+        return ok
+
+    def universal(chain):  # the second sum's chain half
+        steps[-1]["universal"] += 1
+        return real_universal(chain)
 
     def splice(table, *args):
         glued = real_splice(table, *args)
-        steps[-1][-1][1] = table.is_face_simple()
+        record = steps[-1]
+        if len(record["outputs"]) < len(record["verdicts"]):  # a sum, not a K_{m,n}'s build
+            record["outputs"].append(table.is_face_simple())
         return glued
 
     monkeypatch.setattr(planner, "_induct_step", step)
     monkeypatch.setattr(planner, "_check_sum_hypotheses", check)
+    monkeypatch.setattr(planner, "_face_simple_side", side)
+    monkeypatch.setattr(planner, "_choose_universal", universal)
     monkeypatch.setattr(surgery.FaceTable, "splice", splice)
+    requests = [req for kind, lo, hi in (("nonorientable", 6, 26), ("orientable", 5, 29))
+                for req in admissible_pairs(kind, lo, hi)]
     planner._GEN_CACHE.clear()
-    for kind, lo, hi in (("nonorientable", 6, 26), ("orientable", 5, 29)):
-        for req in admissible_pairs(kind, lo, hi):
-            planner.generate(req)
-    assert steps, "the sweeps ran no induction step"
-    # both sums of every step had their hypotheses checked and were spliced
-    assert all(len(step_sums) == 2 for step_sums in steps)
-    sums = [pair for step_sums in steps for pair in step_sums]
-    assert all(out is not None for _, out in sums)
+    for req in requests:
+        planner._SITES.clear()
+        planner.generate(req)
+    # each plan node is built once, and both sums of its step had their
+    # hypotheses checked and were spliced
+    distinct = {node for req in requests for node in planner.plan(req)[1:]}
+    assert len(steps) == len(distinct) == 214
+    assert all(len(s["verdicts"]) == len(s["outputs"]) == 2 and s["universal"] == 1
+               for s in steps)
+    sums = [pair for s in steps for pair in zip(s["verdicts"], s["outputs"])]
+    assert len(sums) == 2 * len(distinct)
     violations = [pair for pair in sums if pair[0] and not pair[1]]
     assert violations == []
     print(f"criterion 5: PASS ({len(sums)} checked diamond sums in {len(steps)} steps, "

@@ -197,12 +197,18 @@ def test_induction_step_answers_face_simplicity_from_the_tables(monkeypatch):
 
     monkeypatch.setattr(surgery.FaceTable, "is_face_simple", counting)
     monkeypatch.setattr(emap, "is_face_simple", rebuilt)
+    planner._SITES.clear()
     planner._induct_step(chain, "phi_7_2_plus", 6)
     assert len(chain.vertices()) == 14
     # K_{6,9} by the first sum's hypotheses; the same table with the block summed
     # into it by the intermediate guard and by the second sum's hypotheses; the output
     assert [n for _, n in checked] == [15, 15, 15, 14]
     assert checked[0][0] is checked[1][0] is checked[2][0] and checked[3][0] is chain
+    # a step on another chain of that size splices the summand's site: only the output
+    checked.clear()
+    again = surgery.FaceTable.from_embedding(child)
+    planner._induct_step(again, "phi_7_2_plus", 6)
+    assert checked == [(again, 14)] and again.faces() == chain.faces()
 
 
 def test_cold_generation_calls_each_embedding_kernel_once(monkeypatch):
@@ -351,6 +357,53 @@ def test_each_plan_node_is_built_once(monkeypatch):
         _, cert, _ = planner.generate(req)
         assert (cert.n, cert.t) == (req.n, req.t)
     assert len(calls) == len(distinct)
+
+
+def summand_keys(plans) -> set:
+    """The (m, n, block) of each induction step's summand, K_{m,n} with the block summed in."""
+    return {(planner._STEP_VERTICES[node.step] + 2,
+             node.n - planner._STEP_VERTICES[node.step] - 1, node.record)
+            for p in plans for node in induction_nodes(p)}
+
+
+def test_each_summand_is_made_once(monkeypatch):
+    requests = list(acceptance_requests())
+    keys = summand_keys(map(planner.plan, requests))
+    catalog.clear_cache()
+    made = []
+    kmn_table = catalog.kmn_table
+    monkeypatch.setattr(catalog, "kmn_table", lambda m, n: made.append((m, n)) or kmn_table(m, n))
+    for req in requests:
+        planner.generate(req)
+    # one K_{m,n'} copy, one block summed into it, and one site, per distinct summand
+    assert len(keys) == 109
+    assert set(planner._SITES) == keys and len(made) == len(keys)
+    assert all(type(site) is surgery.GluingSite and holds
+               for site, holds in planner._SITES.values())
+    catalog.clear_cache()
+    assert planner._SITES == {}
+
+
+def test_sites_do_not_outlive_a_catalog_change(tmp_path, monkeypatch):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    shutil.copytree(catalog.catalog_dir(), good)
+    shutil.copytree(catalog.catalog_dir(), bad)
+    for path in bad.glob("*.emap"):
+        path.write_text("not an emap file\n")
+    req = ParamRequest(n=14, t=3, kind="nonorientable")
+    node = planner.plan(req)[-1]
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(good))
+    try:
+        planner.generate(req)  # makes the last step's summand
+        child = planner._chain(planner.plan(req)[:-1])
+        assert planner._SITES
+        monkeypatch.setenv(catalog.CATALOG_ENV, str(bad))
+        # a site kept from the good catalog would splice without reading the block
+        with pytest.raises(CatalogError):
+            planner._induct_step(child, node.record, planner._STEP_VERTICES[node.step] + 2)
+    finally:
+        monkeypatch.delenv(catalog.CATALOG_ENV)
+        catalog.clear_cache()
 
 
 def test_a_step_walks_no_rim_vertex(monkeypatch):

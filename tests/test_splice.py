@@ -201,13 +201,16 @@ def canonical_rim(emb: emap.Embedding, v) -> list:
     return rim if vkey(rim[1]) < vkey(rim[-1]) else rim[:1] + rim[:0:-1]
 
 
-def reference_hypotheses(side: emap.Embedding, v, other: emap.Embedding, v2) -> bool:
+def reference_face_simple_side(side: emap.Embedding, v) -> bool:
     g = side.graph
     nbrs = neighbors(g, v)
     return (emap.is_face_simple(side)
             and min(degree(g, v) for v in g.vertices) >= 3
-            and not any(neighbors(g, p) & nbrs for p in nbrs)
-            and emap.is_nearly_face_simple_except(other, v2))
+            and not any(neighbors(g, p) & nbrs for p in nbrs))
+
+
+def reference_hypotheses(side: emap.Embedding, v, other: emap.Embedding, v2) -> bool:
+    return reference_face_simple_side(side, v) and emap.is_nearly_face_simple_except(other, v2)
 
 
 def assert_predicates_match(table: surgery.FaceTable, emb: emap.Embedding) -> None:
@@ -439,6 +442,54 @@ def test_splice_refuses_what_diamond_sum_refuses():
     assert face_multiset(table.faces()) == face_multiset(w.vertices for w in k4.faces())
 
 
+def pinched_table() -> surgery.FaceTable:
+    """Two K_{6,3} tori glued at vertex 0, which has degree 6 and is pinched."""
+    torus = [w.vertices for w in catalog.build_kmn(6, 3).faces()]
+    return surgery.FaceTable(torus + [tuple(u if u == 0 else u + 100 for u in w) for w in torus])
+
+
+def refused_splices():
+    """(table, v, summand, v2, message): one splice for each refusal raised
+    before the table is edited, in the order ``splice`` checks them."""
+    k4 = surgery.FaceTable.from_embedding(search.search_exact(
+        search.WitnessSpec(graph=graphalg.complete(4), chi=1, orientable=None)).embedding)
+    k63, k66 = catalog.kmn_table(6, 3), catalog.kmn_table(6, 6)
+    yield k63, "q", k63, 0, "unknown summing vertex"
+    yield k63, 0, k63, "q", "unknown summing vertex"
+    yield k63, 0, catalog.kmn_table(6, 4), 0, "degree mismatch"
+    yield k63, 0, pinched_table(), 0, "degree mismatch"  # before the summand's rim
+    yield catalog.kmn_table(6, 2), 0, catalog.kmn_table(6, 2), 1, "degree >= 3"
+    yield pinched_table(), 0, k66, 6, "pinched"
+    yield k66, 6, pinched_table(), 0, "pinched"
+    yield k4, 0, k4.copy(), 0, "parallel edge"  # every gluing of two K_4 rims doubles an edge
+
+
+def test_a_refused_splice_leaves_the_table_as_it_was_until_it_edits():
+    for table, v, summand, v2, message in refused_splices():
+        before = table.copy()
+        with pytest.raises(SurgeryError, match=message) as refused:
+            table.splice(v, summand, v2)
+        assert vars(table) == vars(before), message
+        try:
+            site = summand.site(v2)
+        except SurgeryError:  # no site is read at an unknown vertex or a pinched one
+            continue
+        with pytest.raises(SurgeryError) as by_site:
+            table.splice(v, site)
+        assert str(by_site.value) == str(refused.value)
+        assert vars(table) == vars(before), message
+    # a refusal from _add or _check_closed comes after the edit: the table has
+    # changed, and must be discarded
+    site = catalog.kmn_table(6, 3).site(6)
+    for corners, message in ((site.corners[:-4], "lies on only one face"),
+                             (site.corners + site.corners[:4], "lies on more than two faces")):
+        table = catalog.kmn_table(6, 4)
+        before = table.copy()
+        with pytest.raises(SurgeryError, match=message):
+            table.splice(9, site._replace(corners=corners))
+        assert vars(table) != vars(before)
+
+
 def walks(emb: emap.Embedding) -> list:
     return [w.vertices for w in emb.faces()]
 
@@ -614,17 +665,39 @@ def acceptance_requests():
                     yield req
 
 
+def record_site_sources(monkeypatch) -> dict:
+    """From now on, map the id of each site ``FaceTable.site`` reads to the
+    site and a copy of the table it was read from."""
+    sources = {}
+    site = surgery.FaceTable.site
+
+    def recording(table, v2):
+        out = site(table, v2)
+        sources[id(out)] = out, table.copy()
+        return out
+
+    monkeypatch.setattr(surgery.FaceTable, "site", recording)
+    return sources
+
+
 @pytest.fixture
 def checked_steps(monkeypatch) -> Counter:
-    """Check each splice and guard of the planner against the rebuilt embeddings."""
+    """Check each splice and guard of the planner against the rebuilt embeddings;
+    a site is checked as a splice of the table it was read from."""
     seen = Counter()
+    sources = record_site_sources(monkeypatch)
     splice = surgery.FaceTable.splice
     is_face_simple = surgery.FaceTable.is_face_simple
     check_sum_hypotheses = planner._check_sum_hypotheses
+    face_simple_side = planner._face_simple_side
     choose_universal = planner._choose_universal
 
-    def checked_splice(table, v, summand, v2):
-        a, b = rebuilt(table), rebuilt(summand)
+    def checked_splice(table, v, summand, v2=None):
+        if isinstance(summand, surgery.GluingSite):
+            source, v2 = sources[id(summand)][1], summand.vertex
+        else:
+            source = summand
+        a, b = rebuilt(table), rebuilt(source)
         labels = splice(table, v, summand, v2)
         ref = reference_splice(a, v, b, v2, labels)
         assert face_multiset(table.faces()) == face_multiset(w.vertices for w in ref.faces())
@@ -646,6 +719,12 @@ def checked_steps(monkeypatch) -> Counter:
         seen["hypotheses"] += 1
         return got
 
+    def checked_side(side, v):
+        got = face_simple_side(side, v)
+        assert got == reference_face_simple_side(rebuilt(side), v)
+        seen["face_simple_side"] += 1
+        return got
+
     def checked_universal(chain):
         got = choose_universal(chain)
         emb = rebuilt(chain)
@@ -657,8 +736,15 @@ def checked_steps(monkeypatch) -> Counter:
     monkeypatch.setattr(surgery.FaceTable, "splice", checked_splice)
     monkeypatch.setattr(surgery.FaceTable, "is_face_simple", checked_face_simple)
     monkeypatch.setattr(planner, "_check_sum_hypotheses", checked_hypotheses)
+    monkeypatch.setattr(planner, "_face_simple_side", checked_side)
     monkeypatch.setattr(planner, "_choose_universal", checked_universal)
     return seen
+
+
+def summand_keys(steps) -> set:
+    """The (m, n, block) of each step's summand, K_{m,n} with the block summed in."""
+    return {(planner._STEP_VERTICES[node.step] + 2,
+             node.n - planner._STEP_VERTICES[node.step] - 1, node.record) for node in steps}
 
 
 def test_every_chain_step_matches_the_rebuild(checked_steps):
@@ -666,6 +752,7 @@ def test_every_chain_step_matches_the_rebuild(checked_steps):
     requests += [ParamRequest(n=50, t=3, kind="nonorientable"),
                  ParamRequest(n=49, t=2, kind="orientable")]
     steps = {node for req in requests for node in planner.plan(req)[1:]}
+    sites = summand_keys(steps)
     catalog.clear_cache()
     # loading the witnesses answers the catalog's own predicates, one of them
     # (delete_degree2_face_simple) from a table: only the planner's are counted
@@ -675,16 +762,74 @@ def test_every_chain_step_matches_the_rebuild(checked_steps):
     for req in requests:
         _, cert, _ = planner.generate(req)
         assert (cert.n, cert.t) == (req.n, req.t)
-    # each K_{m,n} but the catalog's K_{6,3} is spliced, and each is certified face-simple;
-    # a step reads face-simplicity in each of its two hypotheses, after its first
-    # sum and after its second
+    assert len(planner._SITES) == len(sites) < len(steps)
+    # each K_{m,n} but the catalog's K_{6,3} is spliced, and each is certified
+    # face-simple.  Each summand is made once: its first sum's hypotheses
+    # (whose face-simple side's half is counted too), that sum, its
+    # face-simplicity, and the second sum's face-simple side's half.  Each step
+    # chooses its universal vertex (the chain's half), splices the summand's
+    # site, and reads the output's face-simplicity.
     kmn = len(catalog._KMN_CACHE)
-    assert checked_steps == {"splice": 2 * len(steps) + kmn - 1, "hypotheses": 2 * len(steps),
-                             "face_simple": 4 * len(steps) + kmn, "universal": len(steps)}
+    assert checked_steps == {"splice": len(steps) + len(sites) + kmn - 1,
+                             "hypotheses": len(sites), "face_simple_side": 2 * len(sites),
+                             "face_simple": len(steps) + 3 * len(sites) + kmn,
+                             "universal": len(steps)}
+
+
+def test_splicing_a_site_is_splicing_its_table(monkeypatch):
+    # every splice of the acceptance pairs, made again on a copy of the table
+    # in the other form: a table summand as its site, and a site as the table
+    # it was read from.  The faces, ids and labels must be the same.
+    sources = record_site_sources(monkeypatch)
+    splice = surgery.FaceTable.splice
+    seen = Counter()
+
+    def twinned(table, v, summand, v2=None):
+        if isinstance(summand, surgery.GluingSite):
+            other, v2 = sources[id(summand)][1], summand.vertex
+            seen["site"] += 1
+        else:
+            other = summand.site(v2)
+            seen["table"] += 1
+        twin = table.copy()
+        labels = splice(table, v, summand, v2)
+        assert splice(twin, v, other, v2) == labels
+        assert vars(twin) == vars(table)
+        return labels
+
+    monkeypatch.setattr(surgery.FaceTable, "splice", twinned)
+    requests = list(acceptance_requests())
+    steps = {node for req in requests for node in planner.plan(req)[1:]}
+    catalog.clear_cache()
+    for req in requests:
+        planner.generate(req)
+    # each step splices a site into its chain; each summand is made by a
+    # splice of its block, and each K_{m,n} but the catalog's K_{6,3} by one
+    assert seen == {"site": len(steps),
+                    "table": len(summand_keys(steps)) + len(catalog._KMN_CACHE) - 1}
+
+
+def test_one_site_splices_into_two_chains_as_a_fresh_summand():
+    site, holds = planner._summand("phi_7_2_plus", 6, 9)
+    assert holds and site is planner._summand("phi_7_2_plus", 6, 9)[0]
+    fresh = catalog.kmn_table(6, 9)
+    z = fresh.splice(6, catalog.witness_table("phi_7_2_plus"), "x")["z"]
+    assert site == fresh.site(z)
+    chains = [planner._chain(planner.plan(ParamRequest(n=10, t=t, kind="nonorientable")))
+              for t in (1, 3)]
+    assert chains[0].faces() != chains[1].faces()
+    for chain in chains:
+        v = chain.nearly_face_simple_universal()
+        want = chain.copy()
+        labels = want.splice(v, fresh, z)
+        assert chain.splice(v, site) == labels
+        assert vars(chain) == vars(want)
+        assert site == fresh.site(z)  # the site is only read
 
 
 def test_broken_summands_raise_the_plan_errors(monkeypatch):
     child, _, _ = planner.generate(ParamRequest(n=10, t=3, kind="nonorientable"))
+    planner._SITES.clear()  # so that the step makes its summand from kmn_table
     kmn_table = catalog.kmn_table
     # K_{6,2}: two faces share both edges at each rim vertex
     monkeypatch.setattr(catalog, "kmn_table", lambda m, n: kmn_table(6, 2))
